@@ -23,7 +23,7 @@ from .bell import (
     message_to_label,
 )
 from .encoder import encode_composed, encode_direct
-from .decoder import build_decode_table, decode_grand, decode_pipeline, grand_operator
+from .decoder import Decoder, build_decode_table, grand_operator, make_decoder
 from .analysis import (
     TimingModel,
     advantage,

@@ -15,23 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import (
-    BellLabel,
-    bell_state,
-    first_particle_interleave,
-    message_to_label,
-)
-from .decoder import (
-    DecodeTable,
-    MeasurementOutcome,
-    build_decode_table,
-    decode_grand,
-    decode_pipeline,
-    grand_operator,
-)
+from .bell import BellLabel, bell_state, message_to_label
+from .decoder import MeasurementOutcome, build_decode_table, make_decoder
 from .errors import ArgOutOfRange, MessageOutOfRange
 from .encoder import encode_direct
-from .gates import nonlocal_mixer
 from .hadamard import HadamardMatrix
 from .hilbert import DenseOp, StateVector, apply
 
@@ -39,6 +26,7 @@ __all__ = [
     "TimingModel",
     "capacity_bits",
     "start_state",
+    "send",
     "run_protocol",
     "round_trip_sweep",
     "rate_spatial",
@@ -80,34 +68,25 @@ def start_state(N: int, H: HadamardMatrix) -> StateVector:
     return bell_state(N, BellLabel(1, -1, 1), H)
 
 
+def send(N: int, H: HadamardMatrix, start: StateVector, message: int) -> StateVector:
+    """The start state after the sender encodes `message` on their particle."""
+    if not 0 <= message < 4 * N * N:
+        raise MessageOutOfRange(f"message {message} outside 0..{4 * N * N - 1}")
+    return apply(encode_direct(N, H, message_to_label(message, N)), 0, start)
+
+
 def run_protocol(
     N: int,
     H: HadamardMatrix,
     message: int,
     path: str = "grand",
     HN: HadamardMatrix | None = None,
-    table: DecodeTable | None = None,
-    grand=None,
-    mixer=None,
 ) -> int:
-    """Encode a message on the start state, decode it, return what came out.
-
-    `table`, `grand`, and `mixer` may be passed in to amortize construction
-    across a sweep; they are built on demand otherwise.
-    """
-    if not 0 <= message < 4 * N * N:
-        raise MessageOutOfRange(f"message {message} outside 0..{4 * N * N - 1}")
-    if path == "grand" and grand is None:
-        grand = grand_operator(N, H)
-    if table is None:
-        table = build_decode_table(N, H, path=path, HN=HN, grand=grand, mixer=mixer)
-    label = message_to_label(message, N)
-    sent = apply(encode_direct(N, H, label), 0, start_state(N, H))
-    if path == "grand":
-        top, _ = decode_grand(N, H, sent, grand=grand)
-    else:
-        top, _ = decode_pipeline(N, H, HN, sent, mixer=mixer)
-    return table.message_for(top)
+    """Encode a message on the start state, decode it, return what came out."""
+    sent = send(N, H, start_state(N, H), message)
+    decoder = make_decoder(N, H, path, HN)
+    top, _ = decoder.decode(sent)
+    return build_decode_table(N, H, decoder).message_for(top)
 
 
 def round_trip_sweep(
@@ -118,16 +97,15 @@ def round_trip_sweep(
     messages: list[int] | None = None,
 ) -> dict:
     """Round-trip every requested message (all of them by default)."""
-    grand = grand_operator(N, H) if path == "grand" else None
-    mixer = nonlocal_mixer(N, HN) if path == "pipeline" else None
-    table = build_decode_table(N, H, path=path, HN=HN, grand=grand, mixer=mixer)
+    decoder = make_decoder(N, H, path, HN)
+    table = build_decode_table(N, H, decoder)
+    start = start_state(N, H)
     if messages is None:
         messages = list(range(4 * N * N))
     failures = []
     for m in messages:
-        got = run_protocol(
-            N, H, m, path=path, HN=HN, table=table, grand=grand, mixer=mixer
-        )
+        top, _ = decoder.decode(send(N, H, start, m))
+        got = table.message_for(top)
         if got != m:
             failures.append({"sent": m, "decoded": got})
     return {
@@ -182,7 +160,7 @@ def advantage(N: int, t: float = 1.0) -> float:
 
 def _spin_dim(S: float) -> int:
     d2 = 2 * S
-    if d2 < 0 or abs(d2 - round(d2)) > 1e-9:
+    if not math.isfinite(d2) or d2 < 0 or abs(d2 - round(d2)) > 1e-9:
         raise ArgOutOfRange(f"spin must be a nonnegative half-integer, got {S}")
     return int(round(d2)) + 1
 
@@ -310,7 +288,7 @@ def run_protocol_spin(
     if not 0 <= message < total:
         raise MessageOutOfRange(f"message {message} outside 0..{total - 1}")
     if d == 1:
-        return run_protocol(N, H, message, path="grand")
+        return run_protocol(N, H, message)
 
     m_pos, m_spin = divmod(message, d * d)
     a, b = divmod(m_spin, d)
@@ -324,16 +302,15 @@ def run_protocol_spin(
     dim = 2 * N * d
     encoded = apply(DenseOp(dim, np.kron(pos_op, spin_op)), 0, state)
 
-    # factor the pair state into (position pair) x (spin pair) axes
-    grid = encoded.amp.reshape(2 * N, d, 2 * N, d).transpose(0, 2, 1, 3)
-
-    # position side: relabel the first particle, then the grand rotation
-    grand = grand_operator(N, H)
-    relabel = first_particle_interleave(N)
-    relabeled = np.zeros_like(grid)
-    relabeled[relabel.target] = grid
-    pos_vecs = relabeled.reshape(4 * N * N, d * d)
-    rotated = grand @ pos_vecs
+    # factor the pair state into (position pair) x (spin pair) axes; each
+    # spin-pair column is a position state that the grand route rotates
+    pos_vecs = encoded.amp.reshape(2 * N, d, 2 * N, d).transpose(0, 2, 1, 3)
+    pos_vecs = pos_vecs.reshape(4 * N * N, d * d)
+    decoder = make_decoder(N, H)
+    pos_dims = (2 * N, 2 * N)
+    rotated = np.column_stack(
+        [decoder.rotate(StateVector(pos_dims, col)).amp for col in pos_vecs.T]
+    )
 
     # spin side: project onto the spin Bell basis
     spin_basis = _spin_bell_matrix(S, sign)
@@ -343,7 +320,7 @@ def run_protocol_spin(
     flat = int(np.argmax(probs))
     pos_flat, spin_label = divmod(flat, d * d)
 
-    table = build_decode_table(N, H, path="grand", grand=grand)
+    table = build_decode_table(N, H, decoder)
     first, second = divmod(pos_flat, 2 * N)
     decoded_pos = table.message_for(
         MeasurementOutcome(first, second, float(probs[flat]))

@@ -100,7 +100,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:
@@ -121,13 +121,12 @@ def _static_conventions(H) -> dict:
     }
 
 
-def _conventions(cfg: RunConfig, H) -> dict:
+def _conventions(cfg: RunConfig, H, HN) -> dict:
     """Static conventions plus the readings resolved for this run."""
     out = _static_conventions(H)
     out["member_mixer_reading"] = encoder.resolve_member_mixer_reading(cfg.n, H)["reading"]
     out["composition_order"] = encoder.resolve_composition_order(cfg.n, H)["order"]
-    if cfg.path == "pipeline":
-        HN = hadamard.build(cfg.n, custom=cfg.registry or None)
+    if HN is not None:
         out["mixer_normalization"] = gates.resolve_mixer_normalization(cfg.n, HN)["reading"]
     return out
 
@@ -312,9 +311,9 @@ def build_verify_report(cfg: RunConfig) -> dict:
     )
 
     # decoder
-    grand = decoder.grand_operator(N, H)
+    grand = decoder.make_decoder(N, H)
     if dim <= 32:
-        gdense = grand.toarray()
+        gdense = grand.stages[-1][0].toarray()  # the grand operator itself
         gunit = float(np.max(np.abs(gdense.conj().T @ gdense - np.eye(dim * dim))))
         ginvol = float(np.max(np.abs(gdense @ gdense - np.eye(dim * dim))))
         checks.append(_check("grand-unitarity", gunit, cfg.tol_chained))
@@ -323,12 +322,12 @@ def build_verify_report(cfg: RunConfig) -> dict:
     min_top = 1.0
     completeness_dev = 0.0
     try:
-        decoder.build_decode_table(N, H, path="grand", grand=grand)
+        decoder.build_decode_table(N, H, grand)
         injective = True
     except SdcError:
         injective = False
     for lab in labels:
-        top, dist = decoder.decode_grand(N, H, bell.bell_state(N, lab, H), grand=grand)
+        top, dist = grand.decode(bell.bell_state(N, lab, H))
         min_top = min(min_top, top.probability)
         completeness_dev = max(
             completeness_dev, abs(sum(o.probability for o in dist) - 1.0)
@@ -341,7 +340,7 @@ def build_verify_report(cfg: RunConfig) -> dict:
         "version": __version__,
         "n": N,
         "path": cfg.path,
-        "conventions": _conventions(cfg, H),
+        "conventions": _conventions(cfg, H, HN),
         "resolutions": {
             "member_mixer": reading,
             "composition": order,
@@ -397,10 +396,7 @@ def cmd_encode(cfg: RunConfig, message: int, dump_op: bool) -> int:
 def cmd_decode(cfg: RunConfig, state_path: str) -> int:
     H, HN = cfg.hadamard_pair()
     state = hilbert.state_from_dict(json.loads(Path(state_path).read_text()))
-    if cfg.path == "grand":
-        top, dist = decoder.decode_grand(cfg.n, H, state)
-    else:
-        top, dist = decoder.decode_pipeline(cfg.n, H, HN, state)
+    top, dist = decoder.make_decoder(cfg.n, H, cfg.path, HN).decode(state)
     _emit_json(
         {
             "n": cfg.n,
@@ -418,26 +414,24 @@ def cmd_decode(cfg: RunConfig, state_path: str) -> int:
 
 def cmd_table(cfg: RunConfig) -> int:
     H, HN = cfg.hadamard_pair()
-    table = decoder.build_decode_table(cfg.n, H, path=cfg.path, HN=HN)
-    rows = []
-    for (first, second), lab in table.entries.items():
-        sent = bell.label_to_message(bell.BellLabel(lab.k, -lab.r, lab.j), cfg.n)
-        rows.append([sent, first, second])
-    rows.sort()
+    table = decoder.build_decode_table(
+        cfg.n, H, decoder.make_decoder(cfg.n, H, cfg.path, HN)
+    )
+    rows = sorted(
+        [table.message_for(decoder.MeasurementOutcome(first, second, 1.0)), first, second]
+        for first, second in table.entries
+    )
     _emit_csv(["message", "first", "second"], rows)
     return 0
 
 
 def cmd_run(cfg: RunConfig, message: int, dump_state: str | None, sign: int = 1) -> int:
     H, HN = cfg.hadamard_pair()
-    if cfg.s > 0:
-        total = analysis.spin_message_count(cfg.n, cfg.s)
-        if not 0 <= message < total:
-            raise MessageOutOfRange(f"message {message} outside 0..{total - 1}")
+    if cfg.s != 0:
+        decoded = analysis.run_protocol_spin(cfg.n, cfg.s, message, H, sign=sign)
         d = int(round(2 * cfg.s)) + 1
         m_pos, m_spin = divmod(message, d * d)
         lab = bell.message_to_label(m_pos, cfg.n)
-        decoded = analysis.run_protocol_spin(cfg.n, cfg.s, message, H, sign=sign)
         payload = {
             "n": cfg.n,
             "s": cfg.s,
@@ -453,22 +447,16 @@ def cmd_run(cfg: RunConfig, message: int, dump_state: str | None, sign: int = 1)
         _emit_json({**payload, "ok": decoded == message})
         return 0 if decoded == message else 1
 
-    if not 0 <= message < 4 * cfg.n * cfg.n:
-        raise MessageOutOfRange(f"message {message} outside 0..{4 * cfg.n * cfg.n - 1}")
-    lab = bell.message_to_label(message, cfg.n)
-    sent = hilbert.apply(
-        encoder.encode_direct(cfg.n, H, lab), 0, analysis.start_state(cfg.n, H)
-    )
+    sent = analysis.send(cfg.n, H, analysis.start_state(cfg.n, H), message)
     if dump_state:
         Path(dump_state).write_text(
             json.dumps(hilbert.state_to_dict(sent), sort_keys=True)
         )
-    table = decoder.build_decode_table(cfg.n, H, path=cfg.path, HN=HN)
-    if cfg.path == "grand":
-        top, _ = decoder.decode_grand(cfg.n, H, sent)
-    else:
-        top, _ = decoder.decode_pipeline(cfg.n, H, HN, sent)
+    dec = decoder.make_decoder(cfg.n, H, cfg.path, HN)
+    table = decoder.build_decode_table(cfg.n, H, dec)
+    top, _ = dec.decode(sent)
     decoded = table.message_for(top)
+    lab = bell.message_to_label(message, cfg.n)
     _emit_json(
         {
             "n": cfg.n,
@@ -509,6 +497,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_rates(cfg: RunConfig, n_list: list[int], t: float) -> int:
     rows = []
     for n in n_list:
+        if n < 1:
+            raise ConfigError(f"--n-list entry {n} is below 1")
         tm = analysis.TimingModel.equal_time(n, t)
         r_m = "" if n < 2 else repr(analysis.rate_maximal(n, tm))
         rows.append(

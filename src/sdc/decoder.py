@@ -6,6 +6,10 @@ measurement.  It is the authoritative decoder.  The gate pipeline (controlled
 swap, per-channel Hadamards, nonlocal mixer) is the proposed realization; its
 determinism and its agreement with the grand route are measured and reported,
 never assumed.
+
+`make_decoder` is the one place a route is chosen: it builds that route's
+operators once and returns a `Decoder` that applies them in order.  Tables,
+reports, protocol runs and the command line all take or build one `Decoder`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .bell import (
 )
 from .errors import (
     CollisionDetected,
+    ConfigError,
     DimensionMismatch,
     NonDeterministicOutcome,
     NonInvolutory,
@@ -48,9 +53,9 @@ from .hilbert import (
 __all__ = [
     "MeasurementOutcome",
     "DecodeTable",
+    "Decoder",
     "grand_operator",
-    "decode_grand",
-    "decode_pipeline",
+    "make_decoder",
     "outcome_distribution",
     "build_decode_table",
     "pipeline_report",
@@ -151,7 +156,7 @@ def outcome_distribution(s: StateVector) -> list[MeasurementOutcome]:
     d0, d1 = s.dims
     probs = np.abs(s.amp) ** 2
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
         raise DimensionMismatch(f"input state is not normalized (sum p = {total})")
     out = []
     for flat in np.nonzero(probs > TOL_EXACT)[0]:
@@ -166,90 +171,75 @@ def _top_outcome(s: StateVector) -> MeasurementOutcome:
     return MeasurementOutcome(flat // d1, flat % d1, float(probs[flat]))
 
 
-def _sparse_matvec(op, amp: np.ndarray) -> np.ndarray:
-    """op @ amp, routed through column gathering when amp is very sparse."""
-    support = np.nonzero(amp)[0]
-    if sp.issparse(op) and op.format == "csc" and support.size * 8 < amp.size:
-        out = np.zeros(amp.size, dtype=np.complex128)
-        for col in support:
-            lo, hi = op.indptr[col], op.indptr[col + 1]
-            out[op.indices[lo:hi]] += op.data[lo:hi] * amp[col]
-        return out
-    return op @ amp
+@dataclass(frozen=True)
+class Decoder:
+    """One measurement route, built once: its operators in the order applied.
+
+    Each stage is (operator, subsystem); subsystem None means the operator
+    acts on the whole two-particle space.
+    """
+
+    path: str
+    stages: tuple[tuple[object, int | None], ...]
+
+    def rotate(self, s: StateVector) -> StateVector:
+        """The state just before the position readout."""
+        for op, subsystem in self.stages:
+            s = apply_full(op, s) if subsystem is None else apply(op, subsystem, s)
+        return s
+
+    def decode(self, s: StateVector) -> tuple[MeasurementOutcome, list[MeasurementOutcome]]:
+        """Measure `s` on this route; returns (top outcome, full distribution)."""
+        rotated = self.rotate(s)
+        return _top_outcome(rotated), outcome_distribution(rotated)
 
 
-def decode_grand(
-    N: int, H: HadamardMatrix, s: StateVector, grand: sp.spmatrix | None = None
-) -> tuple[MeasurementOutcome, list[MeasurementOutcome]]:
-    """Measure via the grand operator; returns (top outcome, full distribution).
+def make_decoder(
+    N: int, H: HadamardMatrix, path: str = "grand", HN: HadamardMatrix | None = None
+) -> Decoder:
+    """Build the operators of one measurement route.
 
-    The state is first carried into the compact basis by the verified local
+    grand: carry the state into the compact basis by the verified local
     relabeling (interleave the first particle's half-axes, identity on the
-    second), then rotated by the grand operator and read out.
+    second), then rotate by the grand operator.  pipeline: controlled swap on
+    the pair, the full Hadamard layer on the first particle, then the
+    nonlocal mixer on both; `HN` is the order-N matrix the mixer draws its
+    rows from.
     """
-    if grand is None:
-        grand = grand_operator(N, H)
-    relabeled = apply(first_particle_interleave(N), 0, s)
-    rotated = StateVector(s.dims, _sparse_matvec(grand, relabeled.amp))
-    return _top_outcome(rotated), outcome_distribution(rotated)
+    if path == "grand":
+        return Decoder(path, ((first_particle_interleave(N), 0), (grand_operator(N, H), None)))
+    if path == "pipeline":
+        return Decoder(
+            path,
+            (
+                (position_controlled_swap(N), None),
+                (hadamard_layer(N), 0),
+                (nonlocal_mixer(N, HN), None),
+            ),
+        )
+    raise ConfigError(f"path must be grand or pipeline, got {path}")
 
 
-def decode_pipeline(
-    N: int,
-    H: HadamardMatrix,
-    HN: HadamardMatrix,
-    s: StateVector,
-    mixer: sp.spmatrix | None = None,
-) -> tuple[MeasurementOutcome, list[MeasurementOutcome]]:
-    """Measure via the gate pipeline; returns (top outcome, full distribution).
-
-    Order of operations: controlled swap on the pair, the full Hadamard layer
-    on the first particle, then the nonlocal mixer on both.  `HN` is the
-    order-N matrix the mixer draws its rows from.
-    """
-    if mixer is None:
-        mixer = nonlocal_mixer(N, HN)
-    stage = apply_full(position_controlled_swap(N), s)
-    stage = apply(hadamard_layer(N), 0, stage)
-    stage = StateVector(s.dims, _sparse_matvec(mixer, stage.amp))
-    return _top_outcome(stage), outcome_distribution(stage)
-
-
-def build_decode_table(
-    N: int,
-    H: HadamardMatrix,
-    path: str = "grand",
-    HN: HadamardMatrix | None = None,
-    grand: sp.spmatrix | None = None,
-    mixer: sp.spmatrix | None = None,
-) -> DecodeTable:
-    """Run every Bell state through the chosen decoder and tabulate outcomes.
+def build_decode_table(N: int, H: HadamardMatrix, decoder: Decoder) -> DecodeTable:
+    """Run every Bell state through the decoder and tabulate outcomes.
 
     Raises NonDeterministicOutcome if any input fails to produce a point
     mass, and CollisionDetected if two labels share an outcome; either would
     break unique decodability for that path.
     """
-    if path == "grand" and grand is None:
-        grand = grand_operator(N, H)
-    if path == "pipeline" and mixer is None:
-        mixer = nonlocal_mixer(N, HN)
     entries: dict[tuple[int, int], BellLabel] = {}
     for lab in all_labels(N):
-        state = bell_state(N, lab, H)
-        if path == "grand":
-            top, _ = decode_grand(N, H, state, grand=grand)
-        else:
-            top, _ = decode_pipeline(N, H, HN, state, mixer=mixer)
+        top, _ = decoder.decode(bell_state(N, lab, H))
         if top.probability < 1.0 - TOL_CHAINED:
             raise NonDeterministicOutcome(
-                f"{path} decoder spread label {lab} over multiple outcomes "
+                f"{decoder.path} decoder spread label {lab} over multiple outcomes "
                 f"(top probability {top.probability:.6f})"
             )
         key = (top.first, top.second)
         if key in entries:
             raise CollisionDetected(f"outcome {key} hit by both {entries[key]} and {lab}")
         entries[key] = lab
-    return DecodeTable(N=N, path=path, entries=entries)
+    return DecodeTable(N=N, path=decoder.path, entries=entries)
 
 
 def pipeline_report(N: int, H: HadamardMatrix, HN: HadamardMatrix) -> dict:
@@ -260,16 +250,16 @@ def pipeline_report(N: int, H: HadamardMatrix, HN: HadamardMatrix) -> dict:
     partition the message set identically (same groups of indistinguishable
     messages, outcome names aside).  Discrepancies are findings, not errors.
     """
-    grand = grand_operator(N, H)
-    mixer = nonlocal_mixer(N, HN)
+    grand = make_decoder(N, H)
+    pipeline = make_decoder(N, H, "pipeline", HN)
     labels = all_labels(N)
     grand_groups: dict[tuple[int, int], set[int]] = {}
     pipe_groups: dict[tuple[int, int], set[int]] = {}
     min_top = 1.0
     for i, lab in enumerate(labels):
         state = bell_state(N, lab, H)
-        top_g, _ = decode_grand(N, H, state, grand=grand)
-        top_p, _ = decode_pipeline(N, H, HN, state, mixer=mixer)
+        top_g, _ = grand.decode(state)
+        top_p, _ = pipeline.decode(state)
         min_top = min(min_top, top_p.probability)
         grand_groups.setdefault((top_g.first, top_g.second), set()).add(i)
         pipe_groups.setdefault((top_p.first, top_p.second), set()).add(i)

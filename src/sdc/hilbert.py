@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, LabelOutOfRange
+from .errors import ConfigError, DimensionMismatch, LabelOutOfRange
 
 __all__ = [
     "TOL_EXACT",
@@ -206,7 +206,9 @@ def apply_full(op, s: StateVector) -> StateVector:
     if sp.issparse(op):
         if op.shape != (dim, dim):
             raise DimensionMismatch(f"operator shape {op.shape} != state dim {dim}")
-        return StateVector(s.dims, op @ s.amp)
+        # only the nonzero columns: decoded states are mostly 2N-sparse
+        nz = np.flatnonzero(s.amp)
+        return StateVector(s.dims, op.tocsc()[:, nz] @ s.amp[nz])
     m = dense_of(op)
     if m.shape != (dim, dim):
         raise DimensionMismatch(f"operator shape {m.shape} != state dim {dim}")
@@ -244,6 +246,23 @@ def state_to_dict(s: StateVector) -> dict:
     }
 
 
-def state_from_dict(d: dict) -> StateVector:
-    amp = np.array([complex(re, im) for re, im in d["amplitudes"]], dtype=np.complex128)
-    return StateVector(tuple(d["dims"]), amp)
+def state_from_dict(d) -> StateVector:
+    """Inverse of state_to_dict; a malformed dump raises ConfigError."""
+    if not isinstance(d, dict) or not {"dims", "amplitudes"} <= d.keys():
+        raise ConfigError("state dump must be an object with 'dims' and 'amplitudes'")
+    dims, pairs = d["dims"], d["amplitudes"]
+    if not isinstance(dims, list) or not all(type(x) is int and x > 0 for x in dims):
+        raise ConfigError(f"dims must be a list of positive integers, got {dims!r}")
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(x) in (int, float) for x in p)
+        for p in pairs
+    ):
+        raise ConfigError("amplitudes must be a list of [re, im] number pairs")
+    try:
+        parts = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    except OverflowError as exc:
+        raise ConfigError(f"amplitude out of range: {exc}") from None
+    if not np.isfinite(parts).all():
+        raise ConfigError("amplitudes must be finite")
+    # each [re, im] row has the memory layout of one complex128
+    return StateVector(tuple(dims), parts.view(np.complex128))

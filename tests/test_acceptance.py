@@ -35,7 +35,7 @@ from sdc.bell import (
     compose_family,
 )
 from sdc.cli import main
-from sdc.decoder import decode_pipeline, grand_operator, pipeline_report
+from sdc.decoder import grand_operator, make_decoder, pipeline_report
 from sdc.encoder import (
     encode_composed,
     encode_direct,
@@ -214,8 +214,9 @@ def test_c08_single_pair_reduction():
     N, H, HN = 1, hadamard.build(2), hadamard.build(1)
     outcomes = set()
     deterministic = True
+    pipeline = make_decoder(N, H, "pipeline", HN)
     for lab in all_labels(N):
-        top, _ = decode_pipeline(N, H, HN, bell_state(N, lab, H))
+        top, _ = pipeline.decode(bell_state(N, lab, H))
         deterministic &= top.probability > 1 - 1e-10
         outcomes.add((top.first, top.second))
     sweep = round_trip_sweep(N, H)

@@ -5,6 +5,8 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sdc.cli import main
 
@@ -74,6 +76,22 @@ class TestRun:
         payload = json.loads(out)
         assert code == 0 and payload["decoded"] == 11
 
+    @pytest.mark.parametrize("spin", ["-1", "nan", "inf"])
+    def test_invalid_spin_is_rejected(self, capsys, spin):
+        code, out, err = run_cli(capsys, "run", "--n", "1", "--message", "0", "--s", spin)
+        assert code == 2 and out == ""
+        assert "ArgOutOfRange" in err
+
+    def test_builds_the_grand_operator_once(self, capsys, monkeypatch):
+        import sdc.decoder as dec
+
+        calls = []
+        build = dec.grand_operator
+        monkeypatch.setattr(dec, "grand_operator", lambda N, H: calls.append(N) or build(N, H))
+        code, _, _ = run_cli(capsys, "run", "--n", "2", "--message", "5")
+        assert code == 0
+        assert calls == [2]
+
 
 class TestEncodeDecode:
     def test_encode_dump_matches_operator(self, capsys):
@@ -100,6 +118,65 @@ class TestEncodeDecode:
         assert code == 0
         top = json.loads(out)["top"]
         assert (top["first"], top["second"]) == (expected["first"], expected["second"])
+
+
+def write_dump(tmp_path, text):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    return str(path)
+
+
+class TestStateDumpBoundary:
+    """Malformed dumps exit 2 with a typed error, never a traceback or NaN."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+            '{"dims": [2, 2]}',
+            '{"dims": [2, 2], "amplitudes": [["1", 0], [0, 0], [0, 0], [0, 0]]}',
+            '{"dims": [2, 2], "amplitudes": [[1, 0, 0], [0, 0], [0, 0], [0, 0]]}',
+            '{"dims": [2, 2], "amplitudes": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}',
+            '{"dims": [2, 2], "amplitudes": [[Infinity, 0], [0, 0], [0, 0], [0, 0]]}',
+        ],
+        ids=["array", "no-dims", "no-amplitudes", "string", "triple", "nan", "infinity"],
+    )
+    def test_malformed_dump_is_a_config_error(self, capsys, tmp_path, text):
+        code, out, err = run_cli(capsys, "decode", "--n", "1", "--state", write_dump(tmp_path, text))
+        assert code == 2 and out == ""
+        assert "ConfigError" in err
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        value=st.one_of(
+            st.recursive(
+                st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+                lambda inner: st.lists(inner, max_size=5)
+                | st.dictionaries(st.sampled_from(["dims", "amplitudes", "x"]), inner),
+                max_leaves=12,
+            ),
+            st.fixed_dictionaries(
+                {
+                    "dims": st.just([2, 2]),
+                    "amplitudes": st.lists(
+                        st.lists(st.floats() | st.integers(), min_size=2, max_size=2),
+                        min_size=4,
+                        max_size=4,
+                    ),
+                }
+            ),
+        )
+    )
+    def test_any_json_dump_exits_cleanly(self, capsys, tmp_path, value):
+        path = write_dump(tmp_path, json.dumps(value))
+        code, out, _ = run_cli(capsys, "decode", "--n", "1", "--state", path)
+        assert code in (0, 2)
+        assert "NaN" not in out and "Infinity" not in out
 
 
 class TestTableAndSweep:
@@ -143,6 +220,11 @@ class TestRates:
     def test_lf_line_endings(self, capsys):
         _, out, _ = run_cli(capsys, "rates", "--n-list", "1,2")
         assert "\r" not in out
+
+    def test_entry_below_one_is_a_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "rates", "--n-list", "0")
+        assert code == 2 and out == ""
+        assert "ConfigError" in err and "entry 0" in err
 
 
 class TestSpin:

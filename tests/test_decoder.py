@@ -4,17 +4,35 @@ import numpy as np
 import pytest
 
 from sdc import hadamard
-from sdc.bell import BellLabel, all_labels, bell_state, compact_bell_state, compact_partner
+from sdc.bell import (
+    BellLabel,
+    all_labels,
+    bell_state,
+    compact_bell_state,
+    compact_partner,
+    first_particle_interleave,
+)
 from sdc.decoder import (
     build_decode_table,
-    decode_grand,
-    decode_pipeline,
     grand_operator,
+    make_decoder,
     outcome_distribution,
     pipeline_report,
 )
-from sdc.errors import NonDeterministicOutcome, OrderMismatch
+from sdc.errors import ConfigError, DimensionMismatch, NonDeterministicOutcome, OrderMismatch
+from sdc.gates import hadamard_layer, nonlocal_mixer, position_controlled_swap
 from sdc.hilbert import StateVector
+
+
+def grand_oracle(N, H):
+    """Independent grand route: sum of |product ket><compact state| outer products."""
+    dim = 2 * N
+    oracle = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for lab in all_labels(N):
+        out = np.zeros(dim * dim, dtype=complex)
+        out[(lab.j - 1) * dim + (compact_partner(N, lab.k, lab.r, lab.j) - 1)] = 1.0
+        oracle += np.outer(out, compact_bell_state(N, lab, H).amp.conj())
+    return oracle
 
 
 class TestGrandOperator:
@@ -36,15 +54,8 @@ class TestGrandOperator:
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_matches_outer_product_oracle(self, N):
-        # independent route: sum of |product ket><compact state| outer products
         H = hadamard.build(2 * N)
-        dim = 2 * N
-        oracle = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for lab in all_labels(N):
-            out = np.zeros(dim * dim, dtype=complex)
-            out[(lab.j - 1) * dim + (compact_partner(N, lab.k, lab.r, lab.j) - 1)] = 1.0
-            oracle += np.outer(out, compact_bell_state(N, lab, H).amp.conj())
-        assert np.max(np.abs(grand_operator(N, H).toarray() - oracle)) < 1e-14
+        assert np.max(np.abs(grand_operator(N, H).toarray() - grand_oracle(N, H))) < 1e-14
 
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatch):
@@ -54,10 +65,11 @@ class TestGrandOperator:
 class TestGrandDecoding:
     def test_base_state_outcome(self):
         N, H = 1, hadamard.build(2)
-        top, dist = decode_grand(N, H, bell_state(N, BellLabel(1, -1, 1), H))
+        grand = make_decoder(N, H)
+        top, dist = grand.decode(bell_state(N, BellLabel(1, -1, 1), H))
         assert top.probability > 1 - 1e-10
         assert len(dist) == 1
-        table = build_decode_table(N, H)
+        table = build_decode_table(N, H, grand)
         assert table.label_for(top) == BellLabel(1, -1, 1)
 
     def test_superposition_splits_evenly(self):
@@ -65,17 +77,17 @@ class TestGrandDecoding:
         a = bell_state(N, BellLabel(1, -1, 1), H)
         b = bell_state(N, BellLabel(1, +1, 1), H)
         s = StateVector(a.dims, (a.amp + b.amp) / np.sqrt(2))
-        _, dist = decode_grand(N, H, s)
+        _, dist = make_decoder(N, H).decode(s)
         assert len(dist) == 2
         assert all(abs(o.probability - 0.5) < 1e-12 for o in dist)
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_all_inputs_deterministic_and_distinct(self, N):
         H = hadamard.build(2 * N)
-        grand = grand_operator(N, H)
+        grand = make_decoder(N, H)
         seen = set()
         for lab in all_labels(N):
-            top, dist = decode_grand(N, H, bell_state(N, lab, H), grand=grand)
+            top, dist = grand.decode(bell_state(N, lab, H))
             assert top.probability > 1 - 1e-10
             assert abs(sum(o.probability for o in dist) - 1.0) < 1e-12
             seen.add((top.first, top.second))
@@ -85,16 +97,19 @@ class TestGrandDecoding:
 class TestDecodeTable:
     @pytest.mark.parametrize("N,expected", [(1, 4), (2, 16), (8, 256)])
     def test_injective_tables(self, N, expected):
-        table = build_decode_table(N, hadamard.build(2 * N))
+        H = hadamard.build(2 * N)
+        table = build_decode_table(N, H, make_decoder(N, H))
         assert len(table.entries) == expected
 
     def test_round_trip_through_the_table(self):
-        from sdc.analysis import run_protocol
+        from sdc.analysis import send, start_state
 
         N, H = 2, hadamard.build(4)
-        table = build_decode_table(N, H)
+        grand = make_decoder(N, H)
+        table = build_decode_table(N, H, grand)
         for m in range(16):
-            assert run_protocol(N, H, m, table=table) == m
+            top, _ = grand.decode(send(N, H, start_state(N, H), m))
+            assert table.message_for(top) == m
 
 
 class TestPipeline:
@@ -102,8 +117,9 @@ class TestPipeline:
         # controlled swap + one channel Hadamard (the mixer is trivial)
         N, H, HN = 1, hadamard.build(2), hadamard.build(1)
         outcomes = set()
+        pipeline = make_decoder(N, H, "pipeline", HN)
         for lab in all_labels(N):
-            top, _ = decode_pipeline(N, H, HN, bell_state(N, lab, H))
+            top, _ = pipeline.decode(bell_state(N, lab, H))
             assert top.probability > 1 - 1e-10
             outcomes.add((top.first, top.second))
         assert len(outcomes) == 4
@@ -133,7 +149,8 @@ class TestPipeline:
         report = pipeline_report(8, hadamard.build(16), hadamard.build(8))
         assert report["deterministic"] is False
         with pytest.raises(NonDeterministicOutcome):
-            build_decode_table(8, hadamard.build(16), path="pipeline", HN=hadamard.build(8))
+            H = hadamard.build(16)
+            build_decode_table(8, H, make_decoder(8, H, "pipeline", hadamard.build(8)))
 
 
 def test_outcome_distribution_completeness():
@@ -141,6 +158,43 @@ def test_outcome_distribution_completeness():
     s = bell_state(N, BellLabel(2, -1, 3), H)
     dist = outcome_distribution(s)
     assert abs(sum(o.probability for o in dist) - 1.0) < 1e-12
+
+
+def test_unknown_route_is_a_config_error():
+    with pytest.raises(ConfigError):
+        make_decoder(1, hadamard.build(2), "teleport")
+
+
+def test_outcome_distribution_rejects_nan():
+    with pytest.raises(DimensionMismatch):
+        outcome_distribution(StateVector((2, 2), [np.nan, 0, 0, 0]))
+
+
+def route_matrix(N, path):
+    """Dense matrix of one decode route, built from the gates independently."""
+    H = hadamard.build(2 * N)
+    eye = np.eye(2 * N)
+    if path == "grand":
+        return grand_oracle(N, H) @ np.kron(first_particle_interleave(N).dense(), eye)
+    mixer = nonlocal_mixer(N, hadamard.build(N)).toarray()
+    return mixer @ np.kron(hadamard_layer(N).dense(), eye) @ position_controlled_swap(N).dense()
+
+
+@pytest.mark.parametrize("path", ["grand", "pipeline"])
+@pytest.mark.parametrize("N", [1, 2, 4])
+def test_decoder_matches_dense_route_on_random_states(N, path):
+    rng = np.random.default_rng(1000 * N + len(path))
+    amp = rng.standard_normal(4 * N * N) + 1j * rng.standard_normal(4 * N * N)
+    s = StateVector((2 * N, 2 * N), amp / np.linalg.norm(amp))
+    HN = hadamard.build(N) if path == "pipeline" else None
+    top, dist = make_decoder(N, hadamard.build(2 * N), path, HN).decode(s)
+
+    expected = np.abs(route_matrix(N, path) @ s.amp) ** 2
+    got = np.zeros(4 * N * N)
+    for o in dist:
+        got[o.first * 2 * N + o.second] = o.probability
+    assert np.max(np.abs(got - expected)) < 1e-12
+    assert top.first * 2 * N + top.second == int(np.argmax(expected))
 
 
 class TestGuards:
@@ -160,12 +214,13 @@ class TestGuards:
         from sdc.errors import CollisionDetected
 
         monkeypatch.setattr(
-            dec,
-            "decode_grand",
-            lambda N, H, s, grand=None: (MeasurementOutcome(0, 0, 1.0), []),
+            dec.Decoder,
+            "decode",
+            lambda self, s: (MeasurementOutcome(0, 0, 1.0), []),
         )
+        H = hadamard.build(2)
         with pytest.raises(CollisionDetected):
-            dec.build_decode_table(1, hadamard.build(2))
+            dec.build_decode_table(1, H, dec.make_decoder(1, H))
 
     def test_unrelatable_compact_family_is_reported(self, monkeypatch):
         import sdc.bell as bell_mod

@@ -1,16 +1,14 @@
 """Exact simulator and verification suite for dense coding over entangled
 spatial channel states."""
 
-from .hadamard import HadamardMatrix, build, h_unnormalized
+from .hadamard import HadamardMatrix, build
 from .hilbert import (
-    DenseOp,
     SignedPermutationOp,
     StateVector,
     apply,
     apply_full,
     inner,
     partial_trace,
-    tensor,
 )
 from .bell import (
     BellLabel,

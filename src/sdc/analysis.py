@@ -20,7 +20,7 @@ from .decoder import MeasurementOutcome, build_decode_table, make_decoder
 from .errors import ArgOutOfRange, MessageOutOfRange
 from .encoder import encode_direct
 from .hadamard import HadamardMatrix
-from .hilbert import DenseOp, StateVector, apply
+from .hilbert import StateVector, apply
 
 __all__ = [
     "TimingModel",
@@ -265,7 +265,7 @@ def _spin_bell_matrix(S: float, sign: int) -> np.ndarray:
     for a in range(d):
         for b in range(d):
             op = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-            rows.append(apply(DenseOp(d, op), 0, base).amp)
+            rows.append(apply(op, 0, base).amp)
     return np.array(rows)
 
 
@@ -294,13 +294,12 @@ def run_protocol_spin(
     a, b = divmod(m_spin, d)
 
     pos_label = message_to_label(m_pos, N)
-    pos_op = encode_direct(N, H, pos_label).dense()
+    pos_op = np.asarray(encode_direct(N, H, pos_label))
     shift, clock = _weyl_shift(d), _weyl_clock(d)
     spin_op = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
 
     state = spin_extended_state(N, S, H, sign)
-    dim = 2 * N * d
-    encoded = apply(DenseOp(dim, np.kron(pos_op, spin_op)), 0, state)
+    encoded = apply(np.kron(pos_op, spin_op), 0, state)
 
     # factor the pair state into (position pair) x (spin pair) axes; each
     # spin-pair column is a position state that the grand route rotates

@@ -21,9 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, bell, decoder, encoder, gates, hadamard, hilbert
-from .errors import ConfigError, MessageOutOfRange, SdcError
+from .errors import ArgOutOfRange, ConfigError, MessageOutOfRange, SdcError
 
 CONFIG_ENV = "SDC_CONFIG"
+# config file key -> RunConfig field; any other key is an error
+CONFIG_KEYS = {
+    "hadamard.custom_matrices": "custom_matrices",
+    "tolerance.exact": "tol_exact",
+    "tolerance.chained": "tol_chained",
+    "seed": "seed",
+}
 
 # Sweeps above this many messages fall back to a seeded sample of this size.
 SWEEP_CAP = 16384
@@ -52,7 +59,22 @@ class RunConfig:
         return H, HN
 
 
+def _config_value(key: str, text: str):
+    """Parse one config value; a malformed one raises ConfigError naming the key."""
+    if key == "hadamard.custom_matrices":
+        return text
+    try:
+        val = int(text) if key == "seed" else float(text)
+    except ValueError:
+        kind = "an integer" if key == "seed" else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {text!r}") from None
+    if key != "seed" and not (val >= 0 and np.isfinite(val)):
+        raise ConfigError(f"{key} must be a finite number >= 0, got {text!r}")
+    return val
+
+
 def _load_config_file() -> dict:
+    """RunConfig field values from the SDC_CONFIG file, parsed and checked."""
     path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
@@ -64,24 +86,17 @@ def _load_config_file() -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"bad config line (expected key=value): {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {key!r} (known: {', '.join(CONFIG_KEYS)})")
+            values[CONFIG_KEYS[key]] = _config_value(key, val)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
 def make_config(args: argparse.Namespace) -> RunConfig:
-    raw = _load_config_file()
-    cfg = RunConfig()
-    if "tolerance.exact" in raw:
-        cfg.tol_exact = float(raw["tolerance.exact"])
-    if "tolerance.chained" in raw:
-        cfg.tol_chained = float(raw["tolerance.chained"])
-    if "hadamard.custom_matrices" in raw:
-        cfg.custom_matrices = raw["hadamard.custom_matrices"]
-    if "seed" in raw:
-        cfg.seed = int(raw["seed"])
+    cfg = RunConfig(**_load_config_file())
 
     for name in ("n", "s", "path", "seed"):
         val = getattr(args, name, None)
@@ -234,7 +249,7 @@ def build_verify_report(cfg: RunConfig) -> dict:
             (f"channel-swap-{n}", gates.channel_swap_gate(N, n)),
             (f"channel-hadamard-{n}", gates.channel_hadamard_gate(N, n)),
         ):
-            invol = op_residuals(name, hilbert.dense_of(op))
+            invol = op_residuals(name, np.asarray(op))
             checks.append(_check(f"gate-{name}-involution", invol, cfg.tol_chained))
 
     ladder = gates.ladder_shift_gate(N, 1)
@@ -244,18 +259,18 @@ def build_verify_report(cfg: RunConfig) -> dict:
     checks.append(
         _check(
             "gate-ladder-cycle",
-            np.max(np.abs(cycle.dense() - np.eye(dim))),
+            np.max(np.abs(np.asarray(cycle) - np.eye(dim))),
             cfg.tol_exact,
         )
     )
 
-    pcs = gates.position_controlled_swap(N).dense() if dim <= 32 else None
+    pcs = np.asarray(gates.position_controlled_swap(N)) if dim <= 32 else None
     if pcs is not None:
         invol = op_residuals("controlled-swap", pcs)
         checks.append(_check("gate-controlled-swap-involution", invol, cfg.tol_chained))
     if N >= 2:
-        h1 = gates.channel_hadamard_gate(N, 1).dense()
-        h2 = gates.channel_hadamard_gate(N, 2).dense()
+        h1 = gates.channel_hadamard_gate(N, 1)
+        h2 = gates.channel_hadamard_gate(N, 2)
         checks.append(
             _check("gate-disjoint-commutation", np.max(np.abs(h1 @ h2 - h2 @ h1)), cfg.tol_exact)
         )
@@ -284,7 +299,7 @@ def build_verify_report(cfg: RunConfig) -> dict:
     }
     for lab in labels:
         op = encoder.encode_direct(N, H, lab)
-        dense = op.dense()
+        dense = np.asarray(op)
         structure_dev = max(
             structure_dev,
             float(np.max(np.abs(np.abs(dense).sum(axis=0) - 1.0))),
@@ -495,6 +510,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_rates(cfg: RunConfig, n_list: list[int], t: float) -> int:
+    if not (t > 0 and np.isfinite(t)):
+        raise ArgOutOfRange(f"--t must be a finite time > 0, got {t}")
     rows = []
     for n in n_list:
         if n < 1:

@@ -13,15 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bell import (
-    BellLabel,
-    ModularMap,
-    all_labels,
-    bell_basis_matrix,
-    bell_state,
-    compose_family,
-)
-from .errors import ArgOutOfRange, NoMatch, OrderMismatch, PropertyViolated
+from .bell import BellLabel, ModularMap, all_labels, bell_state
+from .errors import ArgOutOfRange, OrderMismatch, PropertyViolated
 from .gates import channel_sign_gate, channel_swap_gate, ladder_shift_gate
 from .hadamard import HadamardMatrix
 from .hilbert import (
@@ -38,7 +31,6 @@ __all__ = [
     "member_mixer",
     "family_shift",
     "encode_composed",
-    "encode_action_check",
     "resolve_member_mixer_reading",
     "resolve_composition_order",
     "MEMBER_MIXER_READINGS",
@@ -83,16 +75,16 @@ def encode_direct(N: int, H: HadamardMatrix, label: BellLabel) -> SignedPermutat
 
 
 def _member_mixer_with_reading(
-    N: int, H: HadamardMatrix, j: int, a: int, reading: str
+    N: int, H: HadamardMatrix, j: int, reading: str
 ) -> SignedPermutationOp:
-    row_a, row_j = H.row(a), H.row(j)
+    row_1, row_j = H.row(1), H.row(j)
     op = identity_perm(2 * N)
     for i in range(1, N + 1):
         if reading == "cross-column":
-            e1 = (row_a[2 * i - 2] - row_j[2 * i - 1]) // 2
+            e1 = (row_1[2 * i - 2] - row_j[2 * i - 1]) // 2
         else:
-            e1 = (row_a[2 * i - 2] - row_j[2 * i - 2]) // 2
-        e2 = (row_a[2 * i - 1] - row_j[2 * i - 1]) // 2
+            e1 = (row_1[2 * i - 2] - row_j[2 * i - 2]) // 2
+        e2 = (row_1[2 * i - 1] - row_j[2 * i - 1]) // 2
         swap = channel_swap_gate(N, i)
         if e1 % 2 != 0:
             flipped_sign = compose_perms(swap, compose_perms(channel_sign_gate(N, i), swap))
@@ -107,7 +99,7 @@ def _row_index(H: HadamardMatrix, row: np.ndarray) -> int | None:
     return int(hits[0]) + 1 if hits.size else None
 
 
-def resolve_member_mixer_reading(N: int, H: HadamardMatrix, a: int = 1) -> dict:
+def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
     """Pick the exponent reading under which the member mixer obeys its law.
 
     The law: the mixer for member j sends the basis state with member j' to
@@ -116,10 +108,12 @@ def resolve_member_mixer_reading(N: int, H: HadamardMatrix, a: int = 1) -> dict:
     against the constructed basis; the first one that satisfies the law for
     every (family, member) pair wins and is recorded.  Exhaustive over all
     families up to N=8, single family beyond (the law is family-uniform for
-    diagonal mixers, which both candidates are).
+    diagonal mixers, which both candidates are).  When no reading passes, the
+    error names each reading's first failure: a row product missing from H,
+    or a member whose mixed state deviates from the target.
     """
     _check_setup(N, H)
-    key = (N, a, H.key())
+    key = (N, H.key())
     if key in _reading_memo:
         return _reading_memo[key]
 
@@ -131,13 +125,13 @@ def resolve_member_mixer_reading(N: int, H: HadamardMatrix, a: int = 1) -> dict:
     failures = {}
     for reading in MEMBER_MIXER_READINGS:
         worst = 0.0
-        ok = True
+        failure = None
         for j in range(1, 2 * N + 1):
-            op = _member_mixer_with_reading(N, H, j, a, reading)
+            op = _member_mixer_with_reading(N, H, j, reading)
             for lab in labels:
                 jpp = _row_index(H, H.row(j) * H.row(lab.j))
                 if jpp is None:
-                    ok = False
+                    failure = f"row {j} * row {lab.j} is not a row of H"
                     break
                 target = states.get(BellLabel(lab.k, lab.r, jpp))
                 if target is None:
@@ -146,33 +140,33 @@ def resolve_member_mixer_reading(N: int, H: HadamardMatrix, a: int = 1) -> dict:
                 dev = float(np.max(np.abs(moved.amp - target.amp)))
                 worst = max(worst, dev)
                 if dev > TOL_CHAINED:
-                    ok = False
+                    failure = f"mixer {j} on {lab} deviates by {dev:.3e}"
                     break
-            if not ok:
+            if failure is not None:
                 break
-        if ok:
-            result = {"reading": reading, "max_deviation": worst, "anchor_row": a}
+        if failure is None:
+            result = {"reading": reading, "max_deviation": worst, "anchor_row": 1}
             _reading_memo[key] = result
             return result
-        failures[reading] = worst
+        failures[reading] = failure
     raise PropertyViolated(f"no member-mixer exponent reading satisfies the row-product law: {failures}")
 
 
 def member_mixer(
-    N: int, H: HadamardMatrix, j: int, a: int = 1, reading: str | None = None
+    N: int, H: HadamardMatrix, j: int, reading: str | None = None
 ) -> SignedPermutationOp:
     """Diagonal gate product that multiplies the member index into a state.
 
-    `a` is the free anchor row of the exponent formula; with the built-in
-    construction row 1 is all-plus, making the anchor's own mixer the
-    identity.  `reading` defaults to the resolved one.
+    Exponents are taken against row 1, which the built-in construction makes
+    all-plus, so member 1's mixer is the identity.  `reading` defaults to the
+    resolved one.
     """
     _check_setup(N, H)
-    if not 1 <= j <= 2 * N or not 1 <= a <= 2 * N:
-        raise ArgOutOfRange(f"j={j}, a={a} must lie in 1..{2 * N}")
+    if not 1 <= j <= 2 * N:
+        raise ArgOutOfRange(f"j={j} must lie in 1..{2 * N}")
     if reading is None:
-        reading = resolve_member_mixer_reading(N, H, a)["reading"]
-    return _member_mixer_with_reading(N, H, j, a, reading)
+        reading = resolve_member_mixer_reading(N, H)["reading"]
+    return _member_mixer_with_reading(N, H, j, reading)
 
 
 def family_shift(N: int, k: int, r: int) -> SignedPermutationOp:
@@ -192,7 +186,7 @@ def family_shift(N: int, k: int, r: int) -> SignedPermutationOp:
     return compose_perms(ladder_shift_gate(N, 1 - k), op)
 
 
-def resolve_composition_order(N: int, H: HadamardMatrix, a: int = 1) -> dict:
+def resolve_composition_order(N: int, H: HadamardMatrix) -> dict:
     """Decide which factor of the composed encoder acts first.
 
     Both orders of (member mixer, family shift) are applied to every
@@ -203,11 +197,11 @@ def resolve_composition_order(N: int, H: HadamardMatrix, a: int = 1) -> dict:
     matrices (a stronger fact than required) are recorded alongside.
     """
     _check_setup(N, H)
-    key = (N, a, H.key())
+    key = (N, H.key())
     if key in _order_memo:
         return _order_memo[key]
 
-    reading = resolve_member_mixer_reading(N, H, a)["reading"]
+    reading = resolve_member_mixer_reading(N, H)["reading"]
     starts = [(kp, rp) for kp in range(1, N + 1) for rp in (+1, -1)]
     start_states = {fam: bell_state(N, BellLabel(fam[0], fam[1], 1), H) for fam in starts}
 
@@ -217,7 +211,7 @@ def resolve_composition_order(N: int, H: HadamardMatrix, a: int = 1) -> dict:
         matrix_equal = True
         ok = True
         for label in all_labels(N):
-            mixer = member_mixer(N, H, label.j, a, reading)
+            mixer = member_mixer(N, H, label.j, reading)
             shift = family_shift(N, label.k, label.r)
             if order == "family-shift-first":
                 composed = compose_perms(mixer, shift)
@@ -253,44 +247,14 @@ def resolve_composition_order(N: int, H: HadamardMatrix, a: int = 1) -> dict:
     raise PropertyViolated("neither composition order reproduces the direct encoder's action")
 
 
-def encode_composed(N: int, H: HadamardMatrix, label: BellLabel, a: int = 1) -> SignedPermutationOp:
+def encode_composed(N: int, H: HadamardMatrix, label: BellLabel) -> SignedPermutationOp:
     """Encoding unitary assembled from basic gates, in the resolved order."""
     _check_setup(N, H)
     label.validate(N)
-    order = resolve_composition_order(N, H, a)["order"]
-    mixer = member_mixer(N, H, label.j, a)
+    order = resolve_composition_order(N, H)["order"]
+    mixer = member_mixer(N, H, label.j)
     shift = family_shift(N, label.k, label.r)
     if order == "family-shift-first":
         return compose_perms(mixer, shift)
     return compose_perms(shift, mixer)
 
-
-def encode_action_check(
-    N: int, H: HadamardMatrix, op_label: BellLabel, start_family: tuple[int, int]
-) -> BellLabel:
-    """Apply one encoder to a member-1 state and identify the output label.
-
-    The output is matched against the full basis by largest overlap
-    magnitude.  Raises NoMatch if the best overlap is not unit modulus, or if
-    the matched family disagrees with the composition rule; either failure
-    would falsify the encoding law under the implemented conventions and is
-    surfaced rather than repaired.
-    """
-    kp, rp = start_family
-    start = bell_state(N, BellLabel(kp, rp, 1), H)
-    moved = apply(encode_direct(N, H, op_label), 0, start)
-    basis = bell_basis_matrix(N, H)
-    overlaps = basis.conj() @ moved.amp
-    best = int(np.argmax(np.abs(overlaps)))
-    if abs(abs(overlaps[best]) - 1.0) > TOL_CHAINED:
-        raise NoMatch(
-            f"encoded state is not a basis state (best |overlap| {abs(overlaps[best]):.6f})"
-        )
-    matched = all_labels(N)[best]
-    kpp, rpp = compose_family(op_label.k, op_label.r, kp, rp, N)
-    if (matched.k, matched.r, matched.j) != (kpp, rpp, op_label.j):
-        raise NoMatch(
-            f"encoded label {matched} does not follow the composition rule "
-            f"(expected k={kpp}, r={rpp}, j={op_label.j})"
-        )
-    return matched

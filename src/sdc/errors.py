@@ -45,10 +45,6 @@ class NonInvolutory(SdcError):
     """Grand operator failed its self-inverse check; the partner convention is wrong."""
 
 
-class NoMatch(SdcError):
-    """Encoded state did not land on any Bell basis state."""
-
-
 class PropertyViolated(SdcError):
     """No exponent reading of the member mixer satisfies its defining row-product law."""
 

@@ -3,8 +3,9 @@
 Single-channel gates (sign flip, half-axis swap, channel Hadamard), the
 cyclic ladder shift, and the two nonlocal two-particle gates used by the
 measurement pipeline: the position-controlled swap and the Hadamard-weighted
-channel mixer.  All position gates are signed permutations except the
-channel Hadamard and the mixer.
+channel mixer.  Every gate is a `SignedPermutationOp` except the channel
+Hadamard and the Hadamard layer, which are read-only complex ndarrays, and the
+mixer, which is a scipy sparse matrix on the two-particle space.
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ import scipy.sparse as sp
 
 from .errors import ArgOutOfRange, NonUnitaryResolution, OrderMismatch
 from .hadamard import HadamardMatrix
-from .hilbert import (
-    DenseOp,
-    SignedPermutationOp,
-    TOL_CHAINED,
-    label_to_index,
-)
+from .hilbert import SignedPermutationOp, TOL_CHAINED, label_to_index
 
 __all__ = [
     "channel_sign_gate",
@@ -69,7 +65,7 @@ def ladder_shift_gate(N: int, power: int) -> SignedPermutationOp:
     return SignedPermutationOp(2 * N, target, np.ones(2 * N, dtype=np.complex128))
 
 
-def channel_hadamard_gate(N: int, n: int) -> DenseOp:
+def channel_hadamard_gate(N: int, n: int) -> np.ndarray:
     """Hadamard rotation of the (+n, -n) channel pair: (swap + sign)/sqrt(2).
 
     Acts as [[1, 1], [1, -1]]/sqrt(2) on the pair and as identity elsewhere;
@@ -83,18 +79,20 @@ def channel_hadamard_gate(N: int, n: int) -> DenseOp:
     m[a, b] = s
     m[b, a] = s
     m[b, b] = -s
-    return DenseOp(2 * N, m)
+    m.setflags(write=False)
+    return m
 
 
-def hadamard_layer(N: int) -> DenseOp:
+def hadamard_layer(N: int) -> np.ndarray:
     """Product of the channel Hadamards over all N sites.
 
     The sites are disjoint, so the product is order-independent and takes the
     half-axis block form [[I, I], [I, -I]]/sqrt(2) under the index embedding.
     """
     eye = np.eye(N)
-    m = np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0)
-    return DenseOp(2 * N, m.astype(np.complex128))
+    m = (np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0)).astype(np.complex128)
+    m.setflags(write=False)
+    return m
 
 
 def position_controlled_swap(N: int) -> SignedPermutationOp:

@@ -13,12 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConstructionUnavailable, IndexOutOfRange, UnsupportedOrder
+from .errors import ConfigError, ConstructionUnavailable, IndexOutOfRange, UnsupportedOrder
 
 __all__ = [
     "HadamardMatrix",
     "build",
-    "h_unnormalized",
     "is_admissible_order",
     "load_custom_matrices",
 ]
@@ -83,45 +82,43 @@ class HadamardMatrix:
         return self.ints.tobytes()
 
 
-def h_unnormalized(H: HadamardMatrix, i: int, j: int) -> int:
-    """Integer entry sqrt(order)*H[i][j] for 1-based i, j.
-
-    Non-positive indices return 0 by convention, so row/column lookups can be
-    written without guarding the boundary.  Indices above the order are an
-    error rather than 0: they indicate a bug, not a boundary case.
-    """
-    if i > H.order or j > H.order:
-        raise IndexOutOfRange(f"({i}, {j}) exceeds order {H.order}")
-    if i <= 0 or j <= 0:
-        return 0
-    return int(H.ints[i - 1, j - 1])
-
-
 def load_custom_matrices(path: str | Path) -> dict[int, np.ndarray]:
     """Parse a registry file of +-1 matrices, one per blank-line-separated block.
 
     Rows are whitespace-separated entries written as 1/-1 or +1/-1.  Each
     matrix is validated through the HadamardMatrix constructor; invalid blocks
-    raise rather than being skipped.
+    raise rather than being skipped.  A non-integer entry or a block that is
+    not a rectangle of int64 entries raises ConfigError naming its line.
     """
     text = Path(path).read_text()
     registry: dict[int, np.ndarray] = {}
     block: list[list[int]] = []
+    start = 0  # line number of the block's first row
 
     def flush():
         if not block:
             return
-        m = np.array(block, dtype=np.int64)
+        try:
+            m = np.array(block, dtype=np.int64)
+        except (ValueError, OverflowError):
+            raise ConfigError(
+                f"{path}: the block at line {start} is not a rectangle of int64 entries"
+            ) from None
         checked = HadamardMatrix(order=m.shape[0], ints=m, construction="custom")
         registry[checked.order] = checked.ints
         block.clear()
 
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             flush()
             continue
-        block.append([int(tok) for tok in line.split()])
+        if not block:
+            start = number
+        try:
+            block.append([int(tok) for tok in line.split()])
+        except ValueError:
+            raise ConfigError(f"{path}: line {number}: entries must be integers, got {line!r}") from None
     flush()
     return registry
 

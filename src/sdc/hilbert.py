@@ -3,9 +3,11 @@
 The single-particle space of 2N channels is indexed by a fixed embedding of
 the signed labels: +n -> n-1 and -n -> N+n-1, so each half-axis occupies a
 contiguous block and the ladder shift becomes block-cyclic.  Two-particle
-states are flat complex vectors with a dims header; operators are either
-signed permutations (one +-phase entry per column), dense matrices, or scipy
-sparse matrices for the large structured two-particle unitaries.
+states are flat complex vectors with a dims header.  An operator is one of
+two kinds: a `SignedPermutationOp` (one unit-modulus entry per column, applied
+by index relocation) or a plain matrix, which is an ndarray on one factor and a
+scipy sparse matrix on the whole product space.  `np.asarray(op)` densifies
+a permutation or an ndarray alike.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, DimensionMismatch, LabelOutOfRange
 
@@ -24,18 +25,15 @@ __all__ = [
     "index_to_label",
     "StateVector",
     "SignedPermutationOp",
-    "DenseOp",
     "identity_perm",
     "compose_perms",
     "apply",
     "apply_full",
     "inner",
-    "tensor",
     "partial_trace",
     "basis_state",
     "state_to_dict",
     "state_from_dict",
-    "dense_of",
 ]
 
 # Tolerances: quantities derived from exact +-1 arithmetic vs. chained
@@ -116,17 +114,20 @@ class SignedPermutationOp:
         target.setflags(write=False)
         phase.setflags(write=False)
 
-    def dense(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=np.complex128)
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim, self.dim)
+
+    def __array__(self, dtype=None, copy=None):
+        """Dense complex matrix: column i holds phase[i] in row target[i].
+
+        numpy casts the result when `np.asarray(op, dtype)` asks for a dtype.
+        """
+        if copy is False:
+            raise ValueError("a signed permutation has no dense buffer to share")
+        m = np.zeros(self.shape, dtype=np.complex128)
         m[self.target, np.arange(self.dim)] = self.phase
         return m
-
-    def inverse(self) -> "SignedPermutationOp":
-        inv_target = np.empty(self.dim, dtype=np.intp)
-        inv_target[self.target] = np.arange(self.dim)
-        inv_phase = np.empty(self.dim, dtype=np.complex128)
-        inv_phase[self.target] = np.conj(self.phase)
-        return SignedPermutationOp(self.dim, inv_target, inv_phase)
 
 
 def identity_perm(dim: int) -> SignedPermutationOp:
@@ -144,75 +145,41 @@ def compose_perms(outer: SignedPermutationOp, inner: SignedPermutationOp) -> Sig
     )
 
 
-@dataclass(frozen=True)
-class DenseOp:
-    """Plain dense operator; carrier for the small non-permutation gates."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"matrix shape {m.shape} for dim {self.dim}")
-        object.__setattr__(self, "matrix", m)
-        m.setflags(write=False)
-
-    def dense(self) -> np.ndarray:
-        return self.matrix
-
-
-def dense_of(op) -> np.ndarray:
-    """Materialize any supported operator form as a dense ndarray."""
-    if isinstance(op, (SignedPermutationOp, DenseOp)):
-        return op.dense()
-    if sp.issparse(op):
-        return op.toarray()
-    return np.asarray(op, dtype=np.complex128)
-
-
 def apply(op, subsystem: int, s: StateVector) -> StateVector:
     """Apply a single-factor operator to one tensor factor of a state.
 
     The operator acts on `dims[subsystem]` and as the identity elsewhere.
-    Signed permutations are applied by index relocation, dense operators by a
-    tensor contraction; neither path ever materializes an operator on the
-    full product space.
+    Signed permutations are applied by index relocation, arrays by a tensor
+    contraction; neither path ever materializes an operator on the full
+    product space.
     """
     if not 0 <= subsystem < len(s.dims):
         raise DimensionMismatch(f"no subsystem {subsystem} in dims {s.dims}")
-    if op.dim != s.dims[subsystem]:
-        raise DimensionMismatch(
-            f"operator dim {op.dim} != subsystem dim {s.dims[subsystem]}"
-        )
+    d = s.dims[subsystem]
+    if op.shape != (d, d):
+        raise DimensionMismatch(f"operator shape {op.shape} != subsystem dim {d}")
     moved = np.moveaxis(s.grid(), subsystem, 0)
     if isinstance(op, SignedPermutationOp):
         out = np.zeros_like(moved)
         out[op.target] = op.phase.reshape((-1,) + (1,) * (moved.ndim - 1)) * moved
     else:
-        out = np.tensordot(dense_of(op), moved, axes=(1, 0))
+        out = np.tensordot(np.asarray(op), moved, axes=(1, 0))
     return StateVector(s.dims, np.moveaxis(out, 0, subsystem).reshape(-1))
 
 
 def apply_full(op, s: StateVector) -> StateVector:
-    """Apply an operator defined on the whole product space."""
+    """Apply a signed permutation or a scipy sparse matrix defined on the
+    whole product space."""
     dim = s.amp.size
+    if op.shape != (dim, dim):
+        raise DimensionMismatch(f"operator shape {op.shape} != state dim {dim}")
     if isinstance(op, SignedPermutationOp):
-        if op.dim != dim:
-            raise DimensionMismatch(f"operator dim {op.dim} != state dim {dim}")
         out = np.zeros_like(s.amp)
         out[op.target] = op.phase * s.amp
         return StateVector(s.dims, out)
-    if sp.issparse(op):
-        if op.shape != (dim, dim):
-            raise DimensionMismatch(f"operator shape {op.shape} != state dim {dim}")
-        # only the nonzero columns: decoded states are mostly 2N-sparse
-        nz = np.flatnonzero(s.amp)
-        return StateVector(s.dims, op.tocsc()[:, nz] @ s.amp[nz])
-    m = dense_of(op)
-    if m.shape != (dim, dim):
-        raise DimensionMismatch(f"operator shape {m.shape} != state dim {dim}")
-    return StateVector(s.dims, m @ s.amp)
+    # only the nonzero columns: decoded states are mostly 2N-sparse
+    nz = np.flatnonzero(s.amp)
+    return StateVector(s.dims, op.tocsc()[:, nz] @ s.amp[nz])
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -220,10 +187,6 @@ def inner(a: StateVector, b: StateVector) -> complex:
     if a.dims != b.dims:
         raise DimensionMismatch(f"dims {a.dims} vs {b.dims}")
     return complex(np.vdot(a.amp, b.amp))
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    return StateVector(a.dims + b.dims, np.kron(a.amp, b.amp))
 
 
 def partial_trace(s: StateVector, keep: int) -> np.ndarray:

@@ -50,7 +50,7 @@ from sdc.gates import (
     nonlocal_mixer,
     position_controlled_swap,
 )
-from sdc.hilbert import apply, dense_of, partial_trace
+from sdc.hilbert import apply, partial_trace
 
 
 def verdict(criterion: str, ok: bool, detail: str):
@@ -167,10 +167,10 @@ def test_c06_gate_involutions_and_unitarity():
     worst = 0.0
     for N in (1, 2, 4):
         mats = [
-            dense_of(channel_sign_gate(N, 1)),
-            dense_of(channel_swap_gate(N, 1)),
-            dense_of(channel_hadamard_gate(N, 1)),
-            dense_of(position_controlled_swap(N)),
+            np.asarray(channel_sign_gate(N, 1)),
+            np.asarray(channel_swap_gate(N, 1)),
+            np.asarray(channel_hadamard_gate(N, 1)),
+            np.asarray(position_controlled_swap(N)),
             nonlocal_mixer(N, hadamard.build(N)).toarray(),
         ]
         for m in mats:
@@ -180,7 +180,7 @@ def test_c06_gate_involutions_and_unitarity():
                 float(np.max(np.abs(m.conj().T @ m - eye))),
                 float(np.max(np.abs(m @ m - eye))),
             )
-        ladder = dense_of(ladder_shift_gate(N, 1))
+        ladder = np.asarray(ladder_shift_gate(N, 1))
         eye = np.eye(2 * N)
         worst = max(
             worst,

@@ -8,13 +8,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sdc.cli import main
+from sdc.cli import CONFIG_KEYS, main
+
+# a symmetric sign matrix of order 4 whose rows do not close under products
+ALT4 = "1 1 1 -1\n1 1 -1 1\n1 -1 1 1\n-1 1 1 1\n"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def use_config(tmp_path, monkeypatch, text):
+    conf = tmp_path / "conf"
+    conf.write_text(text, encoding="utf-8")
+    monkeypatch.setenv("SDC_CONFIG", str(conf))
 
 
 class TestVerify:
@@ -226,6 +235,12 @@ class TestRates:
         assert code == 2 and out == ""
         assert "ConfigError" in err and "entry 0" in err
 
+    @pytest.mark.parametrize("t", ["0", "-1", "nan", "inf"])
+    def test_time_must_be_finite_and_positive(self, capsys, t):
+        code, out, err = run_cli(capsys, "rates", "--t", t)
+        assert code == 2 and out == ""
+        assert "ArgOutOfRange" in err
+
 
 class TestSpin:
     def test_report(self, capsys):
@@ -285,6 +300,71 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "verify", "--n", "2")
         assert code == 2
         assert "PropertyViolated" in err
+
+    def test_lawless_matrix_names_the_missing_row_product(self, capsys, tmp_path):
+        mats = tmp_path / "mats.txt"
+        mats.write_text(ALT4)
+        code, _, err = run_cli(capsys, "verify", "--n", "2", "--custom-matrices", str(mats))
+        assert code == 2
+        assert "PropertyViolated" in err and "row 1 * row 1 is not a row of H" in err
+
+    @pytest.mark.parametrize(
+        "line,command",
+        [
+            ("tolerance.exact=nan", "verify"),
+            ("tolerance.exact=nan", "spin"),
+            ("tolerance.exact=-1", "verify"),
+            ("seed=abc", "verify"),
+            ("tolerence.exact=1", "verify"),
+        ],
+        ids=["nan-verify", "nan-spin", "negative-tolerance", "non-integer-seed", "misspelt-key"],
+    )
+    def test_bad_config_entry_is_a_config_error(
+        self, capsys, tmp_path, monkeypatch, line, command
+    ):
+        use_config(tmp_path, monkeypatch, line + "\n")
+        code, out, err = run_cli(capsys, command, "--n", "1")
+        assert code == 2 and out == ""
+        assert "ConfigError" in err and line.split("=")[0] in err
+
+    @pytest.mark.parametrize(
+        "text,where",
+        [("1 1\n1 x\n", "line 2"), ("# order 2\n1 1\n1\n", "line 2")],
+        ids=["non-integer-entry", "ragged-block"],
+    )
+    def test_bad_registry_is_a_config_error(self, capsys, tmp_path, text, where):
+        mats = tmp_path / "mats.txt"
+        mats.write_text(text)
+        code, out, err = run_cli(capsys, "bases", "--n", "1", "--custom-matrices", str(mats))
+        assert code == 2 and out == ""
+        assert "ConfigError" in err and where in err
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        role=st.sampled_from(["config", "registry"]),
+        text=st.text(max_size=40)
+        | st.lists(
+            st.sampled_from([*CONFIG_KEYS, "x", "=", "1", "-1", "+1", "0", "nan", "inf",
+                             "1.5", "9" * 20, " ", "\n", "#"]),
+            max_size=24,
+        ).map("".join),
+    )
+    def test_any_config_or_registry_text_exits_cleanly(
+        self, capsys, tmp_path, monkeypatch, role, text
+    ):
+        target = tmp_path / role
+        target.write_text(text, encoding="utf-8")
+        if role == "config":
+            monkeypatch.setenv("SDC_CONFIG", str(target))
+        else:
+            use_config(tmp_path, monkeypatch, f"hadamard.custom_matrices={target}\n")
+        code, out, _ = run_cli(capsys, "bases", "--n", "1")
+        assert code in (0, 2)
+        assert "NaN" not in out and "Infinity" not in out
 
 
 class TestSweepSampling:

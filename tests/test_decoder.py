@@ -175,9 +175,9 @@ def route_matrix(N, path):
     H = hadamard.build(2 * N)
     eye = np.eye(2 * N)
     if path == "grand":
-        return grand_oracle(N, H) @ np.kron(first_particle_interleave(N).dense(), eye)
+        return grand_oracle(N, H) @ np.kron(np.asarray(first_particle_interleave(N)), eye)
     mixer = nonlocal_mixer(N, hadamard.build(N)).toarray()
-    return mixer @ np.kron(hadamard_layer(N).dense(), eye) @ position_controlled_swap(N).dense()
+    return mixer @ np.kron(np.asarray(hadamard_layer(N)), eye) @ np.asarray(position_controlled_swap(N))
 
 
 @pytest.mark.parametrize("path", ["grand", "pipeline"])

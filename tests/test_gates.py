@@ -15,7 +15,7 @@ from sdc.gates import (
     position_controlled_swap,
     resolve_mixer_normalization,
 )
-from sdc.hilbert import basis_state, compose_perms, dense_of, identity_perm, label_to_index
+from sdc.hilbert import basis_state, compose_perms, identity_perm, label_to_index
 
 
 def ket(N, n):
@@ -25,15 +25,15 @@ def ket(N, n):
 class TestChannelSign:
     def test_action(self):
         g = channel_sign_gate(2, 1)
-        assert np.array_equal(dense_of(g) @ ket(2, 1).amp, ket(2, 1).amp)
-        assert np.array_equal(dense_of(g) @ ket(2, -1).amp, -ket(2, -1).amp)
-        assert np.array_equal(dense_of(g) @ ket(2, 2).amp, ket(2, 2).amp)
+        assert np.array_equal(np.asarray(g) @ ket(2, 1).amp, ket(2, 1).amp)
+        assert np.array_equal(np.asarray(g) @ ket(2, -1).amp, -ket(2, -1).amp)
+        assert np.array_equal(np.asarray(g) @ ket(2, 2).amp, ket(2, 2).amp)
 
     def test_dense_form(self):
-        assert np.array_equal(dense_of(channel_sign_gate(2, 1)), np.diag([1, 1, -1, 1]))
+        assert np.array_equal(np.asarray(channel_sign_gate(2, 1)), np.diag([1, 1, -1, 1]))
 
     def test_square_is_identity(self):
-        g = dense_of(channel_sign_gate(3, 2))
+        g = np.asarray(channel_sign_gate(3, 2))
         assert np.array_equal(g @ g, np.eye(6))
 
     def test_site_range(self):
@@ -43,13 +43,13 @@ class TestChannelSign:
 
 class TestChannelSwap:
     def test_action(self):
-        g = dense_of(channel_swap_gate(2, 2))
+        g = np.asarray(channel_swap_gate(2, 2))
         assert np.array_equal(g @ ket(2, 2).amp, ket(2, -2).amp)
         assert np.array_equal(g @ ket(2, -2).amp, ket(2, 2).amp)
         assert np.array_equal(g @ ket(2, 1).amp, ket(2, 1).amp)
 
     def test_square_is_identity(self):
-        g = dense_of(channel_swap_gate(4, 3))
+        g = np.asarray(channel_swap_gate(4, 3))
         assert np.array_equal(g @ g, np.eye(8))
 
     def test_conjugation_flips_the_sign_gate(self):
@@ -57,22 +57,22 @@ class TestChannelSwap:
         N, n = 2, 1
         swap, sign = channel_swap_gate(N, n), channel_sign_gate(N, n)
         conj = compose_perms(swap, compose_perms(sign, swap))
-        assert np.array_equal(dense_of(conj) @ ket(N, n).amp, -ket(N, n).amp)
-        assert np.array_equal(dense_of(conj) @ ket(N, -n).amp, ket(N, -n).amp)
+        assert np.array_equal(np.asarray(conj) @ ket(N, n).amp, -ket(N, n).amp)
+        assert np.array_equal(np.asarray(conj) @ ket(N, -n).amp, ket(N, -n).amp)
 
 
 class TestLadderShift:
     def test_examples_with_wraparound(self):
-        g = dense_of(ladder_shift_gate(3, 1))
+        g = np.asarray(ladder_shift_gate(3, 1))
         assert np.array_equal(g @ ket(3, 2).amp, ket(3, 3).amp)
         assert np.array_equal(g @ ket(3, -3).amp, ket(3, -1).amp)
 
     def test_zero_power_is_identity(self):
-        assert np.array_equal(dense_of(ladder_shift_gate(4, 0)), np.eye(8))
+        assert np.array_equal(np.asarray(ladder_shift_gate(4, 0)), np.eye(8))
 
     def test_inverse_power(self):
         up, down = ladder_shift_gate(5, 1), ladder_shift_gate(5, -1)
-        assert np.array_equal(dense_of(compose_perms(down, up)), np.eye(10))
+        assert np.array_equal(np.asarray(compose_perms(down, up)), np.eye(10))
 
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_cycle_order(self, N):
@@ -80,31 +80,31 @@ class TestLadderShift:
         step = ladder_shift_gate(N, 1)
         for _ in range(N):
             op = compose_perms(step, op)
-        assert np.array_equal(dense_of(op), np.eye(2 * N))
+        assert np.array_equal(np.asarray(op), np.eye(2 * N))
 
 
 class TestChannelHadamard:
     def test_action(self):
-        g = dense_of(channel_hadamard_gate(2, 1))
+        g = np.asarray(channel_hadamard_gate(2, 1))
         out = g @ ket(2, 1).amp
         expected = (ket(2, 1).amp + ket(2, -1).amp) / np.sqrt(2)
         assert np.max(np.abs(out - expected)) < 1e-15
 
     def test_involution(self):
-        g = dense_of(channel_hadamard_gate(3, 2))
+        g = np.asarray(channel_hadamard_gate(3, 2))
         assert np.max(np.abs(g @ g - np.eye(6))) < 1e-12
 
     def test_distinct_sites_commute(self):
-        a = dense_of(channel_hadamard_gate(2, 1))
-        b = dense_of(channel_hadamard_gate(2, 2))
+        a = np.asarray(channel_hadamard_gate(2, 1))
+        b = np.asarray(channel_hadamard_gate(2, 2))
         assert np.max(np.abs(a @ b - b @ a)) == 0.0
 
     def test_layer_equals_product(self):
         N = 4
         product = np.eye(2 * N, dtype=complex)
         for n in range(1, N + 1):
-            product = dense_of(channel_hadamard_gate(N, n)) @ product
-        assert np.max(np.abs(dense_of(hadamard_layer(N)) - product)) < 1e-12
+            product = np.asarray(channel_hadamard_gate(N, n)) @ product
+        assert np.max(np.abs(np.asarray(hadamard_layer(N)) - product)) < 1e-12
 
 
 class TestControlledSwap:
@@ -127,7 +127,7 @@ class TestControlledSwap:
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_involution(self, N):
-        g = dense_of(position_controlled_swap(N))
+        g = np.asarray(position_controlled_swap(N))
         assert np.array_equal(g @ g, np.eye(4 * N * N))
 
 
@@ -188,7 +188,7 @@ class TestNonlocalMixer:
 def test_every_gate_is_unitary(N):
     ops = [channel_sign_gate(N, 1), channel_swap_gate(N, 1), ladder_shift_gate(N, 1),
            channel_hadamard_gate(N, 1), position_controlled_swap(N),
-           nonlocal_mixer(N, hadamard.build(N))]
+           nonlocal_mixer(N, hadamard.build(N)).toarray()]
     for op in ops:
-        m = dense_of(op)
+        m = np.asarray(op)
         assert np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) < 1e-10

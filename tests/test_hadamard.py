@@ -49,23 +49,15 @@ def test_admissible_but_unregistered_order_unavailable():
 
 class TestUnnormalizedAccessor:
     def test_first_row_of_base_pattern(self):
-        assert hadamard.h_unnormalized(hadamard.build(2), 1, 1) == 1
-
-    def test_nonpositive_indices_read_zero(self):
-        H = hadamard.build(2)
-        assert hadamard.h_unnormalized(H, 0, 1) == 0
-        assert hadamard.h_unnormalized(H, 1, 0) == 0
-        assert hadamard.h_unnormalized(H, -3, 2) == 0
+        assert hadamard.build(2).ints[0, 0] == 1
 
     def test_value_from_order_four(self):
         # frozen from the doubling construction: row 2, col 2 flips sign
-        assert hadamard.h_unnormalized(hadamard.build(4), 2, 2) == -1
+        assert hadamard.build(4).row(2)[1] == -1
 
     def test_indices_above_order_rejected(self):
         with pytest.raises(IndexOutOfRange):
-            hadamard.h_unnormalized(hadamard.build(2), 3, 1)
-        with pytest.raises(IndexOutOfRange):
-            hadamard.h_unnormalized(hadamard.build(2), 1, 3)
+            hadamard.build(2).row(3)
 
 
 # an alternative symmetric sign matrix of order 4, not the built-in one

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdc import hadamard, hilbert
+from sdc import hadamard
 from sdc.bell import BellLabel, bell_state
 from sdc.errors import DimensionMismatch, LabelOutOfRange
 from sdc.hilbert import (
@@ -12,6 +14,7 @@ from sdc.hilbert import (
     apply,
     apply_full,
     basis_state,
+    compose_perms,
     identity_perm,
     index_to_label,
     inner,
@@ -19,7 +22,6 @@ from sdc.hilbert import (
     partial_trace,
     state_from_dict,
     state_to_dict,
-    tensor,
 )
 
 
@@ -70,7 +72,7 @@ class TestApply:
         perm = rng.permutation(dim)
         phase = rng.choice([1.0, -1.0], size=dim).astype(np.complex128)
         op = SignedPermutationOp(dim, perm, phase)
-        dense = op.dense()
+        dense = np.asarray(op)
         for _ in range(100):
             amp = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
             amp /= np.linalg.norm(amp)
@@ -93,7 +95,7 @@ class TestApply:
         amp /= np.linalg.norm(amp)
         s = StateVector((dim, dim), amp)
         chained = apply(a, 0, apply(b, 0, s)).amp
-        product = apply(hilbert.DenseOp(dim, a.dense() @ b.dense()), 0, s).amp
+        product = apply(np.asarray(a) @ np.asarray(b), 0, s).amp
         assert np.max(np.abs(chained - product)) < 1e-12
 
     def test_norm_preserved_by_unitaries(self):
@@ -112,6 +114,29 @@ class TestApply:
         s = basis_state((4, 4), (0, 0))
         with pytest.raises(DimensionMismatch):
             apply(identity_perm(6), 0, s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_permutation_and_matrix_routes_agree_exactly(self, data):
+        # every output entry has one nonzero term, a product with +-1 or +-i,
+        # so the relocation route and the matrix contraction agree bit for
+        # bit; this pins __array__'s convention |i> -> phase[i] |target[i]>
+        dim = data.draw(st.integers(1, 8))
+        other = data.draw(st.integers(1, 8))
+
+        def draw_op():
+            target = data.draw(st.permutations(range(dim)))
+            phase = data.draw(st.lists(st.sampled_from([1, -1, 1j, -1j]),
+                                       min_size=dim, max_size=dim))
+            return SignedPermutationOp(dim, target, phase)
+
+        a, b = draw_op(), draw_op()
+        assert np.array_equal(np.asarray(compose_perms(a, b)), np.asarray(a) @ np.asarray(b))
+        for dims, sub in (((dim, other), 0), ((other, dim), 1)):
+            amp = data.draw(st.lists(st.complex_numbers(max_magnitude=4, allow_subnormal=False),
+                                     min_size=dim * other, max_size=dim * other))
+            s = StateVector(dims, amp)
+            assert np.array_equal(apply(a, sub, s).amp, apply(np.asarray(a), sub, s).amp)
 
     def test_apply_full_permutation(self):
         N = 1
@@ -181,14 +206,6 @@ class TestInner:
     def test_dims_must_match(self):
         with pytest.raises(DimensionMismatch):
             inner(basis_state((2, 2), (0, 0)), basis_state((4, 4), (0, 0)))
-
-
-def test_tensor_of_basis_states():
-    a = basis_state((2,), (1,))
-    b = basis_state((3,), (2,))
-    t = tensor(a, b)
-    assert t.dims == (2, 3)
-    assert t.amp[1 * 3 + 2] == 1.0
 
 
 def test_json_round_trip():

@@ -12,7 +12,6 @@ from .hilbert import (
 )
 from .bell import (
     BellLabel,
-    ModularMap,
     all_labels,
     bell_state,
     compact_bell_state,

@@ -3,9 +3,12 @@
 Two equivalent families are provided.  The standard family pairs channel +-n
 of the first particle with a signed partner channel of the second, chosen by
 a family index (k, r); member index j selects a sign row of the Hadamard
-matrix.  The compact family is the image of the standard one under a fixed
-relabeling of the first particle and carries one Hadamard sign per basis ket,
-which is the form the measurement-side grand operator is built from.
+matrix.  Its one construction is the direct encoder `encode_direct`: the
+state with label (k, r, j) is that encoder's signed permutation read as a
+(2N)x(2N) amplitude grid over sqrt(2N), i.e. (U_label x I)|Phi+>.  The
+compact family is the image of the standard one under a fixed relabeling of
+the first particle and carries one Hadamard sign per basis ket, which is the
+form the measurement-side grand operator is built from.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ from .hilbert import (
 
 __all__ = [
     "BellLabel",
-    "ModularMap",
     "all_labels",
     "label_to_message",
     "message_to_label",
     "compose_family",
+    "encode_direct",
     "bell_state",
     "compact_bell_state",
     "compact_partner",
@@ -91,49 +94,39 @@ def compose_family(k: int, r: int, kp: int, rp: int, N: int) -> tuple[int, int]:
     return ((k + kp - 2) % N) + 1, r * rp
 
 
-def _shift(k: int, n: int, N: int) -> int:
-    # zero-free reduction of n + (k-1) into 1..N
-    return ((n + k - 2) % N) + 1
+def encode_direct(N: int, H: HadamardMatrix, label: BellLabel) -> SignedPermutationOp:
+    """Encoding unitary for one message label, placed sign by sign.
 
-
-@dataclass(frozen=True)
-class ModularMap:
-    """Signed cyclic pairing n -> r * ((n + k - 1) zero-free mod N) on 1..N.
-
-    The modular reduction lands in 1..N rather than 0..N-1; the unsigned part
-    is a bijection of 1..N, which is what makes the basis built on it
-    orthonormal.
+    Sends partner channel f(n) to +n with sign h[j, 2n-1] and -f(n) to -n
+    with sign h[j, 2n]; every column holds exactly one +-1, so the result is
+    a signed permutation.
     """
-
-    N: int
-    k: int
-    r: int
-
-    def apply(self, n: int) -> int:
-        if not 1 <= n <= self.N:
-            raise ArgOutOfRange(f"n={n} outside 1..{self.N}")
-        return self.r * _shift(self.k, n, self.N)
+    if H.order != 2 * N:
+        raise OrderMismatch(f"need order {2 * N}, got {H.order}")
+    label.validate(N)
+    n = np.arange(N)
+    # f(n) = n + (k-1), reduced zero-free into 1..N (0-based: mod N)
+    f = (n + label.k - 1) % N
+    # partner of +n is r*f(n), of -n is -r*f(n); -v sits at index N+v-1
+    plus, minus = (f, f + N) if label.r == +1 else (f + N, f)
+    row = H.row(label.j)
+    target = np.empty(2 * N, dtype=np.intp)
+    phase = np.empty(2 * N, dtype=np.complex128)
+    target[plus], target[minus] = n, n + N
+    phase[plus], phase[minus] = row[0::2], row[1::2]
+    return SignedPermutationOp(2 * N, target, phase)
 
 
 def bell_state(N: int, label: BellLabel, H: HadamardMatrix) -> StateVector:
-    """Standard-family basis state for the given label.
+    """Standard-family basis state: the dense view of `encode_direct` / sqrt(2N).
 
     Channel +n of the first particle carries Hadamard sign h[j, 2n-1] and is
     paired with partner channel f(n); channel -n carries h[j, 2n] and pairs
     with -f(n).  All 2N nonzero amplitudes equal +-1/sqrt(2N).
     """
-    if H.order != 2 * N:
-        raise OrderMismatch(f"need order {2 * N}, got {H.order}")
-    label.validate(N)
     dim = 2 * N
-    pairing = ModularMap(N, label.k, label.r)
-    grid = np.zeros((dim, dim), dtype=np.complex128)
-    row = H.row(label.j)
-    for n in range(1, N + 1):
-        fn = pairing.apply(n)
-        grid[label_to_index(n, N), label_to_index(fn, N)] = row[2 * n - 2]
-        grid[label_to_index(-n, N), label_to_index(-fn, N)] = row[2 * n - 1]
-    return StateVector((dim, dim), grid.reshape(-1) / np.sqrt(dim))
+    amp = np.asarray(encode_direct(N, H, label)).reshape(-1) / np.sqrt(dim)
+    return StateVector((dim, dim), amp)
 
 
 def compact_partner(N: int, k: int, r: int, m: int) -> int:
@@ -149,7 +142,7 @@ def compact_partner(N: int, k: int, r: int, m: int) -> int:
         raise ArgOutOfRange(f"m={m} outside 1..{2 * N}")
     n = (m + 1) // 2
     sign = r if m % 2 == 1 else -r
-    v = _shift(k, n, N)
+    v = ((n + k - 2) % N) + 1  # zero-free reduction of n + (k-1) into 1..N
     return v if sign > 0 else N + v
 
 

@@ -80,7 +80,7 @@ def _load_config_file() -> dict:
         return {}
     values = {}
     try:
-        for line in Path(path).read_text().splitlines():
+        for line in Path(path).read_text(encoding="utf-8").splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -92,6 +92,8 @@ def _load_config_file() -> dict:
             values[CONFIG_KEYS[key]] = _config_value(key, val)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text ({exc.reason})") from None
     return values
 
 
@@ -109,6 +111,8 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"n must be positive, got {cfg.n}")
     if cfg.path not in ("grand", "pipeline"):
         raise ConfigError(f"path must be grand or pipeline, got {cfg.path}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     if cfg.custom_matrices:
         cfg.registry = hadamard.load_custom_matrices(cfg.custom_matrices)
     return cfg
@@ -410,7 +414,11 @@ def cmd_encode(cfg: RunConfig, message: int, dump_op: bool) -> int:
 
 def cmd_decode(cfg: RunConfig, state_path: str) -> int:
     H, HN = cfg.hadamard_pair()
-    state = hilbert.state_from_dict(json.loads(Path(state_path).read_text()))
+    try:
+        text = Path(state_path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"state file {state_path} is not UTF-8 text ({exc.reason})") from None
+    state = hilbert.state_from_dict(json.loads(text))
     top, dist = decoder.make_decoder(cfg.n, H, cfg.path, HN).decode(state)
     _emit_json(
         {

@@ -209,6 +209,8 @@ def make_decoder(
     if path == "grand":
         return Decoder(path, ((first_particle_interleave(N), 0), (grand_operator(N, H), None)))
     if path == "pipeline":
+        if HN is None:
+            raise ConfigError("the pipeline route needs the order-N matrix HN for its mixer")
         return Decoder(
             path,
             (

@@ -1,19 +1,21 @@
 """Sender-side encoding unitaries, built two independent ways.
 
-The direct construction places one Hadamard sign per channel according to the
-label's family pairing and is a signed permutation by inspection.  The
-composed construction multiplies a member mixer (a diagonal of single-channel
-sign gates) with a family shift (ladder powers and half-axis swaps).  Two
-textual ambiguities in the composed route, the exponent columns of the member
-mixer and the order of the two factors, are resolved mechanically against the
-laws the operators must satisfy, and the resolved readings are reported.
+The direct construction, `encode_direct`, is defined in `bell`, where it also
+builds the standard Bell family; it places one Hadamard sign per channel
+according to the label's family pairing and is a signed permutation by
+inspection.  The composed construction multiplies a member mixer (a diagonal
+of single-channel sign gates) with a family shift (ladder powers and
+half-axis swaps).  Two textual ambiguities in the composed route, the
+exponent columns of the member mixer and the order of the two factors, are
+resolved mechanically against the laws the operators must satisfy, and the
+resolved readings are reported.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bell import BellLabel, ModularMap, all_labels, bell_state
+from .bell import BellLabel, all_labels, bell_state, encode_direct
 from .errors import ArgOutOfRange, OrderMismatch, PropertyViolated
 from .gates import channel_sign_gate, channel_swap_gate, ladder_shift_gate
 from .hadamard import HadamardMatrix
@@ -23,7 +25,6 @@ from .hilbert import (
     apply,
     compose_perms,
     identity_perm,
-    label_to_index,
 )
 
 __all__ = [
@@ -49,31 +50,6 @@ def _check_setup(N: int, H: HadamardMatrix):
         raise OrderMismatch(f"need order {2 * N}, got {H.order}")
 
 
-def encode_direct(N: int, H: HadamardMatrix, label: BellLabel) -> SignedPermutationOp:
-    """Encoding unitary for one message label, placed sign by sign.
-
-    Sends partner channel f(n) to +n with sign h[j, 2n-1] and -f(n) to -n
-    with sign h[j, 2n]; every column holds exactly one +-1, so the result is
-    a signed permutation.
-    """
-    _check_setup(N, H)
-    label.validate(N)
-    dim = 2 * N
-    pairing = ModularMap(N, label.k, label.r)
-    row = H.row(label.j)
-    target = np.empty(dim, dtype=np.intp)
-    phase = np.empty(dim, dtype=np.complex128)
-    for n in range(1, N + 1):
-        fn = pairing.apply(n)
-        src, dst = label_to_index(fn, N), label_to_index(n, N)
-        target[src] = dst
-        phase[src] = row[2 * n - 2]
-        src, dst = label_to_index(-fn, N), label_to_index(-n, N)
-        target[src] = dst
-        phase[src] = row[2 * n - 1]
-    return SignedPermutationOp(dim, target, phase)
-
-
 def _member_mixer_with_reading(
     N: int, H: HadamardMatrix, j: int, reading: str
 ) -> SignedPermutationOp:
@@ -94,18 +70,15 @@ def _member_mixer_with_reading(
     return op
 
 
-def _row_index(H: HadamardMatrix, row: np.ndarray) -> int | None:
-    hits = np.nonzero(np.all(H.ints == row, axis=1))[0]
-    return int(hits[0]) + 1 if hits.size else None
-
-
 def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
     """Pick the exponent reading under which the member mixer obeys its law.
 
     The law: the mixer for member j sends the basis state with member j' to
     the one whose sign row is the entrywise product of rows j and j', with
-    the family untouched.  Both candidate exponent readings are checked
-    against the constructed basis; the first one that satisfies the law for
+    the family untouched.  A basis state is its direct encoder's signed
+    permutation, so both candidate exponent readings are checked exactly on
+    permutations: mixer j after encode_direct(k, r, j') must equal
+    encode_direct(k, r, j'').  The first reading that satisfies the law for
     every (family, member) pair wins and is recorded.  Exhaustive over all
     families up to N=8, single family beyond (the law is family-uniform for
     diagonal mixers, which both candidates are).  When no reading passes, the
@@ -120,32 +93,37 @@ def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
     labels = all_labels(N)
     if N > 8:
         labels = [lab for lab in labels if (lab.k, lab.r) == (1, +1)]
-    states = {lab: bell_state(N, lab, H) for lab in labels}
+    direct = {lab: encode_direct(N, H, lab) for lab in labels}
+    # row index j'' of row j * row j' (None if H lacks it), shared by both readings
+    row_of = {row.tobytes(): i for i, row in enumerate(H.ints, 1)}
+    members = range(1, 2 * N + 1)
+    product = {
+        (j, jp): row_of.get((H.row(j) * H.row(jp)).tobytes()) for j in members for jp in members
+    }
 
     failures = {}
     for reading in MEMBER_MIXER_READINGS:
-        worst = 0.0
         failure = None
-        for j in range(1, 2 * N + 1):
+        for j in members:
             op = _member_mixer_with_reading(N, H, j, reading)
             for lab in labels:
-                jpp = _row_index(H, H.row(j) * H.row(lab.j))
+                jpp = product[j, lab.j]
                 if jpp is None:
                     failure = f"row {j} * row {lab.j} is not a row of H"
                     break
-                target = states.get(BellLabel(lab.k, lab.r, jpp))
-                if target is None:
-                    target = bell_state(N, BellLabel(lab.k, lab.r, jpp), H)
-                moved = apply(op, 0, states[lab])
-                dev = float(np.max(np.abs(moved.amp - target.amp)))
-                worst = max(worst, dev)
-                if dev > TOL_CHAINED:
+                # the mixer acts on the first particle, i.e. on the encoder's rows
+                moved = compose_perms(op, direct[lab])
+                want = direct[BellLabel(lab.k, lab.r, jpp)]
+                same = np.array_equal(moved.target, want.target)
+                if not (same and np.array_equal(moved.phase, want.phase)):
+                    dev = np.max(np.abs(np.asarray(moved) - np.asarray(want))) / np.sqrt(2 * N)
                     failure = f"mixer {j} on {lab} deviates by {dev:.3e}"
                     break
             if failure is not None:
                 break
         if failure is None:
-            result = {"reading": reading, "max_deviation": worst, "anchor_row": 1}
+            # permutations compare exactly, so a passing reading deviates by 0
+            result = {"reading": reading, "max_deviation": 0.0, "anchor_row": 1}
             _reading_memo[key] = result
             return result
         failures[reading] = failure

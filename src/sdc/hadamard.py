@@ -88,9 +88,13 @@ def load_custom_matrices(path: str | Path) -> dict[int, np.ndarray]:
     Rows are whitespace-separated entries written as 1/-1 or +1/-1.  Each
     matrix is validated through the HadamardMatrix constructor; invalid blocks
     raise rather than being skipped.  A non-integer entry or a block that is
-    not a rectangle of int64 entries raises ConfigError naming its line.
+    not a rectangle of int64 entries raises ConfigError naming its line; a
+    file that is not UTF-8 raises ConfigError naming the file.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: registry file is not UTF-8 text ({exc.reason})") from None
     registry: dict[int, np.ndarray] = {}
     block: list[list[int]] = []
     start = 0  # line number of the block's first row

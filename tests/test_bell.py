@@ -6,7 +6,6 @@ import pytest
 from sdc import hadamard
 from sdc.bell import (
     BellLabel,
-    ModularMap,
     all_labels,
     bell_basis_matrix,
     bell_state,
@@ -14,37 +13,49 @@ from sdc.bell import (
     compact_partner,
     compose_family,
     derive_compact_relabel,
+    encode_direct,
     label_to_message,
     message_to_label,
 )
 from sdc.errors import ArgOutOfRange, OrderMismatch
-from sdc.hilbert import apply, partial_trace
+from sdc.hilbert import apply, index_to_label, label_to_index, partial_trace
+
+
+def partners(N, k, r):
+    """Signed partner channel r*f(n) of each first-particle channel +n, n = 1..N.
+
+    Read off the direct encoder of family (k, r), which sends partner channel
+    r*f(n) to +n: the column landing on row index n-1.
+    """
+    op = encode_direct(N, hadamard.build(2 * N), BellLabel(k, r, 1))
+    source = np.argsort(op.target)
+    return [index_to_label(int(source[n - 1]), N) for n in range(1, N + 1)]
 
 
 class TestModularMap:
+    """The signed cyclic pairing n -> r * ((n + k - 1) zero-free mod N)."""
+
     def test_identity_member(self):
-        for N in (1, 2, 5):
-            m = ModularMap(N, 1, +1)
-            assert [m.apply(n) for n in range(1, N + 1)] == list(range(1, N + 1))
+        for N in (1, 2, 4):
+            assert partners(N, 1, +1) == list(range(1, N + 1))
 
     def test_sign_flip_member(self):
-        m = ModularMap(3, 1, -1)
-        assert [m.apply(n) for n in range(1, 4)] == [-1, -2, -3]
+        assert partners(4, 1, -1) == [-1, -2, -3, -4]
 
     def test_wraparound(self):
-        for N in (2, 3, 4, 8):
-            assert ModularMap(N, 2, +1).apply(N) == 1
+        for N in (2, 4, 8):
+            assert partners(N, 2, +1)[N - 1] == 1
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
     def test_unsigned_part_is_bijection(self, N):
         for k in range(1, N + 1):
             for r in (+1, -1):
-                values = {abs(ModularMap(N, k, r).apply(n)) for n in range(1, N + 1)}
+                values = {abs(v) for v in partners(N, k, r)}
                 assert values == set(range(1, N + 1))
 
     def test_argument_range(self):
         with pytest.raises(ArgOutOfRange):
-            ModularMap(2, 1, +1).apply(3)
+            encode_direct(2, hadamard.build(4), BellLabel(3, +1, 1))
 
 
 class TestStandardFamily:
@@ -89,6 +100,20 @@ class TestStandardFamily:
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatch):
             bell_state(2, BellLabel(1, +1, 1), hadamard.build(2))
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    def test_matches_the_channel_by_channel_reference(self, N):
+        # +n pairs with r*f(n) under sign h[j, 2n-1]; -n with -r*f(n) under h[j, 2n]
+        H = hadamard.build(2 * N)
+        for lab in all_labels(N):
+            grid = np.zeros((2 * N, 2 * N), dtype=np.complex128)
+            row = H.row(lab.j)
+            for n in range(1, N + 1):
+                fn = lab.r * (((n + lab.k - 2) % N) + 1)
+                grid[label_to_index(n, N), label_to_index(fn, N)] = row[2 * n - 2]
+                grid[label_to_index(-n, N), label_to_index(-fn, N)] = row[2 * n - 1]
+            expected = grid.reshape(-1) / np.sqrt(2 * N)
+            assert np.array_equal(bell_state(N, lab, H).amp, expected)
 
 
 class TestCompactFamily:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -115,6 +116,34 @@ class TestEncodeDecode:
         for entry in payload["op"]["entries"]:
             assert op.target[entry["col"]] == entry["row"]
             assert op.phase[entry["col"]].real == entry["sign"]
+
+    @pytest.mark.parametrize(
+        "argvs,digest",
+        [
+            (
+                [["encode", "--n", "2", "--message", str(m), "--dump-op"] for m in range(16)],
+                "a97c20536e206594776ee949d117cc22eab442d071b90bdc66f482ef6cb37840",
+            ),
+            (
+                [["encode", "--n", "4", "--message", str(m), "--dump-op"] for m in range(64)],
+                "cec41d1126d40dca96550eb0d75da459701a46f556625fd7b775832f76ce74d8",
+            ),
+            (
+                [["table", "--n", "4"]],
+                "629c2a1a2ae935cc4286f4b6e10788e9428345ff782d9ac5eb045e8f09299bd8",
+            ),
+        ],
+        ids=["encode-n2", "encode-n4", "table-n4"],
+    )
+    def test_integer_output_matches_recorded_digest(self, capsys, argvs, digest):
+        # sha256 of the concatenated stdout of each command, in order; the
+        # output holds only integers, so it is fixed bit for bit
+        h = hashlib.sha256()
+        for argv in argvs:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            h.update(out.encode())
+        assert h.hexdigest() == digest
 
     def test_dump_state_then_decode(self, capsys, tmp_path):
         state_file = tmp_path / "state.json"
@@ -315,9 +344,17 @@ class TestConfigFile:
             ("tolerance.exact=nan", "spin"),
             ("tolerance.exact=-1", "verify"),
             ("seed=abc", "verify"),
+            ("seed=-1", "sweep"),
             ("tolerence.exact=1", "verify"),
         ],
-        ids=["nan-verify", "nan-spin", "negative-tolerance", "non-integer-seed", "misspelt-key"],
+        ids=[
+            "nan-verify",
+            "nan-spin",
+            "negative-tolerance",
+            "non-integer-seed",
+            "negative-seed",
+            "misspelt-key",
+        ],
     )
     def test_bad_config_entry_is_a_config_error(
         self, capsys, tmp_path, monkeypatch, line, command
@@ -338,6 +375,21 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, "bases", "--n", "1", "--custom-matrices", str(mats))
         assert code == 2 and out == ""
         assert "ConfigError" in err and where in err
+
+    @pytest.mark.parametrize("role", ["registry", "config", "state"])
+    def test_non_utf8_file_is_a_config_error(self, capsys, tmp_path, monkeypatch, role):
+        path = tmp_path / role
+        path.write_bytes(b"\xff1 1\n1 -1\n")
+        argv = ["bases", "--n", "1"]
+        if role == "registry":
+            argv += ["--custom-matrices", str(path)]
+        elif role == "config":
+            monkeypatch.setenv("SDC_CONFIG", str(path))
+        else:
+            argv = ["decode", "--n", "1", "--state", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "ConfigError" in err and str(path) in err and "UTF-8" in err
 
     @settings(
         max_examples=80,
@@ -368,6 +420,16 @@ class TestConfigFile:
 
 
 class TestSweepSampling:
+    @pytest.mark.parametrize("sample", [False, True], ids=["full", "sampled"])
+    def test_negative_seed_flag_is_a_config_error(self, capsys, monkeypatch, sample):
+        import sdc.cli as cli_mod
+
+        if sample:
+            monkeypatch.setattr(cli_mod, "SWEEP_CAP", 8)
+        code, out, err = run_cli(capsys, "sweep", "--n", "2", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert "ConfigError" in err and "seed" in err
+
     def test_large_sweeps_fall_back_to_a_seeded_sample(self, capsys, monkeypatch):
         import sdc.cli as cli_mod
 

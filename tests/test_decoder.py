@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdc import hadamard
+from sdc.analysis import round_trip_sweep, run_protocol
 from sdc.bell import (
     BellLabel,
     all_labels,
@@ -163,6 +164,16 @@ def test_outcome_distribution_completeness():
 def test_unknown_route_is_a_config_error():
     with pytest.raises(ConfigError):
         make_decoder(1, hadamard.build(2), "teleport")
+
+
+def test_pipeline_route_without_its_mixer_matrix_is_a_config_error():
+    H = hadamard.build(4)
+    with pytest.raises(ConfigError):
+        make_decoder(2, H, "pipeline")
+    with pytest.raises(ConfigError):
+        round_trip_sweep(2, H, path="pipeline")
+    with pytest.raises(ConfigError):
+        run_protocol(2, H, 5, path="pipeline")
 
 
 def test_outcome_distribution_rejects_nan():

@@ -14,7 +14,7 @@ from sdc.encoder import (
     resolve_composition_order,
     resolve_member_mixer_reading,
 )
-from sdc.errors import ArgOutOfRange
+from sdc.errors import ArgOutOfRange, PropertyViolated
 from sdc.gates import channel_sign_gate
 from sdc.hilbert import apply, partial_trace
 
@@ -127,6 +127,15 @@ class TestMemberMixer:
             info = resolve_member_mixer_reading(N, hadamard.build(2 * N))
             assert info["reading"] == "same-column"
             assert info["max_deviation"] < 1e-12
+
+    def test_failing_reading_names_its_first_deviating_member(self, monkeypatch):
+        import sdc.encoder as enc
+
+        monkeypatch.setattr(enc, "MEMBER_MIXER_READINGS", ("cross-column",))
+        monkeypatch.setattr(enc, "_reading_memo", {})
+        with pytest.raises(PropertyViolated) as info:
+            resolve_member_mixer_reading(4, hadamard.build(8))
+        assert "mixer 2 on BellLabel(k=1, r=1, j=1) deviates by 7.071e-01" in str(info.value)
 
     def test_cross_column_reading_violates_the_law(self):
         # the rejected reading builds a different operator for member 2

@@ -23,7 +23,6 @@ from .hadamard import HadamardMatrix
 from .hilbert import (
     SignedPermutationOp,
     StateVector,
-    TOL_EXACT,
     apply,
     label_to_index,
 )
@@ -189,29 +188,33 @@ class CompactRelabel:
     method: str
 
 
+def _amplitude_key(amp: np.ndarray) -> bytes:
+    """Exact identity of an amplitude vector: its support and the values on it."""
+    nz = np.flatnonzero(amp)
+    # + 0.0 folds a -0.0 imaginary part into +0.0
+    return nz.tobytes() + (amp[nz] + 0.0).tobytes()
+
+
 def _relocated_matches(
-    N: int,
     perm_a: SignedPermutationOp,
     perm_b: SignedPermutationOp,
     standard: dict[BellLabel, StateVector],
-    compact_amp: dict[BellLabel, np.ndarray],
+    compact: dict[bytes, BellLabel],
 ) -> dict[BellLabel, BellLabel] | None:
-    """Label bijection matching relocated standard states to compact ones, or None."""
+    """Label bijection matching relocated standard states to compact ones, or None.
+
+    `compact` maps each compact state's `_amplitude_key` to its label, so every
+    relocated state is matched by one exact lookup.
+    """
     mapping: dict[BellLabel, BellLabel] = {}
-    used: set[BellLabel] = set()
     for lab, state in standard.items():
-        moved = apply(perm_b, 1, apply(perm_a, 0, state)).amp
-        hit = None
-        for lab2, amp in compact_amp.items():
-            if lab2 in used:
-                continue
-            if np.max(np.abs(moved - amp)) < TOL_EXACT:
-                hit = lab2
-                break
+        hit = compact.get(_amplitude_key(apply(perm_b, 1, apply(perm_a, 0, state)).amp))
         if hit is None:
             return None
         mapping[lab] = hit
-        used.add(hit)
+    # a bijection: no two standard states may land on one compact state
+    if len(set(mapping.values())) != len(mapping):
+        return None
     return mapping
 
 
@@ -228,7 +231,7 @@ def derive_compact_relabel(N: int, H: HadamardMatrix) -> CompactRelabel:
     """
     dim = 2 * N
     standard = {lab: bell_state(N, lab, H) for lab in all_labels(N)}
-    compact_amp = {lab: compact_bell_state(N, lab, H).amp for lab in all_labels(N)}
+    compact = {_amplitude_key(compact_bell_state(N, lab, H).amp): lab for lab in all_labels(N)}
     ones = np.ones(dim, dtype=np.complex128)
 
     if dim <= 4:
@@ -236,14 +239,14 @@ def derive_compact_relabel(N: int, H: HadamardMatrix) -> CompactRelabel:
             perm_a = SignedPermutationOp(dim, np.array(pa, dtype=np.intp), ones)
             for pb in itertools.permutations(range(dim)):
                 perm_b = SignedPermutationOp(dim, np.array(pb, dtype=np.intp), ones)
-                mapping = _relocated_matches(N, perm_a, perm_b, standard, compact_amp)
+                mapping = _relocated_matches(perm_a, perm_b, standard, compact)
                 if mapping is not None:
                     return CompactRelabel(perm_a, perm_b, mapping, "exhaustive")
         raise NoLocalMapFound(f"no local permutation pair found at N={N}")
 
     perm_a = first_particle_interleave(N)
     perm_b = SignedPermutationOp(dim, np.arange(dim), ones)
-    mapping = _relocated_matches(N, perm_a, perm_b, standard, compact_amp)
+    mapping = _relocated_matches(perm_a, perm_b, standard, compact)
     if mapping is None:
         raise NoLocalMapFound(f"constructive relabel failed verification at N={N}")
     return CompactRelabel(perm_a, perm_b, mapping, "constructive")

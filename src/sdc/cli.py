@@ -158,11 +158,11 @@ def cmd_bases(cfg: RunConfig) -> int:
     H, _ = cfg.hadamard_pair()
     basis = bell.bell_basis_matrix(cfg.n, H)
     gram_dev = float(np.max(np.abs(basis.conj() @ basis.T - np.eye(4 * cfg.n * cfg.n))))
+    dim = 2 * cfg.n
     states = []
-    for lab in bell.all_labels(cfg.n):
-        state = bell.bell_state(cfg.n, lab, H)
+    for lab, row in zip(bell.all_labels(cfg.n), basis):
         entry = {"label": {"k": lab.k, "r": lab.r, "j": lab.j}}
-        entry.update(hilbert.state_to_dict(state))
+        entry.update(hilbert.state_to_dict(hilbert.StateVector((dim, dim), row)))
         states.append(entry)
     _emit_json(
         {
@@ -206,7 +206,6 @@ def build_verify_report(cfg: RunConfig) -> dict:
     )
 
     # Bell bases
-    labels = bell.all_labels(N)
     basis = bell.bell_basis_matrix(N, H)
     eye = np.eye(4 * N * N)
     checks.append(_check("bell-gram", np.max(np.abs(basis.conj() @ basis.T - eye)), cfg.tol_exact))
@@ -290,38 +289,10 @@ def build_verify_report(cfg: RunConfig) -> dict:
         )
 
     # encoder laws
-    structure_dev = 0.0
-    rule_dev = 0.0
-    signaling_dev = 0.0
-    start_states = {
-        (kp, rp): bell.bell_state(N, bell.BellLabel(kp, rp, 1), H)
-        for kp in range(1, N + 1)
-        for rp in (+1, -1)
-    }
-    label_index = {
-        (lab.k, lab.r, lab.j): i for i, lab in enumerate(labels)
-    }
-    for lab in labels:
-        op = encoder.encode_direct(N, H, lab)
-        dense = np.asarray(op)
-        structure_dev = max(
-            structure_dev,
-            float(np.max(np.abs(np.abs(dense).sum(axis=0) - 1.0))),
-            float(np.max(np.abs(np.abs(dense).sum(axis=1) - 1.0))),
-        )
-        for (kp, rp), start in start_states.items():
-            moved = hilbert.apply(op, 0, start)
-            kpp, rpp = bell.compose_family(lab.k, lab.r, kp, rp, N)
-            expected = basis[label_index[(kpp, rpp, lab.j)]]
-            overlap = np.vdot(expected, moved.amp)
-            rule_dev = max(rule_dev, abs(abs(overlap) - 1.0))
-            rho_b = hilbert.partial_trace(moved, 1)
-            signaling_dev = max(
-                signaling_dev, float(np.max(np.abs(rho_b - np.eye(dim) / dim)))
-            )
-    checks.append(_check("encode-signed-permutation-structure", structure_dev, cfg.tol_exact))
-    checks.append(_check("encode-family-rule", rule_dev, cfg.tol_chained))
-    checks.append(_check("encode-no-signaling", signaling_dev, cfg.tol_exact))
+    laws = encoder.encode_law_residuals(N, H)
+    checks.append(_check("encode-signed-permutation-structure", laws["structure"], cfg.tol_exact))
+    checks.append(_check("encode-family-rule", laws["family_rule"], cfg.tol_chained))
+    checks.append(_check("encode-no-signaling", laws["no_signaling"], cfg.tol_exact))
 
     reading = encoder.resolve_member_mixer_reading(N, H)
     order = encoder.resolve_composition_order(N, H)
@@ -345,8 +316,8 @@ def build_verify_report(cfg: RunConfig) -> dict:
         injective = True
     except SdcError:
         injective = False
-    for lab in labels:
-        top, dist = grand.decode(bell.bell_state(N, lab, H))
+    for row in basis:
+        top, dist = grand.decode(hilbert.StateVector((dim, dim), row))
         min_top = min(min_top, top.probability)
         completeness_dev = max(
             completeness_dev, abs(sum(o.probability for o in dist) - 1.0)
@@ -517,11 +488,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0 if result["round_trip_ok"] == result["checked"] else 1
 
 
-def cmd_rates(cfg: RunConfig, n_list: list[int], t: float) -> int:
+def cmd_rates(cfg: RunConfig, n_list: str, t: float) -> int:
     if not (t > 0 and np.isfinite(t)):
         raise ArgOutOfRange(f"--t must be a finite time > 0, got {t}")
     rows = []
-    for n in n_list:
+    for entry in n_list.split(","):
+        try:
+            n = int(entry)
+        except ValueError:
+            raise ConfigError(f"--n-list entry {entry!r} is not an integer") from None
         if n < 1:
             raise ConfigError(f"--n-list entry {n} is below 1")
         tm = analysis.TimingModel.equal_time(n, t)
@@ -626,8 +601,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "rates":
             cfg = RunConfig()
-            n_list = [int(tok) for tok in args.n_list.split(",") if tok]
-            return cmd_rates(cfg, n_list, args.t)
+            return cmd_rates(cfg, args.n_list, args.t)
         cfg = make_config(args)
         if args.command == "bases":
             return cmd_bases(cfg)

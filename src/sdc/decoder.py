@@ -154,21 +154,21 @@ def outcome_distribution(s: StateVector) -> list[MeasurementOutcome]:
     if len(s.dims) != 2:
         raise DimensionMismatch(f"need a two-particle state, got dims {s.dims}")
     d0, d1 = s.dims
-    probs = np.abs(s.amp) ** 2
+    mags = np.abs(s.amp)
+    # no amplitude of a normalized state exceeds 1; rejecting larger ones
+    # first keeps their squares from overflowing
+    if not mags.max() <= 1.0 + 1e-9:  # also rejects NaN
+        raise DimensionMismatch(
+            f"input state is not normalized (an amplitude has modulus {mags.max():.3e})"
+        )
+    probs = mags**2
     total = float(probs.sum())
-    if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
+    if not abs(total - 1.0) <= 1e-9:
         raise DimensionMismatch(f"input state is not normalized (sum p = {total})")
     out = []
     for flat in np.nonzero(probs > TOL_EXACT)[0]:
         out.append(MeasurementOutcome(int(flat) // d1, int(flat) % d1, float(probs[flat])))
     return out
-
-
-def _top_outcome(s: StateVector) -> MeasurementOutcome:
-    d1 = s.dims[1]
-    probs = np.abs(s.amp) ** 2
-    flat = int(np.argmax(probs))
-    return MeasurementOutcome(flat // d1, flat % d1, float(probs[flat]))
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,9 @@ class Decoder:
 
     def decode(self, s: StateVector) -> tuple[MeasurementOutcome, list[MeasurementOutcome]]:
         """Measure `s` on this route; returns (top outcome, full distribution)."""
-        rotated = self.rotate(s)
-        return _top_outcome(rotated), outcome_distribution(rotated)
+        dist = outcome_distribution(self.rotate(s))
+        # the first most likely outcome in index order
+        return max(dist, key=lambda o: o.probability), dist
 
 
 def make_decoder(

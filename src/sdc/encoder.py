@@ -8,21 +8,22 @@ of single-channel sign gates) with a family shift (ladder powers and
 half-axis swaps).  Two textual ambiguities in the composed route, the
 exponent columns of the member mixer and the order of the two factors, are
 resolved mechanically against the laws the operators must satisfy, and the
-resolved readings are reported.
+resolved readings are reported.  Every law is checked on signed permutations
+(a Bell state is its encoder's permutation over sqrt(2N)), so the checks are
+exact index and sign comparisons.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bell import BellLabel, all_labels, bell_state, encode_direct
+from .bell import BellLabel, all_labels, compose_family, encode_direct, label_to_message
 from .errors import ArgOutOfRange, OrderMismatch, PropertyViolated
 from .gates import channel_sign_gate, channel_swap_gate, ladder_shift_gate
 from .hadamard import HadamardMatrix
 from .hilbert import (
     SignedPermutationOp,
     TOL_CHAINED,
-    apply,
     compose_perms,
     identity_perm,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "encode_composed",
     "resolve_member_mixer_reading",
     "resolve_composition_order",
+    "encode_law_residuals",
     "MEMBER_MIXER_READINGS",
     "COMPOSITION_ORDERS",
 ]
@@ -61,8 +63,8 @@ def _member_mixer_with_reading(
         else:
             e1 = (row_1[2 * i - 2] - row_j[2 * i - 2]) // 2
         e2 = (row_1[2 * i - 1] - row_j[2 * i - 1]) // 2
-        swap = channel_swap_gate(N, i)
         if e1 % 2 != 0:
+            swap = channel_swap_gate(N, i)
             flipped_sign = compose_perms(swap, compose_perms(channel_sign_gate(N, i), swap))
             op = compose_perms(flipped_sign, op)
         if e2 % 2 != 0:
@@ -164,15 +166,38 @@ def family_shift(N: int, k: int, r: int) -> SignedPermutationOp:
     return compose_perms(ladder_shift_gate(N, 1 - k), op)
 
 
+def _stack(ops: list[SignedPermutationOp]) -> tuple[np.ndarray, np.ndarray]:
+    """Targets and phases of signed permutations, one row per operator."""
+    return np.array([op.target for op in ops]), np.array([op.phase for op in ops])
+
+
+def _after(op: SignedPermutationOp, targets: np.ndarray, phases: np.ndarray):
+    """`op` composed after each stacked permutation: compose_perms row by row."""
+    return op.target[targets], phases * op.phase[targets]
+
+
+def _overlaps(a, b) -> np.ndarray:
+    """<a|b> of the Bell states of stacked signed permutations a and b, row by row.
+
+    The Bell state of U is its dense matrix over sqrt(2N) read as a grid, so
+    the overlap is the sum over columns whose targets agree of
+    conj(phase_a) * phase_b, over 2N: an exact small-integer sum for +-1
+    phases.
+    """
+    (ta, pa), (tb, pb) = a, b
+    return np.sum(np.conj(pa) * pb * (ta == tb), axis=-1) / ta.shape[-1]
+
+
 def resolve_composition_order(N: int, H: HadamardMatrix) -> dict:
     """Decide which factor of the composed encoder acts first.
 
     Both orders of (member mixer, family shift) are applied to every
     member-1 basis state of every family and compared with the direct
-    encoder's action.  An order passes if the output always matches the
-    direct output's label with unit overlap up to a global phase; the
-    observed worst phase deviation and whether the operators agree as
-    matrices (a stronger fact than required) are recorded alongside.
+    encoder's action.  States are held as their encoders' signed
+    permutations, so each overlap is exact.  An order passes if the output
+    always matches the direct output's label with unit overlap up to a global
+    phase; the observed worst phase deviation and whether the operators agree
+    as matrices (a stronger fact than required) are recorded alongside.
     """
     _check_setup(N, H)
     key = (N, H.key())
@@ -180,14 +205,12 @@ def resolve_composition_order(N: int, H: HadamardMatrix) -> dict:
         return _order_memo[key]
 
     reading = resolve_member_mixer_reading(N, H)["reading"]
-    starts = [(kp, rp) for kp in range(1, N + 1) for rp in (+1, -1)]
-    start_states = {fam: bell_state(N, BellLabel(fam[0], fam[1], 1), H) for fam in starts}
+    starts = _stack([encode_direct(N, H, lab) for lab in all_labels(N) if lab.j == 1])
 
     for order in COMPOSITION_ORDERS:
         worst_overlap = 0.0
         worst_phase = 0.0
         matrix_equal = True
-        ok = True
         for label in all_labels(N):
             mixer = member_mixer(N, H, label.j, reading)
             shift = family_shift(N, label.k, label.r)
@@ -198,22 +221,16 @@ def resolve_composition_order(N: int, H: HadamardMatrix) -> dict:
             direct = encode_direct(N, H, label)
             if not (
                 np.array_equal(composed.target, direct.target)
-                and np.allclose(composed.phase, direct.phase, atol=TOL_CHAINED)
+                and np.array_equal(composed.phase, direct.phase)
             ):
                 matrix_equal = False
-            for fam, start in start_states.items():
-                expected = apply(direct, 0, start)
-                got = apply(composed, 0, start)
-                overlap = complex(np.vdot(expected.amp, got.amp))
-                dev = abs(abs(overlap) - 1.0)
-                worst_overlap = max(worst_overlap, dev)
-                if dev > TOL_CHAINED:
-                    ok = False
-                    break
-                worst_phase = max(worst_phase, abs(overlap / abs(overlap) - 1.0))
-            if not ok:
+            overlap = _overlaps(_after(direct, *starts), _after(composed, *starts))
+            dev = float(np.max(np.abs(np.abs(overlap) - 1.0)))
+            worst_overlap = max(worst_overlap, dev)
+            if dev > TOL_CHAINED:
                 break
-        if ok:
+            worst_phase = max(worst_phase, float(np.max(np.abs(overlap / np.abs(overlap) - 1.0))))
+        else:
             result = {
                 "order": order,
                 "max_overlap_deviation": worst_overlap,
@@ -223,6 +240,38 @@ def resolve_composition_order(N: int, H: HadamardMatrix) -> dict:
             _order_memo[key] = result
             return result
     raise PropertyViolated("neither composition order reproduces the direct encoder's action")
+
+
+def encode_law_residuals(N: int, H: HadamardMatrix) -> dict:
+    """Worst residuals of the direct encoder's laws over every label.
+
+    structure: max ||phase| - 1| over all encoders, so every row and column
+    holds one unit entry.  family_rule: 1 - |overlap| of encode(k, r, j)
+    acting on each member-1 start state (k', r', 1) with the basis state
+    (compose_family(k, r, k', r'), j).  no_signaling: max|rho_B - I/2N| over
+    the encoded states.  Every state is held as its encoder's signed
+    permutation, so all three are exact.
+    """
+    _check_setup(N, H)
+    labels = all_labels(N)
+    ops = [encode_direct(N, H, lab) for lab in labels]
+    targets, phases = _stack(ops)
+    structure = float(np.max(np.abs(np.abs(phases) - 1.0)))
+    start_labels = [lab for lab in labels if lab.j == 1]
+    starts = [label_to_message(s, N) for s in start_labels]
+    rule = signaling = 0.0
+    for lab, op in zip(labels, ops):
+        moved_targets, moved_phases = _after(op, targets[starts], phases[starts])
+        landed = [
+            label_to_message(BellLabel(*compose_family(lab.k, lab.r, s.k, s.r, N), lab.j), N)
+            for s in start_labels
+        ]
+        overlap = _overlaps((targets[landed], phases[landed]), (moved_targets, moved_phases))
+        rule = max(rule, float(np.max(np.abs(np.abs(overlap) - 1.0))))
+        # the state of a signed permutation has rho_B = diag(|phase|^2) / 2N
+        residual = np.max(np.abs(np.abs(moved_phases) ** 2 - 1.0)) / (2 * N)
+        signaling = max(signaling, float(residual))
+    return {"structure": structure, "family_rule": rule, "no_signaling": signaling}
 
 
 def encode_composed(N: int, H: HadamardMatrix, label: BellLabel) -> SignedPermutationOp:

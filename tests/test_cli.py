@@ -4,11 +4,16 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sdc
 from sdc.cli import CONFIG_KEYS, main
 
 # a symmetric sign matrix of order 4 whose rows do not close under products
@@ -63,6 +68,28 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--n", "8")
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["--n", "2"], "9d80310626b934645cb272068ba591f1c2a2096c5f356d8e6adfe9a5ba95ff19"),
+            (["--n", "8"], "ee903b964c45d349e52231304485080df5aac31870a9b13960490b0ab7269923"),
+            (
+                ["--n", "2", "--path", "pipeline"],
+                "bba2370ec629a313b87a122500bfc98d463a9d11fdc97403b75b9b8e38bd3d90",
+            ),
+            (
+                ["--n", "4", "--gates"],
+                "641321d3072ed177f02fa96e5896675f82ecd9f9b4a03c155ec0738fdac23e08",
+            ),
+        ],
+        ids=["n2", "n8", "n2-pipeline", "n4-gates"],
+    )
+    def test_report_matches_recorded_digest(self, capsys, argv, digest):
+        # these reports carry no rounding residual, so their bytes are fixed
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestRun:
@@ -216,6 +243,23 @@ class TestStateDumpBoundary:
         assert code in (0, 2)
         assert "NaN" not in out and "Infinity" not in out
 
+    @pytest.mark.parametrize("path", ["grand", "pipeline"])
+    def test_overflowing_dump_is_rejected_without_warnings(self, tmp_path, path):
+        # a fresh interpreter, so stderr is exactly what a user sees
+        text = '{"dims": [2, 2], "amplitudes": [[1e200, 0], [0, 0], [0, 0], [0, 0]]}'
+        dump = write_dump(tmp_path, text)
+        src = str(Path(sdc.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "sdc.cli", "decode", "--n", "1", "--path", path]
+            + ["--state", dump],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: DimensionMismatch: input state is not normalized")
+        assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+
 
 class TestTableAndSweep:
     def test_table_lists_every_message(self, capsys):
@@ -264,6 +308,14 @@ class TestRates:
         assert code == 2 and out == ""
         assert "ConfigError" in err and "entry 0" in err
 
+    @pytest.mark.parametrize(
+        "n_list,entry", [("1,x", "'x'"), ("", "''"), ("1,,2", "''")], ids=["word", "empty", "gap"]
+    )
+    def test_malformed_entry_is_a_config_error(self, capsys, n_list, entry):
+        code, out, err = run_cli(capsys, "rates", "--n-list", n_list)
+        assert code == 2 and out == ""
+        assert "ConfigError" in err and f"entry {entry}" in err
+
     @pytest.mark.parametrize("t", ["0", "-1", "nan", "inf"])
     def test_time_must_be_finite_and_positive(self, capsys, t):
         code, out, err = run_cli(capsys, "rates", "--t", t)
@@ -296,6 +348,21 @@ class TestBases:
         amps = payload["states"][0]["amplitudes"]
         norm = sum(re * re + im * im for re, im in amps)
         assert norm == pytest.approx(1.0, abs=1e-12)
+
+    def test_builds_each_state_once(self, capsys, monkeypatch):
+        import sdc.bell as bell_mod
+
+        calls = []
+        build = bell_mod.bell_state
+        monkeypatch.setattr(
+            bell_mod, "bell_state", lambda N, lab, H: calls.append(lab) or build(N, lab, H)
+        )
+        code, out, _ = run_cli(capsys, "bases", "--n", "2")
+        assert code == 0
+        assert len(calls) == 16 and len(set(calls)) == 16
+        # the JSON is unchanged by building each state once
+        digest = "38212783fa9af094055ae8a29503a0f25d1cd628d56cf17669f5d5cfc1f0da20"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestConfigFile:

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import sdc.encoder as enc
 from sdc import hadamard
 from sdc.bell import BellLabel, all_labels, bell_state, compose_family
 from sdc.encoder import (
     _member_mixer_with_reading,
     encode_composed,
     encode_direct,
+    encode_law_residuals,
     family_shift,
     member_mixer,
     resolve_composition_order,
@@ -16,7 +18,10 @@ from sdc.encoder import (
 )
 from sdc.errors import ArgOutOfRange, PropertyViolated
 from sdc.gates import channel_sign_gate
-from sdc.hilbert import apply, partial_trace
+from sdc.hilbert import apply, compose_perms, partial_trace
+
+# a symmetric sign matrix of order 4 whose rows do not close under products
+ALT4 = np.array([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]])
 
 
 class TestDirectForm:
@@ -218,7 +223,102 @@ def test_law_failure_is_reported_not_repaired():
     # a registered sign matrix without the all-plus anchor row still yields an
     # orthonormal basis, but its rows do not close under entrywise products,
     # so the encoding law genuinely fails and the check must say so
-    alt4 = {4: np.array([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]])}
-    H = hadamard.build(4, custom=alt4)
+    H = hadamard.build(4, custom={4: ALT4})
     out = landing_overlap(2, H, BellLabel(1, +1, 1), (1, +1), BellLabel(1, +1, 1))
     assert abs(out - 1.0) > 1e-10
+
+
+def member_one_states(N, H):
+    return [bell_state(N, BellLabel(kp, rp, 1), H) for kp in range(1, N + 1) for rp in (+1, -1)]
+
+
+def dense_encode_law_residuals(N, H):
+    """The dense route the exact encode-law checks replace.
+
+    Every encoded state is a (2N)^2 grid, compared with the predicted basis
+    state by vdot and traced down to the partner particle.  The landing
+    family is read through the encoder module, so a patched rule reaches
+    both routes.
+    """
+    dim = 2 * N
+    families = [(kp, rp) for kp in range(1, N + 1) for rp in (+1, -1)]
+    starts = member_one_states(N, H)
+    structure = rule = signaling = 0.0
+    for lab in all_labels(N):
+        op = encode_direct(N, H, lab)
+        dense = np.abs(np.asarray(op))
+        structure = max(
+            structure,
+            np.max(np.abs(dense.sum(axis=0) - 1.0)),
+            np.max(np.abs(dense.sum(axis=1) - 1.0)),
+        )
+        for (kp, rp), start in zip(families, starts):
+            moved = apply(op, 0, start)
+            kpp, rpp = enc.compose_family(lab.k, lab.r, kp, rp, N)
+            expected = bell_state(N, BellLabel(kpp, rpp, lab.j), H)
+            rule = max(rule, abs(abs(np.vdot(expected.amp, moved.amp)) - 1.0))
+            rho_b = partial_trace(moved, 1)
+            signaling = max(signaling, np.max(np.abs(rho_b - np.eye(dim) / dim)))
+    return {"structure": structure, "family_rule": rule, "no_signaling": signaling}
+
+
+def order_overlaps(N, H, reading):
+    """<direct S|composed S> for every label and member-1 start S: (exact, dense).
+
+    The composed encoder takes its member mixer in the given exponent reading.
+    """
+    ops = [encode_direct(N, H, BellLabel(kp, rp, 1)) for kp in range(1, N + 1) for rp in (+1, -1)]
+    stack = (np.array([op.target for op in ops]), np.array([op.phase for op in ops]))
+    exact, dense = [], []
+    for lab in all_labels(N):
+        mixer = _member_mixer_with_reading(N, H, lab.j, reading)
+        direct = encode_direct(N, H, lab)
+        composed = compose_perms(mixer, family_shift(N, lab.k, lab.r))
+        exact.extend(enc._overlaps(enc._after(direct, *stack), enc._after(composed, *stack)))
+        for start in member_one_states(N, H):
+            dense.append(np.vdot(apply(direct, 0, start).amp, apply(composed, 0, start).amp))
+    return np.array(exact), np.array(dense)
+
+
+class TestExactLawChecks:
+    """The exact index/sign checks against the dense amplitude route."""
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    def test_exact_residuals_match_the_dense_route(self, N):
+        H = hadamard.build(2 * N)
+        exact = encode_law_residuals(N, H)
+        dense = dense_encode_law_residuals(N, H)
+        assert exact == {"structure": 0.0, "family_rule": 0.0, "no_signaling": 0.0}
+        for name, value in dense.items():
+            assert abs(value - exact[name]) <= 1e-12
+        exact_overlaps, dense_overlaps = order_overlaps(N, H, "same-column")
+        assert np.max(np.abs(exact_overlaps - dense_overlaps)) <= 1e-12
+        assert np.max(np.abs(np.abs(dense_overlaps) - 1.0)) <= 1e-12
+        assert resolve_composition_order(N, H)["max_overlap_deviation"] == 0.0
+
+    @pytest.mark.parametrize("N", [1, 2, 4])
+    def test_rejected_reading_overlaps_match_the_dense_route(self, N):
+        # the cross-column mixer moves states off their labels: a real failure
+        exact, dense = order_overlaps(N, hadamard.build(2 * N), "cross-column")
+        assert np.max(np.abs(exact - dense)) <= 1e-12
+        assert np.max(np.abs(np.abs(exact) - 1.0)) > 1e-10
+
+    def test_lawless_matrix_fails_on_both_routes(self):
+        H = hadamard.build(4, custom={4: ALT4})
+        exact = encode_law_residuals(2, H)
+        dense = dense_encode_law_residuals(2, H)
+        assert exact["family_rule"] > 1e-10
+        for name, value in dense.items():
+            assert abs(value - exact[name]) <= 1e-12
+
+    def test_wrong_family_rule_fails_on_both_routes(self, monkeypatch):
+        # shifting the landing family by one more step breaks the rule at N = 2
+        monkeypatch.setattr(
+            enc, "compose_family", lambda k, r, kp, rp, N: ((k + kp - 1) % N + 1, r * rp)
+        )
+        H = hadamard.build(4)
+        exact = encode_law_residuals(2, H)
+        dense = dense_encode_law_residuals(2, H)
+        assert exact["family_rule"] == 1.0
+        for name, value in dense.items():
+            assert abs(value - exact[name]) <= 1e-12

@@ -3,12 +3,13 @@
 Two equivalent families are provided.  The standard family pairs channel +-n
 of the first particle with a signed partner channel of the second, chosen by
 a family index (k, r); member index j selects a sign row of the Hadamard
-matrix.  Its one construction is the direct encoder `encode_direct`: the
-state with label (k, r, j) is that encoder's signed permutation read as a
-(2N)x(2N) amplitude grid over sqrt(2N), i.e. (U_label x I)|Phi+>.  The
-compact family is the image of the standard one under a fixed relabeling of
-the first particle and carries one Hadamard sign per basis ket, which is the
-form the measurement-side grand operator is built from.
+matrix.  The compact family is the image of the standard one under a fixed
+relabeling of the first particle and carries one Hadamard sign per basis ket,
+which is the form the measurement-side grand operator is built from.  Each
+state is (U x I)|Phi+> for a signed permutation U, and each family is defined
+once, as the table of these permutations (`bell_table`); the relabeling, the
+grand operator and verify's basis checks are exact index and sign arithmetic
+on the tables.
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ import numpy as np
 
 from .errors import ArgOutOfRange, NoLocalMapFound, OrderMismatch
 from .hadamard import HadamardMatrix
-from .hilbert import (
-    SignedPermutationOp,
-    StateVector,
-    apply,
-    label_to_index,
-)
+from .hilbert import SignedPermutationOp, StateVector, identity_perm, label_to_index
 
 __all__ = [
     "BellLabel",
@@ -35,9 +31,9 @@ __all__ = [
     "compose_family",
     "encode_direct",
     "bell_state",
+    "compact_partner_table",
+    "bell_table",
     "compact_bell_state",
-    "compact_partner",
-    "bell_basis_matrix",
     "first_particle_interleave",
     "CompactRelabel",
     "derive_compact_relabel",
@@ -116,6 +112,11 @@ def encode_direct(N: int, H: HadamardMatrix, label: BellLabel) -> SignedPermutat
     return SignedPermutationOp(2 * N, target, phase)
 
 
+def _dense_state(op: SignedPermutationOp) -> StateVector:
+    """(U x I)|Phi+>: the dense matrix of U over sqrt(2N), read as an amplitude grid."""
+    return StateVector((op.dim, op.dim), np.asarray(op).reshape(-1) / np.sqrt(op.dim))
+
+
 def bell_state(N: int, label: BellLabel, H: HadamardMatrix) -> StateVector:
     """Standard-family basis state: the dense view of `encode_direct` / sqrt(2N).
 
@@ -123,45 +124,51 @@ def bell_state(N: int, label: BellLabel, H: HadamardMatrix) -> StateVector:
     paired with partner channel f(n); channel -n carries h[j, 2n] and pairs
     with -f(n).  All 2N nonzero amplitudes equal +-1/sqrt(2N).
     """
-    dim = 2 * N
-    amp = np.asarray(encode_direct(N, H, label)).reshape(-1) / np.sqrt(dim)
-    return StateVector((dim, dim), amp)
+    return _dense_state(encode_direct(N, H, label))
 
 
-def compact_partner(N: int, k: int, r: int, m: int) -> int:
-    """Partner label (1..2N) of compact first-particle label m.
+def compact_partner_table(N: int) -> np.ndarray:
+    """Partner index (0..2N-1) of compact first label m, at [family slot, m-1].
 
-    Compact labels interleave the half-axes of the first particle (odd m is
-    channel +(m+1)/2, even m is channel -m/2).  The signed partner channel is
-    reduced into 1..2N through the same block embedding the basis indexing
-    uses (+v -> v, -v -> N+v).  This is the unique convention under which the
-    compact family stays orthonormal and locally related to the standard one.
+    Families are in `all_labels` order.  Compact labels interleave the
+    half-axes of the first particle (odd m is channel +(m+1)/2, even m is
+    -m/2), and label m pairs with channel +-((m+1)/2 + k-1, zero-free mod N):
+    sign r for odd m, -r for even m.  This is the unique convention under
+    which the compact family stays orthonormal and locally related to the
+    standard one.
     """
-    if not 1 <= m <= 2 * N:
-        raise ArgOutOfRange(f"m={m} outside 1..{2 * N}")
-    n = (m + 1) // 2
-    sign = r if m % 2 == 1 else -r
-    v = ((n + k - 2) % N) + 1  # zero-free reduction of n + (k-1) into 1..N
-    return v if sign > 0 else N + v
+    m = np.arange(1, 2 * N + 1)
+    k = np.repeat(np.arange(1, N + 1), 2)[:, None]
+    r = np.tile([1, -1], N)[:, None]
+    v = ((m + 1) // 2 + k - 2) % N  # index of +v; -v sits at N + v
+    return np.where((r > 0) == (m % 2 == 1), v, N + v)
+
+
+def bell_table(N: int, H: HadamardMatrix, compact: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """One family as stacked signed permutations: (targets, phases), 4N^2 x 2N.
+
+    Row `label_to_message(label)` is the U of that state (U x I)|Phi+>:
+    column i (second particle) carries phase[i] on first-particle index
+    target[i].  Standard rows are `encode_direct`; compact label m sits in
+    column partner(m) with sign h[j, m], so compact targets invert the rows
+    of `compact_partner_table`.
+    """
+    if H.order != 2 * N:
+        raise OrderMismatch(f"need order {2 * N}, got {H.order}")
+    if not compact:
+        ops = [encode_direct(N, H, lab) for lab in all_labels(N)]
+        return np.array([op.target for op in ops]), np.array([op.phase for op in ops])
+    targets = np.repeat(np.argsort(compact_partner_table(N), axis=1), 2 * N, axis=0)
+    members = np.tile(np.arange(2 * N), 2 * N)[:, None]  # j - 1 of every row
+    return targets, H.ints[members, targets].astype(np.complex128)
 
 
 def compact_bell_state(N: int, label: BellLabel, H: HadamardMatrix) -> StateVector:
-    """Compact-family basis state: sum_m h[j, m] |m, partner(m)> / sqrt(2N)."""
-    if H.order != 2 * N:
-        raise OrderMismatch(f"need order {2 * N}, got {H.order}")
-    label.validate(N)
-    dim = 2 * N
-    grid = np.zeros((dim, dim), dtype=np.complex128)
-    row = H.row(label.j)
-    for m in range(1, dim + 1):
-        grid[m - 1, compact_partner(N, label.k, label.r, m) - 1] = row[m - 1]
-    return StateVector((dim, dim), grid.reshape(-1) / np.sqrt(dim))
-
-
-def bell_basis_matrix(N: int, H: HadamardMatrix, compact: bool = False) -> np.ndarray:
-    """Stack of all 4N^2 basis states as rows, in all_labels order."""
-    make = compact_bell_state if compact else bell_state
-    return np.array([make(N, lab, H).amp for lab in all_labels(N)])
+    """Compact-family basis state sum_m h[j, m] |m, partner(m)> / sqrt(2N): the
+    dense view of its row of the compact `bell_table`."""
+    targets, phases = bell_table(N, H, compact=True)
+    row = label_to_message(label, N)
+    return _dense_state(SignedPermutationOp(2 * N, targets[row], phases[row]))
 
 
 def first_particle_interleave(N: int) -> SignedPermutationOp:
@@ -188,36 +195,6 @@ class CompactRelabel:
     method: str
 
 
-def _amplitude_key(amp: np.ndarray) -> bytes:
-    """Exact identity of an amplitude vector: its support and the values on it."""
-    nz = np.flatnonzero(amp)
-    # + 0.0 folds a -0.0 imaginary part into +0.0
-    return nz.tobytes() + (amp[nz] + 0.0).tobytes()
-
-
-def _relocated_matches(
-    perm_a: SignedPermutationOp,
-    perm_b: SignedPermutationOp,
-    standard: dict[BellLabel, StateVector],
-    compact: dict[bytes, BellLabel],
-) -> dict[BellLabel, BellLabel] | None:
-    """Label bijection matching relocated standard states to compact ones, or None.
-
-    `compact` maps each compact state's `_amplitude_key` to its label, so every
-    relocated state is matched by one exact lookup.
-    """
-    mapping: dict[BellLabel, BellLabel] = {}
-    for lab, state in standard.items():
-        hit = compact.get(_amplitude_key(apply(perm_b, 1, apply(perm_a, 0, state)).amp))
-        if hit is None:
-            return None
-        mapping[lab] = hit
-    # a bijection: no two standard states may land on one compact state
-    if len(set(mapping.values())) != len(mapping):
-        return None
-    return mapping
-
-
 def derive_compact_relabel(N: int, H: HadamardMatrix) -> CompactRelabel:
     """Find local permutations relating the standard and compact families.
 
@@ -225,28 +202,47 @@ def derive_compact_relabel(N: int, H: HadamardMatrix) -> CompactRelabel:
     in lexicographic order and returns the first full match, which makes the
     result reproducible and usable as an oracle.  For larger N the known
     constructive pair (interleave the first particle, identity on the second)
-    is verified against every label instead.  If no pair passes, the decoder
-    must fall back to an explicit basis-change unitary; that situation is
-    reported through NoLocalMapFound rather than papered over.
+    is verified against every label instead.  Both families are compared as
+    `bell_table`s, so a match is exact in every index and sign.  If no pair
+    passes, the decoder must fall back to an explicit basis-change unitary;
+    that situation is reported through NoLocalMapFound rather than papered
+    over.
     """
     dim = 2 * N
-    standard = {lab: bell_state(N, lab, H) for lab in all_labels(N)}
-    compact = {_amplitude_key(compact_bell_state(N, lab, H).amp): lab for lab in all_labels(N)}
+    labels = all_labels(N)
+    targets, phases = bell_table(N, H)
+    # each compact row's exact (target, phase) bytes -> its label
+    compact_rows = zip(labels, *bell_table(N, H, compact=True))
+    compact = {t.tobytes() + p.tobytes(): lab for lab, t, p in compact_rows}
     ones = np.ones(dim, dtype=np.complex128)
+
+    def matches(perm_a, perm_b) -> dict[BellLabel, BellLabel] | None:
+        # perm_b moves column i to perm_b.target[i], perm_a its first index t
+        # to perm_a.target[t]; the two phases multiply in
+        moved_t, moved_p = np.empty_like(targets), np.empty_like(phases)
+        moved_t[:, perm_b.target] = perm_a.target[targets]
+        moved_p[:, perm_b.target] = phases * perm_a.phase[targets] * perm_b.phase
+        mapping = {}
+        for lab, t, p in zip(labels, moved_t, moved_p):
+            hit = compact.get(t.tobytes() + p.tobytes())
+            if hit is None:
+                return None
+            mapping[lab] = hit
+        # a bijection: no two standard states may land on one compact state
+        return mapping if len(set(mapping.values())) == len(mapping) else None
 
     if dim <= 4:
         for pa in itertools.permutations(range(dim)):
             perm_a = SignedPermutationOp(dim, np.array(pa, dtype=np.intp), ones)
             for pb in itertools.permutations(range(dim)):
                 perm_b = SignedPermutationOp(dim, np.array(pb, dtype=np.intp), ones)
-                mapping = _relocated_matches(perm_a, perm_b, standard, compact)
+                mapping = matches(perm_a, perm_b)
                 if mapping is not None:
                     return CompactRelabel(perm_a, perm_b, mapping, "exhaustive")
         raise NoLocalMapFound(f"no local permutation pair found at N={N}")
 
-    perm_a = first_particle_interleave(N)
-    perm_b = SignedPermutationOp(dim, np.arange(dim), ones)
-    mapping = _relocated_matches(perm_a, perm_b, standard, compact)
+    perm_a, perm_b = first_particle_interleave(N), identity_perm(dim)
+    mapping = matches(perm_a, perm_b)
     if mapping is None:
         raise NoLocalMapFound(f"constructive relabel failed verification at N={N}")
     return CompactRelabel(perm_a, perm_b, mapping, "constructive")

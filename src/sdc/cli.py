@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import __version__, analysis, bell, decoder, encoder, gates, hadamard, hilbert
 from .errors import ArgOutOfRange, ConfigError, MessageOutOfRange, SdcError
@@ -150,19 +151,39 @@ def _conventions(cfg: RunConfig, H, HN) -> dict:
     return out
 
 
+def table_residuals(targets: np.ndarray, phases: np.ndarray) -> dict:
+    """Worst Bell-basis residuals of a `bell.bell_table`, exact for +-1 phases.
+
+    gram: max|<a|b> - delta_ab|.  States overlap only where targets agree,
+    so the Gram matrix is S S^H / 2N for the support matrix S holding each
+    state's phases at flat indices target * 2N + column.  partial_trace:
+    max|rho - I/2N|, where both reduced states are diag(|phase|^2) / 2N.
+    amplitude: max||amp| - 1/sqrt(2N)| over the amplitudes phase / sqrt(2N).
+    """
+    count, dim = phases.shape
+    rows = np.repeat(np.arange(count), dim)
+    cols = (targets * dim + np.arange(dim)).ravel()
+    support = sp.csr_matrix((phases.ravel(), (rows, cols)), shape=(count, dim * dim))
+    gram = abs(support @ support.conj().T - dim * sp.identity(count, format="csr"))
+    mags = np.abs(phases)
+    return {
+        "gram": float(gram.max()) / dim,
+        "partial_trace": float(np.max(np.abs(mags**2 - 1.0))) / dim,
+        "amplitude": float(np.max(np.abs(mags - 1.0)) / np.sqrt(dim)),
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_bases(cfg: RunConfig) -> int:
     H, _ = cfg.hadamard_pair()
-    basis = bell.bell_basis_matrix(cfg.n, H)
-    gram_dev = float(np.max(np.abs(basis.conj() @ basis.T - np.eye(4 * cfg.n * cfg.n))))
-    dim = 2 * cfg.n
+    gram_dev = table_residuals(*bell.bell_table(cfg.n, H))["gram"]
     states = []
-    for lab, row in zip(bell.all_labels(cfg.n), basis):
+    for lab in bell.all_labels(cfg.n):
         entry = {"label": {"k": lab.k, "r": lab.r, "j": lab.j}}
-        entry.update(hilbert.state_to_dict(hilbert.StateVector((dim, dim), row)))
+        entry.update(hilbert.state_to_dict(bell.bell_state(cfg.n, lab, H)))
         states.append(entry)
     _emit_json(
         {
@@ -205,28 +226,13 @@ def build_verify_report(cfg: RunConfig) -> dict:
         )
     )
 
-    # Bell bases
-    basis = bell.bell_basis_matrix(N, H)
-    eye = np.eye(4 * N * N)
-    checks.append(_check("bell-gram", np.max(np.abs(basis.conj() @ basis.T - eye)), cfg.tol_exact))
-    cbasis = bell.bell_basis_matrix(N, H, compact=True)
-    checks.append(
-        _check("bell-compact-gram", np.max(np.abs(cbasis.conj() @ cbasis.T - eye)), cfg.tol_exact)
-    )
-
-    ptr_dev = 0.0
-    amp_dev = 0.0
-    allowed = np.array([0.0, 1.0 / np.sqrt(dim)])
-    for row in basis:
-        state = hilbert.StateVector((dim, dim), row)
-        for keep in (0, 1):
-            rho = hilbert.partial_trace(state, keep)
-            ptr_dev = max(ptr_dev, float(np.max(np.abs(rho - np.eye(dim) / dim))))
-        amp_dev = max(
-            amp_dev, float(np.max(np.min(np.abs(np.abs(row)[:, None] - allowed[None, :]), axis=1)))
-        )
-    checks.append(_check("bell-partial-trace", ptr_dev, cfg.tol_exact))
-    checks.append(_check("bell-amplitude-structure", amp_dev, cfg.tol_exact))
+    # Bell bases, each held as its table of signed permutations
+    standard = table_residuals(*bell.bell_table(N, H))
+    compact = table_residuals(*bell.bell_table(N, H, compact=True))
+    checks.append(_check("bell-gram", standard["gram"], cfg.tol_exact))
+    checks.append(_check("bell-compact-gram", compact["gram"], cfg.tol_exact))
+    checks.append(_check("bell-partial-trace", standard["partial_trace"], cfg.tol_exact))
+    checks.append(_check("bell-amplitude-structure", standard["amplitude"], cfg.tol_exact))
 
     try:
         relabel_method = bell.derive_compact_relabel(N, H).method
@@ -267,10 +273,16 @@ def build_verify_report(cfg: RunConfig) -> dict:
         )
     )
 
-    pcs = np.asarray(gates.position_controlled_swap(N)) if dim <= 32 else None
-    if pcs is not None:
-        invol = op_residuals("controlled-swap", pcs)
-        checks.append(_check("gate-controlled-swap-involution", invol, cfg.tol_chained))
+    # signed permutation P: P^H P = diag(|phase|^2); P^2 - I is 0 where P^2
+    # sends an index home with phase 1, and has a unit entry elsewhere
+    pcs = gates.position_controlled_swap(N)
+    square = hilbert.compose_perms(pcs, pcs)
+    unit = float(np.max(np.abs(np.abs(pcs.phase) ** 2 - 1.0)))
+    home = square.target == np.arange(pcs.dim)
+    invol = float(np.max(np.where(home, np.abs(square.phase - 1.0), 1.0)))
+    gate_report["controlled-swap"] = {"unitarity": unit, "involution": invol}
+    checks.append(_check("gate-controlled-swap-unitarity", unit, cfg.tol_chained))
+    checks.append(_check("gate-controlled-swap-involution", invol, cfg.tol_chained))
     if N >= 2:
         h1 = gates.channel_hadamard_gate(N, 1)
         h2 = gates.channel_hadamard_gate(N, 2)
@@ -302,26 +314,22 @@ def build_verify_report(cfg: RunConfig) -> dict:
 
     # decoder
     grand = decoder.make_decoder(N, H)
-    if dim <= 32:
-        gdense = grand.stages[-1][0].toarray()  # the grand operator itself
-        gunit = float(np.max(np.abs(gdense.conj().T @ gdense - np.eye(dim * dim))))
-        ginvol = float(np.max(np.abs(gdense @ gdense - np.eye(dim * dim))))
-        checks.append(_check("grand-unitarity", gunit, cfg.tol_chained))
-        checks.append(_check("grand-involution", ginvol, cfg.tol_chained))
+    gop = grand.stages[-1][0]  # the grand operator itself
+    eye = sp.identity(dim * dim, dtype=np.complex128, format="csc")
+    checks.append(_check("grand-unitarity", abs(gop.conj().T @ gop - eye).max(), cfg.tol_chained))
+    checks.append(_check("grand-involution", abs(gop @ gop - eye).max(), cfg.tol_chained))
 
+    # one decode per Bell state; injective by build_decode_table's rule: every
+    # top outcome a point mass, no two labels on the same outcome
     min_top = 1.0
     completeness_dev = 0.0
-    try:
-        decoder.build_decode_table(N, H, grand)
-        injective = True
-    except SdcError:
-        injective = False
-    for row in basis:
-        top, dist = grand.decode(hilbert.StateVector((dim, dim), row))
+    outcomes = set()
+    for lab in bell.all_labels(N):
+        top, dist = grand.decode(bell.bell_state(N, lab, H))
         min_top = min(min_top, top.probability)
-        completeness_dev = max(
-            completeness_dev, abs(sum(o.probability for o in dist) - 1.0)
-        )
+        completeness_dev = max(completeness_dev, abs(sum(o.probability for o in dist) - 1.0))
+        outcomes.add((top.first, top.second))
+    injective = min_top >= 1.0 - hilbert.TOL_CHAINED and len(outcomes) == 4 * N * N
     checks.append(_check("decode-determinism", 1.0 - min_top, cfg.tol_chained))
     checks.append(_check("decode-injectivity", 0.0 if injective else 1.0, 0.0))
     checks.append(_check("measurement-completeness", completeness_dev, cfg.tol_exact))
@@ -420,6 +428,8 @@ def cmd_table(cfg: RunConfig) -> int:
 
 
 def cmd_run(cfg: RunConfig, message: int, dump_state: str | None, sign: int = 1) -> int:
+    if cfg.s != 0 and cfg.path == "pipeline":
+        raise ConfigError("--s decodes on the grand route only; drop --path pipeline")
     H, HN = cfg.hadamard_pair()
     if cfg.s != 0:
         decoded = analysis.run_protocol_spin(cfg.n, cfg.s, message, H, sign=sign)

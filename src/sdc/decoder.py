@@ -2,10 +2,11 @@
 
 The grand operator rotates the compact Bell basis onto distinct two-particle
 product kets, so a plain position readout finishes the Bell-state
-measurement.  It is the authoritative decoder.  The gate pipeline (controlled
-swap, per-channel Hadamards, nonlocal mixer) is the proposed realization; its
-determinism and its agreement with the grand route are measured and reported,
-never assumed.
+measurement.  It is the authoritative decoder, assembled by index arithmetic
+from the compact family's table of signed permutations (`bell.bell_table`).
+The gate pipeline (controlled swap, per-channel Hadamards, nonlocal mixer) is
+the proposed realization; its determinism and its agreement with the grand
+route are measured and reported, never assumed.
 
 `make_decoder` is the one place a route is chosen: it builds that route's
 operators once and returns a `Decoder` that applies them in order.  Tables,
@@ -23,7 +24,8 @@ from .bell import (
     BellLabel,
     all_labels,
     bell_state,
-    compact_partner,
+    bell_table,
+    compact_partner_table,
     first_particle_interleave,
     label_to_message,
 )
@@ -98,9 +100,10 @@ def grand_operator(N: int, H: HadamardMatrix) -> sp.csc_matrix:
     """Unitary involution mapping each compact basis state to a product ket.
 
     Row structure: the compact state with label (k, r, j) contributes its
-    conjugated amplitudes to the output ket |j, partner(j)>.  The partner
-    functions of distinct families disagree at every point, which makes the
-    outcome kets exhaust the product basis and the operator unitary; the
+    conjugated (real) amplitudes, its row of the compact `bell_table` over
+    sqrt(2N), to the output ket |j, partner(j)>.  The partner functions
+    of distinct families disagree at every point, which makes the outcome
+    kets exhaust the product basis and the operator unitary; the
     self-inverse property additionally needs the Hadamard matrix symmetric.
     Both prerequisites are checked here and a numeric spot check backs them
     up, so a convention regression fails construction loudly.
@@ -108,28 +111,20 @@ def grand_operator(N: int, H: HadamardMatrix) -> sp.csc_matrix:
     if H.order != 2 * N:
         raise OrderMismatch(f"need order {2 * N}, got {H.order}")
     dim = 2 * N
-    for m in range(1, dim + 1):
-        partners = {
-            compact_partner(N, k, r, m) for k in range(1, N + 1) for r in (+1, -1)
-        }
-        if len(partners) != dim:
-            raise NonInvolutory(f"partner maps collide at first label {m}")
+    partner = compact_partner_table(N)
+    # every column of the table must list each partner once
+    clash = np.flatnonzero((np.sort(partner, axis=0) != np.arange(dim)[:, None]).any(axis=0))
+    if clash.size:
+        raise NonInvolutory(f"partner maps collide at first label {clash[0] + 1}")
 
+    targets, phases = bell_table(N, H, compact=True)
     scale = 1.0 / np.sqrt(dim)
-    rows, cols, vals = [], [], []
-    m_idx = np.arange(1, dim + 1)
-    for lab in all_labels(N):
-        out = (lab.j - 1) * dim + (compact_partner(N, lab.k, lab.r, lab.j) - 1)
-        partner = np.array([compact_partner(N, lab.k, lab.r, m) for m in m_idx])
-        cols.extend((m_idx - 1) * dim + (partner - 1))
-        rows.extend([out] * dim)
-        vals.extend(H.row(lab.j) * scale)
+    family, member = np.divmod(np.arange(dim * dim), dim)  # (k, r) slot and j - 1 per label
+    rows = np.repeat(member * dim + partner[family, member], dim)
+    cols = (targets * dim + np.arange(dim)).ravel()
     # column-sliced format: decoding feeds in 2N-sparse vectors, so matvec by
     # column gather beats a full row scan by a factor of dim/2
-    op = sp.csc_matrix(
-        (np.array(vals, dtype=np.complex128), (rows, cols)),
-        shape=(dim * dim, dim * dim),
-    )
+    op = sp.csc_matrix(((phases * scale).ravel(), (rows, cols)), shape=(dim * dim, dim * dim))
 
     if dim <= 32:
         eye = sp.identity(dim * dim, dtype=np.complex128, format="csc")

@@ -99,15 +99,8 @@ def position_controlled_swap(N: int) -> SignedPermutationOp:
     """Two-particle gate: flip the second particle's half-axis when the first
     particle sits on the negative half; do nothing otherwise."""
     dim = 2 * N
-    target = np.empty(dim * dim, dtype=np.intp)
-    for i1 in range(dim):
-        negative_control = i1 >= N
-        for i2 in range(dim):
-            if negative_control:
-                j2 = i2 + N if i2 < N else i2 - N
-            else:
-                j2 = i2
-            target[i1 * dim + i2] = i1 * dim + j2
+    i1, i2 = np.divmod(np.arange(dim * dim), dim)
+    target = i1 * dim + np.where(i1 >= N, (i2 + N) % dim, i2)
     return SignedPermutationOp(dim * dim, target, np.ones(dim * dim, dtype=np.complex128))
 
 

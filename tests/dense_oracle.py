@@ -1,0 +1,124 @@
+"""Dense reference routes for the table-based Bell-family code in `sdc.bell`.
+
+Each function works state by state or label by label on amplitudes, never on
+the family tables, so differential tests at small N can hold the two routes
+against each other: the compact pairing as a scalar formula, both bases as
+dense 4N^2 x 4N^2 stacks of per-label states, the basis residuals computed
+from those stacks, the grand operator assembled one label at a time, and the
+compact relabeling searched on dense states.
+"""
+
+import itertools
+
+import numpy as np
+import scipy.sparse as sp
+
+from sdc.bell import (
+    all_labels,
+    bell_state,
+    compact_bell_state,
+    first_particle_interleave,
+)
+from sdc.hilbert import SignedPermutationOp, StateVector, apply, partial_trace
+
+
+def compact_partner(N, k, r, m):
+    """Partner label (1..2N) of compact first-particle label m in family (k, r)."""
+    n = (m + 1) // 2
+    sign = r if m % 2 == 1 else -r
+    v = ((n + k - 2) % N) + 1
+    return v if sign > 0 else N + v
+
+
+def compact_state_loop(N, label, H):
+    """Compact-family state filled channel by channel: h[j, m] on |m, partner(m)>."""
+    dim = 2 * N
+    grid = np.zeros((dim, dim), dtype=np.complex128)
+    row = H.row(label.j)
+    for m in range(1, dim + 1):
+        grid[m - 1, compact_partner(N, label.k, label.r, m) - 1] = row[m - 1]
+    return StateVector((dim, dim), grid.reshape(-1) / np.sqrt(dim))
+
+
+def table_basis(targets, phases):
+    """Dense rows of a `bell_table`: phase / sqrt(2N) at flat index target * 2N + i."""
+    count, dim = phases.shape
+    basis = np.zeros((count, dim * dim), dtype=np.complex128)
+    basis[np.arange(count)[:, None], targets * dim + np.arange(dim)] = phases / np.sqrt(dim)
+    return basis
+
+
+def bell_basis_matrix(N, H, compact=False):
+    """Stack of all 4N^2 basis states as rows, in all_labels order."""
+    make = compact_bell_state if compact else bell_state
+    return np.array([make(N, lab, H).amp for lab in all_labels(N)])
+
+
+def dense_residuals(basis):
+    """Gram, partial-trace and amplitude-structure residuals of a dense basis."""
+    count, size = basis.shape
+    dim = int(round(np.sqrt(size)))
+    gram = float(np.max(np.abs(basis.conj() @ basis.T - np.eye(count))))
+    ptr = amp = 0.0
+    allowed = np.array([0.0, 1.0 / np.sqrt(dim)])
+    for row in basis:
+        state = StateVector((dim, dim), row)
+        for keep in (0, 1):
+            ptr = max(ptr, float(np.max(np.abs(partial_trace(state, keep) - np.eye(dim) / dim))))
+        amp = max(amp, float(np.max(np.min(np.abs(np.abs(row)[:, None] - allowed), axis=1))))
+    return {"gram": gram, "partial_trace": ptr, "amplitude": amp}
+
+
+def grand_operator_loop(N, H):
+    """The grand operator built label by label from the scalar partner formula."""
+    dim = 2 * N
+    scale = 1.0 / np.sqrt(dim)
+    rows, cols, vals = [], [], []
+    m_idx = np.arange(1, dim + 1)
+    for lab in all_labels(N):
+        out = (lab.j - 1) * dim + (compact_partner(N, lab.k, lab.r, lab.j) - 1)
+        partner = np.array([compact_partner(N, lab.k, lab.r, m) for m in m_idx])
+        cols.extend((m_idx - 1) * dim + (partner - 1))
+        rows.extend([out] * dim)
+        vals.extend(H.row(lab.j) * scale)
+    return sp.csc_matrix(
+        (np.array(vals, dtype=np.complex128), (rows, cols)),
+        shape=(dim * dim, dim * dim),
+    )
+
+
+def _amplitude_key(amp):
+    nz = np.flatnonzero(amp)
+    # + 0.0 folds a -0.0 imaginary part into +0.0
+    return nz.tobytes() + (amp[nz] + 0.0).tobytes()
+
+
+def dense_relabel(N, H):
+    """(method, perm_a, perm_b, label_map) of the compact relabeling, found on
+    dense states: the same candidates in the same order as the library."""
+    dim = 2 * N
+    standard = {lab: bell_state(N, lab, H) for lab in all_labels(N)}
+    compact = {_amplitude_key(compact_bell_state(N, lab, H).amp): lab for lab in all_labels(N)}
+    ones = np.ones(dim, dtype=np.complex128)
+
+    def matches(perm_a, perm_b):
+        mapping = {}
+        for lab, state in standard.items():
+            hit = compact.get(_amplitude_key(apply(perm_b, 1, apply(perm_a, 0, state)).amp))
+            if hit is None:
+                return None
+            mapping[lab] = hit
+        return mapping if len(set(mapping.values())) == len(mapping) else None
+
+    if dim <= 4:
+        for pa in itertools.permutations(range(dim)):
+            perm_a = SignedPermutationOp(dim, np.array(pa), ones)
+            for pb in itertools.permutations(range(dim)):
+                perm_b = SignedPermutationOp(dim, np.array(pb), ones)
+                mapping = matches(perm_a, perm_b)
+                if mapping is not None:
+                    return "exhaustive", perm_a, perm_b, mapping
+        return None
+    perm_a, perm_b = first_particle_interleave(N), SignedPermutationOp(dim, np.arange(dim), ones)
+    mapping = matches(perm_a, perm_b)
+    return None if mapping is None else ("constructive", perm_a, perm_b, mapping)

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from dense_oracle import bell_basis_matrix, compact_partner
 
 from sdc import hadamard
 from sdc.analysis import (
@@ -25,15 +26,7 @@ from sdc.analysis import (
     spin_capacity,
     spin_state_report,
 )
-from sdc.bell import (
-    BellLabel,
-    all_labels,
-    bell_basis_matrix,
-    bell_state,
-    compact_bell_state,
-    compact_partner,
-    compose_family,
-)
+from sdc.bell import BellLabel, all_labels, bell_state, compact_bell_state, compose_family
 from sdc.cli import main
 from sdc.decoder import grand_operator, make_decoder, pipeline_report
 from sdc.encoder import (

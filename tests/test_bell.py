@@ -2,23 +2,39 @@
 
 import numpy as np
 import pytest
+from dense_oracle import (
+    bell_basis_matrix,
+    compact_partner,
+    compact_state_loop,
+    dense_relabel,
+    dense_residuals,
+    table_basis,
+)
 
+import sdc.bell as bell_mod
 from sdc import hadamard
 from sdc.bell import (
     BellLabel,
     all_labels,
-    bell_basis_matrix,
     bell_state,
+    bell_table,
     compact_bell_state,
-    compact_partner,
+    compact_partner_table,
     compose_family,
     derive_compact_relabel,
     encode_direct,
     label_to_message,
     message_to_label,
 )
+from sdc.cli import table_residuals
 from sdc.errors import ArgOutOfRange, OrderMismatch
-from sdc.hilbert import apply, index_to_label, label_to_index, partial_trace
+from sdc.hilbert import (
+    SignedPermutationOp,
+    apply,
+    index_to_label,
+    label_to_index,
+    partial_trace,
+)
 
 
 def partners(N, k, r):
@@ -142,13 +158,18 @@ class TestCompactFamily:
     def test_partner_maps_disagree_pointwise(self, N):
         # distinct families must never share a partner at any first label;
         # this is what makes the family orthonormal and the readout injective
+        partner = compact_partner_table(N)
         for m in range(1, 2 * N + 1):
-            partners = [
-                compact_partner(N, k, r, m)
-                for k in range(1, N + 1)
-                for r in (+1, -1)
-            ]
-            assert len(set(partners)) == 2 * N
+            assert len(set(partner[:, m - 1])) == 2 * N
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    def test_partner_table_matches_the_scalar_formula(self, N):
+        expected = [
+            [compact_partner(N, k, r, m) - 1 for m in range(1, 2 * N + 1)]
+            for k in range(1, N + 1)
+            for r in (+1, -1)
+        ]
+        assert np.array_equal(compact_partner_table(N), expected)
 
     def test_gram_identity_at_eight_pairs(self):
         basis = bell_basis_matrix(8, hadamard.build(16), compact=True)
@@ -185,6 +206,83 @@ class TestCompactRelabel:
         relabel = derive_compact_relabel(8, hadamard.build(16))
         assert relabel.method == "constructive"
         assert all(lab == out for lab, out in relabel.label_map.items())
+
+
+class TestFamilyTables:
+    """Each family's table of signed permutations against the dense per-state route."""
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["standard", "compact"])
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    def test_table_rows_are_the_dense_states(self, N, compact):
+        H = hadamard.build(2 * N)
+        dense = bell_basis_matrix(N, H, compact)
+        assert np.array_equal(table_basis(*bell_table(N, H, compact)), dense)
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    def test_compact_states_match_the_channel_by_channel_reference(self, N):
+        H = hadamard.build(2 * N)
+        for lab in all_labels(N):
+            got, want = compact_bell_state(N, lab, H), compact_state_loop(N, lab, H)
+            assert np.array_equal(got.amp, want.amp)
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["standard", "compact"])
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    def test_residuals_are_exact_and_match_the_dense_route(self, N, compact):
+        H = hadamard.build(2 * N)
+        exact = table_residuals(*bell_table(N, H, compact))
+        dense = dense_residuals(bell_basis_matrix(N, H, compact))
+        assert exact == {"gram": 0.0, "partial_trace": 0.0, "amplitude": 0.0}
+        for name, value in dense.items():
+            assert abs(value - exact[name]) <= 1e-12
+
+    @pytest.mark.parametrize("N", [1, 2, 4])
+    def test_shared_partner_breaks_both_grams(self, N, monkeypatch):
+        table = bell_mod.compact_partner_table
+
+        def colliding(n):
+            # family slot 1 takes slot 0's partner at first label 1; the swap
+            # inside its own row keeps that row a permutation
+            partner = table(n).copy()
+            other = int(np.flatnonzero(partner[1] == partner[0, 0])[0])
+            partner[1, [0, other]] = partner[1, [other, 0]]
+            return partner
+
+        monkeypatch.setattr(bell_mod, "compact_partner_table", colliding)
+        H = hadamard.build(2 * N)
+        exact = table_residuals(*bell_table(N, H, compact=True))["gram"]
+        dense = dense_residuals(bell_basis_matrix(N, H, compact=True))["gram"]
+        assert exact >= 1.0 / (2 * N)
+        assert abs(exact - dense) <= 1e-12
+
+    @pytest.mark.parametrize("N", [1, 2, 4])
+    def test_flipped_phase_breaks_both_grams(self, N, monkeypatch):
+        direct = bell_mod.encode_direct
+
+        def flipped(n, H, label):
+            op = direct(n, H, label)
+            if label != BellLabel(1, +1, 1):
+                return op
+            phase = op.phase.copy()
+            phase[0] = -phase[0]
+            return SignedPermutationOp(op.dim, op.target, phase)
+
+        monkeypatch.setattr(bell_mod, "encode_direct", flipped)
+        H = hadamard.build(2 * N)
+        exact = table_residuals(*bell_table(N, H))["gram"]
+        dense = dense_residuals(bell_basis_matrix(N, H))["gram"]
+        assert exact >= 1.0 / N
+        assert abs(exact - dense) <= 1e-12
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    def test_relabel_matches_the_dense_search(self, N):
+        H = hadamard.build(2 * N)
+        relabel = derive_compact_relabel(N, H)
+        method, perm_a, perm_b, label_map = dense_relabel(N, H)
+        assert relabel.method == method
+        for got, want in ((relabel.perm_a, perm_a), (relabel.perm_b, perm_b)):
+            assert np.array_equal(got.target, want.target)
+            assert np.array_equal(got.phase, want.phase)
+        assert relabel.label_map == label_map
 
 
 class TestLabels:

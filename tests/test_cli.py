@@ -82,14 +82,27 @@ class TestVerify:
                 ["--n", "4", "--gates"],
                 "641321d3072ed177f02fa96e5896675f82ecd9f9b4a03c155ec0738fdac23e08",
             ),
+            (["--n", "4"], "b705a4674581b53a4f894f8474038ac3f64d9dd37523c91b4e6be6afdae6a703"),
         ],
-        ids=["n2", "n8", "n2-pipeline", "n4-gates"],
+        ids=["n2", "n8", "n2-pipeline", "n4-gates", "n4"],
     )
     def test_report_matches_recorded_digest(self, capsys, argv, digest):
         # these reports carry no rounding residual, so their bytes are fixed
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_decodes_each_bell_state_once(self, capsys, monkeypatch):
+        import sdc.decoder as dec
+
+        calls = []
+        decode = dec.Decoder.decode
+        monkeypatch.setattr(
+            dec.Decoder, "decode", lambda self, s: calls.append(self.path) or decode(self, s)
+        )
+        code, _, _ = run_cli(capsys, "verify", "--n", "2")
+        assert code == 0
+        assert calls == ["grand"] * 16
 
 
 class TestRun:
@@ -118,6 +131,13 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", "--n", "1", "--message", "0", "--s", spin)
         assert code == 2 and out == ""
         assert "ArgOutOfRange" in err
+
+    def test_spin_with_the_pipeline_route_is_refused(self, capsys):
+        # the spin extension decodes on the grand route only
+        argv = ["run", "--n", "2", "--message", "7", "--s", "0.5", "--path", "pipeline"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "ConfigError" in err and "--s" in err and "--path pipeline" in err
 
     def test_builds_the_grand_operator_once(self, capsys, monkeypatch):
         import sdc.decoder as dec
@@ -159,8 +179,16 @@ class TestEncodeDecode:
                 [["table", "--n", "4"]],
                 "629c2a1a2ae935cc4286f4b6e10788e9428345ff782d9ac5eb045e8f09299bd8",
             ),
+            (
+                [["table", "--n", "8"]],
+                "3e08e640f4291c246a4e0de0301bf307e4cbf0b63174f4e9bd0b18b3baf54da7",
+            ),
+            (
+                [["sweep", "--n", "16"]],
+                "553c7b93edff0b1c75e78f11dba82304707448842508ec5894b27e408637d8bc",
+            ),
         ],
-        ids=["encode-n2", "encode-n4", "table-n4"],
+        ids=["encode-n2", "encode-n4", "table-n4", "table-n8", "sweep-n16"],
     )
     def test_integer_output_matches_recorded_digest(self, capsys, argvs, digest):
         # sha256 of the concatenated stdout of each command, in order; the
@@ -183,6 +211,26 @@ class TestEncodeDecode:
         assert code == 0
         top = json.loads(out)["top"]
         assert (top["first"], top["second"]) == (expected["first"], expected["second"])
+
+
+    def test_dump_and_decode_match_recorded_digests(self, capsys, tmp_path):
+        # run's report, its dumped state and the decode of that dump, at N = 16
+        dump = tmp_path / "state.json"
+        code, run_out, _ = run_cli(
+            capsys, "run", "--n", "16", "--message", "77", "--dump-state", str(dump)
+        )
+        assert code == 0
+        code, decode_out, _ = run_cli(capsys, "decode", "--n", "16", "--state", str(dump))
+        assert code == 0
+        digests = [
+            hashlib.sha256(data).hexdigest()
+            for data in (run_out.encode(), dump.read_bytes(), decode_out.encode())
+        ]
+        assert digests == [
+            "5b91668212fbf239eefaf25ebee682f7b2349432c1c7cafa46a14c195668b434",
+            "a2298f2333fa41699464afcddc31cdb98a746078aea52fe2da4a9f3e0f8fad58",
+            "2155ccf00ffb9fad6be05968e783ae42bb90ea6728cd70219af86596f887a8e9",
+        ]
 
 
 def write_dump(tmp_path, text):
@@ -362,6 +410,14 @@ class TestBases:
         assert len(calls) == 16 and len(set(calls)) == 16
         # the JSON is unchanged by building each state once
         digest = "38212783fa9af094055ae8a29503a0f25d1cd628d56cf17669f5d5cfc1f0da20"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_four_pair_report_matches_recorded_digest(self, capsys):
+        # the Gram deviation is exact, so no rounding residual is left to vary
+        code, out, _ = run_cli(capsys, "bases", "--n", "4")
+        assert code == 0
+        assert json.loads(out)["gram_max_deviation"] == 0.0
+        digest = "b35d639873573ce86ee09e988f3a84de474add19d37238c610d19214f9bed24c"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from dense_oracle import compact_partner, grand_operator_loop
 
 from sdc import hadamard
 from sdc.analysis import round_trip_sweep, run_protocol
@@ -10,7 +11,6 @@ from sdc.bell import (
     all_labels,
     bell_state,
     compact_bell_state,
-    compact_partner,
     first_particle_interleave,
 )
 from sdc.decoder import (
@@ -61,6 +61,14 @@ class TestGrandOperator:
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatch):
             grand_operator(2, hadamard.build(2))
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
+    def test_csc_arrays_equal_the_label_by_label_build(self, N):
+        H = hadamard.build(2 * N)
+        got, want = grand_operator(N, H), grand_operator_loop(N, H)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestGrandDecoding:
@@ -215,8 +223,11 @@ class TestGuards:
         import sdc.decoder as dec
         from sdc.errors import NonInvolutory
 
-        monkeypatch.setattr(dec, "compact_partner", lambda N, k, r, m: m)
-        with pytest.raises(NonInvolutory):
+        # every family pairs first label m with the same partner
+        monkeypatch.setattr(
+            dec, "compact_partner_table", lambda N: np.tile(np.arange(2 * N), (2 * N, 1))
+        )
+        with pytest.raises(NonInvolutory, match="collide at first label 1"):
             dec.grand_operator(1, hadamard.build(2))
 
     def test_colliding_decoder_is_reported(self, monkeypatch):
@@ -236,12 +247,13 @@ class TestGuards:
     def test_unrelatable_compact_family_is_reported(self, monkeypatch):
         import sdc.bell as bell_mod
         from sdc.errors import NoLocalMapFound
-        from sdc.hilbert import StateVector
 
-        def twisted(N, label, H):
-            state = compact_bell_state(N, label, H)
-            return StateVector(state.dims, state.amp * np.exp(0.1j))
+        table = bell_mod.bell_table
 
-        monkeypatch.setattr(bell_mod, "compact_bell_state", twisted)
+        def twisted(N, H, compact=False):
+            targets, phases = table(N, H, compact)
+            return targets, phases * np.exp(0.1j) if compact else phases
+
+        monkeypatch.setattr(bell_mod, "bell_table", twisted)
         with pytest.raises(NoLocalMapFound):
             bell_mod.derive_compact_relabel(1, hadamard.build(2))

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import BellLabel, bell_state, message_to_label
-from .decoder import MeasurementOutcome, build_decode_table, make_decoder
+from .bell import BellLabel, bell_state, encoder_table, message_to_label
+from .decoder import MeasurementOutcome, build_decode_table, certify_grand, make_decoder
 from .errors import ArgOutOfRange, MessageOutOfRange
 from .encoder import encode_direct
 from .hadamard import HadamardMatrix
-from .hilbert import StateVector, apply
+from .hilbert import StateVector, TOL_CHAINED, apply
 
 __all__ = [
     "TimingModel",
@@ -63,15 +63,24 @@ def capacity_bits(N: int) -> float:
     return 2.0 * math.log2(2 * N)
 
 
+# The shared resource state's label: family (1, -1), member 1.
+START = BellLabel(1, -1, 1)
+
+
 def start_state(N: int, H: HadamardMatrix) -> StateVector:
     """The shared resource state: family (1, -1), member 1."""
-    return bell_state(N, BellLabel(1, -1, 1), H)
+    return bell_state(N, START, H)
+
+
+def _check_messages(N: int, messages) -> None:
+    bad = [m for m in messages if not 0 <= m < 4 * N * N]
+    if bad:
+        raise MessageOutOfRange(f"message {bad[0]} outside 0..{4 * N * N - 1}")
 
 
 def send(N: int, H: HadamardMatrix, start: StateVector, message: int) -> StateVector:
     """The start state after the sender encodes `message` on their particle."""
-    if not 0 <= message < 4 * N * N:
-        raise MessageOutOfRange(f"message {message} outside 0..{4 * N * N - 1}")
+    _check_messages(N, [message])
     return apply(encode_direct(N, H, message_to_label(message, N)), 0, start)
 
 
@@ -89,6 +98,24 @@ def run_protocol(
     return build_decode_table(N, H, decoder).message_for(top)
 
 
+def _certify_sent(N: int, H: HadamardMatrix, decoder, messages) -> tuple[np.ndarray, np.ndarray]:
+    """`certify_grand` of each message's sent state: its outcome and probability.
+
+    Message (k, r, j) is sent as encode_direct(k, r, j) composed on the start
+    encoder, which is the standard Bell state (k, -r, j).
+    """
+    start = encode_direct(N, H, START)
+    dim = 2 * N
+
+    def sent(chunk):
+        targets, phases = encoder_table(N, H, chunk)
+        family, member = np.divmod(chunk, dim)
+        bell = (family ^ 1) * dim + member  # r -> -r
+        return targets[:, start.target], start.phase * phases[:, start.target], bell
+
+    return certify_grand(decoder, np.asarray(messages, dtype=np.intp), sent)
+
+
 def round_trip_sweep(
     N: int,
     H: HadamardMatrix,
@@ -96,15 +123,30 @@ def round_trip_sweep(
     HN: HadamardMatrix | None = None,
     messages: list[int] | None = None,
 ) -> dict:
-    """Round-trip every requested message (all of them by default)."""
+    """Round-trip every requested message (all of them by default).
+
+    On the grand route every sent state is certified by one operator row
+    (`certify_grand`); only a state that fails is decoded on the amplitude
+    route, which also decodes every state of the pipeline.
+    """
     decoder = make_decoder(N, H, path, HN)
     table = build_decode_table(N, H, decoder)
-    start = start_state(N, H)
     if messages is None:
         messages = list(range(4 * N * N))
+    _check_messages(N, messages)
+    # the grand route's certified outcome of each sent state, None where it fails
+    tops = [None] * len(messages)
+    if path == "grand":
+        flat, probs = _certify_sent(N, H, decoder, messages)
+        tops = [
+            MeasurementOutcome(*divmod(out, 2 * N), p) if p >= 1.0 - TOL_CHAINED else None
+            for out, p in zip(flat.tolist(), probs.tolist())
+        ]
+    start = start_state(N, H)
     failures = []
-    for m in messages:
-        top, _ = decoder.decode(send(N, H, start, m))
+    for m, top in zip(messages, tops):
+        if top is None:
+            top, _ = decoder.decode(send(N, H, start, m))
         got = table.message_for(top)
         if got != m:
             failures.append({"sent": m, "decoded": got})

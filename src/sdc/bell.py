@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ArgOutOfRange, NoLocalMapFound, OrderMismatch
 from .hadamard import HadamardMatrix
-from .hilbert import SignedPermutationOp, StateVector, identity_perm, label_to_index
+from .hilbert import SignedPermutationOp, StateVector, identity_perm
 
 __all__ = [
     "BellLabel",
@@ -30,6 +30,7 @@ __all__ = [
     "message_to_label",
     "compose_family",
     "encode_direct",
+    "encoder_table",
     "bell_state",
     "compact_partner_table",
     "bell_table",
@@ -94,22 +95,31 @@ def encode_direct(N: int, H: HadamardMatrix, label: BellLabel) -> SignedPermutat
 
     Sends partner channel f(n) to +n with sign h[j, 2n-1] and -f(n) to -n
     with sign h[j, 2n]; every column holds exactly one +-1, so the result is
-    a signed permutation.
+    a signed permutation.  It is the one row of `encoder_table` for the
+    label's message id.
     """
     if H.order != 2 * N:
         raise OrderMismatch(f"need order {2 * N}, got {H.order}")
-    label.validate(N)
-    n = np.arange(N)
-    # f(n) = n + (k-1), reduced zero-free into 1..N (0-based: mod N)
-    f = (n + label.k - 1) % N
-    # partner of +n is r*f(n), of -n is -r*f(n); -v sits at index N+v-1
-    plus, minus = (f, f + N) if label.r == +1 else (f + N, f)
-    row = H.row(label.j)
-    target = np.empty(2 * N, dtype=np.intp)
-    phase = np.empty(2 * N, dtype=np.complex128)
-    target[plus], target[minus] = n, n + N
-    phase[plus], phase[minus] = row[0::2], row[1::2]
-    return SignedPermutationOp(2 * N, target, phase)
+    targets, phases = encoder_table(N, H, [label_to_message(label, N)])
+    return SignedPermutationOp(2 * N, targets[0], phases[0])
+
+
+def encoder_table(N: int, H: HadamardMatrix, messages) -> tuple[np.ndarray, np.ndarray]:
+    """`encode_direct` of each message id, stacked: (targets, phases), len x 2N.
+
+    Column i is partner channel +-c (c = i mod N + 1, minus for i >= N).  In
+    family (k, r) it pairs with first-particle channel n = c - (k-1),
+    zero-free mod N, on i's half-axis when r = +1 and on the other one when
+    r = -1; the sign is h[j, 2n-1] on +n and h[j, 2n] on -n.
+    """
+    if H.order != 2 * N:
+        raise OrderMismatch(f"need order {2 * N}, got {H.order}")
+    family, member = np.divmod(np.asarray(messages, dtype=np.intp)[:, None], 2 * N)
+    k_off, r_minus = np.divmod(family, 2)
+    i = np.arange(2 * N)
+    n = (i % N - k_off) % N  # 0-based channel; -n sits at index N + n
+    minus = (i >= N) != (r_minus == 1)
+    return n + N * minus, H.ints[member, 2 * n + minus].astype(np.complex128)
 
 
 def _dense_state(op: SignedPermutationOp) -> StateVector:
@@ -153,11 +163,10 @@ def bell_table(N: int, H: HadamardMatrix, compact: bool = False) -> tuple[np.nda
     column partner(m) with sign h[j, m], so compact targets invert the rows
     of `compact_partner_table`.
     """
+    if not compact:
+        return encoder_table(N, H, np.arange(4 * N * N))
     if H.order != 2 * N:
         raise OrderMismatch(f"need order {2 * N}, got {H.order}")
-    if not compact:
-        ops = [encode_direct(N, H, lab) for lab in all_labels(N)]
-        return np.array([op.target for op in ops]), np.array([op.phase for op in ops])
     targets = np.repeat(np.argsort(compact_partner_table(N), axis=1), 2 * N, axis=0)
     members = np.tile(np.arange(2 * N), 2 * N)[:, None]  # j - 1 of every row
     return targets, H.ints[members, targets].astype(np.complex128)
@@ -173,10 +182,8 @@ def compact_bell_state(N: int, label: BellLabel, H: HadamardMatrix) -> StateVect
 
 def first_particle_interleave(N: int) -> SignedPermutationOp:
     """Index permutation sending channel +n to slot 2n-2 and -n to slot 2n-1."""
-    target = np.empty(2 * N, dtype=np.intp)
-    for n in range(1, N + 1):
-        target[label_to_index(n, N)] = 2 * n - 2
-        target[label_to_index(-n, N)] = 2 * n - 1
+    i = np.arange(2 * N)
+    target = np.where(i < N, 2 * i, 2 * (i - N) + 1)
     return SignedPermutationOp(2 * N, target, np.ones(2 * N, dtype=np.complex128))
 
 

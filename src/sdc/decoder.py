@@ -11,6 +11,9 @@ route are measured and reported, never assumed.
 `make_decoder` is the one place a route is chosen: it builds that route's
 operators once and returns a `Decoder` that applies them in order.  Tables,
 reports, protocol runs and the command line all take or build one `Decoder`.
+On the grand route, `certify_grand` checks stacked signed-permutation states
+against one operator row each, so decode tables and sweeps decode no dense
+state.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .bell import (
     bell_state,
     bell_table,
     compact_partner_table,
+    encoder_table,
     first_particle_interleave,
     label_to_message,
 )
@@ -59,9 +63,13 @@ __all__ = [
     "grand_operator",
     "make_decoder",
     "outcome_distribution",
+    "certify_grand",
     "build_decode_table",
     "pipeline_report",
 ]
+
+# States certified per vectorized pass: bounds the (chunk x 2N) index arrays.
+CERTIFY_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -218,25 +226,81 @@ def make_decoder(
     raise ConfigError(f"path must be grand or pipeline, got {path}")
 
 
+def certify_grand(decoder: Decoder, messages: np.ndarray, stack) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome and probability of stacked signed-permutation states on the grand route.
+
+    `stack(chunk)` returns (targets, phases, bell) for a slice of `messages`,
+    at most CERTIFY_CHUNK long: state s is sum_i phases[s, i] |targets[s, i], i>
+    over sqrt(2N), claimed to be the standard Bell state with message id
+    bell[s].  Each state is carried through the decoder's interleave by index
+    arithmetic.  Bell state (k, r, j) lands on output row
+    (j-1)·2N + partner[(k, r), j-1], and that one row of the built grand
+    operator, read at the state's 2N nonzeros, gives its amplitude there.
+    Returns the predicted outcomes (flat index first·2N + second) and their
+    probabilities.  The state is normalized and the operator unitary, so a
+    probability of at least 1 - TOL_CHAINED certifies a point mass.
+    """
+    (interleave, _), (gop, _) = decoder.stages
+    dim = interleave.dim
+    partner = compact_partner_table(dim // 2)
+    outcomes = np.empty(len(messages), dtype=np.intp)
+    probs = np.empty(len(messages))
+    for lo in range(0, len(messages), CERTIFY_CHUNK):
+        chunk = slice(lo, lo + CERTIFY_CHUNK)
+        targets, phases, bell = stack(messages[chunk])
+        cols = interleave.target[targets] * dim + np.arange(dim)
+        amps = phases * interleave.phase[targets] / np.sqrt(dim)
+        family, member = np.divmod(bell, dim)
+        out = member * dim + partner[family, member]
+        # entries of row `out` at the state's columns; csc indexing reads them
+        # through the transposed csr view, without copying the operator
+        weights = np.asarray(gop[np.repeat(out, dim), cols.ravel()]).reshape(cols.shape)
+        outcomes[chunk] = out
+        probs[chunk] = np.abs((weights * amps).sum(axis=1)) ** 2
+    return outcomes, probs
+
+
 def build_decode_table(N: int, H: HadamardMatrix, decoder: Decoder) -> DecodeTable:
-    """Run every Bell state through the decoder and tabulate outcomes.
+    """Tabulate the outcome of every Bell state on the decoder's route.
 
     Raises NonDeterministicOutcome if any input fails to produce a point
     mass, and CollisionDetected if two labels share an outcome; either would
-    break unique decodability for that path.
+    break unique decodability for that path.  The grand route certifies
+    each state by one operator row (`certify_grand`); its closed-form
+    outcomes are checked for collisions before any amplitude is read.  The
+    pipeline is not monomial, so each of its states is decoded in full.
     """
     entries: dict[tuple[int, int], BellLabel] = {}
-    for lab in all_labels(N):
-        top, _ = decoder.decode(bell_state(N, lab, H))
-        if top.probability < 1.0 - TOL_CHAINED:
-            raise NonDeterministicOutcome(
-                f"{decoder.path} decoder spread label {lab} over multiple outcomes "
-                f"(top probability {top.probability:.6f})"
-            )
-        key = (top.first, top.second)
+    if decoder.path != "grand":
+        for lab in all_labels(N):
+            top, _ = decoder.decode(bell_state(N, lab, H))
+            if top.probability < 1.0 - TOL_CHAINED:
+                raise NonDeterministicOutcome(
+                    f"{decoder.path} decoder spread label {lab} over multiple outcomes "
+                    f"(top probability {top.probability:.6f})"
+                )
+            key = (top.first, top.second)
+            if key in entries:
+                raise CollisionDetected(f"outcome {key} hit by both {entries[key]} and {lab}")
+            entries[key] = lab
+        return DecodeTable(N=N, path=decoder.path, entries=entries)
+
+    labels = all_labels(N)
+    outcomes, probs = certify_grand(
+        decoder, np.arange(len(labels)), lambda chunk: (*encoder_table(N, H, chunk), chunk)
+    )
+    for lab, out in zip(labels, outcomes.tolist()):
+        key = divmod(out, 2 * N)
         if key in entries:
             raise CollisionDetected(f"outcome {key} hit by both {entries[key]} and {lab}")
         entries[key] = lab
+    short = np.flatnonzero(probs < 1.0 - TOL_CHAINED)
+    if short.size:
+        lab, out = labels[short[0]], divmod(int(outcomes[short[0]]), 2 * N)
+        raise NonDeterministicOutcome(
+            f"grand decoder spread label {lab} over multiple outcomes "
+            f"(probability {probs[short[0]]:.6f} at its predicted outcome {out})"
+        )
     return DecodeTable(N=N, path=decoder.path, entries=entries)
 
 

@@ -19,7 +19,7 @@ from sdc.bell import (
     compact_bell_state,
     first_particle_interleave,
 )
-from sdc.hilbert import SignedPermutationOp, StateVector, apply, partial_trace
+from sdc.hilbert import SignedPermutationOp, StateVector, apply, label_to_index, partial_trace
 
 
 def compact_partner(N, k, r, m):
@@ -28,6 +28,40 @@ def compact_partner(N, k, r, m):
     sign = r if m % 2 == 1 else -r
     v = ((n + k - 2) % N) + 1
     return v if sign > 0 else N + v
+
+
+def encode_direct_loop(N, H, label):
+    """Standard encoder of one label, placed channel by channel: partner f(n)
+    goes to +n with sign h[j, 2n-1], -f(n) to -n with sign h[j, 2n]."""
+    n = np.arange(N)
+    f = (n + label.k - 1) % N
+    plus, minus = (f, f + N) if label.r == +1 else (f + N, f)
+    row = H.row(label.j)
+    target = np.empty(2 * N, dtype=np.intp)
+    phase = np.empty(2 * N, dtype=np.complex128)
+    target[plus], target[minus] = n, n + N
+    phase[plus], phase[minus] = row[0::2], row[1::2]
+    return target, phase
+
+
+def interleave_loop(N):
+    """Targets of the first-particle interleave, channel by channel: +n to
+    slot 2n-2 and -n to slot 2n-1."""
+    target = np.empty(2 * N, dtype=np.intp)
+    for n in range(1, N + 1):
+        target[label_to_index(n, N)] = 2 * n - 2
+        target[label_to_index(-n, N)] = 2 * n - 1
+    return target
+
+
+def decode_table_loop(N, H, decoder):
+    """Decode table entries from decoding every dense Bell state on the
+    amplitude route, in label order: (first, second) -> (label, top probability)."""
+    entries = {}
+    for lab in all_labels(N):
+        top, _ = decoder.decode(bell_state(N, lab, H))
+        entries[(top.first, top.second)] = (lab, top.probability)
+    return entries
 
 
 def compact_state_loop(N, label, H):

@@ -1,10 +1,13 @@
 """Protocol round trips, rate accounting, and the spin extension."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import sdc.analysis as analysis_mod
+import sdc.bell as bell_mod
 from sdc import hadamard
 from sdc.analysis import (
     TimingModel,
@@ -17,6 +20,7 @@ from sdc.analysis import (
     round_trip_sweep,
     run_protocol,
     run_protocol_spin,
+    send,
     spin_base_state,
     spin_capacity,
     spin_extended_state,
@@ -24,6 +28,8 @@ from sdc.analysis import (
     spin_state_report,
     start_state,
 )
+from sdc.cli import main
+from sdc.decoder import build_decode_table, make_decoder
 from sdc.errors import ArgOutOfRange, MessageOutOfRange
 from sdc.hilbert import partial_trace
 
@@ -45,6 +51,50 @@ class TestRoundTrips:
     def test_message_bound(self):
         with pytest.raises(MessageOutOfRange):
             run_protocol(1, hadamard.build(2), 4)
+
+
+class TestCertifiedSweep:
+    """A sent state that fails certification is decoded on the amplitude route."""
+
+    @staticmethod
+    def corrupt(monkeypatch, sent, instead):
+        """Make the encoder send message `instead`'s state whenever `sent` is encoded."""
+        table = bell_mod.encoder_table
+
+        def corrupted(N, H, messages):
+            messages = np.asarray(messages)
+            return table(N, H, np.where(messages == sent, instead, messages))
+
+        # every route that encodes reads one of these two bindings
+        for mod in (bell_mod, analysis_mod):
+            monkeypatch.setattr(mod, "encoder_table", corrupted)
+
+    def test_failure_carries_the_amplitude_route_decoding(self, monkeypatch):
+        N, H = 2, hadamard.build(4)
+        self.corrupt(monkeypatch, 5, 9)
+        grand = make_decoder(N, H)
+        top, _ = grand.decode(send(N, H, start_state(N, H), 5))
+        decoded = build_decode_table(N, H, grand).message_for(top)
+        assert decoded == 9
+        result = round_trip_sweep(N, H)
+        assert result["failures"] == [{"sent": 5, "decoded": decoded}]
+        assert result["round_trip_ok"] == 15 and result["checked"] == 16
+
+    def test_cli_sweep_exits_1_on_a_failure(self, monkeypatch, capsys):
+        self.corrupt(monkeypatch, 5, 9)
+        assert main(["sweep", "--n", "2"]) == 1
+        assert json.loads(capsys.readouterr().out)["failures"] == [{"decoded": 9, "sent": 5}]
+
+    @pytest.mark.parametrize("messages", [[0, 16, 3], [-1]])
+    def test_out_of_range_message_is_refused(self, messages):
+        bad = next(m for m in messages if not 0 <= m < 16)
+        with pytest.raises(MessageOutOfRange, match=f"message {bad} outside 0..15"):
+            round_trip_sweep(2, hadamard.build(4), messages=messages)
+
+    def test_requested_messages_are_checked_in_order(self):
+        result = round_trip_sweep(4, hadamard.build(8), messages=[63, 0, 17, 17])
+        assert result["checked"] == result["round_trip_ok"] == 4
+        assert round_trip_sweep(2, hadamard.build(4), messages=[])["checked"] == 0
 
 
 class TestRates:

@@ -8,6 +8,8 @@ from dense_oracle import (
     compact_state_loop,
     dense_relabel,
     dense_residuals,
+    encode_direct_loop,
+    interleave_loop,
     table_basis,
 )
 
@@ -23,13 +25,14 @@ from sdc.bell import (
     compose_family,
     derive_compact_relabel,
     encode_direct,
+    encoder_table,
+    first_particle_interleave,
     label_to_message,
     message_to_label,
 )
 from sdc.cli import table_residuals
 from sdc.errors import ArgOutOfRange, OrderMismatch
 from sdc.hilbert import (
-    SignedPermutationOp,
     apply,
     index_to_label,
     label_to_index,
@@ -218,6 +221,30 @@ class TestFamilyTables:
         dense = bell_basis_matrix(N, H, compact)
         assert np.array_equal(table_basis(*bell_table(N, H, compact)), dense)
 
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 32])
+    def test_standard_table_is_the_per_label_encoder_stack(self, N):
+        H = hadamard.build(2 * N)
+        rows = [encode_direct_loop(N, H, lab) for lab in all_labels(N)]
+        for got, want in zip(bell_table(N, H), map(np.array, zip(*rows))):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    def test_encode_direct_matches_the_channel_by_channel_reference(self, N):
+        H = hadamard.build(2 * N)
+        for lab in all_labels(N):
+            op, (target, phase) = encode_direct(N, H, lab), encode_direct_loop(N, H, lab)
+            assert op.target.tobytes() == target.tobytes()
+            assert op.phase.tobytes() == phase.tobytes()
+
+    def test_encoder_table_rows_follow_the_requested_messages(self):
+        H = hadamard.build(8)
+        targets, phases = bell_table(4, H)
+        picked = [63, 0, 17, 17]
+        got_t, got_p = encoder_table(4, H, picked)
+        assert np.array_equal(got_t, targets[picked]) and np.array_equal(got_p, phases[picked])
+        with pytest.raises(OrderMismatch):
+            encoder_table(2, H, [0])
+
     @pytest.mark.parametrize("N", [1, 2, 4, 8])
     def test_compact_states_match_the_channel_by_channel_reference(self, N):
         H = hadamard.build(2 * N)
@@ -256,17 +283,15 @@ class TestFamilyTables:
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_flipped_phase_breaks_both_grams(self, N, monkeypatch):
-        direct = bell_mod.encode_direct
+        table = bell_mod.encoder_table
 
-        def flipped(n, H, label):
-            op = direct(n, H, label)
-            if label != BellLabel(1, +1, 1):
-                return op
-            phase = op.phase.copy()
-            phase[0] = -phase[0]
-            return SignedPermutationOp(op.dim, op.target, phase)
+        def flipped(n, H, messages):
+            # the encoder of message 0, label (1, +1, 1), gets one sign flipped
+            targets, phases = table(n, H, messages)
+            phases[np.asarray(messages) == 0, 0] *= -1
+            return targets, phases
 
-        monkeypatch.setattr(bell_mod, "encode_direct", flipped)
+        monkeypatch.setattr(bell_mod, "encoder_table", flipped)
         H = hadamard.build(2 * N)
         exact = table_residuals(*bell_table(N, H))["gram"]
         dense = dense_residuals(bell_basis_matrix(N, H))["gram"]
@@ -283,6 +308,13 @@ class TestFamilyTables:
             assert np.array_equal(got.target, want.target)
             assert np.array_equal(got.phase, want.phase)
         assert relabel.label_map == label_map
+
+
+@pytest.mark.parametrize("N", range(1, 33))
+def test_interleave_matches_the_channel_by_channel_reference(N):
+    got = first_particle_interleave(N)
+    assert got.target.tobytes() == interleave_loop(N).tobytes()
+    assert np.array_equal(got.phase, np.ones(2 * N))
 
 
 class TestLabels:

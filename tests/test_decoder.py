@@ -1,11 +1,15 @@
 """Measurement side: grand operator, pipeline, tables, equivalence."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from dense_oracle import compact_partner, grand_operator_loop
+from dense_oracle import compact_partner, decode_table_loop, grand_operator_loop
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdc import hadamard
-from sdc.analysis import round_trip_sweep, run_protocol
+from sdc.analysis import _certify_sent, round_trip_sweep, run_protocol, send, start_state
 from sdc.bell import (
     BellLabel,
     all_labels,
@@ -14,13 +18,20 @@ from sdc.bell import (
     first_particle_interleave,
 )
 from sdc.decoder import (
+    Decoder,
     build_decode_table,
     grand_operator,
     make_decoder,
     outcome_distribution,
     pipeline_report,
 )
-from sdc.errors import ConfigError, DimensionMismatch, NonDeterministicOutcome, OrderMismatch
+from sdc.errors import (
+    CollisionDetected,
+    ConfigError,
+    DimensionMismatch,
+    NonDeterministicOutcome,
+    OrderMismatch,
+)
 from sdc.gates import hadamard_layer, nonlocal_mixer, position_controlled_swap
 from sdc.hilbert import StateVector
 
@@ -119,6 +130,45 @@ class TestDecodeTable:
         for m in range(16):
             top, _ = grand.decode(send(N, H, start_state(N, H), m))
             assert table.message_for(top) == m
+
+
+@lru_cache(maxsize=None)
+def grand_route(N):
+    H = hadamard.build(2 * N)
+    return H, make_decoder(N, H)
+
+
+class TestCertification:
+    """The grand route's one-row certification against the amplitude route."""
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
+    def test_certified_table_equals_the_amplitude_route(self, N):
+        H, grand = grand_route(N)
+        certified = build_decode_table(N, H, grand).entries
+        amplitude = decode_table_loop(N, H, grand)
+        assert list(certified.items()) == [(key, lab) for key, (lab, _) in amplitude.items()]
+        assert min(p for _, p in amplitude.values()) >= 1 - 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_certified_sweep_outcome_is_the_decoded_top(self, data):
+        N = data.draw(st.sampled_from([1, 2, 4, 8, 16]), label="N")
+        m = data.draw(st.integers(0, 4 * N * N - 1), label="message")
+        H, grand = grand_route(N)
+        (out,), (prob,) = _certify_sent(N, H, grand, [m])
+        top, _ = grand.decode(send(N, H, start_state(N, H), m))
+        assert divmod(int(out), 2 * N) == (top.first, top.second)
+        assert abs(prob - top.probability) < 1e-12
+
+    def test_grand_table_and_sweep_decode_no_dense_state(self, monkeypatch):
+        def dense_decode(self, s):
+            raise AssertionError("dense decode on the grand route")
+
+        monkeypatch.setattr(Decoder, "decode", dense_decode)
+        N, H = 4, hadamard.build(8)
+        assert len(build_decode_table(N, H, make_decoder(N, H)).entries) == 64
+        result = round_trip_sweep(N, H)
+        assert result["round_trip_ok"] == 64 and result["failures"] == []
 
 
 class TestPipeline:
@@ -231,18 +281,38 @@ class TestGuards:
             dec.grand_operator(1, hadamard.build(2))
 
     def test_colliding_decoder_is_reported(self, monkeypatch):
+        # the pipeline route tabulates full decodes; land every one on one outcome
         import sdc.decoder as dec
         from sdc.decoder import MeasurementOutcome
-        from sdc.errors import CollisionDetected
 
         monkeypatch.setattr(
             dec.Decoder,
             "decode",
             lambda self, s: (MeasurementOutcome(0, 0, 1.0), []),
         )
-        H = hadamard.build(2)
+        H, HN = hadamard.build(2), hadamard.build(1)
         with pytest.raises(CollisionDetected):
-            dec.build_decode_table(1, H, dec.make_decoder(1, H))
+            dec.build_decode_table(1, H, dec.make_decoder(1, H, "pipeline", HN))
+
+    def test_corrupted_grand_operator_is_nondeterministic(self):
+        N, H = 2, hadamard.build(4)
+        interleave, (gop, _) = make_decoder(N, H).stages
+        bad = gop.copy()
+        bad.data[0] = -bad.data[0]  # one sign in one label's output row
+        with pytest.raises(NonDeterministicOutcome, match="probability 0.250000"):
+            build_decode_table(N, H, Decoder("grand", (interleave, (bad, None))))
+
+    def test_colliding_partner_table_is_reported(self, monkeypatch):
+        import sdc.decoder as dec
+
+        N, H = 2, hadamard.build(4)
+        grand = dec.make_decoder(N, H)
+        # every family now predicts partner 0 for every first label
+        monkeypatch.setattr(
+            dec, "compact_partner_table", lambda n: np.zeros((2 * n, 2 * n), dtype=np.intp)
+        )
+        with pytest.raises(CollisionDetected, match=r"outcome \(0, 0\) hit by both"):
+            dec.build_decode_table(N, H, grand)
 
     def test_unrelatable_compact_family_is_reported(self, monkeypatch):
         import sdc.bell as bell_mod

@@ -72,15 +72,10 @@ def start_state(N: int, H: HadamardMatrix) -> StateVector:
     return bell_state(N, START, H)
 
 
-def _check_messages(N: int, messages) -> None:
-    bad = [m for m in messages if not 0 <= m < 4 * N * N]
-    if bad:
-        raise MessageOutOfRange(f"message {bad[0]} outside 0..{4 * N * N - 1}")
-
-
 def send(N: int, H: HadamardMatrix, start: StateVector, message: int) -> StateVector:
     """The start state after the sender encodes `message` on their particle."""
-    _check_messages(N, [message])
+    if not 0 <= message < 4 * N * N:
+        raise MessageOutOfRange(f"message {message} outside 0..{4 * N * N - 1}")
     return apply(encode_direct(N, H, message_to_label(message, N)), 0, start)
 
 
@@ -121,9 +116,8 @@ def round_trip_sweep(
     H: HadamardMatrix,
     path: str = "grand",
     HN: HadamardMatrix | None = None,
-    messages: list[int] | None = None,
 ) -> dict:
-    """Round-trip every requested message (all of them by default).
+    """Round-trip every one of the 4N^2 messages.
 
     On the grand route every sent state is certified by one operator row
     (`certify_grand`); only a state that fails is decoded on the amplitude
@@ -131,9 +125,7 @@ def round_trip_sweep(
     """
     decoder = make_decoder(N, H, path, HN)
     table = build_decode_table(N, H, decoder)
-    if messages is None:
-        messages = list(range(4 * N * N))
-    _check_messages(N, messages)
+    messages = range(4 * N * N)
     # the grand route's certified outcome of each sent state, None where it fails
     tops = [None] * len(messages)
     if path == "grand":

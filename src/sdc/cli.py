@@ -30,12 +30,7 @@ CONFIG_KEYS = {
     "hadamard.custom_matrices": "custom_matrices",
     "tolerance.exact": "tol_exact",
     "tolerance.chained": "tol_chained",
-    "seed": "seed",
 }
-
-# Sweeps above this many messages fall back to a seeded sample of this size.
-SWEEP_CAP = 16384
-SWEEP_SAMPLE = 4096
 
 
 @dataclass
@@ -48,7 +43,6 @@ class RunConfig:
     tol_exact: float = hilbert.TOL_EXACT
     tol_chained: float = hilbert.TOL_CHAINED
     custom_matrices: str | None = None
-    seed: int = 20240515
     registry: dict = field(default_factory=dict)
 
     def hadamard_pair(self):
@@ -65,11 +59,10 @@ def _config_value(key: str, text: str):
     if key == "hadamard.custom_matrices":
         return text
     try:
-        val = int(text) if key == "seed" else float(text)
+        val = float(text)
     except ValueError:
-        kind = "an integer" if key == "seed" else "a number"
-        raise ConfigError(f"{key} must be {kind}, got {text!r}") from None
-    if key != "seed" and not (val >= 0 and np.isfinite(val)):
+        raise ConfigError(f"{key} must be a number, got {text!r}") from None
+    if not (val >= 0 and np.isfinite(val)):
         raise ConfigError(f"{key} must be a finite number >= 0, got {text!r}")
     return val
 
@@ -101,7 +94,7 @@ def _load_config_file() -> dict:
 def make_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**_load_config_file())
 
-    for name in ("n", "s", "path", "seed"):
+    for name in ("n", "s", "path"):
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
@@ -112,8 +105,6 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"n must be positive, got {cfg.n}")
     if cfg.path not in ("grand", "pipeline"):
         raise ConfigError(f"path must be grand or pipeline, got {cfg.path}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     if cfg.custom_matrices:
         cfg.registry = hadamard.load_custom_matrices(cfg.custom_matrices)
     return cfg
@@ -482,18 +473,10 @@ def cmd_run(cfg: RunConfig, message: int, dump_state: str | None, sign: int = 1)
 
 def cmd_sweep(cfg: RunConfig) -> int:
     H, HN = cfg.hadamard_pair()
-    total = 4 * cfg.n * cfg.n
-    sampled = total > SWEEP_CAP
-    if sampled:
-        rng = np.random.default_rng(cfg.seed)
-        messages = sorted(rng.choice(total, size=SWEEP_SAMPLE, replace=False).tolist())
-    else:
-        messages = None
-    result = analysis.round_trip_sweep(cfg.n, H, path=cfg.path, HN=HN, messages=messages)
+    result = analysis.round_trip_sweep(cfg.n, H, path=cfg.path, HN=HN)
     result["conventions"] = _static_conventions(H)
-    result["sampled"] = sampled
-    if sampled:
-        result["seed"] = cfg.seed
+    # every message is checked; the field keeps the report's bytes unchanged
+    result["sampled"] = False
     _emit_json(result)
     return 0 if result["round_trip_ok"] == result["checked"] else 1
 
@@ -589,9 +572,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sign variant of the spin pair state")
     p.add_argument("--dump-state", type=str, default=None)
 
-    p = sub.add_parser("sweep", help="round-trip all (or a sample of) messages")
+    p = sub.add_parser("sweep", help="round-trip every message")
     common(p)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("rates", help="emit the rate comparison as CSV")
     p.add_argument("--n-list", type=str, default="1,2,4,8,16,32,64")

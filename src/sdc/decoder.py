@@ -2,11 +2,13 @@
 
 The grand operator rotates the compact Bell basis onto distinct two-particle
 product kets, so a plain position readout finishes the Bell-state
-measurement.  It is the authoritative decoder, assembled by index arithmetic
-from the compact family's table of signed permutations (`bell.bell_table`).
-The gate pipeline (controlled swap, per-channel Hadamards, nonlocal mixer) is
-the proposed realization; its determinism and its agreement with the grand
-route are measured and reported, never assumed.
+measurement.  It is the authoritative decoder, and it has one csc layout,
+fixed by the compact pairing (`bell.compact_partner_table`):
+`grand_operator` builds its arrays in that layout and `certify_grand` reads
+entries back from it, both by index arithmetic.  The gate pipeline
+(controlled swap, per-channel Hadamards, nonlocal mixer) is the proposed
+realization; its determinism and its agreement with the grand route are
+measured and reported, never assumed.
 
 `make_decoder` is the one place a route is chosen: it builds that route's
 operators once and returns a `Decoder` that applies them in order.  Tables,
@@ -27,7 +29,6 @@ from .bell import (
     BellLabel,
     all_labels,
     bell_state,
-    bell_table,
     compact_partner_table,
     encoder_table,
     first_particle_interleave,
@@ -107,32 +108,39 @@ class DecodeTable:
 def grand_operator(N: int, H: HadamardMatrix) -> sp.csc_matrix:
     """Unitary involution mapping each compact basis state to a product ket.
 
-    Row structure: the compact state with label (k, r, j) contributes its
-    conjugated (real) amplitudes, its row of the compact `bell_table` over
-    sqrt(2N), to the output ket |j, partner(j)>.  The partner functions
-    of distinct families disagree at every point, which makes the outcome
-    kets exhaust the product basis and the operator unitary; the
-    self-inverse property additionally needs the Hadamard matrix symmetric.
-    Both prerequisites are checked here and a numeric spot check backs them
-    up, so a convention regression fails construction loudly.
+    The compact state with label (k, r, j) contributes its conjugated (real)
+    amplitudes, h[j, m] / sqrt(2N) at |m, partner(m)>, to the output ket
+    |j, partner(j)>.  The partner functions of distinct families disagree at
+    every point, which makes the outcome kets exhaust the product basis and
+    the operator unitary; the self-inverse property additionally needs the
+    Hadamard matrix symmetric.  Both prerequisites are checked here and a
+    numeric spot check backs them up, so a convention regression fails
+    construction loudly.
+
+    The csc layout follows from that structure, and `certify_grand` reads
+    it back: column (t, i) = t·2N + i meets only the family f that pairs
+    first label t with partner i (all indices 0-based), so it holds exactly
+    2N entries, one per member slot j in ascending rows, entry j in row
+    j·2N + partner[f, j] with weight h[j, t] / sqrt(2N).
     """
     if H.order != 2 * N:
         raise OrderMismatch(f"need order {2 * N}, got {H.order}")
     dim = 2 * N
     partner = compact_partner_table(N)
-    # every column of the table must list each partner once
+    # every column of the table must list each partner once, which also
+    # makes argsort below invert it
     clash = np.flatnonzero((np.sort(partner, axis=0) != np.arange(dim)[:, None]).any(axis=0))
     if clash.size:
         raise NonInvolutory(f"partner maps collide at first label {clash[0] + 1}")
 
-    targets, phases = bell_table(N, H, compact=True)
-    scale = 1.0 / np.sqrt(dim)
-    family, member = np.divmod(np.arange(dim * dim), dim)  # (k, r) slot and j - 1 per label
-    rows = np.repeat(member * dim + partner[family, member], dim)
-    cols = (targets * dim + np.arange(dim)).ravel()
+    family = np.argsort(partner, axis=0).T  # [t, i]: the family pairing t with i
+    rows = np.arange(dim) * dim + partner[family]  # [t, i, j]
+    weights = H.ints.T.astype(np.complex128) / np.sqrt(dim)  # [t, j]
+    data = np.broadcast_to(weights[:, None, :], rows.shape).ravel()
     # column-sliced format: decoding feeds in 2N-sparse vectors, so matvec by
     # column gather beats a full row scan by a factor of dim/2
-    op = sp.csc_matrix(((phases * scale).ravel(), (rows, cols)), shape=(dim * dim, dim * dim))
+    shape = (dim * dim, dim * dim)
+    op = sp.csc_matrix((data, rows.ravel(), np.arange(0, dim**3 + 1, dim)), shape=shape)
 
     if dim <= 32:
         eye = sp.identity(dim * dim, dtype=np.complex128, format="csc")
@@ -239,6 +247,11 @@ def certify_grand(decoder: Decoder, messages: np.ndarray, stack) -> tuple[np.nda
     Returns the predicted outcomes (flat index first·2N + second) and their
     probabilities.  The state is normalized and the operator unitary, so a
     probability of at least 1 - TOL_CHAINED certifies a point mass.
+
+    Entries are read by the csc layout `grand_operator` builds: row `out`
+    of column c sits at slot out // 2N of that column.  An entry found
+    elsewhere, or a slot holding another row, reads as 0, so an operator
+    built with any other layout fails certification rather than passing it.
     """
     (interleave, _), (gop, _) = decoder.stages
     dim = interleave.dim
@@ -252,9 +265,11 @@ def certify_grand(decoder: Decoder, messages: np.ndarray, stack) -> tuple[np.nda
         amps = phases * interleave.phase[targets] / np.sqrt(dim)
         family, member = np.divmod(bell, dim)
         out = member * dim + partner[family, member]
-        # entries of row `out` at the state's columns; csc indexing reads them
-        # through the transposed csr view, without copying the operator
-        weights = np.asarray(gop[np.repeat(out, dim), cols.ravel()]).reshape(cols.shape)
+        at = gop.indptr[cols] + member[:, None]
+        inside = at < gop.indptr[cols + 1]
+        at = np.where(inside, at, 0)
+        hit = inside & (gop.indices[at] == out[:, None])
+        weights = np.where(hit, gop.data[at], 0)
         outcomes[chunk] = out
         probs[chunk] = np.abs((weights * amps).sum(axis=1)) ** 2
     return outcomes, probs

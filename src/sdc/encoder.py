@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bell import BellLabel, all_labels, compose_family, encode_direct, label_to_message
+from .bell import BellLabel, all_labels, bell_table, compose_family, encode_direct, label_to_message
 from .errors import ArgOutOfRange, OrderMismatch, PropertyViolated
 from .gates import channel_sign_gate, channel_swap_gate, ladder_shift_gate
 from .hadamard import HadamardMatrix
@@ -166,14 +166,10 @@ def family_shift(N: int, k: int, r: int) -> SignedPermutationOp:
     return compose_perms(ladder_shift_gate(N, 1 - k), op)
 
 
-def _stack(ops: list[SignedPermutationOp]) -> tuple[np.ndarray, np.ndarray]:
-    """Targets and phases of signed permutations, one row per operator."""
-    return np.array([op.target for op in ops]), np.array([op.phase for op in ops])
-
-
-def _after(op: SignedPermutationOp, targets: np.ndarray, phases: np.ndarray):
-    """`op` composed after each stacked permutation: compose_perms row by row."""
-    return op.target[targets], phases * op.phase[targets]
+def _after(target: np.ndarray, phase: np.ndarray, targets: np.ndarray, phases: np.ndarray):
+    """The permutation (target, phase) composed after each stacked one:
+    compose_perms row by row."""
+    return target[targets], phases * phase[targets]
 
 
 def _overlaps(a, b) -> np.ndarray:
@@ -205,26 +201,28 @@ def resolve_composition_order(N: int, H: HadamardMatrix) -> dict:
         return _order_memo[key]
 
     reading = resolve_member_mixer_reading(N, H)["reading"]
-    starts = _stack([encode_direct(N, H, lab) for lab in all_labels(N) if lab.j == 1])
+    targets, phases = bell_table(N, H)  # row m: encode_direct of message m
+    member_one = np.arange(0, 4 * N * N, 2 * N)
+    starts = targets[member_one], phases[member_one]
 
     for order in COMPOSITION_ORDERS:
         worst_overlap = 0.0
         worst_phase = 0.0
         matrix_equal = True
-        for label in all_labels(N):
+        for label, target, phase in zip(all_labels(N), targets, phases):
             mixer = member_mixer(N, H, label.j, reading)
             shift = family_shift(N, label.k, label.r)
             if order == "family-shift-first":
                 composed = compose_perms(mixer, shift)
             else:
                 composed = compose_perms(shift, mixer)
-            direct = encode_direct(N, H, label)
             if not (
-                np.array_equal(composed.target, direct.target)
-                and np.array_equal(composed.phase, direct.phase)
+                np.array_equal(composed.target, target) and np.array_equal(composed.phase, phase)
             ):
                 matrix_equal = False
-            overlap = _overlaps(_after(direct, *starts), _after(composed, *starts))
+            overlap = _overlaps(
+                _after(target, phase, *starts), _after(composed.target, composed.phase, *starts)
+            )
             dev = float(np.max(np.abs(np.abs(overlap) - 1.0)))
             worst_overlap = max(worst_overlap, dev)
             if dev > TOL_CHAINED:
@@ -254,14 +252,13 @@ def encode_law_residuals(N: int, H: HadamardMatrix) -> dict:
     """
     _check_setup(N, H)
     labels = all_labels(N)
-    ops = [encode_direct(N, H, lab) for lab in labels]
-    targets, phases = _stack(ops)
+    targets, phases = bell_table(N, H)
     structure = float(np.max(np.abs(np.abs(phases) - 1.0)))
     start_labels = [lab for lab in labels if lab.j == 1]
     starts = [label_to_message(s, N) for s in start_labels]
     rule = signaling = 0.0
-    for lab, op in zip(labels, ops):
-        moved_targets, moved_phases = _after(op, targets[starts], phases[starts])
+    for lab, target, phase in zip(labels, targets, phases):
+        moved_targets, moved_phases = _after(target, phase, targets[starts], phases[starts])
         landed = [
             label_to_message(BellLabel(*compose_family(lab.k, lab.r, s.k, s.r, N), lab.j), N)
             for s in start_labels

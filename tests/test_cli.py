@@ -187,8 +187,13 @@ class TestEncodeDecode:
                 [["sweep", "--n", "16"]],
                 "553c7b93edff0b1c75e78f11dba82304707448842508ec5894b27e408637d8bc",
             ),
+            (
+                # 16,384 messages: the largest sweep that was never sampled
+                [["sweep", "--n", "64"]],
+                "7df5b649e04686e8cb5fa96d7c862b54323b07aec6998ded6c26f3ecec4224de",
+            ),
         ],
-        ids=["encode-n2", "encode-n4", "table-n4", "table-n8", "sweep-n16"],
+        ids=["encode-n2", "encode-n4", "table-n4", "table-n8", "sweep-n16", "sweep-n64"],
     )
     def test_integer_output_matches_recorded_digest(self, capsys, argvs, digest):
         # sha256 of the concatenated stdout of each command, in order; the
@@ -325,6 +330,13 @@ class TestTableAndSweep:
         payload = json.loads(out)
         assert payload["round_trip_ok"] == 16
         assert payload["sampled"] is False
+
+    def test_seed_flag_is_refused(self, capsys):
+        # every sweep checks all messages, so there is no sample to seed
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n", "2", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_sweep_pipeline_path(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--n", "1", "--path", "pipeline")
@@ -540,30 +552,3 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "bases", "--n", "1")
         assert code in (0, 2)
         assert "NaN" not in out and "Infinity" not in out
-
-
-class TestSweepSampling:
-    @pytest.mark.parametrize("sample", [False, True], ids=["full", "sampled"])
-    def test_negative_seed_flag_is_a_config_error(self, capsys, monkeypatch, sample):
-        import sdc.cli as cli_mod
-
-        if sample:
-            monkeypatch.setattr(cli_mod, "SWEEP_CAP", 8)
-        code, out, err = run_cli(capsys, "sweep", "--n", "2", "--seed", "-1")
-        assert code == 2 and out == ""
-        assert "ConfigError" in err and "seed" in err
-
-    def test_large_sweeps_fall_back_to_a_seeded_sample(self, capsys, monkeypatch):
-        import sdc.cli as cli_mod
-
-        monkeypatch.setattr(cli_mod, "SWEEP_CAP", 8)
-        monkeypatch.setattr(cli_mod, "SWEEP_SAMPLE", 5)
-        code, out, _ = run_cli(capsys, "sweep", "--n", "2")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["sampled"] is True
-        assert payload["checked"] == 5
-        assert payload["round_trip_ok"] == 5
-        # identical seed, identical sample
-        _, again, _ = run_cli(capsys, "sweep", "--n", "2")
-        assert out == again

@@ -302,6 +302,16 @@ class TestGuards:
         with pytest.raises(NonDeterministicOutcome, match="probability 0.250000"):
             build_decode_table(N, H, Decoder("grand", (interleave, (bad, None))))
 
+    def test_entry_moved_within_its_column_is_nondeterministic(self):
+        # certification reads each column at a fixed slot; the moved entry
+        # must read as 0 there, not as the weight of its old row
+        N, H = 2, hadamard.build(4)
+        interleave, (gop, _) = make_decoder(N, H).stages
+        bad = gop.copy()
+        bad.indices[0] = (bad.indices[0] + 1) % (2 * N)  # same member slot, other partner
+        with pytest.raises(NonDeterministicOutcome, match="probability 0.562500"):
+            build_decode_table(N, H, Decoder("grand", (interleave, (bad, None))))
+
     def test_colliding_partner_table_is_reported(self, monkeypatch):
         import sdc.decoder as dec
 

@@ -274,7 +274,12 @@ def order_overlaps(N, H, reading):
         mixer = _member_mixer_with_reading(N, H, lab.j, reading)
         direct = encode_direct(N, H, lab)
         composed = compose_perms(mixer, family_shift(N, lab.k, lab.r))
-        exact.extend(enc._overlaps(enc._after(direct, *stack), enc._after(composed, *stack)))
+        exact.extend(
+            enc._overlaps(
+                enc._after(direct.target, direct.phase, *stack),
+                enc._after(composed.target, composed.phase, *stack),
+            )
+        )
         for start in member_one_states(N, H):
             dense.append(np.vdot(apply(direct, 0, start).amp, apply(composed, 0, start).amp))
     return np.array(exact), np.array(dense)

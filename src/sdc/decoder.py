@@ -265,6 +265,7 @@ def certify_grand(decoder: Decoder, messages: np.ndarray, stack) -> tuple[np.nda
         amps = phases * interleave.phase[targets] / np.sqrt(dim)
         family, member = np.divmod(bell, dim)
         out = member * dim + partner[family, member]
+        # the layout keeps member j's row of every column at the column's slot j
         at = gop.indptr[cols] + member[:, None]
         inside = at < gop.indptr[cols + 1]
         at = np.where(inside, at, 0)

@@ -132,16 +132,6 @@ def _static_conventions(H) -> dict:
     }
 
 
-def _conventions(cfg: RunConfig, H, HN) -> dict:
-    """Static conventions plus the readings resolved for this run."""
-    out = _static_conventions(H)
-    out["member_mixer_reading"] = encoder.resolve_member_mixer_reading(cfg.n, H)["reading"]
-    out["composition_order"] = encoder.resolve_composition_order(cfg.n, H)["order"]
-    if HN is not None:
-        out["mixer_normalization"] = gates.resolve_mixer_normalization(cfg.n, HN)["reading"]
-    return out
-
-
 def table_residuals(targets: np.ndarray, phases: np.ndarray) -> dict:
     """Worst Bell-basis residuals of a `bell.bell_table`, exact for +-1 phases.
 
@@ -310,26 +300,29 @@ def build_verify_report(cfg: RunConfig) -> dict:
     checks.append(_check("grand-unitarity", abs(gop.conj().T @ gop - eye).max(), cfg.tol_chained))
     checks.append(_check("grand-involution", abs(gop @ gop - eye).max(), cfg.tol_chained))
 
-    # one decode per Bell state; injective by build_decode_table's rule: every
-    # top outcome a point mass, no two labels on the same outcome
-    min_top = 1.0
-    completeness_dev = 0.0
-    outcomes = set()
-    for lab in bell.all_labels(N):
-        top, dist = grand.decode(bell.bell_state(N, lab, H))
-        min_top = min(min_top, top.probability)
-        completeness_dev = max(completeness_dev, abs(sum(o.probability for o in dist) - 1.0))
-        outcomes.add((top.first, top.second))
-    injective = min_top >= 1.0 - hilbert.TOL_CHAINED and len(outcomes) == 4 * N * N
+    # each Bell state certified by its one operator row: a certified point
+    # mass is the whole distribution; injective by build_decode_table's rule
+    outcomes, probs = decoder.certify_grand(
+        grand, np.arange(4 * N * N), lambda chunk: (*bell.encoder_table(N, H, chunk), chunk)
+    )
+    min_top = float(probs.min())
+    injective = min_top >= 1.0 - hilbert.TOL_CHAINED and np.unique(outcomes).size == 4 * N * N
     checks.append(_check("decode-determinism", 1.0 - min_top, cfg.tol_chained))
     checks.append(_check("decode-injectivity", 0.0 if injective else 1.0, 0.0))
-    checks.append(_check("measurement-completeness", completeness_dev, cfg.tol_exact))
+    checks.append(_check("measurement-completeness", np.max(np.abs(probs - 1.0)), cfg.tol_exact))
 
+    conventions = {
+        **_static_conventions(H),
+        "member_mixer_reading": reading["reading"],
+        "composition_order": order["order"],
+    }
+    if mixer_info is not None:
+        conventions["mixer_normalization"] = mixer_info["reading"]
     report = {
         "version": __version__,
         "n": N,
         "path": cfg.path,
-        "conventions": _conventions(cfg, H, HN),
+        "conventions": conventions,
         "resolutions": {
             "member_mixer": reading,
             "composition": order,

@@ -14,8 +14,9 @@ measured and reported, never assumed.
 operators once and returns a `Decoder` that applies them in order.  Tables,
 reports, protocol runs and the command line all take or build one `Decoder`.
 On the grand route, `certify_grand` checks stacked signed-permutation states
-against one operator row each, so decode tables and sweeps decode no dense
-state.
+against one operator row each; it is that route's one decoder of Bell states
+(tables, sweeps, verify, `pipeline_report`), bit-identical to the amplitude
+route (`Decoder.decode`), which stays the oracle and decodes arbitrary states.
 """
 
 from __future__ import annotations
@@ -246,7 +247,9 @@ def certify_grand(decoder: Decoder, messages: np.ndarray, stack) -> tuple[np.nda
     operator, read at the state's 2N nonzeros, gives its amplitude there.
     Returns the predicted outcomes (flat index first·2N + second) and their
     probabilities.  The state is normalized and the operator unitary, so a
-    probability of at least 1 - TOL_CHAINED certifies a point mass.
+    probability of at least 1 - TOL_CHAINED certifies a point mass.  The
+    terms are summed in the amplitude route's order, so each probability
+    equals `Decoder.decode`'s top probability bit for bit.
 
     Entries are read by the csc layout `grand_operator` builds: row `out`
     of column c sits at slot out // 2N of that column.  An entry found
@@ -261,7 +264,8 @@ def certify_grand(decoder: Decoder, messages: np.ndarray, stack) -> tuple[np.nda
     for lo in range(0, len(messages), CERTIFY_CHUNK):
         chunk = slice(lo, lo + CERTIFY_CHUNK)
         targets, phases, bell = stack(messages[chunk])
-        cols = interleave.target[targets] * dim + np.arange(dim)
+        slot = interleave.target[targets]  # first-particle slot of each term
+        cols = slot * dim + np.arange(dim)
         amps = phases * interleave.phase[targets] / np.sqrt(dim)
         family, member = np.divmod(bell, dim)
         out = member * dim + partner[family, member]
@@ -271,8 +275,12 @@ def certify_grand(decoder: Decoder, messages: np.ndarray, stack) -> tuple[np.nda
         at = np.where(inside, at, 0)
         hit = inside & (gop.indices[at] == out[:, None])
         weights = np.where(hit, gop.data[at], 0)
+        # add the terms left to right by ascending column, as the csc matvec
+        # of `Decoder.decode` does, so both routes round to the same bits
+        ordered = np.zeros_like(amps)
+        np.put_along_axis(ordered, slot, weights * amps, axis=1)
         outcomes[chunk] = out
-        probs[chunk] = np.abs((weights * amps).sum(axis=1)) ** 2
+        probs[chunk] = np.abs(np.cumsum(ordered, axis=1)[:, -1]) ** 2
     return outcomes, probs
 
 
@@ -327,28 +335,24 @@ def pipeline_report(N: int, H: HadamardMatrix, HN: HadamardMatrix) -> dict:
     distinct outcomes the pipeline reaches, and whether the two decoders
     partition the message set identically (same groups of indistinguishable
     messages, outcome names aside).  Discrepancies are findings, not errors.
+    The grand side is its certified decode table, injective or raising, so
+    all singletons; only the pipeline decodes each Bell state in full.
     """
-    grand = make_decoder(N, H)
+    grand = build_decode_table(N, H, make_decoder(N, H))
     pipeline = make_decoder(N, H, "pipeline", HN)
     labels = all_labels(N)
-    grand_groups: dict[tuple[int, int], set[int]] = {}
-    pipe_groups: dict[tuple[int, int], set[int]] = {}
+    outcomes: set[tuple[int, int]] = set()
     min_top = 1.0
-    for i, lab in enumerate(labels):
-        state = bell_state(N, lab, H)
-        top_g, _ = grand.decode(state)
-        top_p, _ = pipeline.decode(state)
-        min_top = min(min_top, top_p.probability)
-        grand_groups.setdefault((top_g.first, top_g.second), set()).add(i)
-        pipe_groups.setdefault((top_p.first, top_p.second), set()).add(i)
-    partition_g = {frozenset(g) for g in grand_groups.values()}
-    partition_p = {frozenset(g) for g in pipe_groups.values()}
+    for lab in labels:
+        top, _ = pipeline.decode(bell_state(N, lab, H))
+        min_top = min(min_top, top.probability)
+        outcomes.add((top.first, top.second))
     return {
         "n": N,
         "messages": len(labels),
         "deterministic": bool(min_top >= 1.0 - TOL_CHAINED),
         "min_top_probability": float(min_top),
-        "distinct_outcomes": len(pipe_groups),
-        "partitions_equivalent": partition_g == partition_p,
+        "distinct_outcomes": len(outcomes),
+        "partitions_equivalent": len(outcomes) == len(grand.entries),
         "mixer_reading": resolve_mixer_normalization(N, HN)["reading"],
     }

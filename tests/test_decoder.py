@@ -15,11 +15,14 @@ from sdc.bell import (
     all_labels,
     bell_state,
     compact_bell_state,
+    encoder_table,
     first_particle_interleave,
 )
+from sdc.cli import main
 from sdc.decoder import (
     Decoder,
     build_decode_table,
+    certify_grand,
     grand_operator,
     make_decoder,
     outcome_distribution,
@@ -148,6 +151,11 @@ class TestCertification:
         amplitude = decode_table_loop(N, H, grand)
         assert list(certified.items()) == [(key, lab) for key, (lab, _) in amplitude.items()]
         assert min(p for _, p in amplitude.values()) >= 1 - 1e-10
+        # each standard Bell state's certified probability is its dense top, bit for bit
+        _, probs = certify_grand(
+            grand, np.arange(4 * N * N), lambda chunk: (*encoder_table(N, H, chunk), chunk)
+        )
+        assert probs.tolist() == [p for _, p in amplitude.values()]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -158,17 +166,23 @@ class TestCertification:
         (out,), (prob,) = _certify_sent(N, H, grand, [m])
         top, _ = grand.decode(send(N, H, start_state(N, H), m))
         assert divmod(int(out), 2 * N) == (top.first, top.second)
-        assert abs(prob - top.probability) < 1e-12
+        assert prob == top.probability
 
     def test_grand_table_and_sweep_decode_no_dense_state(self, monkeypatch):
-        def dense_decode(self, s):
-            raise AssertionError("dense decode on the grand route")
+        decode = Decoder.decode
 
-        monkeypatch.setattr(Decoder, "decode", dense_decode)
+        def pipeline_decode(self, s):
+            if self.path == "grand":
+                raise AssertionError("dense decode on the grand route")
+            return decode(self, s)
+
+        monkeypatch.setattr(Decoder, "decode", pipeline_decode)
         N, H = 4, hadamard.build(8)
         assert len(build_decode_table(N, H, make_decoder(N, H)).entries) == 64
         result = round_trip_sweep(N, H)
         assert result["round_trip_ok"] == 64 and result["failures"] == []
+        assert main(["verify", "--n", "4"]) == 0
+        assert main(["verify", "--n", "2", "--path", "pipeline"]) == 0
 
 
 class TestPipeline:

@@ -20,7 +20,7 @@ from .bell import (
     message_to_label,
 )
 from .encoder import encode_composed, encode_direct
-from .decoder import Decoder, build_decode_table, grand_operator, make_decoder
+from .decoder import Decoder, build_decode_table, grand_blocks, make_decoder
 from .analysis import (
     TimingModel,
     advantage,

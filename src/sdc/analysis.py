@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import BellLabel, bell_state, encoder_table, message_to_label
-from .decoder import MeasurementOutcome, build_decode_table, certify_grand, make_decoder
+from .decoder import build_decode_table, certify_grand, grand_messages, make_decoder
 from .errors import ArgOutOfRange, MessageOutOfRange
 from .encoder import encode_direct
 from .hadamard import HadamardMatrix
@@ -120,28 +120,24 @@ def round_trip_sweep(
     """Round-trip every one of the 4N^2 messages.
 
     On the grand route every sent state is certified by one operator row
-    (`certify_grand`); only a state that fails is decoded on the amplitude
-    route, which also decodes every state of the pipeline.
+    and its outcome mapped to a message id in one pass; only a state that
+    fails, or maps to another message, is decoded on the amplitude route,
+    which also decodes every state of the pipeline.
     """
     decoder = make_decoder(N, H, path, HN)
     table = build_decode_table(N, H, decoder)
-    messages = range(4 * N * N)
-    # the grand route's certified outcome of each sent state, None where it fails
-    tops = [None] * len(messages)
+    messages = np.arange(4 * N * N)
+    got = np.empty_like(messages)
+    redo = np.ones(len(messages), dtype=bool)
     if path == "grand":
         flat, probs = _certify_sent(N, H, decoder, messages)
-        tops = [
-            MeasurementOutcome(*divmod(out, 2 * N), p) if p >= 1.0 - TOL_CHAINED else None
-            for out, p in zip(flat.tolist(), probs.tolist())
-        ]
+        got = grand_messages(decoder, flat)
+        redo = (probs < 1.0 - TOL_CHAINED) | (got != messages)
     start = start_state(N, H)
-    failures = []
-    for m, top in zip(messages, tops):
-        if top is None:
-            top, _ = decoder.decode(send(N, H, start, m))
-        got = table.message_for(top)
-        if got != m:
-            failures.append({"sent": m, "decoded": got})
+    for m in np.flatnonzero(redo).tolist():
+        top, _ = decoder.decode(send(N, H, start, m))
+        got[m] = table.message_for(top)
+    failures = [{"sent": m, "decoded": d} for m, d in enumerate(got.tolist()) if d != m]
     return {
         "n": N,
         "path": path,
@@ -353,9 +349,4 @@ def run_protocol_spin(
     flat = int(np.argmax(probs))
     pos_flat, spin_label = divmod(flat, d * d)
 
-    table = build_decode_table(N, H, decoder)
-    first, second = divmod(pos_flat, 2 * N)
-    decoded_pos = table.message_for(
-        MeasurementOutcome(first, second, float(probs[flat]))
-    )
-    return decoded_pos * d * d + spin_label
+    return int(grand_messages(decoder, pos_flat)) * d * d + spin_label

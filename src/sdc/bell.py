@@ -5,11 +5,12 @@ of the first particle with a signed partner channel of the second, chosen by
 a family index (k, r); member index j selects a sign row of the Hadamard
 matrix.  The compact family is the image of the standard one under a fixed
 relabeling of the first particle and carries one Hadamard sign per basis ket;
-its pairing (`compact_partner_table`) fixes the csc layout in which
-`decoder.grand_operator` is built and read.  Each state is (U x I)|Phi+> for
-a signed permutation U, and each family is defined once, as the table of
-these permutations (`bell_table`); the relabeling and verify's basis and
-encoder-law checks are exact index and sign arithmetic on the tables.
+its pairing (`compact_partner_table`) fixes the index blocks on which
+`decoder.grand_blocks` repeats one Hadamard block.  Each state is
+(U x I)|Phi+> for a signed permutation U, and each family is defined once,
+as the table of these permutations (`bell_table`); the relabeling and
+verify's basis and encoder-law checks are exact index and sign arithmetic
+on the tables.
 """
 
 from __future__ import annotations

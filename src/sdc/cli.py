@@ -293,12 +293,16 @@ def build_verify_report(cfg: RunConfig) -> dict:
         _check("encode-composed-action", order["max_overlap_deviation"], cfg.tol_chained)
     )
 
-    # decoder
+    # decoder: P (I x B / sqrt(2N)) P^T is unitary (an involution) exactly when
+    # P is a bijection and the +-1 block B has B^T B = 2N I (B B = 2N I)
     grand = decoder.make_decoder(N, H)
-    gop = grand.stages[-1][0]  # the grand operator itself
-    eye = sp.identity(dim * dim, dtype=np.complex128, format="csc")
-    checks.append(_check("grand-unitarity", abs(gop.conj().T @ gop - eye).max(), cfg.tol_chained))
-    checks.append(_check("grand-involution", abs(gop @ gop - eye).max(), cfg.tol_chained))
+    gop = grand.stages[-1][0]
+    signs = np.sign(gop.block).astype(np.int64)
+    exact = np.array_equal(np.sort(gop.rows, axis=None), np.arange(dim * dim))
+    exact = exact and np.array_equal(gop.block, signs / np.sqrt(dim))
+    for name, square in (("grand-unitarity", signs.T @ signs), ("grand-involution", signs @ signs)):
+        ok = exact and np.array_equal(square, dim * np.eye(dim, dtype=np.int64))
+        checks.append(_check(name, 0.0 if ok else 1.0, cfg.tol_chained))
 
     # each Bell state certified by its one operator row: a certified point
     # mass is the whole distribution; injective by build_decode_table's rule
@@ -334,7 +338,7 @@ def build_verify_report(cfg: RunConfig) -> dict:
         "pass": all(c["pass"] for c in checks),
     }
     if cfg.path == "pipeline":
-        report["pipeline"] = decoder.pipeline_report(N, H, HN)
+        report["pipeline"] = decoder.pipeline_report(N, H, HN, grand, mixer_info["reading"])
         if N == 1 and not report["pipeline"]["deterministic"]:
             report["pass"] = False
     return report

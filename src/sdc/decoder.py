@@ -2,13 +2,13 @@
 
 The grand operator rotates the compact Bell basis onto distinct two-particle
 product kets, so a plain position readout finishes the Bell-state
-measurement.  It is the authoritative decoder, and it has one csc layout,
-fixed by the compact pairing (`bell.compact_partner_table`):
-`grand_operator` builds its arrays in that layout and `certify_grand` reads
-entries back from it, both by index arithmetic.  The gate pipeline
-(controlled swap, per-channel Hadamards, nonlocal mixer) is the proposed
-realization; its determinism and its agreement with the grand route are
-measured and reported, never assumed.
+measurement.  It is the authoritative decoder: one normalized Hadamard
+block on each compact family's support, held by `grand_blocks` as that
+block and the index blocks of the compact pairing
+(`bell.compact_partner_table`), and read back by `certify_grand`.  The gate
+pipeline (controlled swap, per-channel Hadamards, nonlocal mixer) is the
+proposed realization; its determinism and its agreement with the grand
+route are measured and reported, never assumed.
 
 `make_decoder` is the one place a route is chosen: it builds that route's
 operators once and returns a `Decoder` that applies them in order.  Tables,
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bell import (
     BellLabel,
@@ -43,29 +42,19 @@ from .errors import (
     NonInvolutory,
     OrderMismatch,
 )
-from .gates import (
-    hadamard_layer,
-    nonlocal_mixer,
-    position_controlled_swap,
-    resolve_mixer_normalization,
-)
+from .gates import hadamard_layer, nonlocal_mixer, position_controlled_swap
 from .hadamard import HadamardMatrix
-from .hilbert import (
-    StateVector,
-    TOL_CHAINED,
-    TOL_EXACT,
-    apply,
-    apply_full,
-)
+from .hilbert import TOL_CHAINED, TOL_EXACT, PermutedBlockOp, StateVector, apply, apply_full
 
 __all__ = [
     "MeasurementOutcome",
     "DecodeTable",
     "Decoder",
-    "grand_operator",
+    "grand_blocks",
     "make_decoder",
     "outcome_distribution",
     "certify_grand",
+    "grand_messages",
     "build_decode_table",
     "pipeline_report",
 ]
@@ -106,55 +95,26 @@ class DecodeTable:
         )
 
 
-def grand_operator(N: int, H: HadamardMatrix) -> sp.csc_matrix:
+def grand_blocks(N: int, H: HadamardMatrix) -> PermutedBlockOp:
     """Unitary involution mapping each compact basis state to a product ket.
 
-    The compact state with label (k, r, j) contributes its conjugated (real)
-    amplitudes, h[j, m] / sqrt(2N) at |m, partner(m)>, to the output ket
-    |j, partner(j)>.  The partner functions of distinct families disagree at
-    every point, which makes the outcome kets exhaust the product basis and
-    the operator unitary; the self-inverse property additionally needs the
-    Hadamard matrix symmetric.  Both prerequisites are checked here and a
-    numeric spot check backs them up, so a convention regression fails
-    construction loudly.
-
-    The csc layout follows from that structure, and `certify_grand` reads
-    it back: column (t, i) = t·2N + i meets only the family f that pairs
-    first label t with partner i (all indices 0-based), so it holds exactly
-    2N entries, one per member slot j in ascending rows, entry j in row
-    j·2N + partner[f, j] with weight h[j, t] / sqrt(2N).
+    The compact state (k, r, j) has amplitudes h[j, m] / sqrt(2N) at
+    |m, partner(m)> and goes to the output ket |j, partner(j)>, so family f's
+    support rows[f, m] = m·2N + partner[f, m] (0-based) is rotated onto itself
+    by the one block H / sqrt(2N).  Distinct families' partners disagree at
+    every point, so the rows partition the product basis (checked here) and
+    the operator is unitary; it is self-inverse because H is symmetric and
+    squares to 2N·I in integers (`HadamardMatrix` checks both).
     """
     if H.order != 2 * N:
         raise OrderMismatch(f"need order {2 * N}, got {H.order}")
     dim = 2 * N
     partner = compact_partner_table(N)
-    # every column of the table must list each partner once, which also
-    # makes argsort below invert it
+    # every column of the table must list each partner once
     clash = np.flatnonzero((np.sort(partner, axis=0) != np.arange(dim)[:, None]).any(axis=0))
     if clash.size:
         raise NonInvolutory(f"partner maps collide at first label {clash[0] + 1}")
-
-    family = np.argsort(partner, axis=0).T  # [t, i]: the family pairing t with i
-    rows = np.arange(dim) * dim + partner[family]  # [t, i, j]
-    weights = H.ints.T.astype(np.complex128) / np.sqrt(dim)  # [t, j]
-    data = np.broadcast_to(weights[:, None, :], rows.shape).ravel()
-    # column-sliced format: decoding feeds in 2N-sparse vectors, so matvec by
-    # column gather beats a full row scan by a factor of dim/2
-    shape = (dim * dim, dim * dim)
-    op = sp.csc_matrix((data, rows.ravel(), np.arange(0, dim**3 + 1, dim)), shape=shape)
-
-    if dim <= 32:
-        eye = sp.identity(dim * dim, dtype=np.complex128, format="csc")
-        dev = abs(op @ op - eye)
-        residual = float(dev.max()) if dev.nnz else 0.0
-    else:
-        rng = np.random.default_rng(20240514)
-        v = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
-        v /= np.linalg.norm(v)
-        residual = float(np.max(np.abs(op @ (op @ v) - v)))
-    if residual > TOL_CHAINED:
-        raise NonInvolutory(f"grand operator self-inverse residual {residual:.3e}")
-    return op
+    return PermutedBlockOp(np.arange(dim) * dim + partner, H.normalized)
 
 
 def outcome_distribution(s: StateVector) -> list[MeasurementOutcome]:
@@ -220,7 +180,7 @@ def make_decoder(
     rows from.
     """
     if path == "grand":
-        return Decoder(path, ((first_particle_interleave(N), 0), (grand_operator(N, H), None)))
+        return Decoder(path, ((first_particle_interleave(N), 0), (grand_blocks(N, H), None)))
     if path == "pipeline":
         if HN is None:
             raise ConfigError("the pipeline route needs the order-N matrix HN for its mixer")
@@ -242,23 +202,23 @@ def certify_grand(decoder: Decoder, messages: np.ndarray, stack) -> tuple[np.nda
     at most CERTIFY_CHUNK long: state s is sum_i phases[s, i] |targets[s, i], i>
     over sqrt(2N), claimed to be the standard Bell state with message id
     bell[s].  Each state is carried through the decoder's interleave by index
-    arithmetic.  Bell state (k, r, j) lands on output row
-    (j-1)·2N + partner[(k, r), j-1], and that one row of the built grand
-    operator, read at the state's 2N nonzeros, gives its amplitude there.
-    Returns the predicted outcomes (flat index first·2N + second) and their
-    probabilities.  The state is normalized and the operator unitary, so a
-    probability of at least 1 - TOL_CHAINED certifies a point mass.  The
-    terms are summed in the amplitude route's order, so each probability
-    equals `Decoder.decode`'s top probability bit for bit.
+    arithmetic.  Bell state (k, r, j) lands on output row rows[(k, r), j-1],
+    and that one row of the held operator, read at the state's 2N nonzeros,
+    gives its amplitude there.  Returns the predicted outcomes (flat index
+    first·2N + second) and their probabilities.  The state is normalized and
+    the operator unitary, so a probability of at least 1 - TOL_CHAINED
+    certifies a point mass.  The terms are summed in the amplitude route's
+    order, so each probability is `Decoder.decode`'s top probability, bit for bit.
 
-    Entries are read by the csc layout `grand_operator` builds: row `out`
-    of column c sits at slot out // 2N of that column.  An entry found
-    elsewhere, or a slot holding another row, reads as 0, so an operator
-    built with any other layout fails certification rather than passing it.
+    Entries are read through the inverse of the held rows: a term in column
+    c counts only if c lies in the state's own family block, with weight
+    block[j-1, position of c].  A term elsewhere reads as 0, so a corrupted
+    permutation or block fails certification rather than passing it.
     """
     (interleave, _), (gop, _) = decoder.stages
     dim = interleave.dim
-    partner = compact_partner_table(dim // 2)
+    # inverting the rows names each column's family block and position in it
+    col_family, col_pos = np.divmod(np.argsort(gop.rows, axis=None), dim)
     outcomes = np.empty(len(messages), dtype=np.intp)
     probs = np.empty(len(messages))
     for lo in range(0, len(messages), CERTIFY_CHUNK):
@@ -268,20 +228,25 @@ def certify_grand(decoder: Decoder, messages: np.ndarray, stack) -> tuple[np.nda
         cols = slot * dim + np.arange(dim)
         amps = phases * interleave.phase[targets] / np.sqrt(dim)
         family, member = np.divmod(bell, dim)
-        out = member * dim + partner[family, member]
-        # the layout keeps member j's row of every column at the column's slot j
-        at = gop.indptr[cols] + member[:, None]
-        inside = at < gop.indptr[cols + 1]
-        at = np.where(inside, at, 0)
-        hit = inside & (gop.indices[at] == out[:, None])
-        weights = np.where(hit, gop.data[at], 0)
-        # add the terms left to right by ascending column, as the csc matvec
-        # of `Decoder.decode` does, so both routes round to the same bits
+        hit = col_family[cols] == family[:, None]
+        weights = np.where(hit, gop.block[member[:, None], col_pos[cols]], 0)
+        # add the terms left to right by ascending column, as the amplitude
+        # route of `Decoder.decode` does, so both routes round to the same bits
         ordered = np.zeros_like(amps)
         np.put_along_axis(ordered, slot, weights * amps, axis=1)
-        outcomes[chunk] = out
+        outcomes[chunk] = gop.rows[family, member]
         probs[chunk] = np.abs(np.cumsum(ordered, axis=1)[:, -1]) ** 2
     return outcomes, probs
+
+
+def grand_messages(decoder: Decoder, outcomes: np.ndarray) -> np.ndarray:
+    """`DecodeTable.message_for` of flat grand-route outcomes, in one pass: the
+    inverse of the held rows names the measured Bell state (family, member),
+    and family ^ 1 undoes the start family's sign flip."""
+    gop = decoder.stages[-1][0]
+    where = np.argsort(gop.rows, axis=None)  # the inverse of the rows
+    family, member = np.divmod(where[outcomes], len(gop.block))
+    return (family ^ 1) * len(gop.block) + member
 
 
 def build_decode_table(N: int, H: HadamardMatrix, decoder: Decoder) -> DecodeTable:
@@ -290,9 +255,10 @@ def build_decode_table(N: int, H: HadamardMatrix, decoder: Decoder) -> DecodeTab
     Raises NonDeterministicOutcome if any input fails to produce a point
     mass, and CollisionDetected if two labels share an outcome; either would
     break unique decodability for that path.  The grand route certifies
-    each state by one operator row (`certify_grand`); its closed-form
-    outcomes are checked for collisions before any amplitude is read.  The
-    pipeline is not monomial, so each of its states is decoded in full.
+    each state by one operator row (`certify_grand`); its outcomes, read
+    from the held rows, are checked for collisions before any amplitude is
+    read.  The pipeline is not monomial, so each of its states is decoded
+    in full.
     """
     entries: dict[tuple[int, int], BellLabel] = {}
     if decoder.path != "grand":
@@ -328,17 +294,20 @@ def build_decode_table(N: int, H: HadamardMatrix, decoder: Decoder) -> DecodeTab
     return DecodeTable(N=N, path=decoder.path, entries=entries)
 
 
-def pipeline_report(N: int, H: HadamardMatrix, HN: HadamardMatrix) -> dict:
+def pipeline_report(
+    N: int, H: HadamardMatrix, HN: HadamardMatrix, grand: Decoder, mixer_reading: str
+) -> dict:
     """Measured comparison of the pipeline against the grand decoder.
 
     Records per-sweep determinism (worst top-outcome probability), how many
     distinct outcomes the pipeline reaches, and whether the two decoders
     partition the message set identically (same groups of indistinguishable
     messages, outcome names aside).  Discrepancies are findings, not errors.
-    The grand side is its certified decode table, injective or raising, so
-    all singletons; only the pipeline decodes each Bell state in full.
+    The grand side is the certified decode table of `grand`, injective or
+    raising, so all singletons; only the pipeline decodes each Bell state in
+    full.  `mixer_reading` is the caller's resolved mixer normalization.
     """
-    grand = build_decode_table(N, H, make_decoder(N, H))
+    table = build_decode_table(N, H, grand)
     pipeline = make_decoder(N, H, "pipeline", HN)
     labels = all_labels(N)
     outcomes: set[tuple[int, int]] = set()
@@ -353,6 +322,6 @@ def pipeline_report(N: int, H: HadamardMatrix, HN: HadamardMatrix) -> dict:
         "deterministic": bool(min_top >= 1.0 - TOL_CHAINED),
         "min_top_probability": float(min_top),
         "distinct_outcomes": len(outcomes),
-        "partitions_equivalent": len(outcomes) == len(grand.entries),
-        "mixer_reading": resolve_mixer_normalization(N, HN)["reading"],
+        "partitions_equivalent": len(outcomes) == len(table.entries),
+        "mixer_reading": mixer_reading,
     }

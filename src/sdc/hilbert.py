@@ -3,11 +3,11 @@
 The single-particle space of 2N channels is indexed by a fixed embedding of
 the signed labels: +n -> n-1 and -n -> N+n-1, so each half-axis occupies a
 contiguous block and the ladder shift becomes block-cyclic.  Two-particle
-states are flat complex vectors with a dims header.  An operator is one of
-two kinds: a `SignedPermutationOp` (one unit-modulus entry per column, applied
-by index relocation) or a plain matrix, which is an ndarray on one factor and a
-scipy sparse matrix on the whole product space.  `np.asarray(op)` densifies
-a permutation or an ndarray alike.
+states are flat complex vectors with a dims header.  An operator is a
+`SignedPermutationOp` (one unit-modulus entry per column, moved by index
+relocation), a `PermutedBlockOp` (one block on each block of an index
+partition) or a plain matrix: an ndarray on one factor, a scipy sparse matrix
+on the whole product space.  `np.asarray(op)` densifies any of them.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "index_to_label",
     "StateVector",
     "SignedPermutationOp",
+    "PermutedBlockOp",
     "identity_perm",
     "compose_perms",
     "apply",
@@ -130,6 +131,30 @@ class SignedPermutationOp:
         return m
 
 
+@dataclass(frozen=True)
+class PermutedBlockOp:
+    """Direct sum of copies of one b x b block, conjugated by a permutation.
+
+    `rows` is a (blocks x b) index array partitioning 0..dim-1: the amplitudes
+    at rows[k] are multiplied by `block` and land back on rows[k], so entry
+    (rows[k, j], rows[k, t]) is block[j, t] and every other entry is zero.
+    """
+
+    rows: np.ndarray
+    block: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows.size, self.rows.size)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a permuted block has no dense buffer to share")
+        m = np.zeros(self.shape, dtype=self.block.dtype)
+        m[self.rows[:, :, None], self.rows[:, None, :]] = self.block
+        return m
+
+
 def identity_perm(dim: int) -> SignedPermutationOp:
     return SignedPermutationOp(dim, np.arange(dim), np.ones(dim, dtype=np.complex128))
 
@@ -168,18 +193,27 @@ def apply(op, subsystem: int, s: StateVector) -> StateVector:
 
 
 def apply_full(op, s: StateVector) -> StateVector:
-    """Apply a signed permutation or a scipy sparse matrix defined on the
-    whole product space."""
+    """Apply a signed permutation, a permuted block or a scipy sparse matrix
+    defined on the whole product space."""
     dim = s.amp.size
     if op.shape != (dim, dim):
         raise DimensionMismatch(f"operator shape {op.shape} != state dim {dim}")
+    out = np.zeros_like(s.amp)
     if isinstance(op, SignedPermutationOp):
-        out = np.zeros_like(s.amp)
         out[op.target] = op.phase * s.amp
-        return StateVector(s.dims, out)
-    # only the nonzero columns: decoded states are mostly 2N-sparse
-    nz = np.flatnonzero(s.amp)
-    return StateVector(s.dims, op.tocsc()[:, nz] @ s.amp[nz])
+    elif isinstance(op, PermutedBlockOp):
+        x = s.amp[op.rows]
+        y = np.zeros_like(x)
+        # add the terms left to right by ascending position t; where each
+        # rows[k] ascends, that is a csc matvec's order, and both round alike
+        for t in range(op.block.shape[1]):
+            y += op.block[:, t] * x[:, t, None]
+        out[op.rows] = y
+    else:
+        # only the nonzero columns: decoded states are mostly 2N-sparse
+        nz = np.flatnonzero(s.amp)
+        out = op.tocsc()[:, nz] @ s.amp[nz]
+    return StateVector(s.dims, out)
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

@@ -28,7 +28,7 @@ from sdc.analysis import (
 )
 from sdc.bell import BellLabel, all_labels, bell_state, compact_bell_state, compose_family
 from sdc.cli import main
-from sdc.decoder import grand_operator, make_decoder, pipeline_report
+from sdc.decoder import grand_blocks, make_decoder, pipeline_report
 from sdc.encoder import (
     encode_composed,
     encode_direct,
@@ -42,8 +42,9 @@ from sdc.gates import (
     ladder_shift_gate,
     nonlocal_mixer,
     position_controlled_swap,
+    resolve_mixer_normalization,
 )
-from sdc.hilbert import apply, partial_trace
+from sdc.hilbert import apply, apply_full, partial_trace
 
 
 def verdict(criterion: str, ok: bool, detail: str):
@@ -136,8 +137,8 @@ def test_c05_grand_operator():
     mapping_ok = True
     for N in (1, 2, 4):
         H = hadamard.build(2 * N)
-        op = grand_operator(N, H)
-        dense = op.toarray()
+        op = grand_blocks(N, H)
+        dense = np.asarray(op)
         eye = np.eye(4 * N * N)
         worst_residual = max(
             worst_residual,
@@ -145,7 +146,7 @@ def test_c05_grand_operator():
             float(np.max(np.abs(dense @ dense - eye))),
         )
         for lab in all_labels(N):
-            out = op @ compact_bell_state(N, lab, H).amp
+            out = apply_full(op, compact_bell_state(N, lab, H)).amp
             flat = (lab.j - 1) * 2 * N + (compact_partner(N, lab.k, lab.r, lab.j) - 1)
             if abs(abs(out[flat]) - 1.0) > 1e-10:
                 mapping_ok = False
@@ -282,7 +283,11 @@ def test_c10_spin_extension():
 
 
 def test_c11_pipeline_reports():
-    reports = {N: pipeline_report(N, hadamard.build(2 * N), hadamard.build(N)) for N in (1, 2)}
+    reports = {}
+    for N in (1, 2):
+        H, HN = hadamard.build(2 * N), hadamard.build(N)
+        reading = resolve_mixer_normalization(N, HN)["reading"]
+        reports[N] = pipeline_report(N, H, HN, make_decoder(N, H), reading)
     for N, rep in reports.items():
         print(
             f"  pipeline N={N}: deterministic={rep['deterministic']} "

@@ -82,9 +82,9 @@ class TestVerify:
                 ["--n", "4", "--gates"],
                 "641321d3072ed177f02fa96e5896675f82ecd9f9b4a03c155ec0738fdac23e08",
             ),
-            (["--n", "4"], "b705a4674581b53a4f894f8474038ac3f64d9dd37523c91b4e6be6afdae6a703"),
-            (["--n", "1"], "a92636188e09b9af5c9a73c4765714ccdf055f95a86f6ffaab6f9b272e2affbb"),
-            (["--n", "16"], "6c8e91c0490476848d412aed1b7882f85b8991a75058bf48da5875ccc54a543b"),
+            (["--n", "4"], "942eafa8ae6ddb68c0fea5eb2ca1e37374d92d759134d35a29c534b6790220ad"),
+            (["--n", "1"], "a0786e8283edb66229cd0e029151db3ef7d2eaee285b47d9ee432fd21a2c49d6"),
+            (["--n", "16"], "e5b104d60b0fe09d105619e39a633b52880dac181239f5349d1731186e8848a5"),
         ],
         ids=["n2", "n8", "n2-pipeline", "n4-gates", "n4", "n1", "n16"],
     )
@@ -106,6 +106,26 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--n", "2")
         assert code == 0
         assert calls == []
+
+    def test_pipeline_verify_builds_the_grand_route_and_resolves_the_mixer_once(
+        self, capsys, monkeypatch
+    ):
+        import sdc.decoder as dec
+        import sdc.gates as gates_mod
+
+        builds, resolutions = [], []
+        build = dec.grand_blocks
+        monkeypatch.setattr(dec, "grand_blocks", lambda N, H: builds.append(N) or build(N, H))
+        resolve = gates_mod.resolve_mixer_normalization
+        monkeypatch.setattr(
+            gates_mod,
+            "resolve_mixer_normalization",
+            lambda N, HN: resolutions.append(N) or resolve(N, HN),
+        )
+        code, out, _ = run_cli(capsys, "verify", "--n", "4", "--path", "pipeline")
+        assert code == 0
+        assert json.loads(out)["pipeline"]["mixer_reading"] == "pm1-entries-over-sqrt-dim"
+        assert builds == [4] and resolutions == [4]
 
     def test_cold_verify_builds_one_member_mixer_per_label(self, capsys, monkeypatch):
         # the benchmark's traced verify counts these builds in a fresh process
@@ -160,8 +180,8 @@ class TestRun:
         import sdc.decoder as dec
 
         calls = []
-        build = dec.grand_operator
-        monkeypatch.setattr(dec, "grand_operator", lambda N, H: calls.append(N) or build(N, H))
+        build = dec.grand_blocks
+        monkeypatch.setattr(dec, "grand_blocks", lambda N, H: calls.append(N) or build(N, H))
         code, _, _ = run_cli(capsys, "run", "--n", "2", "--message", "5")
         assert code == 0
         assert calls == [2]

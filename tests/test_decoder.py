@@ -21,9 +21,11 @@ from sdc.bell import (
 from sdc.cli import main
 from sdc.decoder import (
     Decoder,
+    MeasurementOutcome,
     build_decode_table,
     certify_grand,
-    grand_operator,
+    grand_blocks,
+    grand_messages,
     make_decoder,
     outcome_distribution,
     pipeline_report,
@@ -35,8 +37,13 @@ from sdc.errors import (
     NonDeterministicOutcome,
     OrderMismatch,
 )
-from sdc.gates import hadamard_layer, nonlocal_mixer, position_controlled_swap
-from sdc.hilbert import StateVector
+from sdc.gates import (
+    hadamard_layer,
+    nonlocal_mixer,
+    position_controlled_swap,
+    resolve_mixer_normalization,
+)
+from sdc.hilbert import PermutedBlockOp, StateVector, apply_full
 
 
 def grand_oracle(N, H):
@@ -53,16 +60,16 @@ def grand_oracle(N, H):
 class TestGrandOperator:
     def test_maps_compact_states_to_product_kets(self):
         N, H = 1, hadamard.build(2)
-        op = grand_operator(N, H)
+        op = grand_blocks(N, H)
         for lab in all_labels(N):
-            out = op @ compact_bell_state(N, lab, H).amp
+            out = apply_full(op, compact_bell_state(N, lab, H)).amp
             expected = np.zeros(4, dtype=complex)
             expected[(lab.j - 1) * 2 + (compact_partner(N, lab.k, lab.r, lab.j) - 1)] = 1.0
             assert np.max(np.abs(out - expected)) < 1e-12
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_unitary_involution(self, N):
-        m = grand_operator(N, hadamard.build(2 * N)).toarray()
+        m = np.asarray(grand_blocks(N, hadamard.build(2 * N)))
         eye = np.eye(4 * N * N)
         assert np.max(np.abs(m.conj().T @ m - eye)) < 1e-10
         assert np.max(np.abs(m @ m - eye)) < 1e-10
@@ -70,19 +77,48 @@ class TestGrandOperator:
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_matches_outer_product_oracle(self, N):
         H = hadamard.build(2 * N)
-        assert np.max(np.abs(grand_operator(N, H).toarray() - grand_oracle(N, H))) < 1e-14
+        assert np.max(np.abs(np.asarray(grand_blocks(N, H)) - grand_oracle(N, H))) < 1e-14
 
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatch):
-            grand_operator(2, hadamard.build(2))
+            grand_blocks(2, hadamard.build(2))
 
     @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
-    def test_csc_arrays_equal_the_label_by_label_build(self, N):
+    def test_dense_form_equals_the_label_by_label_build(self, N):
         H = hadamard.build(2 * N)
-        got, want = grand_operator(N, H), grand_operator_loop(N, H)
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        dense = np.asarray(grand_blocks(N, H))
+        assert np.array_equal(dense, grand_operator_loop(N, H).toarray())
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 32])
+    def test_block_matvec_rounds_like_the_csc_matvec(self, N):
+        # gather, left-to-right accumulate and scatter give the sparse
+        # product's bits, on dense and on mostly-zero states
+        H = hadamard.build(2 * N)
+        op = grand_blocks(N, H)
+        csc = grand_operator_loop(N, H)
+        rng = np.random.default_rng(N)
+        for trial in range(20):
+            amp = rng.standard_normal(4 * N * N) + 1j * rng.standard_normal(4 * N * N)
+            if trial % 2:
+                keep = rng.random(amp.size) >= 0.7
+                keep[rng.integers(amp.size)] = True
+                amp *= keep
+            s = StateVector((2 * N, 2 * N), amp / np.linalg.norm(amp))
+            nz = np.flatnonzero(s.amp)
+            assert apply_full(op, s).amp.tobytes() == (csc[:, nz] @ s.amp[nz]).tobytes()
+
+    def test_decoder_holds_quadratic_memory(self):
+        # the grand route holds the interleave (2N targets and phases), the
+        # rows (4N^2 indices) and one 2N x 2N float block: 64 N^2 + 48 N
+        # bytes, where the stored 8N^3-entry operator took about 20 B each
+        N = 64
+        held = sum(
+            value.nbytes
+            for op, _ in make_decoder(N, hadamard.build(2 * N)).stages
+            for value in vars(op).values()
+            if isinstance(value, np.ndarray)
+        )
+        assert held <= 64 * N * N + 48 * N
 
 
 class TestGrandDecoding:
@@ -168,6 +204,31 @@ class TestCertification:
         assert divmod(int(out), 2 * N) == (top.first, top.second)
         assert prob == top.probability
 
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
+    def test_certified_messages_equal_the_table_lookup(self, N):
+        H, grand = grand_route(N)
+        table = build_decode_table(N, H, grand)
+        flat, probs = _certify_sent(N, H, grand, np.arange(4 * N * N))
+        want = [
+            table.message_for(MeasurementOutcome(*divmod(out, 2 * N), p))
+            for out, p in zip(flat.tolist(), probs.tolist())
+        ]
+        assert grand_messages(grand, flat).tolist() == want == list(range(4 * N * N))
+
+    def test_sweep_decodes_misread_messages_on_the_amplitude_route(self, monkeypatch):
+        import sdc.analysis as analysis_mod
+
+        N, H = 2, hadamard.build(4)
+        # certification passes, but every message id is read as its neighbour
+        read = analysis_mod.grand_messages
+        monkeypatch.setattr(analysis_mod, "grand_messages", lambda d, o: (read(d, o) + 1) % 16)
+        decoded = []
+        decode = Decoder.decode
+        monkeypatch.setattr(Decoder, "decode", lambda self, s: decoded.append(1) or decode(self, s))
+        result = round_trip_sweep(N, H)
+        assert result["round_trip_ok"] == 16 and result["failures"] == []
+        assert len(decoded) == 16
+
     def test_grand_table_and_sweep_decode_no_dense_state(self, monkeypatch):
         decode = Decoder.decode
 
@@ -185,6 +246,12 @@ class TestCertification:
         assert main(["verify", "--n", "2", "--path", "pipeline"]) == 0
 
 
+def grand_pipeline_report(N, H, HN):
+    """`pipeline_report` against a fresh grand decoder and mixer resolution."""
+    reading = resolve_mixer_normalization(N, HN)["reading"]
+    return pipeline_report(N, H, HN, make_decoder(N, H), reading)
+
+
 class TestPipeline:
     def test_single_pair_reduces_to_standard_dense_coding(self):
         # controlled swap + one channel Hadamard (the mixer is trivial)
@@ -199,27 +266,27 @@ class TestPipeline:
 
     def test_two_pair_sweep_is_deterministic(self):
         N, H, HN = 2, hadamard.build(4), hadamard.build(2)
-        report = pipeline_report(N, H, HN)
+        report = grand_pipeline_report(N, H, HN)
         assert report["deterministic"] is True
         assert report["distinct_outcomes"] == 16
         assert report["partitions_equivalent"] is True
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_partition_equivalence_with_grand(self, N):
-        report = pipeline_report(N, hadamard.build(2 * N), hadamard.build(N))
+        report = grand_pipeline_report(N, hadamard.build(2 * N), hadamard.build(N))
         assert report["partitions_equivalent"] is True
         assert report["mixer_reading"] == "pm1-entries-over-sqrt-dim"
 
     def test_four_pair_sweep_remains_deterministic(self):
         # measured fact, stronger than anything required of the pipeline
-        report = pipeline_report(4, hadamard.build(8), hadamard.build(4))
+        report = grand_pipeline_report(4, hadamard.build(8), hadamard.build(4))
         assert report["deterministic"] is True
         assert report["partitions_equivalent"] is True
 
     def test_eight_pair_sweep_loses_determinism(self):
         # measured fact: beyond four channel pairs the pipeline spreads some
         # inputs over several outcomes, so no decode table exists for it
-        report = pipeline_report(8, hadamard.build(16), hadamard.build(8))
+        report = grand_pipeline_report(8, hadamard.build(16), hadamard.build(8))
         assert report["deterministic"] is False
         with pytest.raises(NonDeterministicOutcome):
             H = hadamard.build(16)
@@ -292,7 +359,7 @@ class TestGuards:
             dec, "compact_partner_table", lambda N: np.tile(np.arange(2 * N), (2 * N, 1))
         )
         with pytest.raises(NonInvolutory, match="collide at first label 1"):
-            dec.grand_operator(1, hadamard.build(2))
+            dec.grand_blocks(1, hadamard.build(2))
 
     def test_colliding_decoder_is_reported(self, monkeypatch):
         # the pipeline route tabulates full decodes; land every one on one outcome
@@ -311,32 +378,31 @@ class TestGuards:
     def test_corrupted_grand_operator_is_nondeterministic(self):
         N, H = 2, hadamard.build(4)
         interleave, (gop, _) = make_decoder(N, H).stages
-        bad = gop.copy()
-        bad.data[0] = -bad.data[0]  # one sign in one label's output row
+        block = gop.block.copy()
+        block[0, 0] = -block[0, 0]  # one sign, read by member 1 of every family
+        bad = PermutedBlockOp(gop.rows, block)
         with pytest.raises(NonDeterministicOutcome, match="probability 0.250000"):
             build_decode_table(N, H, Decoder("grand", (interleave, (bad, None))))
 
-    def test_entry_moved_within_its_column_is_nondeterministic(self):
-        # certification reads each column at a fixed slot; the moved entry
-        # must read as 0 there, not as the weight of its old row
+    def test_rows_swapped_across_families_are_nondeterministic(self):
+        # certification counts a term only inside its own family's block; the
+        # swapped column keeps its position, so without that check its weight
+        # would still read right
         N, H = 2, hadamard.build(4)
         interleave, (gop, _) = make_decoder(N, H).stages
-        bad = gop.copy()
-        bad.indices[0] = (bad.indices[0] + 1) % (2 * N)  # same member slot, other partner
+        rows = gop.rows.copy()
+        rows[[0, 1], 1] = rows[[1, 0], 1]
+        bad = PermutedBlockOp(rows, gop.block)
         with pytest.raises(NonDeterministicOutcome, match="probability 0.562500"):
             build_decode_table(N, H, Decoder("grand", (interleave, (bad, None))))
 
-    def test_colliding_partner_table_is_reported(self, monkeypatch):
-        import sdc.decoder as dec
-
+    def test_colliding_partner_table_is_reported(self):
         N, H = 2, hadamard.build(4)
-        grand = dec.make_decoder(N, H)
-        # every family now predicts partner 0 for every first label
-        monkeypatch.setattr(
-            dec, "compact_partner_table", lambda n: np.zeros((2 * n, 2 * n), dtype=np.intp)
-        )
+        interleave, (gop, _) = make_decoder(N, H).stages
+        # every family's rows now predict outcome (0, 0) for every member
+        bad = PermutedBlockOp(np.zeros_like(gop.rows), gop.block)
         with pytest.raises(CollisionDetected, match=r"outcome \(0, 0\) hit by both"):
-            dec.build_decode_table(N, H, grand)
+            build_decode_table(N, H, Decoder("grand", (interleave, (bad, None))))
 
     def test_unrelatable_compact_family_is_reported(self, monkeypatch):
         import sdc.bell as bell_mod

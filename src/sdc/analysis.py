@@ -16,8 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import BellLabel, bell_state, encoder_table, message_to_label
-from .decoder import build_decode_table, certify_grand, grand_messages, make_decoder
-from .errors import ArgOutOfRange, MessageOutOfRange
+from .decoder import (
+    Decoder,
+    MeasurementOutcome,
+    build_decode_table,
+    certify_grand,
+    grand_messages,
+    make_decoder,
+)
+from .errors import ArgOutOfRange, MessageOutOfRange, NonDeterministicOutcome
 from .encoder import encode_direct
 from .hadamard import HadamardMatrix
 from .hilbert import StateVector, TOL_CHAINED, apply
@@ -28,6 +35,7 @@ __all__ = [
     "start_state",
     "send",
     "run_protocol",
+    "decode_message",
     "round_trip_sweep",
     "rate_spatial",
     "rate_spatial_asymptotic",
@@ -88,9 +96,28 @@ def run_protocol(
 ) -> int:
     """Encode a message on the start state, decode it, return what came out."""
     sent = send(N, H, start_state(N, H), message)
-    decoder = make_decoder(N, H, path, HN)
+    return decode_message(N, H, make_decoder(N, H, path, HN), sent)[1]
+
+
+def decode_message(
+    N: int, H: HadamardMatrix, decoder: Decoder, sent: StateVector
+) -> tuple[MeasurementOutcome, int]:
+    """Measure a sent state: (top outcome, message id it decodes to).
+
+    The grand route maps its outcome through the held rows (`grand_messages`)
+    and checks only this state's own top probability, raising
+    NonDeterministicOutcome below 1 - TOL_CHAINED; the other labels are not
+    tabulated.  The pipeline route looks the outcome up in its decode table.
+    """
     top, _ = decoder.decode(sent)
-    return build_decode_table(N, H, decoder).message_for(top)
+    if decoder.path != "grand":
+        return top, build_decode_table(N, H, decoder).message_for(top)
+    if top.probability < 1.0 - TOL_CHAINED:
+        raise NonDeterministicOutcome(
+            f"grand decoder spread the sent state over multiple outcomes "
+            f"(top probability {top.probability:.6f})"
+        )
+    return top, int(grand_messages(decoder, top.first * 2 * N + top.second))
 
 
 def _certify_sent(N: int, H: HadamardMatrix, decoder, messages) -> tuple[np.ndarray, np.ndarray]:

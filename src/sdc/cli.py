@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import __version__, analysis, bell, decoder, encoder, gates, hadamard, hilbert
 from .errors import ArgOutOfRange, ConfigError, MessageOutOfRange, SdcError
@@ -135,20 +134,33 @@ def _static_conventions(H) -> dict:
 def table_residuals(targets: np.ndarray, phases: np.ndarray) -> dict:
     """Worst Bell-basis residuals of a `bell.bell_table`, exact for +-1 phases.
 
-    gram: max|<a|b> - delta_ab|.  States overlap only where targets agree,
-    so the Gram matrix is S S^H / 2N for the support matrix S holding each
-    state's phases at flat indices target * 2N + column.  partial_trace:
-    max|rho - I/2N|, where both reduced states are diag(|phase|^2) / 2N.
-    amplitude: max||amp| - 1/sqrt(2N)| over the amplitudes phase / sqrt(2N).
+    gram: max|<a|b> - delta_ab|.  States a and b overlap where their targets
+    agree, so <a|b> = sum_i [t_a[i] == t_b[i]] p_a[i] conj(p_b[i]) / 2N.
+    Rows with one target row (a family) form a group whose Gram block is
+    P P^H / 2N; two groups overlap only on the columns where their targets
+    agree, which are found from the (target, column) slots held by more than
+    one group.  partial_trace: max|rho - I/2N|, where both reduced states
+    are diag(|phase|^2) / 2N.  amplitude: max||amp| - 1/sqrt(2N)| over the
+    amplitudes phase / sqrt(2N).
     """
-    count, dim = phases.shape
-    rows = np.repeat(np.arange(count), dim)
-    cols = (targets * dim + np.arange(dim)).ravel()
-    support = sp.csr_matrix((phases.ravel(), (rows, cols)), shape=(count, dim * dim))
-    gram = abs(support @ support.conj().T - dim * sp.identity(count, format="csr"))
+    dim = phases.shape[1]
+    uniq, group, sizes = np.unique(targets, axis=0, return_inverse=True, return_counts=True)
+    members = np.split(np.argsort(group.reshape(-1), kind="stable"), np.cumsum(sizes)[:-1])
+    worst = 0.0
+    for rows in members:
+        p = phases[rows]
+        worst = max(worst, np.max(np.abs(p @ p.conj().T - dim * np.eye(len(rows)))))
+    _, slot, held = np.unique(uniq * dim + np.arange(dim), return_inverse=True, return_counts=True)
+    sharing = np.flatnonzero((held[slot.reshape(uniq.shape)] > 1).any(axis=1))
+    for i, g in enumerate(sharing):
+        for h in sharing[i + 1:]:
+            cols = np.flatnonzero(uniq[g] == uniq[h])
+            if cols.size:
+                cross = phases[members[g]][:, cols] @ phases[members[h]][:, cols].conj().T
+                worst = max(worst, np.max(np.abs(cross)))
     mags = np.abs(phases)
     return {
-        "gram": float(gram.max()) / dim,
+        "gram": float(worst) / dim,
         "partial_trace": float(np.max(np.abs(mags**2 - 1.0))) / dim,
         "amplitude": float(np.max(np.abs(mags - 1.0)) / np.sqrt(dim)),
     }
@@ -338,7 +350,7 @@ def build_verify_report(cfg: RunConfig) -> dict:
         "pass": all(c["pass"] for c in checks),
     }
     if cfg.path == "pipeline":
-        report["pipeline"] = decoder.pipeline_report(N, H, HN, grand, mixer_info["reading"])
+        report["pipeline"] = decoder.pipeline_report(N, H, HN, mixer_info["reading"])
         if N == 1 and not report["pipeline"]["deterministic"]:
             report["pass"] = False
     return report
@@ -445,9 +457,7 @@ def cmd_run(cfg: RunConfig, message: int, dump_state: str | None, sign: int = 1)
             json.dumps(hilbert.state_to_dict(sent), sort_keys=True)
         )
     dec = decoder.make_decoder(cfg.n, H, cfg.path, HN)
-    table = decoder.build_decode_table(cfg.n, H, dec)
-    top, _ = dec.decode(sent)
-    decoded = table.message_for(top)
+    top, decoded = analysis.decode_message(cfg.n, H, dec, sent)
     lab = bell.message_to_label(message, cfg.n)
     _emit_json(
         {

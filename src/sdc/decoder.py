@@ -15,7 +15,7 @@ operators once and returns a `Decoder` that applies them in order.  Tables,
 reports, protocol runs and the command line all take or build one `Decoder`.
 On the grand route, `certify_grand` checks stacked signed-permutation states
 against one operator row each; it is that route's one decoder of Bell states
-(tables, sweeps, verify, `pipeline_report`), bit-identical to the amplitude
+(tables, sweeps, verify), bit-identical to the amplitude
 route (`Decoder.decode`), which stays the oracle and decodes arbitrary states.
 """
 
@@ -294,20 +294,19 @@ def build_decode_table(N: int, H: HadamardMatrix, decoder: Decoder) -> DecodeTab
     return DecodeTable(N=N, path=decoder.path, entries=entries)
 
 
-def pipeline_report(
-    N: int, H: HadamardMatrix, HN: HadamardMatrix, grand: Decoder, mixer_reading: str
-) -> dict:
+def pipeline_report(N: int, H: HadamardMatrix, HN: HadamardMatrix, mixer_reading: str) -> dict:
     """Measured comparison of the pipeline against the grand decoder.
 
     Records per-sweep determinism (worst top-outcome probability), how many
     distinct outcomes the pipeline reaches, and whether the two decoders
     partition the message set identically (same groups of indistinguishable
     messages, outcome names aside).  Discrepancies are findings, not errors.
-    The grand side is the certified decode table of `grand`, injective or
-    raising, so all singletons; only the pipeline decodes each Bell state in
-    full.  `mixer_reading` is the caller's resolved mixer normalization.
+    The grand route sends the 4N^2 labels to 4N^2 distinct outcomes (its
+    held rows partition the product basis, and verify certifies each label),
+    so its partition is all singletons; only the pipeline decodes each Bell
+    state in full.  `mixer_reading` is the caller's resolved mixer
+    normalization.
     """
-    table = build_decode_table(N, H, grand)
     pipeline = make_decoder(N, H, "pipeline", HN)
     labels = all_labels(N)
     outcomes: set[tuple[int, int]] = set()
@@ -322,6 +321,6 @@ def pipeline_report(
         "deterministic": bool(min_top >= 1.0 - TOL_CHAINED),
         "min_top_probability": float(min_top),
         "distinct_outcomes": len(outcomes),
-        "partitions_equivalent": len(outcomes) == len(table.entries),
+        "partitions_equivalent": len(outcomes) == len(labels),
         "mixer_reading": mixer_reading,
     }

@@ -5,17 +5,17 @@ cyclic ladder shift, and the two nonlocal two-particle gates used by the
 measurement pipeline: the position-controlled swap and the Hadamard-weighted
 channel mixer.  Every gate is a `SignedPermutationOp` except the channel
 Hadamard and the Hadamard layer, which are read-only complex ndarrays, and the
-mixer, which is a scipy sparse matrix on the two-particle space.
+mixer, a `PermutedBlockOp`: 4N copies of the scaled order-N Hadamard block on
+the two-particle space.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ArgOutOfRange, NonUnitaryResolution, OrderMismatch
 from .hadamard import HadamardMatrix
-from .hilbert import SignedPermutationOp, TOL_CHAINED, label_to_index
+from .hilbert import PermutedBlockOp, SignedPermutationOp, TOL_CHAINED, label_to_index
 
 __all__ = [
     "channel_sign_gate",
@@ -114,63 +114,21 @@ MIXER_READINGS = (
 )
 
 
-def _mixer_block(N: int, HN: HadamardMatrix, scale: float) -> sp.csr_matrix:
-    """Magnitude-sector block (N^2 x N^2) of the mixer, shared by all four
-    sign sectors."""
-    rows, cols, vals = [], [], []
-    n_arr = np.arange(1, N + 1)
-    for l in range(1, N + 1):
-        sl = ((l + n_arr - 2) % N) + 1
-        for m in range(1, N + 1):
-            sm = ((m + n_arr - 2) % N) + 1
-            col = (l - 1) * N + (m - 1)
-            rows.extend((sl - 1) * N + (sm - 1))
-            cols.extend([col] * N)
-            vals.extend(HN.ints[m - 1, sm - 1] * scale)
-    return sp.csr_matrix(
-        (np.array(vals, dtype=np.complex128), (rows, cols)), shape=(N * N, N * N)
-    )
+def _resolved_scale(N: int, HN: HadamardMatrix) -> tuple[float, dict]:
+    """(scale, report) of the first reading whose scaled HN is a unitary involution.
 
-
-def _block_residuals(block: sp.csr_matrix) -> tuple[float, float]:
-    """(unitarity, involution) residuals of one magnitude block.
-
-    Exact sparse products up to 16 channels; beyond that a seeded sample of
-    applied vectors, which suffices because the block is real symmetric by
-    construction (so involution implies unitarity).
+    `HadamardMatrix` proves HN symmetric with HN·HN = N·I in integers, so
+    HN·s is a unitary involution exactly when N·s² = 1; the reading that
+    means 1/sqrt(N) passes with residuals 0.0, any other fails by |N·s² - 1|.
     """
-    dim = block.shape[0]
-    if dim <= 256:
-        eye = sp.identity(dim, dtype=np.complex128, format="csr")
-        unit = abs(block.conj().T @ block - eye)
-        invol = abs(block @ block - eye)
-        unit_res = float(unit.max()) if unit.nnz else 0.0
-        invol_res = float(invol.max()) if invol.nnz else 0.0
-        return unit_res, invol_res
-    rng = np.random.default_rng(20240513)
-    invol_res = 0.0
-    for _ in range(8):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        invol_res = max(invol_res, float(np.max(np.abs(block @ (block @ v) - v))))
-    sym_res = float(abs(block - block.T).max()) if (block - block.T).nnz else 0.0
-    return max(invol_res, sym_res), invol_res
-
-
-def _resolved_block(N: int, HN: HadamardMatrix) -> tuple[sp.csr_matrix, dict]:
     if HN.order != N:
         raise OrderMismatch(f"mixer needs order {N}, got {HN.order}")
     tried = []
     for name, scale in MIXER_READINGS:
-        block = _mixer_block(N, HN, scale(N))
-        unit_res, invol_res = _block_residuals(block)
-        tried.append((name, unit_res, invol_res))
-        if unit_res <= TOL_CHAINED and invol_res <= TOL_CHAINED:
-            return block, {
-                "reading": name,
-                "unitarity_residual": unit_res,
-                "involution_residual": invol_res,
-            }
+        s = scale(N)
+        tried.append((name, abs(N * s * s - 1.0)))
+        if tried[-1][1] <= TOL_CHAINED:
+            return s, {"reading": name, "unitarity_residual": 0.0, "involution_residual": 0.0}
     raise NonUnitaryResolution(f"no mixer normalization candidate passed: {tried}")
 
 
@@ -181,30 +139,23 @@ def resolve_mixer_normalization(N: int, HN: HadamardMatrix) -> dict:
     the decision.  Raises NonUnitaryResolution if no candidate passes, which
     would mean the sign-pattern convention itself is wrong.
     """
-    return _resolved_block(N, HN)[1]
+    return _resolved_scale(N, HN)[1]
 
 
-def nonlocal_mixer(N: int, HN: HadamardMatrix) -> sp.csc_matrix:
+def nonlocal_mixer(N: int, HN: HadamardMatrix) -> PermutedBlockOp:
     """Two-particle channel mixer completing the measurement pipeline.
 
     Sends the pair ket with magnitudes (l, m) and signs (r, r') to the
     Hadamard-row-weighted superposition over n of the pair with magnitudes
     (shift_l(n), shift_m(n)) and the same signs; the weight is the row-m entry
-    at the shifted column.  Built per sign sector from one shared magnitude
-    block; the normalization reading is resolved, not assumed.
+    at the shifted column.  The shift keeps the sign sector (a, b) and the
+    class d = l - m mod N, and sends magnitude q = m - 1 to q' with weight
+    HN[q, q'] = HN[q', q], so each of the 4N (a, b, d) classes is one copy of
+    the block HN·s on the kets ((q + d) mod N + N·a, q + N·b), q = 0..N-1.
+    The normalization reading s is resolved, not assumed.
     """
-    block = _resolved_block(N, HN)[0].tocoo()
-
-    dim = 2 * N
-    p_out, q_out = block.row // N, block.row % N
-    p_in, q_in = block.col // N, block.col % N
-    rows, cols, vals = [], [], []
-    for a in (0, 1):
-        for b in (0, 1):
-            rows.append((p_out + N * a) * dim + (q_out + N * b))
-            cols.append((p_in + N * a) * dim + (q_in + N * b))
-            vals.append(block.data)
-    return sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim * dim, dim * dim),
-    )
+    scale = _resolved_scale(N, HN)[0]
+    q = np.arange(N)
+    first = (q + np.arange(N)[:, None]) % N  # row d: (q + d) mod N
+    rows = [(first + N * a) * 2 * N + q + N * b for a in (0, 1) for b in (0, 1)]
+    return PermutedBlockOp(np.concatenate(rows), HN.ints * scale)

@@ -6,8 +6,8 @@ contiguous block and the ladder shift becomes block-cyclic.  Two-particle
 states are flat complex vectors with a dims header.  An operator is a
 `SignedPermutationOp` (one unit-modulus entry per column, moved by index
 relocation), a `PermutedBlockOp` (one block on each block of an index
-partition) or a plain matrix: an ndarray on one factor, a scipy sparse matrix
-on the whole product space.  `np.asarray(op)` densifies any of them.
+partition) or, on one factor only, a plain ndarray.  `np.asarray(op)`
+densifies any of them.
 """
 
 from __future__ import annotations
@@ -193,26 +193,24 @@ def apply(op, subsystem: int, s: StateVector) -> StateVector:
 
 
 def apply_full(op, s: StateVector) -> StateVector:
-    """Apply a signed permutation, a permuted block or a scipy sparse matrix
-    defined on the whole product space."""
+    """Apply a signed permutation or a permuted block defined on the whole
+    product space: the block by gather, accumulate and scatter."""
     dim = s.amp.size
     if op.shape != (dim, dim):
         raise DimensionMismatch(f"operator shape {op.shape} != state dim {dim}")
     out = np.zeros_like(s.amp)
     if isinstance(op, SignedPermutationOp):
         out[op.target] = op.phase * s.amp
-    elif isinstance(op, PermutedBlockOp):
+    else:
         x = s.amp[op.rows]
         y = np.zeros_like(x)
-        # add the terms left to right by ascending position t; where each
-        # rows[k] ascends, that is a csc matvec's order, and both round alike
-        for t in range(op.block.shape[1]):
-            y += op.block[:, t] * x[:, t, None]
+        # add each block's terms left to right by ascending flat column, the
+        # order of a csc matvec, so both round to the same bits
+        columns = np.ascontiguousarray(op.block.T)
+        blocks = np.arange(len(x))
+        for t in np.argsort(op.rows, axis=1).T:
+            y += columns[t] * x[blocks, t, None]
         out[op.rows] = y
-    else:
-        # only the nonzero columns: decoded states are mostly 2N-sparse
-        nz = np.flatnonzero(s.amp)
-        out = op.tocsc()[:, nz] @ s.amp[nz]
     return StateVector(s.dims, out)
 
 

@@ -4,8 +4,9 @@ Each function works state by state or label by label on amplitudes, never on
 the family tables, so differential tests at small N can hold the two routes
 against each other: the compact pairing as a scalar formula, both bases as
 dense 4N^2 x 4N^2 stacks of per-label states, the basis residuals computed
-from those stacks, the grand operator assembled one label at a time, and the
-compact relabeling searched on dense states.
+from those stacks, the grand operator assembled one label at a time, the
+pipeline's mixer assembled ket by ket as a csc matrix, and the compact
+relabeling searched on dense states.
 """
 
 import itertools
@@ -117,6 +118,33 @@ def grand_operator_loop(N, H):
         vals.extend(H.row(lab.j) * scale)
     return sp.csc_matrix(
         (np.array(vals, dtype=np.complex128), (rows, cols)),
+        shape=(dim * dim, dim * dim),
+    )
+
+
+def mixer_csc(N, HN):
+    """The pipeline's nonlocal mixer as a csc matrix, built ket by ket: one
+    magnitude-sector block (N^2 x N^2) with entries HN[m, shift_m(n)] / sqrt(N),
+    copied into each of the four sign sectors."""
+    scale = 1.0 / np.sqrt(N)
+    rows, cols, vals = [], [], []
+    n_arr = np.arange(1, N + 1)
+    for l in range(1, N + 1):
+        sl = ((l + n_arr - 2) % N) + 1
+        for m in range(1, N + 1):
+            sm = ((m + n_arr - 2) % N) + 1
+            rows.extend((sl - 1) * N + (sm - 1))
+            cols.extend([(l - 1) * N + (m - 1)] * N)
+            vals.extend(HN.ints[m - 1, sm - 1] * scale)
+    rows, cols, dim = np.array(rows), np.array(cols), 2 * N
+    flat = []
+    for a in (0, 1):
+        for b in (0, 1):
+            out = (rows // N + N * a) * dim + rows % N + N * b
+            flat.append((out, (cols // N + N * a) * dim + cols % N + N * b))
+    return sp.csc_matrix(
+        (np.tile(np.array(vals, dtype=np.complex128), 4),
+         (np.concatenate([r for r, _ in flat]), np.concatenate([c for _, c in flat]))),
         shape=(dim * dim, dim * dim),
     )
 

@@ -165,7 +165,7 @@ def test_c06_gate_involutions_and_unitarity():
             np.asarray(channel_swap_gate(N, 1)),
             np.asarray(channel_hadamard_gate(N, 1)),
             np.asarray(position_controlled_swap(N)),
-            nonlocal_mixer(N, hadamard.build(N)).toarray(),
+            np.asarray(nonlocal_mixer(N, hadamard.build(N))),
         ]
         for m in mats:
             eye = np.eye(m.shape[0])
@@ -287,7 +287,7 @@ def test_c11_pipeline_reports():
     for N in (1, 2):
         H, HN = hadamard.build(2 * N), hadamard.build(N)
         reading = resolve_mixer_normalization(N, HN)["reading"]
-        reports[N] = pipeline_report(N, H, HN, make_decoder(N, H), reading)
+        reports[N] = pipeline_report(N, H, HN, reading)
     for N, rep in reports.items():
         print(
             f"  pipeline N={N}: deterministic={rep['deterministic']} "

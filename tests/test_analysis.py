@@ -52,6 +52,13 @@ class TestRoundTrips:
         with pytest.raises(MessageOutOfRange):
             run_protocol(1, hadamard.build(2), 4)
 
+    def test_grand_run_maps_its_outcome_without_a_decode_table(self, monkeypatch):
+        monkeypatch.setattr(
+            analysis_mod, "build_decode_table", lambda *a: pytest.fail("decode table built")
+        )
+        H = hadamard.build(8)
+        assert [run_protocol(4, H, m) for m in range(64)] == list(range(64))
+
 
 class TestCertifiedSweep:
     """A sent state that fails certification is decoded on the amplitude route."""

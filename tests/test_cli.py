@@ -76,7 +76,11 @@ class TestVerify:
             (["--n", "8"], "ee903b964c45d349e52231304485080df5aac31870a9b13960490b0ab7269923"),
             (
                 ["--n", "2", "--path", "pipeline"],
-                "bba2370ec629a313b87a122500bfc98d463a9d11fdc97403b75b9b8e38bd3d90",
+                "78fd2475c9327f6a962c4cce5cdb51d0ed9e8f28941a80c189ab50adc189b751",
+            ),
+            (
+                ["--n", "8", "--path", "pipeline"],
+                "7dc272ff34a9574c3032afa74f301025f90b2fcb0e127c436d35408c11e53e6d",
             ),
             (
                 ["--n", "4", "--gates"],
@@ -86,7 +90,7 @@ class TestVerify:
             (["--n", "1"], "a0786e8283edb66229cd0e029151db3ef7d2eaee285b47d9ee432fd21a2c49d6"),
             (["--n", "16"], "e5b104d60b0fe09d105619e39a633b52880dac181239f5349d1731186e8848a5"),
         ],
-        ids=["n2", "n8", "n2-pipeline", "n4-gates", "n4", "n1", "n16"],
+        ids=["n2", "n8", "n2-pipeline", "n8-pipeline", "n4-gates", "n4", "n1", "n16"],
     )
     def test_report_matches_recorded_digest(self, capsys, argv, digest):
         # residuals of one or two ulps (4.4e-16 at --n 1, 2.2e-16 at --n 4 and
@@ -126,6 +130,16 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["pipeline"]["mixer_reading"] == "pm1-entries-over-sqrt-dim"
         assert builds == [4] and resolutions == [4]
+
+    def test_pipeline_verify_certifies_the_bell_states_once(self, capsys, monkeypatch):
+        import sdc.decoder as dec
+
+        calls = []
+        certify = dec.certify_grand
+        monkeypatch.setattr(dec, "certify_grand", lambda *a: calls.append(1) or certify(*a))
+        code, _, _ = run_cli(capsys, "verify", "--n", "4", "--path", "pipeline")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_cold_verify_builds_one_member_mixer_per_label(self, capsys, monkeypatch):
         # the benchmark's traced verify counts these builds in a fresh process
@@ -185,6 +199,67 @@ class TestRun:
         code, _, _ = run_cli(capsys, "run", "--n", "2", "--message", "5")
         assert code == 0
         assert calls == [2]
+
+
+    def test_maps_its_outcome_without_a_decode_table(self, capsys, monkeypatch):
+        import sdc.decoder as dec
+
+        calls = []
+        certify = dec.certify_grand
+        monkeypatch.setattr(dec, "certify_grand", lambda *a: calls.append(1) or certify(*a))
+        code, out, _ = run_cli(capsys, "run", "--n", "4", "--message", "37")
+        assert code == 0 and json.loads(out)["decoded"] == 37
+        assert calls == []
+
+    def test_spread_outcome_exits_2(self, capsys, monkeypatch):
+        # swapping one column between families 0 and 1 keeps the operator
+        # unitary but spreads their states; message 4 is sent as a family-0
+        # state, and the run's own probability check catches it
+        import sdc.decoder as dec
+
+        build = dec.grand_blocks
+
+        def swapped(N, H):
+            op = build(N, H)
+            rows = op.rows.copy()
+            rows[[0, 1], 1] = rows[[1, 0], 1]
+            return dec.PermutedBlockOp(rows, op.block)
+
+        monkeypatch.setattr(dec, "grand_blocks", swapped)
+        code, out, err = run_cli(capsys, "run", "--n", "2", "--message", "4")
+        assert code == 2 and out == ""
+        assert "NonDeterministicOutcome" in err and "0.562500" in err
+
+
+def test_commands_import_no_scipy():
+    # scipy is a test-only oracle; importing it would cost most of a small
+    # run's start-up
+    script = (
+        "import json, sys, contextlib, io\n"
+        "import sdc.cli\n"
+        "loaded = {}\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        sdc.cli.main(argv)\n"
+        "    loaded[' '.join(argv)] = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps(loaded))\n"
+    )
+    argvs = [
+        ["run", "--n", "4", "--message", "5"],
+        ["sweep", "--n", "4"],
+        ["verify", "--n", "2"],
+        ["verify", "--n", "2", "--path", "pipeline"],
+        ["table", "--n", "2"],
+        ["bases", "--n", "2"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(sdc.__file__).parents[1])}
+    env.pop("SDC_CONFIG", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    loaded = json.loads(proc.stdout)
+    assert loaded == {" ".join(argv): [] for argv in argvs}
 
 
 class TestEncodeDecode:

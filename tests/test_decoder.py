@@ -246,10 +246,9 @@ class TestCertification:
         assert main(["verify", "--n", "2", "--path", "pipeline"]) == 0
 
 
-def grand_pipeline_report(N, H, HN):
-    """`pipeline_report` against a fresh grand decoder and mixer resolution."""
-    reading = resolve_mixer_normalization(N, HN)["reading"]
-    return pipeline_report(N, H, HN, make_decoder(N, H), reading)
+def resolved_pipeline_report(N, H, HN):
+    """`pipeline_report` with a fresh mixer resolution."""
+    return pipeline_report(N, H, HN, resolve_mixer_normalization(N, HN)["reading"])
 
 
 class TestPipeline:
@@ -266,27 +265,27 @@ class TestPipeline:
 
     def test_two_pair_sweep_is_deterministic(self):
         N, H, HN = 2, hadamard.build(4), hadamard.build(2)
-        report = grand_pipeline_report(N, H, HN)
+        report = resolved_pipeline_report(N, H, HN)
         assert report["deterministic"] is True
         assert report["distinct_outcomes"] == 16
         assert report["partitions_equivalent"] is True
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_partition_equivalence_with_grand(self, N):
-        report = grand_pipeline_report(N, hadamard.build(2 * N), hadamard.build(N))
+        report = resolved_pipeline_report(N, hadamard.build(2 * N), hadamard.build(N))
         assert report["partitions_equivalent"] is True
         assert report["mixer_reading"] == "pm1-entries-over-sqrt-dim"
 
     def test_four_pair_sweep_remains_deterministic(self):
         # measured fact, stronger than anything required of the pipeline
-        report = grand_pipeline_report(4, hadamard.build(8), hadamard.build(4))
+        report = resolved_pipeline_report(4, hadamard.build(8), hadamard.build(4))
         assert report["deterministic"] is True
         assert report["partitions_equivalent"] is True
 
     def test_eight_pair_sweep_loses_determinism(self):
         # measured fact: beyond four channel pairs the pipeline spreads some
         # inputs over several outcomes, so no decode table exists for it
-        report = grand_pipeline_report(8, hadamard.build(16), hadamard.build(8))
+        report = resolved_pipeline_report(8, hadamard.build(16), hadamard.build(8))
         assert report["deterministic"] is False
         with pytest.raises(NonDeterministicOutcome):
             H = hadamard.build(16)
@@ -326,7 +325,7 @@ def route_matrix(N, path):
     eye = np.eye(2 * N)
     if path == "grand":
         return grand_oracle(N, H) @ np.kron(np.asarray(first_particle_interleave(N)), eye)
-    mixer = nonlocal_mixer(N, hadamard.build(N)).toarray()
+    mixer = np.asarray(nonlocal_mixer(N, hadamard.build(N)))
     return mixer @ np.kron(np.asarray(hadamard_layer(N)), eye) @ np.asarray(position_controlled_swap(N))
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_oracle import mixer_csc
 from sdc import hadamard
 from sdc.errors import ArgOutOfRange, OrderMismatch
 from sdc.gates import (
@@ -15,7 +16,14 @@ from sdc.gates import (
     position_controlled_swap,
     resolve_mixer_normalization,
 )
-from sdc.hilbert import basis_state, compose_perms, identity_perm, label_to_index
+from sdc.hilbert import (
+    StateVector,
+    apply_full,
+    basis_state,
+    compose_perms,
+    identity_perm,
+    label_to_index,
+)
 
 
 def ket(N, n):
@@ -134,11 +142,11 @@ class TestControlledSwap:
 class TestNonlocalMixer:
     def test_trivial_at_one_channel(self):
         mixer = nonlocal_mixer(1, hadamard.build(1))
-        assert np.array_equal(mixer.toarray(), np.eye(4))
+        assert np.array_equal(np.asarray(mixer), np.eye(4))
 
     @pytest.mark.parametrize("N", [1, 2, 4, 8])
     def test_unitary_involution(self, N):
-        m = nonlocal_mixer(N, hadamard.build(N)).toarray()
+        m = np.asarray(nonlocal_mixer(N, hadamard.build(N)))
         eye = np.eye(4 * N * N)
         assert np.max(np.abs(m.conj().T @ m - eye)) < 1e-10
         assert np.max(np.abs(m @ m - eye)) < 1e-10
@@ -165,8 +173,30 @@ class TestNonlocalMixer:
                             sm = ((m + n - 2) % N) + 1
                             row = label_to_index(rt * sl, N) * dim + label_to_index(rp * sm, N)
                             oracle[row, col] += HN.ints[m - 1, sm - 1] / np.sqrt(N)
-        got = nonlocal_mixer(N, HN).toarray()
+        got = np.asarray(nonlocal_mixer(N, HN))
         assert np.max(np.abs(got - oracle)) < 1e-14
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 32])
+    def test_block_form_equals_the_csc_build(self, N):
+        HN = hadamard.build(N)
+        assert np.array_equal(np.asarray(nonlocal_mixer(N, HN)), mixer_csc(N, HN).toarray())
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 32])
+    def test_block_matvec_rounds_like_the_csc_matvec(self, N):
+        # mixer rows do not ascend, so only adding each block's terms by
+        # ascending flat column gives the sparse product's bits
+        HN = hadamard.build(N)
+        op, csc = nonlocal_mixer(N, HN), mixer_csc(N, HN)
+        rng = np.random.default_rng(N)
+        for trial in range(20):
+            amp = rng.standard_normal(4 * N * N) + 1j * rng.standard_normal(4 * N * N)
+            if trial % 2:
+                keep = rng.random(amp.size) >= 0.7
+                keep[rng.integers(amp.size)] = True
+                amp *= keep
+            s = StateVector((2 * N, 2 * N), amp / np.linalg.norm(amp))
+            nz = np.flatnonzero(s.amp)
+            assert apply_full(op, s).amp.tobytes() == (csc[:, nz] @ s.amp[nz]).tobytes()
 
     def test_order_must_match(self):
         with pytest.raises(OrderMismatch):
@@ -188,7 +218,7 @@ class TestNonlocalMixer:
 def test_every_gate_is_unitary(N):
     ops = [channel_sign_gate(N, 1), channel_swap_gate(N, 1), ladder_shift_gate(N, 1),
            channel_hadamard_gate(N, 1), position_controlled_swap(N),
-           nonlocal_mixer(N, hadamard.build(N)).toarray()]
+           np.asarray(nonlocal_mixer(N, hadamard.build(N)))]
     for op in ops:
         m = np.asarray(op)
         assert np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) < 1e-10

@@ -149,10 +149,11 @@ def round_trip_sweep(
     On the grand route every sent state is certified by one operator row
     and its outcome mapped to a message id in one pass; only a state that
     fails, or maps to another message, is decoded on the amplitude route,
-    which also decodes every state of the pipeline.
+    which also decodes every state of the pipeline; the first such state
+    builds the decode table that maps their outcomes.
     """
     decoder = make_decoder(N, H, path, HN)
-    table = build_decode_table(N, H, decoder)
+    table = None
     messages = np.arange(4 * N * N)
     got = np.empty_like(messages)
     redo = np.ones(len(messages), dtype=bool)
@@ -162,6 +163,7 @@ def round_trip_sweep(
         redo = (probs < 1.0 - TOL_CHAINED) | (got != messages)
     start = start_state(N, H)
     for m in np.flatnonzero(redo).tolist():
+        table = table or build_decode_table(N, H, decoder)
         top, _ = decoder.decode(send(N, H, start, m))
         got[m] = table.message_for(top)
     failures = [{"sent": m, "decoded": d} for m, d in enumerate(got.tolist()) if d != m]

@@ -117,6 +117,17 @@ def grand_blocks(N: int, H: HadamardMatrix) -> PermutedBlockOp:
     return PermutedBlockOp(np.arange(dim) * dim + partner, H.normalized)
 
 
+def _moduli(s: StateVector) -> np.ndarray:
+    """|amplitude| of each basis state, refusing any above 1 (a normalized state
+    has none) before a square or a sum of them could overflow."""
+    mags = np.abs(s.amp)
+    if not mags.max() <= 1.0 + 1e-9:  # also rejects NaN
+        raise DimensionMismatch(
+            f"input state is not normalized (an amplitude has modulus {mags.max():.3e})"
+        )
+    return mags
+
+
 def outcome_distribution(s: StateVector) -> list[MeasurementOutcome]:
     """Position readout distribution of a two-particle state, indices ascending.
 
@@ -126,14 +137,7 @@ def outcome_distribution(s: StateVector) -> list[MeasurementOutcome]:
     if len(s.dims) != 2:
         raise DimensionMismatch(f"need a two-particle state, got dims {s.dims}")
     d0, d1 = s.dims
-    mags = np.abs(s.amp)
-    # no amplitude of a normalized state exceeds 1; rejecting larger ones
-    # first keeps their squares from overflowing
-    if not mags.max() <= 1.0 + 1e-9:  # also rejects NaN
-        raise DimensionMismatch(
-            f"input state is not normalized (an amplitude has modulus {mags.max():.3e})"
-        )
-    probs = mags**2
+    probs = _moduli(s) ** 2
     total = float(probs.sum())
     if not abs(total - 1.0) <= 1e-9:
         raise DimensionMismatch(f"input state is not normalized (sum p = {total})")
@@ -162,6 +166,7 @@ class Decoder:
 
     def decode(self, s: StateVector) -> tuple[MeasurementOutcome, list[MeasurementOutcome]]:
         """Measure `s` on this route; returns (top outcome, full distribution)."""
+        _moduli(s)  # before the rotation, whose sums an oversized amplitude could overflow
         dist = outcome_distribution(self.rotate(s))
         # the first most likely outcome in index order
         return max(dist, key=lambda o: o.probability), dist

@@ -9,24 +9,20 @@ half-axis swaps).  Two textual ambiguities in the composed route, the
 exponent columns of the member mixer and the order of the two factors, are
 resolved mechanically against the laws the operators must satisfy, and the
 resolved readings are reported.  Every law is checked on signed permutations
-(a Bell state is its encoder's permutation over sqrt(2N)), so the checks are
-exact index and sign comparisons.
+(a Bell state is its encoder's permutation over sqrt(2N)) held as stacked
+(targets, phases) arrays, one row per label, so the checks are exact index
+and sign comparisons.  Nothing is memoized: each call resolves afresh.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bell import BellLabel, all_labels, bell_table, compose_family, encode_direct, label_to_message
+from .bell import BellLabel, all_labels, bell_table, compose_family, encode_direct, encoder_table
 from .errors import ArgOutOfRange, OrderMismatch, PropertyViolated
 from .gates import channel_sign_gate, channel_swap_gate, ladder_shift_gate
 from .hadamard import HadamardMatrix
-from .hilbert import (
-    SignedPermutationOp,
-    TOL_CHAINED,
-    compose_perms,
-    identity_perm,
-)
+from .hilbert import SignedPermutationOp, TOL_CHAINED, compose_perms, identity_perm
 
 __all__ = [
     "encode_direct",
@@ -42,9 +38,6 @@ __all__ = [
 
 MEMBER_MIXER_READINGS = ("cross-column", "same-column")
 COMPOSITION_ORDERS = ("family-shift-first", "member-mix-first")
-
-_reading_memo: dict = {}
-_order_memo: dict = {}
 
 
 def _check_setup(N: int, H: HadamardMatrix):
@@ -77,58 +70,44 @@ def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
 
     The law: the mixer for member j sends the basis state with member j' to
     the one whose sign row is the entrywise product of rows j and j', with
-    the family untouched.  A basis state is its direct encoder's signed
-    permutation, so both candidate exponent readings are checked exactly on
-    permutations: mixer j after encode_direct(k, r, j') must equal
-    encode_direct(k, r, j'').  The first reading that satisfies the law for
-    every (family, member) pair wins and is recorded.  Exhaustive over all
-    families up to N=8, single family beyond (the law is family-uniform for
-    diagonal mixers, which both candidates are).  When no reading passes, the
-    error names each reading's first failure: a row product missing from H,
-    or a member whose mixed state deviates from the target.
+    the family untouched.  Basis states are their direct encoders' signed
+    permutations, so each candidate reading is checked exactly: mixer j after
+    the stacked encoders of (k, r, j') must give those of (k, r, j'').  The
+    first reading that holds for every (family, member) pair wins; all
+    families up to N=8, one beyond (the law is family-uniform for diagonal
+    mixers, which both candidates are).  Otherwise the error names each
+    reading's first failure in (j, label) order: a row product missing from
+    H, or a member whose mixed state deviates from the target.
     """
-    _check_setup(N, H)
-    key = (N, H.key())
-    if key in _reading_memo:
-        return _reading_memo[key]
-
-    labels = all_labels(N)
-    if N > 8:
-        labels = [lab for lab in labels if (lab.k, lab.r) == (1, +1)]
-    direct = {lab: encode_direct(N, H, lab) for lab in labels}
-    # row index j'' of row j * row j' (None if H lacks it), shared by both readings
-    row_of = {row.tobytes(): i for i, row in enumerate(H.ints, 1)}
-    members = range(1, 2 * N + 1)
-    product = {
-        (j, jp): row_of.get((H.row(j) * H.row(jp)).tobytes()) for j in members for jp in members
-    }
-
+    dim = 2 * N
+    targets, phases = encoder_table(N, H, np.arange(dim * dim if N <= 8 else dim))
+    family, member = np.divmod(np.arange(len(targets)), dim)
+    # product[j-1, j'-1]: the row of H (0-based) equal to row j * row j', -1 if none
+    row_of = {row.tobytes(): i for i, row in enumerate(H.ints)}
+    product = np.array([[row_of.get((a * b).tobytes(), -1) for b in H.ints] for a in H.ints])
     failures = {}
     for reading in MEMBER_MIXER_READINGS:
-        failure = None
-        for j in members:
+        for j in range(1, dim + 1):
             op = _member_mixer_with_reading(N, H, j, reading)
-            for lab in labels:
-                jpp = product[j, lab.j]
-                if jpp is None:
-                    failure = f"row {j} * row {lab.j} is not a row of H"
-                    break
-                # the mixer acts on the first particle, i.e. on the encoder's rows
-                moved = compose_perms(op, direct[lab])
-                want = direct[BellLabel(lab.k, lab.r, jpp)]
-                same = np.array_equal(moved.target, want.target)
-                if not (same and np.array_equal(moved.phase, want.phase)):
-                    dev = np.max(np.abs(np.asarray(moved) - np.asarray(want))) / np.sqrt(2 * N)
-                    failure = f"mixer {j} on {lab} deviates by {dev:.3e}"
-                    break
-            if failure is not None:
+            # the mixer acts on the first particle, i.e. on the encoder's rows
+            moved_t, moved_p = _after(op.target, op.phase, targets, phases)
+            jpp = product[j - 1, member]
+            want = family * dim + jpp  # read only where the product row exists
+            same = (moved_t == targets[want]).all(axis=1) & (moved_p == phases[want]).all(axis=1)
+            bad = np.flatnonzero((jpp < 0) | ~same)
+            if bad.size:
+                m, lab = bad[0], all_labels(N)[bad[0]]
+                if jpp[m] < 0:
+                    failures[reading] = f"row {j} * row {lab.j} is not a row of H"
+                else:
+                    moved = SignedPermutationOp(dim, moved_t[m], moved_p[m])
+                    target = SignedPermutationOp(dim, targets[want[m]], phases[want[m]])
+                    dev = np.max(np.abs(np.asarray(moved) - np.asarray(target))) / np.sqrt(dim)
+                    failures[reading] = f"mixer {j} on {lab} deviates by {dev:.3e}"
                 break
-        if failure is None:
+        else:
             # permutations compare exactly, so a passing reading deviates by 0
-            result = {"reading": reading, "max_deviation": 0.0, "anchor_row": 1}
-            _reading_memo[key] = result
-            return result
-        failures[reading] = failure
+            return {"reading": reading, "max_deviation": 0.0, "anchor_row": 1}
     raise PropertyViolated(f"no member-mixer exponent reading satisfies the row-product law: {failures}")
 
 
@@ -139,7 +118,7 @@ def member_mixer(
 
     Exponents are taken against row 1, which the built-in construction makes
     all-plus, so member 1's mixer is the identity.  `reading` defaults to the
-    resolved one.
+    resolved one, resolved afresh on every such call.
     """
     _check_setup(N, H)
     if not 1 <= j <= 2 * N:
@@ -187,56 +166,49 @@ def _overlaps(a, b) -> np.ndarray:
 def resolve_composition_order(N: int, H: HadamardMatrix) -> dict:
     """Decide which factor of the composed encoder acts first.
 
-    Both orders of (member mixer, family shift) are applied to every
-    member-1 basis state of every family and compared with the direct
-    encoder's action.  States are held as their encoders' signed
-    permutations, so each overlap is exact.  An order passes if the output
-    always matches the direct output's label with unit overlap up to a global
-    phase; the observed worst phase deviation and whether the operators agree
-    as matrices (a stronger fact than required) are recorded alongside.
+    One member mixer per label and one family shift per family are stacked,
+    composed in both orders, and applied label by label to every member-1
+    basis state of every family against the direct encoder's action.  States
+    are held as their encoders' signed permutations, so each overlap is
+    exact.  An order passes if the output always matches the direct output's
+    label with unit overlap up to a global phase; the observed worst phase
+    deviation and whether the operators agree as matrices (a stronger fact
+    than required) are recorded alongside.
     """
-    _check_setup(N, H)
-    key = (N, H.key())
-    if key in _order_memo:
-        return _order_memo[key]
-
     reading = resolve_member_mixer_reading(N, H)["reading"]
-    targets, phases = bell_table(N, H)  # row m: encode_direct of message m
-    member_one = np.arange(0, 4 * N * N, 2 * N)
-    starts = targets[member_one], phases[member_one]
-
+    dim, labels = 2 * N, all_labels(N)
+    table = bell_table(N, H)  # row m: encode_direct of message m
+    starts = tuple(a[::dim] for a in table)  # the member-1 row of each family
+    shifts = [family_shift(N, lab.k, lab.r) for lab in labels[::dim]]
+    mixer, shift = (  # (targets, phases) stacks, one row per label
+        (np.array([op.target for op in ops]), np.array([op.phase for op in ops]))
+        for ops in (
+            [member_mixer(N, H, lab.j, reading) for lab in labels],
+            [op for op in shifts for _ in range(dim)],
+        )
+    )
     for order in COMPOSITION_ORDERS:
-        worst_overlap = 0.0
-        worst_phase = 0.0
-        matrix_equal = True
-        for label, target, phase in zip(all_labels(N), targets, phases):
-            mixer = member_mixer(N, H, label.j, reading)
-            shift = family_shift(N, label.k, label.r)
-            if order == "family-shift-first":
-                composed = compose_perms(mixer, shift)
-            else:
-                composed = compose_perms(shift, mixer)
-            if not (
-                np.array_equal(composed.target, target) and np.array_equal(composed.phase, phase)
-            ):
-                matrix_equal = False
-            overlap = _overlaps(
-                _after(target, phase, *starts), _after(composed.target, composed.phase, *starts)
-            )
+        (outer_t, outer_p), (inner_t, inner_p) = (
+            (mixer, shift) if order == "family-shift-first" else (shift, mixer)
+        )
+        # compose_perms(outer, inner) on every label's row
+        composed_t = np.take_along_axis(outer_t, inner_t, axis=1)
+        composed = composed_t, inner_p * np.take_along_axis(outer_p, inner_t, axis=1)
+        worst_overlap = worst_phase = 0.0
+        for t, p, ct, cp in zip(*table, *composed):
+            overlap = _overlaps(_after(t, p, *starts), _after(ct, cp, *starts))
             dev = float(np.max(np.abs(np.abs(overlap) - 1.0)))
             worst_overlap = max(worst_overlap, dev)
             if dev > TOL_CHAINED:
                 break
             worst_phase = max(worst_phase, float(np.max(np.abs(overlap / np.abs(overlap) - 1.0))))
         else:
-            result = {
+            return {
                 "order": order,
                 "max_overlap_deviation": worst_overlap,
                 "max_phase_deviation": worst_phase,
-                "matrix_equal_to_direct": matrix_equal,
+                "matrix_equal_to_direct": all(map(np.array_equal, composed, table)),
             }
-            _order_memo[key] = result
-            return result
     raise PropertyViolated("neither composition order reproduces the direct encoder's action")
 
 
@@ -246,33 +218,32 @@ def encode_law_residuals(N: int, H: HadamardMatrix) -> dict:
     structure: max ||phase| - 1| over all encoders, so every row and column
     holds one unit entry.  family_rule: 1 - |overlap| of encode(k, r, j)
     acting on each member-1 start state (k', r', 1) with the basis state
-    (compose_family(k, r, k', r'), j).  no_signaling: max|rho_B - I/2N| over
-    the encoded states.  Every state is held as its encoder's signed
-    permutation, so all three are exact.
+    (compose_family(k, r, k', r'), j), the landing family read from one
+    table of compose_family over all family pairs.  no_signaling:
+    max|rho_B - I/2N| over the encoded states.  Every state is held as its
+    encoder's signed permutation, so all three are exact.
     """
-    _check_setup(N, H)
-    labels = all_labels(N)
+    dim = 2 * N
     targets, phases = bell_table(N, H)
     structure = float(np.max(np.abs(np.abs(phases) - 1.0)))
-    start_labels = [lab for lab in labels if lab.j == 1]
-    starts = [label_to_message(s, N) for s in start_labels]
+    starts = targets[::dim], phases[::dim]  # the member-1 row of each family
+    families = [(lab.k, lab.r) for lab in all_labels(N)[::dim]]
+    index = {fam: f for f, fam in enumerate(families)}
+    # landing[f, f']: the family that family f's encoders send start family f' to
+    landing = np.array([[index[compose_family(*a, *b, N)] for b in families] for a in families])
     rule = signaling = 0.0
-    for lab, target, phase in zip(labels, targets, phases):
-        moved_targets, moved_phases = _after(target, phase, targets[starts], phases[starts])
-        landed = [
-            label_to_message(BellLabel(*compose_family(lab.k, lab.r, s.k, s.r, N), lab.j), N)
-            for s in start_labels
-        ]
-        overlap = _overlaps((targets[landed], phases[landed]), (moved_targets, moved_phases))
+    for m, (t, p) in enumerate(zip(targets, phases)):
+        moved_t, moved_p = _after(t, p, *starts)
+        landed = landing[m // dim] * dim + m % dim
+        overlap = _overlaps((targets[landed], phases[landed]), (moved_t, moved_p))
         rule = max(rule, float(np.max(np.abs(np.abs(overlap) - 1.0))))
         # the state of a signed permutation has rho_B = diag(|phase|^2) / 2N
-        residual = np.max(np.abs(np.abs(moved_phases) ** 2 - 1.0)) / (2 * N)
-        signaling = max(signaling, float(residual))
+        signaling = max(signaling, float(np.max(np.abs(np.abs(moved_p) ** 2 - 1.0)) / dim))
     return {"structure": structure, "family_rule": rule, "no_signaling": signaling}
 
 
 def encode_composed(N: int, H: HadamardMatrix, label: BellLabel) -> SignedPermutationOp:
-    """Encoding unitary assembled from basic gates, in the resolved order."""
+    """Encoding unitary assembled from basic gates, in the order resolved on every call."""
     _check_setup(N, H)
     label.validate(N)
     order = resolve_composition_order(N, H)["order"]
@@ -281,4 +252,3 @@ def encode_composed(N: int, H: HadamardMatrix, label: BellLabel) -> SignedPermut
     if order == "family-shift-first":
         return compose_perms(mixer, shift)
     return compose_perms(shift, mixer)
-

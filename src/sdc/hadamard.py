@@ -77,10 +77,6 @@ class HadamardMatrix:
             raise IndexOutOfRange(f"row {j} outside 1..{self.order}")
         return self.ints[j - 1]
 
-    def key(self) -> bytes:
-        """Stable hashable identity, used for memoizing per-matrix resolutions."""
-        return self.ints.tobytes()
-
 
 def load_custom_matrices(path: str | Path) -> dict[int, np.ndarray]:
     """Parse a registry file of +-1 matrices, one per blank-line-separated block.

@@ -146,14 +146,25 @@ class TestVerify:
         # and fails on any other count
         import sdc.encoder as enc
 
-        monkeypatch.setattr(enc, "_reading_memo", {})
-        monkeypatch.setattr(enc, "_order_memo", {})
-        calls = []
-        mixer = enc.member_mixer
+        calls, shifts = [], []
+        mixer, shift = enc.member_mixer, enc.family_shift
         monkeypatch.setattr(enc, "member_mixer", lambda *a: calls.append(a) or mixer(*a))
+        monkeypatch.setattr(enc, "family_shift", lambda *a: shifts.append(a) or shift(*a))
         code, _, _ = run_cli(capsys, "verify", "--n", "2")
         assert code == 0
         assert len(calls) == 16
+        # one shift per family, shared by the family's 2N labels
+        assert shifts == [(2, k, r) for k in (1, 2) for r in (1, -1)]
+
+    def test_wrong_family_shift_fails_the_composed_action(self, capsys, monkeypatch):
+        import sdc.encoder as enc
+
+        shift = enc.family_shift
+        # family (2, -1) gets the shift of family (2, +1): no order reproduces it
+        monkeypatch.setattr(enc, "family_shift", lambda N, k, r: shift(N, k, 1 if k == 2 else r))
+        code, out, err = run_cli(capsys, "verify", "--n", "2")
+        assert code == 2 and out == ""
+        assert "PropertyViolated" in err and "neither composition order" in err
 
 
 class TestRun:
@@ -411,19 +422,25 @@ class TestStateDumpBoundary:
     @pytest.mark.parametrize("path", ["grand", "pipeline"])
     def test_overflowing_dump_is_rejected_without_warnings(self, tmp_path, path):
         # a fresh interpreter, so stderr is exactly what a user sees
-        text = '{"dims": [2, 2], "amplitudes": [[1e200, 0], [0, 0], [0, 0], [0, 0]]}'
-        dump = write_dump(tmp_path, text)
         src = str(Path(sdc.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "sdc.cli", "decode", "--n", "1", "--path", path]
-            + ["--state", dump],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error: DimensionMismatch: input state is not normalized")
-        assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+        for amplitudes in (
+            "[[1e200, 0], [0, 0], [0, 0], [0, 0]]",
+            # each modulus is finite, but the rotation's sums would overflow
+            "[[1.5e308, 0], [0, 0], [0, 0], [1.5e308, 0]]",
+        ):
+            dump = write_dump(tmp_path, f'{{"dims": [2, 2], "amplitudes": {amplitudes}}}')
+            proc = subprocess.run(
+                [sys.executable, "-m", "sdc.cli", "decode", "--n", "1", "--path", path]
+                + ["--state", dump],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr.startswith(
+                "error: DimensionMismatch: input state is not normalized"
+            )
+            assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
 
 
 class TestTableAndSweep:
@@ -435,6 +452,24 @@ class TestTableAndSweep:
         assert sorted(int(r[0]) for r in rows[1:]) == [0, 1, 2, 3]
         # outcome pairs are distinct
         assert len({(r[1], r[2]) for r in rows[1:]}) == 4
+
+    def test_sweep_certifies_the_bell_states_once(self, capsys, monkeypatch):
+        # the decode table is built only for states the certified pass misreads
+        import sdc.analysis as analysis_mod
+        import sdc.decoder as dec
+
+        calls = []
+        certify = dec.certify_grand
+
+        def counted(*a):
+            calls.append(1)
+            return certify(*a)
+
+        for mod in (dec, analysis_mod):
+            monkeypatch.setattr(mod, "certify_grand", counted)
+        code, out, _ = run_cli(capsys, "sweep", "--n", "4")
+        assert code == 0 and json.loads(out)["round_trip_ok"] == 64
+        assert len(calls) == 1
 
     def test_sweep_full_success(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--n", "2")

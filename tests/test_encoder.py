@@ -128,7 +128,8 @@ class TestMemberMixer:
                 assert np.max(np.abs(chained.amp - direct.amp)) < 1e-12
 
     def test_reading_resolution(self):
-        for N in (1, 2, 4):
+        # N = 16 checks the single-family branch
+        for N in (1, 2, 4, 16):
             info = resolve_member_mixer_reading(N, hadamard.build(2 * N))
             assert info["reading"] == "same-column"
             assert info["max_deviation"] < 1e-12
@@ -137,7 +138,6 @@ class TestMemberMixer:
         import sdc.encoder as enc
 
         monkeypatch.setattr(enc, "MEMBER_MIXER_READINGS", ("cross-column",))
-        monkeypatch.setattr(enc, "_reading_memo", {})
         with pytest.raises(PropertyViolated) as info:
             resolve_member_mixer_reading(4, hadamard.build(8))
         assert "mixer 2 on BellLabel(k=1, r=1, j=1) deviates by 7.071e-01" in str(info.value)
@@ -199,6 +199,13 @@ class TestComposedForm:
                     b = apply(composed, 0, start).amp
                     overlap = np.vdot(a, b)
                     assert abs(abs(overlap) - 1.0) < 1e-10
+
+    def test_wrong_family_shift_matches_no_order(self, monkeypatch):
+        shift = enc.family_shift
+        # family (2, -1) gets the shift of family (2, +1)
+        monkeypatch.setattr(enc, "family_shift", lambda N, k, r: shift(N, k, 1 if k == 2 else r))
+        with pytest.raises(PropertyViolated, match="neither composition order"):
+            resolve_composition_order(2, hadamard.build(4))
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_resolved_order_gives_matrix_equality(self, N):

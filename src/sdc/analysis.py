@@ -21,6 +21,7 @@ from .decoder import (
     MeasurementOutcome,
     build_decode_table,
     certify_grand,
+    flip_start,
     grand_messages,
     make_decoder,
 )
@@ -111,7 +112,7 @@ def decode_message(
     """
     top, _ = decoder.decode(sent)
     if decoder.path != "grand":
-        return top, build_decode_table(N, H, decoder).message_for(top)
+        return top, int(build_decode_table(N, H, decoder)[top.first * 2 * N + top.second])
     if top.probability < 1.0 - TOL_CHAINED:
         raise NonDeterministicOutcome(
             f"grand decoder spread the sent state over multiple outcomes "
@@ -127,12 +128,10 @@ def _certify_sent(N: int, H: HadamardMatrix, decoder, messages) -> tuple[np.ndar
     encoder, which is the standard Bell state (k, -r, j).
     """
     start = encode_direct(N, H, START)
-    dim = 2 * N
 
     def sent(chunk):
         targets, phases = encoder_table(N, H, chunk)
-        family, member = np.divmod(chunk, dim)
-        bell = (family ^ 1) * dim + member  # r -> -r
+        bell = flip_start(chunk, 2 * N)
         return targets[:, start.target], start.phase * phases[:, start.target], bell
 
     return certify_grand(decoder, np.asarray(messages, dtype=np.intp), sent)
@@ -149,11 +148,10 @@ def round_trip_sweep(
     On the grand route every sent state is certified by one operator row
     and its outcome mapped to a message id in one pass; only a state that
     fails, or maps to another message, is decoded on the amplitude route,
-    which also decodes every state of the pipeline; the first such state
-    builds the decode table that maps their outcomes.
+    which also decodes every state of the pipeline; their outcomes map
+    through the decode table, built only when such a state exists.
     """
     decoder = make_decoder(N, H, path, HN)
-    table = None
     messages = np.arange(4 * N * N)
     got = np.empty_like(messages)
     redo = np.ones(len(messages), dtype=bool)
@@ -161,11 +159,11 @@ def round_trip_sweep(
         flat, probs = _certify_sent(N, H, decoder, messages)
         got = grand_messages(decoder, flat)
         redo = (probs < 1.0 - TOL_CHAINED) | (got != messages)
-    start = start_state(N, H)
-    for m in np.flatnonzero(redo).tolist():
-        table = table or build_decode_table(N, H, decoder)
-        top, _ = decoder.decode(send(N, H, start, m))
-        got[m] = table.message_for(top)
+    if redo.any():
+        table, start = build_decode_table(N, H, decoder), start_state(N, H)
+        for m in np.flatnonzero(redo).tolist():
+            top, _ = decoder.decode(send(N, H, start, m))
+            got[m] = table[top.first * 2 * N + top.second]
     failures = [{"sent": m, "decoded": d} for m, d in enumerate(got.tolist()) if d != m]
     return {
         "n": N,

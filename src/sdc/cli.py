@@ -300,7 +300,7 @@ def build_verify_report(cfg: RunConfig) -> dict:
     checks.append(_check("encode-no-signaling", laws["no_signaling"], cfg.tol_exact))
 
     reading = encoder.resolve_member_mixer_reading(N, H)
-    order = encoder.resolve_composition_order(N, H)
+    order = encoder.resolve_composition_order(N, H, reading["reading"])
     checks.append(
         _check("encode-composed-action", order["max_overlap_deviation"], cfg.tol_chained)
     )
@@ -318,9 +318,7 @@ def build_verify_report(cfg: RunConfig) -> dict:
 
     # each Bell state certified by its one operator row: a certified point
     # mass is the whole distribution; injective by build_decode_table's rule
-    outcomes, probs = decoder.certify_grand(
-        grand, np.arange(4 * N * N), lambda chunk: (*bell.encoder_table(N, H, chunk), chunk)
-    )
+    outcomes, probs = decoder.bell_outcomes(N, H, grand)
     min_top = float(probs.min())
     injective = min_top >= 1.0 - hilbert.TOL_CHAINED and np.unique(outcomes).size == 4 * N * N
     checks.append(_check("decode-determinism", 1.0 - min_top, cfg.tol_chained))
@@ -394,10 +392,14 @@ def cmd_encode(cfg: RunConfig, message: int, dump_op: bool) -> int:
 def cmd_decode(cfg: RunConfig, state_path: str) -> int:
     H, HN = cfg.hadamard_pair()
     try:
-        text = Path(state_path).read_text(encoding="utf-8")
+        dump = json.loads(Path(state_path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read state file {state_path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"state file {state_path} is not UTF-8 text ({exc.reason})") from None
-    state = hilbert.state_from_dict(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"state file {state_path} is not JSON ({exc})") from None
+    state = hilbert.state_from_dict(dump)
     top, dist = decoder.make_decoder(cfg.n, H, cfg.path, HN).decode(state)
     _emit_json(
         {
@@ -416,13 +418,9 @@ def cmd_decode(cfg: RunConfig, state_path: str) -> int:
 
 def cmd_table(cfg: RunConfig) -> int:
     H, HN = cfg.hadamard_pair()
-    table = decoder.build_decode_table(
-        cfg.n, H, decoder.make_decoder(cfg.n, H, cfg.path, HN)
-    )
-    rows = sorted(
-        [table.message_for(decoder.MeasurementOutcome(first, second, 1.0)), first, second]
-        for first, second in table.entries
-    )
+    table = decoder.build_decode_table(cfg.n, H, decoder.make_decoder(cfg.n, H, cfg.path, HN))
+    # the table is a permutation; its inverse lists each message's outcome
+    rows = [[m, *divmod(out, 2 * cfg.n)] for m, out in enumerate(np.argsort(table).tolist())]
     _emit_csv(["message", "first", "second"], rows)
     return 0
 
@@ -453,9 +451,10 @@ def cmd_run(cfg: RunConfig, message: int, dump_state: str | None, sign: int = 1)
 
     sent = analysis.send(cfg.n, H, analysis.start_state(cfg.n, H), message)
     if dump_state:
-        Path(dump_state).write_text(
-            json.dumps(hilbert.state_to_dict(sent), sort_keys=True)
-        )
+        try:
+            Path(dump_state).write_text(json.dumps(hilbert.state_to_dict(sent), sort_keys=True))
+        except OSError as exc:
+            raise ConfigError(f"cannot write state file {dump_state}: {exc}") from exc
     dec = decoder.make_decoder(cfg.n, H, cfg.path, HN)
     top, decoded = analysis.decode_message(cfg.n, H, dec, sent)
     lab = bell.message_to_label(message, cfg.n)
@@ -619,10 +618,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "spin":
             return cmd_spin(cfg, args.sign)
         parser.error(f"unknown command {args.command}")
-    except SdcError as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (SdcError, OSError, ValueError) as exc:  # OSError and ValueError: a safety net
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
     return 2

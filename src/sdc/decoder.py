@@ -13,10 +13,10 @@ route are measured and reported, never assumed.
 `make_decoder` is the one place a route is chosen: it builds that route's
 operators once and returns a `Decoder` that applies them in order.  Tables,
 reports, protocol runs and the command line all take or build one `Decoder`.
-On the grand route, `certify_grand` checks stacked signed-permutation states
-against one operator row each; it is that route's one decoder of Bell states
-(tables, sweeps, verify), bit-identical to the amplitude
-route (`Decoder.decode`), which stays the oracle and decodes arbitrary states.
+`bell_outcomes` is a route's one Bell-state measurement.  On the grand route
+it checks stacked signed-permutation states against one operator row each
+(`certify_grand`), bit-identical to the amplitude route (`Decoder.decode`),
+which stays the oracle and decodes arbitrary states and the pipeline's.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import (
-    BellLabel,
     all_labels,
     bell_state,
     compact_partner_table,
     encoder_table,
     first_particle_interleave,
-    label_to_message,
 )
 from .errors import (
     CollisionDetected,
@@ -48,12 +46,13 @@ from .hilbert import TOL_CHAINED, TOL_EXACT, PermutedBlockOp, StateVector, apply
 
 __all__ = [
     "MeasurementOutcome",
-    "DecodeTable",
     "Decoder",
     "grand_blocks",
     "make_decoder",
     "outcome_distribution",
     "certify_grand",
+    "bell_outcomes",
+    "flip_start",
     "grand_messages",
     "build_decode_table",
     "pipeline_report",
@@ -70,29 +69,6 @@ class MeasurementOutcome:
     first: int
     second: int
     probability: float
-
-
-@dataclass(frozen=True)
-class DecodeTable:
-    """Injective map from readout pairs to the Bell label that produces them."""
-
-    N: int
-    path: str
-    entries: dict[tuple[int, int], BellLabel]
-
-    def label_for(self, outcome: MeasurementOutcome) -> BellLabel:
-        return self.entries[(outcome.first, outcome.second)]
-
-    def message_for(self, outcome: MeasurementOutcome) -> int:
-        """Message id assuming the fixed start state of the protocol.
-
-        Encoding (k, r, j) on the start family (1, -1) lands on the Bell
-        state (k, -r, j), so undoing the sign flip recovers the sent label.
-        """
-        measured = self.label_for(outcome)
-        return label_to_message(
-            BellLabel(measured.k, -measured.r, measured.j), self.N
-        )
 
 
 def grand_blocks(N: int, H: HadamardMatrix) -> PermutedBlockOp:
@@ -141,10 +117,10 @@ def outcome_distribution(s: StateVector) -> list[MeasurementOutcome]:
     total = float(probs.sum())
     if not abs(total - 1.0) <= 1e-9:
         raise DimensionMismatch(f"input state is not normalized (sum p = {total})")
-    out = []
-    for flat in np.nonzero(probs > TOL_EXACT)[0]:
-        out.append(MeasurementOutcome(int(flat) // d1, int(flat) % d1, float(probs[flat])))
-    return out
+    return [
+        MeasurementOutcome(*divmod(int(flat), d1), float(probs[flat]))
+        for flat in np.flatnonzero(probs > TOL_EXACT)
+    ]
 
 
 @dataclass(frozen=True)
@@ -212,8 +188,9 @@ def certify_grand(decoder: Decoder, messages: np.ndarray, stack) -> tuple[np.nda
     gives its amplitude there.  Returns the predicted outcomes (flat index
     first·2N + second) and their probabilities.  The state is normalized and
     the operator unitary, so a probability of at least 1 - TOL_CHAINED
-    certifies a point mass.  The terms are summed in the amplitude route's
-    order, so each probability is `Decoder.decode`'s top probability, bit for bit.
+    certifies a point mass.  The terms are added left to right as they come:
+    a certified state's 2N terms are equal, so every order rounds alike, and
+    for every certified state the probability is `Decoder.decode`'s, bit for bit.
 
     Entries are read through the inverse of the held rows: a term in column
     c counts only if c lies in the state's own family block, with weight
@@ -229,74 +206,81 @@ def certify_grand(decoder: Decoder, messages: np.ndarray, stack) -> tuple[np.nda
     for lo in range(0, len(messages), CERTIFY_CHUNK):
         chunk = slice(lo, lo + CERTIFY_CHUNK)
         targets, phases, bell = stack(messages[chunk])
-        slot = interleave.target[targets]  # first-particle slot of each term
-        cols = slot * dim + np.arange(dim)
+        cols = interleave.target[targets] * dim + np.arange(dim)  # after the interleave
         amps = phases * interleave.phase[targets] / np.sqrt(dim)
         family, member = np.divmod(bell, dim)
         hit = col_family[cols] == family[:, None]
         weights = np.where(hit, gop.block[member[:, None], col_pos[cols]], 0)
-        # add the terms left to right by ascending column, as the amplitude
-        # route of `Decoder.decode` does, so both routes round to the same bits
-        ordered = np.zeros_like(amps)
-        np.put_along_axis(ordered, slot, weights * amps, axis=1)
         outcomes[chunk] = gop.rows[family, member]
-        probs[chunk] = np.abs(np.cumsum(ordered, axis=1)[:, -1]) ** 2
+        probs[chunk] = np.abs(np.cumsum(weights * amps, axis=1)[:, -1]) ** 2
     return outcomes, probs
 
 
-def grand_messages(decoder: Decoder, outcomes: np.ndarray) -> np.ndarray:
-    """`DecodeTable.message_for` of flat grand-route outcomes, in one pass: the
-    inverse of the held rows names the measured Bell state (family, member),
-    and family ^ 1 undoes the start family's sign flip."""
-    gop = decoder.stages[-1][0]
-    where = np.argsort(gop.rows, axis=None)  # the inverse of the rows
-    family, member = np.divmod(where[outcomes], len(gop.block))
-    return (family ^ 1) * len(gop.block) + member
+def bell_outcomes(N: int, H: HadamardMatrix, decoder: Decoder) -> tuple[np.ndarray, np.ndarray]:
+    """Flat outcome (first·2N + second) and top probability of every standard
+    Bell state on the decoder's route, in message order.
 
-
-def build_decode_table(N: int, H: HadamardMatrix, decoder: Decoder) -> DecodeTable:
-    """Tabulate the outcome of every Bell state on the decoder's route.
-
-    Raises NonDeterministicOutcome if any input fails to produce a point
-    mass, and CollisionDetected if two labels share an outcome; either would
-    break unique decodability for that path.  The grand route certifies
-    each state by one operator row (`certify_grand`); its outcomes, read
-    from the held rows, are checked for collisions before any amplitude is
-    read.  The pipeline is not monomial, so each of its states is decoded
-    in full.
+    The grand route certifies each state by one operator row
+    (`certify_grand`); the pipeline is not monomial, so each of its states is
+    decoded in full.
     """
-    entries: dict[tuple[int, int], BellLabel] = {}
-    if decoder.path != "grand":
-        for lab in all_labels(N):
-            top, _ = decoder.decode(bell_state(N, lab, H))
-            if top.probability < 1.0 - TOL_CHAINED:
-                raise NonDeterministicOutcome(
-                    f"{decoder.path} decoder spread label {lab} over multiple outcomes "
-                    f"(top probability {top.probability:.6f})"
-                )
-            key = (top.first, top.second)
-            if key in entries:
-                raise CollisionDetected(f"outcome {key} hit by both {entries[key]} and {lab}")
-            entries[key] = lab
-        return DecodeTable(N=N, path=decoder.path, entries=entries)
-
-    labels = all_labels(N)
-    outcomes, probs = certify_grand(
-        decoder, np.arange(len(labels)), lambda chunk: (*encoder_table(N, H, chunk), chunk)
-    )
-    for lab, out in zip(labels, outcomes.tolist()):
-        key = divmod(out, 2 * N)
-        if key in entries:
-            raise CollisionDetected(f"outcome {key} hit by both {entries[key]} and {lab}")
-        entries[key] = lab
-    short = np.flatnonzero(probs < 1.0 - TOL_CHAINED)
-    if short.size:
-        lab, out = labels[short[0]], divmod(int(outcomes[short[0]]), 2 * N)
-        raise NonDeterministicOutcome(
-            f"grand decoder spread label {lab} over multiple outcomes "
-            f"(probability {probs[short[0]]:.6f} at its predicted outcome {out})"
+    if decoder.path == "grand":
+        return certify_grand(
+            decoder, np.arange(4 * N * N), lambda chunk: (*encoder_table(N, H, chunk), chunk)
         )
-    return DecodeTable(N=N, path=decoder.path, entries=entries)
+    tops = [decoder.decode(bell_state(N, lab, H))[0] for lab in all_labels(N)]
+    outcomes = np.array([top.first * 2 * N + top.second for top in tops], dtype=np.intp)
+    return outcomes, np.array([top.probability for top in tops])
+
+
+def flip_start(ids: np.ndarray, dim: int) -> np.ndarray:
+    """Message ids with r flipped, (k, r, j) -> (k, -r, j): encoding (k, r, j)
+    on the start family (1, -1) lands on the Bell state (k, -r, j), so the flip
+    maps a sent message to its Bell state and a measured Bell state back."""
+    family, member = np.divmod(ids, dim)
+    return (family ^ 1) * dim + member
+
+
+def grand_messages(decoder: Decoder, outcomes: np.ndarray) -> np.ndarray:
+    """Message ids of flat grand-route outcomes, in one pass: the inverse of
+    the held rows names the measured Bell state, and `flip_start` undoes the
+    start family's sign flip."""
+    gop = decoder.stages[-1][0]
+    return flip_start(np.argsort(gop.rows, axis=None)[outcomes], len(gop.block))
+
+
+def build_decode_table(N: int, H: HadamardMatrix, decoder: Decoder) -> np.ndarray:
+    """The decoder route's outcome -> message array: table[first·2N + second]
+    is the message id that outcome decodes to, assuming the protocol's fixed
+    start state.
+
+    Raises NonDeterministicOutcome if a Bell state fails to produce a point
+    mass, and CollisionDetected if two share an outcome; either would break
+    unique decodability for that path.  The pipeline reports the first label,
+    in message order, that does either.  The grand route's outcomes are read
+    from its held rows, so a collision there is reported before any
+    probability.
+    """
+    outcomes, probs = bell_outcomes(N, H, decoder)
+    labels = all_labels(N)
+    _, first, inverse = np.unique(outcomes, return_index=True, return_inverse=True)
+    earlier = first[inverse]  # the first label to reach each label's outcome
+    repeat = earlier != np.arange(len(labels))
+    spread = probs < 1.0 - TOL_CHAINED
+    if decoder.path == "grand":  # a collision in the held rows comes first
+        spread &= not repeat.any()
+    bad = np.flatnonzero(spread | repeat)
+    if bad.size:
+        i = bad[0]
+        if spread[i]:
+            raise NonDeterministicOutcome(
+                f"{decoder.path} decoder spread label {labels[i]} over multiple outcomes "
+                f"(top probability {probs[i]:.6f})"
+            )
+        key = divmod(int(outcomes[i]), 2 * N)
+        raise CollisionDetected(f"outcome {key} hit by both {labels[earlier[i]]} and {labels[i]}")
+    # the outcomes are distinct, so their inverse names each outcome's Bell state
+    return flip_start(np.argsort(outcomes), 2 * N)
 
 
 def pipeline_report(N: int, H: HadamardMatrix, HN: HadamardMatrix, mixer_reading: str) -> dict:
@@ -306,26 +290,20 @@ def pipeline_report(N: int, H: HadamardMatrix, HN: HadamardMatrix, mixer_reading
     distinct outcomes the pipeline reaches, and whether the two decoders
     partition the message set identically (same groups of indistinguishable
     messages, outcome names aside).  Discrepancies are findings, not errors.
-    The grand route sends the 4N^2 labels to 4N^2 distinct outcomes (its
-    held rows partition the product basis, and verify certifies each label),
-    so its partition is all singletons; only the pipeline decodes each Bell
-    state in full.  `mixer_reading` is the caller's resolved mixer
+    The grand route's partition is all singletons (its held rows partition
+    the product basis, and verify certifies each label), so only the
+    pipeline is decoded.  `mixer_reading` is the caller's resolved mixer
     normalization.
     """
-    pipeline = make_decoder(N, H, "pipeline", HN)
-    labels = all_labels(N)
-    outcomes: set[tuple[int, int]] = set()
-    min_top = 1.0
-    for lab in labels:
-        top, _ = pipeline.decode(bell_state(N, lab, H))
-        min_top = min(min_top, top.probability)
-        outcomes.add((top.first, top.second))
+    outcomes, probs = bell_outcomes(N, H, make_decoder(N, H, "pipeline", HN))
+    min_top = min(1.0, float(probs.min()))
+    distinct = np.unique(outcomes).size
     return {
         "n": N,
-        "messages": len(labels),
+        "messages": len(outcomes),
         "deterministic": bool(min_top >= 1.0 - TOL_CHAINED),
-        "min_top_probability": float(min_top),
-        "distinct_outcomes": len(outcomes),
-        "partitions_equivalent": len(outcomes) == len(labels),
+        "min_top_probability": min_top,
+        "distinct_outcomes": distinct,
+        "partitions_equivalent": distinct == len(outcomes),
         "mixer_reading": mixer_reading,
     }

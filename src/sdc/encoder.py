@@ -163,10 +163,12 @@ def _overlaps(a, b) -> np.ndarray:
     return np.sum(np.conj(pa) * pb * (ta == tb), axis=-1) / ta.shape[-1]
 
 
-def resolve_composition_order(N: int, H: HadamardMatrix) -> dict:
+def resolve_composition_order(N: int, H: HadamardMatrix, reading: str) -> dict:
     """Decide which factor of the composed encoder acts first.
 
-    One member mixer per label and one family shift per family are stacked,
+    `reading` is the caller's resolved member-mixer reading
+    (`resolve_member_mixer_reading`).  One member mixer per label, built
+    under that reading, and one family shift per family are stacked,
     composed in both orders, and applied label by label to every member-1
     basis state of every family against the direct encoder's action.  States
     are held as their encoders' signed permutations, so each overlap is
@@ -175,7 +177,6 @@ def resolve_composition_order(N: int, H: HadamardMatrix) -> dict:
     deviation and whether the operators agree as matrices (a stronger fact
     than required) are recorded alongside.
     """
-    reading = resolve_member_mixer_reading(N, H)["reading"]
     dim, labels = 2 * N, all_labels(N)
     table = bell_table(N, H)  # row m: encode_direct of message m
     starts = tuple(a[::dim] for a in table)  # the member-1 row of each family
@@ -243,11 +244,13 @@ def encode_law_residuals(N: int, H: HadamardMatrix) -> dict:
 
 
 def encode_composed(N: int, H: HadamardMatrix, label: BellLabel) -> SignedPermutationOp:
-    """Encoding unitary assembled from basic gates, in the order resolved on every call."""
+    """Encoding unitary assembled from basic gates.  Each call resolves the
+    member-mixer reading once and, under it, the composition order."""
     _check_setup(N, H)
     label.validate(N)
-    order = resolve_composition_order(N, H)["order"]
-    mixer = member_mixer(N, H, label.j)
+    reading = resolve_member_mixer_reading(N, H)["reading"]
+    order = resolve_composition_order(N, H, reading)["order"]
+    mixer = member_mixer(N, H, label.j, reading)
     shift = family_shift(N, label.k, label.r)
     if order == "family-shift-first":
         return compose_perms(mixer, shift)

@@ -85,10 +85,12 @@ def load_custom_matrices(path: str | Path) -> dict[int, np.ndarray]:
     matrix is validated through the HadamardMatrix constructor; invalid blocks
     raise rather than being skipped.  A non-integer entry or a block that is
     not a rectangle of int64 entries raises ConfigError naming its line; a
-    file that is not UTF-8 raises ConfigError naming the file.
+    file that cannot be read or is not UTF-8 raises ConfigError naming the file.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read registry file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: registry file is not UTF-8 text ({exc.reason})") from None
     registry: dict[int, np.ndarray] = {}

@@ -12,6 +12,7 @@ densifies any of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,7 @@ class StateVector:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         amp = np.asarray(self.amp, dtype=np.complex128).reshape(-1)
-        if amp.size != int(np.prod(self.dims)):
+        if amp.size != math.prod(self.dims):  # exact: np.prod wraps in int64
             raise DimensionMismatch(
                 f"{amp.size} amplitudes for dims {self.dims}"
             )
@@ -83,7 +84,7 @@ class StateVector:
 
 
 def basis_state(dims: tuple[int, ...], indices: tuple[int, ...]) -> StateVector:
-    amp = np.zeros(int(np.prod(dims)), dtype=np.complex128)
+    amp = np.zeros(math.prod(dims), dtype=np.complex128)
     grid = amp.reshape(dims)
     grid[tuple(indices)] = 1.0
     return StateVector(dims, amp)

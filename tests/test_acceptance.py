@@ -124,7 +124,7 @@ def test_c04_gate_decomposition_equivalence():
                     overlap = np.vdot(apply(direct, 0, start).amp, apply(composed, 0, start).amp)
                     worst = min(worst, abs(overlap))
     reading = resolve_member_mixer_reading(4, hadamard.build(8))["reading"]
-    order = resolve_composition_order(4, hadamard.build(8))["order"]
+    order = resolve_composition_order(4, hadamard.build(8), reading)["order"]
     verdict(
         "4 (decomposition equivalence)",
         worst > 1 - 1e-10,

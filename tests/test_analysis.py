@@ -81,7 +81,7 @@ class TestCertifiedSweep:
         self.corrupt(monkeypatch, 5, 9)
         grand = make_decoder(N, H)
         top, _ = grand.decode(send(N, H, start_state(N, H), 5))
-        decoded = build_decode_table(N, H, grand).message_for(top)
+        decoded = build_decode_table(N, H, grand)[top.first * 2 * N + top.second]
         assert decoded == 9
         result = round_trip_sweep(N, H)
         assert result["failures"] == [{"sent": 5, "decoded": decoded}]

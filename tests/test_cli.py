@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sdc
+from sdc import errors
 from sdc.cli import CONFIG_KEYS, main
 
 # a symmetric sign matrix of order 4 whose rows do not close under products
@@ -24,6 +25,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def typed_error(err):
+    """The SdcError subclass a failing command names on stderr, or None."""
+    cls = getattr(errors, err.removeprefix("error: ").partition(":")[0], None)
+    return cls if isinstance(cls, type) and issubclass(cls, errors.SdcError) else None
 
 
 def use_config(tmp_path, monkeypatch, text):
@@ -155,6 +162,18 @@ class TestVerify:
         assert len(calls) == 16
         # one shift per family, shared by the family's 2N labels
         assert shifts == [(2, k, r) for k in (1, 2) for r in (1, -1)]
+
+    def test_cold_verify_resolves_the_member_mixer_reading_once(self, capsys, monkeypatch):
+        import sdc.encoder as enc
+
+        calls = []
+        resolve = enc.resolve_member_mixer_reading
+        monkeypatch.setattr(
+            enc, "resolve_member_mixer_reading", lambda *a: calls.append(a) or resolve(*a)
+        )
+        code, _, _ = run_cli(capsys, "verify", "--n", "2")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_wrong_family_shift_fails_the_composed_action(self, capsys, monkeypatch):
         import sdc.encoder as enc
@@ -415,9 +434,17 @@ class TestStateDumpBoundary:
     )
     def test_any_json_dump_exits_cleanly(self, capsys, tmp_path, value):
         path = write_dump(tmp_path, json.dumps(value))
-        code, out, _ = run_cli(capsys, "decode", "--n", "1", "--state", path)
-        assert code in (0, 2)
+        code, out, err = run_cli(capsys, "decode", "--n", "1", "--state", path)
+        assert code == 0 or (code == 2 and typed_error(err))
         assert "NaN" not in out and "Infinity" not in out
+
+    @pytest.mark.parametrize("path", ["grand", "pipeline"])
+    def test_dims_past_int64_are_a_dimension_mismatch(self, capsys, tmp_path, path):
+        # 2^32 * 2^32 wraps to 0 as an int64 product, which would match no amplitudes
+        dump = write_dump(tmp_path, '{"dims": [4294967296, 4294967296], "amplitudes": []}')
+        code, out, err = run_cli(capsys, "decode", "--n", "1", "--path", path, "--state", dump)
+        assert code == 2 and out == ""
+        assert typed_error(err) is errors.DimensionMismatch
 
     @pytest.mark.parametrize("path", ["grand", "pipeline"])
     def test_overflowing_dump_is_rejected_without_warnings(self, tmp_path, path):
@@ -489,6 +516,63 @@ class TestTableAndSweep:
         code, out, _ = run_cli(capsys, "sweep", "--n", "1", "--path", "pipeline")
         assert code == 0
         assert json.loads(out)["round_trip_ok"] == 4
+
+    @pytest.mark.parametrize(
+        "argvs,digest",
+        [
+            (
+                [["table", "--path", "pipeline", "--n", "1"]],
+                "44b0ee822643b206beb251e53f62452b336720c9032870d5c0751a7d449a5570",
+            ),
+            (
+                [["table", "--path", "pipeline", "--n", "2"]],
+                "b3fea7620304a1212a7d48323b0ef0ea060c8c6734f3b06a8f79958f16abbebe",
+            ),
+            (
+                [["table", "--path", "pipeline", "--n", "4"]],
+                "9b9551dded0d310f7cc27cfecb85fa6f3ca219b55350a65c08f90ea48c691f5a",
+            ),
+            (
+                [["sweep", "--path", "pipeline", "--n", "1"]],
+                "f8fc4e9da2ec5b4a3a7c47d41d728370662f2d8a1669d7a2107f8be152a4af56",
+            ),
+            (
+                [["sweep", "--path", "pipeline", "--n", "2"]],
+                "f55e1ed6a95bfa4dec6a624ebecc6bb8ab425440af258a0b0468ea86c1ee2ab8",
+            ),
+            (
+                [["sweep", "--path", "pipeline", "--n", "4"]],
+                "77fd39d5c153d328586bfbf97c0e7b68e8c96e7452b07ef41997106a8ffc9c17",
+            ),
+            (
+                [["run", "--path", "pipeline", "--n", "4", "--message", str(m)] for m in range(64)],
+                "91c1cb65fbf88f2075c7831da537b445c2b9a02c254e9ab13d551f08b1b4231b",
+            ),
+        ],
+        ids=["table-n1", "table-n2", "table-n4", "sweep-n1", "sweep-n2", "sweep-n4", "run-n4"],
+    )
+    def test_pipeline_output_matches_recorded_digest(self, capsys, argvs, digest):
+        # sha256 of the concatenated stdout of each command, in order; the
+        # runs' top probabilities pin the pipeline's rounding too
+        h = hashlib.sha256()
+        for argv in argvs:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and err == ""
+            h.update(out.encode())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv", [["table"], ["run", "--message", "3"]], ids=["table", "run"]
+    )
+    def test_pipeline_at_eight_pairs_names_its_first_spread_label(self, capsys, argv):
+        # label 40 spreads before label 42 repeats an earlier outcome; the
+        # pipeline reports whichever comes first in message order
+        code, out, err = run_cli(capsys, argv[0], "--path", "pipeline", "--n", "8", *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: NonDeterministicOutcome: pipeline decoder spread label "
+            "BellLabel(k=2, r=1, j=9) over multiple outcomes (top probability 0.250000)\n"
+        )
 
 
 class TestRates:
@@ -672,6 +756,26 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert "ConfigError" in err and str(path) in err and "UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bases", "--custom-matrices", "{tmp}/missing"],
+            ["bases", "--custom-matrices", "{tmp}"],
+            ["decode", "--state", "{tmp}/missing.json"],
+            ["decode", "--state", "{tmp}/open.json"],
+            ["run", "--message", "0", "--dump-state", "{tmp}/missing/state.json"],
+        ],
+        ids=["registry-missing", "registry-directory", "state-missing", "state-not-json",
+             "dump-directory-missing"],
+    )
+    def test_unusable_file_is_a_config_error(self, capsys, tmp_path, argv):
+        (tmp_path / "open.json").write_text("{")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code, out, err = run_cli(capsys, argv[0], "--n", "1", *argv[1:])
+        assert code == 2 and out == ""
+        # the file is named, as the config file's read error names it
+        assert typed_error(err) is errors.ConfigError and argv[-1] in err
 
     @settings(
         max_examples=80,

@@ -15,15 +15,15 @@ from sdc.bell import (
     all_labels,
     bell_state,
     compact_bell_state,
-    encoder_table,
     first_particle_interleave,
+    label_to_message,
 )
 from sdc.cli import main
 from sdc.decoder import (
     Decoder,
-    MeasurementOutcome,
+    bell_outcomes,
     build_decode_table,
-    certify_grand,
+    flip_start,
     grand_blocks,
     grand_messages,
     make_decoder,
@@ -128,8 +128,9 @@ class TestGrandDecoding:
         top, dist = grand.decode(bell_state(N, BellLabel(1, -1, 1), H))
         assert top.probability > 1 - 1e-10
         assert len(dist) == 1
-        table = build_decode_table(N, H, grand)
-        assert table.label_for(top) == BellLabel(1, -1, 1)
+        # flipped back, the decoded message names the measured Bell state
+        message = build_decode_table(N, H, grand)[top.first * 2 * N + top.second]
+        assert flip_start(message, 2 * N) == label_to_message(BellLabel(1, -1, 1), N)
 
     def test_superposition_splits_evenly(self):
         N, H = 1, hadamard.build(2)
@@ -158,7 +159,7 @@ class TestDecodeTable:
     def test_injective_tables(self, N, expected):
         H = hadamard.build(2 * N)
         table = build_decode_table(N, H, make_decoder(N, H))
-        assert len(table.entries) == expected
+        assert sorted(table.tolist()) == list(range(expected))
 
     def test_round_trip_through_the_table(self):
         from sdc.analysis import send, start_state
@@ -168,7 +169,7 @@ class TestDecodeTable:
         table = build_decode_table(N, H, grand)
         for m in range(16):
             top, _ = grand.decode(send(N, H, start_state(N, H), m))
-            assert table.message_for(top) == m
+            assert table[top.first * 2 * N + top.second] == m
 
 
 @lru_cache(maxsize=None)
@@ -183,14 +184,17 @@ class TestCertification:
     @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
     def test_certified_table_equals_the_amplitude_route(self, N):
         H, grand = grand_route(N)
-        certified = build_decode_table(N, H, grand).entries
         amplitude = decode_table_loop(N, H, grand)
-        assert list(certified.items()) == [(key, lab) for key, (lab, _) in amplitude.items()]
+        # the amplitude route's table as an array; a collision leaves a -1
+        want = np.full(4 * N * N, -1)
+        for (first, second), (lab, _) in amplitude.items():
+            want[first * 2 * N + second] = flip_start(label_to_message(lab, N), 2 * N)
+        assert build_decode_table(N, H, grand).tolist() == want.tolist()
         assert min(p for _, p in amplitude.values()) >= 1 - 1e-10
-        # each standard Bell state's certified probability is its dense top, bit for bit
-        _, probs = certify_grand(
-            grand, np.arange(4 * N * N), lambda chunk: (*encoder_table(N, H, chunk), chunk)
-        )
+        # each standard Bell state's certified outcome and probability are its
+        # dense top, bit for bit
+        outcomes, probs = bell_outcomes(N, H, grand)
+        assert [divmod(out, 2 * N) for out in outcomes.tolist()] == list(amplitude)
         assert probs.tolist() == [p for _, p in amplitude.values()]
 
     @settings(max_examples=60, deadline=None)
@@ -208,11 +212,9 @@ class TestCertification:
     def test_certified_messages_equal_the_table_lookup(self, N):
         H, grand = grand_route(N)
         table = build_decode_table(N, H, grand)
-        flat, probs = _certify_sent(N, H, grand, np.arange(4 * N * N))
-        want = [
-            table.message_for(MeasurementOutcome(*divmod(out, 2 * N), p))
-            for out, p in zip(flat.tolist(), probs.tolist())
-        ]
+        assert table.tolist() == grand_messages(grand, np.arange(4 * N * N)).tolist()
+        flat, _ = _certify_sent(N, H, grand, np.arange(4 * N * N))
+        want = table[flat].tolist()
         assert grand_messages(grand, flat).tolist() == want == list(range(4 * N * N))
 
     def test_sweep_decodes_misread_messages_on_the_amplitude_route(self, monkeypatch):
@@ -239,7 +241,7 @@ class TestCertification:
 
         monkeypatch.setattr(Decoder, "decode", pipeline_decode)
         N, H = 4, hadamard.build(8)
-        assert len(build_decode_table(N, H, make_decoder(N, H)).entries) == 64
+        assert sorted(build_decode_table(N, H, make_decoder(N, H)).tolist()) == list(range(64))
         result = round_trip_sweep(N, H)
         assert result["round_trip_ok"] == 64 and result["failures"] == []
         assert main(["verify", "--n", "4"]) == 0

@@ -24,6 +24,11 @@ from sdc.hilbert import apply, compose_perms, partial_trace
 ALT4 = np.array([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]])
 
 
+def resolved_order(N, H):
+    """`resolve_composition_order` under a fresh member-mixer resolution."""
+    return resolve_composition_order(N, H, resolve_member_mixer_reading(N, H)["reading"])
+
+
 class TestDirectForm:
     def test_identity_label(self):
         H = hadamard.build(4)
@@ -205,11 +210,11 @@ class TestComposedForm:
         # family (2, -1) gets the shift of family (2, +1)
         monkeypatch.setattr(enc, "family_shift", lambda N, k, r: shift(N, k, 1 if k == 2 else r))
         with pytest.raises(PropertyViolated, match="neither composition order"):
-            resolve_composition_order(2, hadamard.build(4))
+            resolved_order(2, hadamard.build(4))
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_resolved_order_gives_matrix_equality(self, N):
-        info = resolve_composition_order(N, hadamard.build(2 * N))
+        info = resolved_order(N, hadamard.build(2 * N))
         assert info["order"] == "family-shift-first"
         assert info["matrix_equal_to_direct"] is True
         assert info["max_phase_deviation"] < 1e-12
@@ -306,7 +311,7 @@ class TestExactLawChecks:
         exact_overlaps, dense_overlaps = order_overlaps(N, H, "same-column")
         assert np.max(np.abs(exact_overlaps - dense_overlaps)) <= 1e-12
         assert np.max(np.abs(np.abs(dense_overlaps) - 1.0)) <= 1e-12
-        assert resolve_composition_order(N, H)["max_overlap_deviation"] == 0.0
+        assert resolved_order(N, H)["max_overlap_deviation"] == 0.0
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_rejected_reading_overlaps_match_the_dense_route(self, N):

@@ -149,7 +149,9 @@ def round_trip_sweep(
     and its outcome mapped to a message id in one pass; only a state that
     fails, or maps to another message, is decoded on the amplitude route,
     which also decodes every state of the pipeline; their outcomes map
-    through the decode table, built only when such a state exists.
+    through the decode table, built only when such a state exists.  A state
+    whose top probability is below 1 - TOL_CHAINED decodes to no message
+    (`"decoded": null`), as `run` refuses it.
     """
     decoder = make_decoder(N, H, path, HN)
     messages = np.arange(4 * N * N)
@@ -163,8 +165,11 @@ def round_trip_sweep(
         table, start = build_decode_table(N, H, decoder), start_state(N, H)
         for m in np.flatnonzero(redo).tolist():
             top, _ = decoder.decode(send(N, H, start, m))
-            got[m] = table[top.first * 2 * N + top.second]
-    failures = [{"sent": m, "decoded": d} for m, d in enumerate(got.tolist()) if d != m]
+            spread = top.probability < 1.0 - TOL_CHAINED
+            got[m] = -1 if spread else table[top.first * 2 * N + top.second]
+    failures = [
+        {"sent": m, "decoded": None if d < 0 else d} for m, d in enumerate(got.tolist()) if d != m
+    ]
     return {
         "n": N,
         "path": path,

@@ -22,7 +22,13 @@ from .bell import BellLabel, all_labels, bell_table, compose_family, encode_dire
 from .errors import ArgOutOfRange, OrderMismatch, PropertyViolated
 from .gates import channel_sign_gate, channel_swap_gate, ladder_shift_gate
 from .hadamard import HadamardMatrix
-from .hilbert import SignedPermutationOp, TOL_CHAINED, compose_perms, identity_perm
+from .hilbert import (
+    TOL_CHAINED,
+    SignedPermutationOp,
+    check_signed_permutations,
+    compose_perms,
+    identity_perm,
+)
 
 __all__ = [
     "encode_direct",
@@ -169,6 +175,7 @@ def resolve_composition_order(N: int, H: HadamardMatrix, reading: str) -> dict:
     `reading` is the caller's resolved member-mixer reading
     (`resolve_member_mixer_reading`).  One member mixer per label, built
     under that reading, and one family shift per family are stacked,
+    checked as signed permutations (the gates are built unchecked),
     composed in both orders, and applied label by label to every member-1
     basis state of every family against the direct encoder's action.  States
     are held as their encoders' signed permutations, so each overlap is
@@ -188,6 +195,9 @@ def resolve_composition_order(N: int, H: HadamardMatrix, reading: str) -> dict:
             [op for op in shifts for _ in range(dim)],
         )
     )
+    # the gates are built unchecked, so both stacks are checked here, once
+    for stack in (mixer, shift):
+        check_signed_permutations(*stack)
     for order in COMPOSITION_ORDERS:
         (outer_t, outer_p), (inner_t, inner_p) = (
             (mixer, shift) if order == "family-shift-first" else (shift, mixer)

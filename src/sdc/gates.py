@@ -6,7 +6,9 @@ measurement pipeline: the position-controlled swap and the Hadamard-weighted
 channel mixer.  Every gate is a `SignedPermutationOp` except the channel
 Hadamard and the Hadamard layer, which are read-only complex ndarrays, and the
 mixer, a `PermutedBlockOp`: 4N copies of the scaled order-N Hadamard block on
-the two-particle space.
+the two-particle space.  The sign, swap and ladder gates are the identity
+with one sign flipped, one pair swapped, or a cyclic shift, so they are
+built as trusted signed permutations; their arguments are still checked.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def channel_sign_gate(N: int, n: int) -> SignedPermutationOp:
     _check_site(N, n)
     phase = np.ones(2 * N, dtype=np.complex128)
     phase[label_to_index(-n, N)] = -1.0
-    return SignedPermutationOp(2 * N, np.arange(2 * N), phase)
+    return SignedPermutationOp._trusted(2 * N, np.arange(2 * N), phase)
 
 
 def channel_swap_gate(N: int, n: int) -> SignedPermutationOp:
@@ -49,20 +51,18 @@ def channel_swap_gate(N: int, n: int) -> SignedPermutationOp:
     target = np.arange(2 * N)
     a, b = label_to_index(n, N), label_to_index(-n, N)
     target[a], target[b] = b, a
-    return SignedPermutationOp(2 * N, target, np.ones(2 * N, dtype=np.complex128))
+    return SignedPermutationOp._trusted(2 * N, target, np.ones(2 * N, dtype=np.complex128))
 
 
 def ladder_shift_gate(N: int, power: int) -> SignedPermutationOp:
     """Cyclic channel shift by `power` within each half-axis, modulo N.
 
-    Negative powers shift backwards; power 0 is the identity.
+    Negative powers shift backwards; power 0 is the identity.  Channel +n
+    sits at index n-1 and -n at N+n-1, so each half-axis block is rotated.
     """
-    target = np.empty(2 * N, dtype=np.intp)
-    for n in range(1, N + 1):
-        m = ((n - 1 + power) % N) + 1
-        target[label_to_index(n, N)] = label_to_index(m, N)
-        target[label_to_index(-n, N)] = label_to_index(-m, N)
-    return SignedPermutationOp(2 * N, target, np.ones(2 * N, dtype=np.complex128))
+    shifted = (np.arange(N) + power % N) % N
+    target = np.concatenate([shifted, shifted + N])
+    return SignedPermutationOp._trusted(2 * N, target, np.ones(2 * N, dtype=np.complex128))
 
 
 def channel_hadamard_gate(N: int, n: int) -> np.ndarray:

@@ -8,6 +8,12 @@ states are flat complex vectors with a dims header.  An operator is a
 relocation), a `PermutedBlockOp` (one block on each block of an index
 partition) or, on one factor only, a plain ndarray.  `np.asarray(op)`
 densifies any of them.
+
+A signed permutation is checked where it enters: the public constructor
+`SignedPermutationOp(dim, target, phase)` and `check_signed_permutations`,
+the same test on a stack of them.  Results that are signed permutations by
+construction (the identity, a composition of two, the closed-form gates)
+are wrapped by the unchecked `SignedPermutationOp._trusted`.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ __all__ = [
     "StateVector",
     "SignedPermutationOp",
     "PermutedBlockOp",
+    "check_signed_permutations",
     "identity_perm",
     "compose_perms",
     "apply",
@@ -90,12 +97,22 @@ def basis_state(dims: tuple[int, ...], indices: tuple[int, ...]) -> StateVector:
     return StateVector(dims, amp)
 
 
+def check_signed_permutations(targets: np.ndarray, phases: np.ndarray) -> None:
+    """Raise DimensionMismatch unless every row of `targets` is a bijection of
+    0..dim-1 and every phase has unit modulus (dim = the last axis)."""
+    if not (np.sort(targets, axis=-1) == np.arange(targets.shape[-1])).all():
+        raise DimensionMismatch("target is not a permutation")
+    if np.max(np.abs(np.abs(phases) - 1.0)) > TOL_EXACT:
+        raise DimensionMismatch("phases must have unit modulus")
+
+
 @dataclass(frozen=True)
 class SignedPermutationOp:
     """Unitary with exactly one unit-modulus entry per row and column.
 
     Acts as |i> -> phase[i] |target[i]>.  `target` must be a bijection of
-    0..dim-1 and every phase must have modulus 1; both are checked.
+    0..dim-1 and every phase must have modulus 1; the public constructor
+    checks both.  `_trusted` wraps arrays that hold both by construction.
     """
 
     dim: int
@@ -107,14 +124,23 @@ class SignedPermutationOp:
         phase = np.asarray(self.phase, dtype=np.complex128)
         if target.shape != (self.dim,) or phase.shape != (self.dim,):
             raise DimensionMismatch("target/phase length must equal dim")
-        if not np.array_equal(np.sort(target), np.arange(self.dim)):
-            raise DimensionMismatch("target is not a permutation")
-        if np.max(np.abs(np.abs(phase) - 1.0)) > TOL_EXACT:
-            raise DimensionMismatch("phases must have unit modulus")
+        check_signed_permutations(target, phase)
+        self._freeze(target, phase)
+
+    def _freeze(self, target: np.ndarray, phase: np.ndarray):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "phase", phase)
         target.setflags(write=False)
         phase.setflags(write=False)
+
+    @classmethod
+    def _trusted(cls, dim: int, target: np.ndarray, phase: np.ndarray) -> SignedPermutationOp:
+        """The operator of arrays that are a signed permutation by
+        construction, without the constructor's checks."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "dim", dim)
+        op._freeze(np.asarray(target, dtype=np.intp), np.asarray(phase, dtype=np.complex128))
+        return op
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -157,14 +183,15 @@ class PermutedBlockOp:
 
 
 def identity_perm(dim: int) -> SignedPermutationOp:
-    return SignedPermutationOp(dim, np.arange(dim), np.ones(dim, dtype=np.complex128))
+    return SignedPermutationOp._trusted(dim, np.arange(dim), np.ones(dim, dtype=np.complex128))
 
 
 def compose_perms(outer: SignedPermutationOp, inner: SignedPermutationOp) -> SignedPermutationOp:
-    """Signed permutation equal to applying `inner` first, then `outer`."""
+    """Signed permutation equal to applying `inner` first, then `outer`: a
+    bijection after a bijection, unit phases times unit phases."""
     if outer.dim != inner.dim:
         raise DimensionMismatch("composed permutations must share dim")
-    return SignedPermutationOp(
+    return SignedPermutationOp._trusted(
         outer.dim,
         outer.target[inner.target],
         inner.phase * outer.phase[inner.target],

@@ -512,6 +512,21 @@ class TestTableAndSweep:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
+    def test_spread_states_are_not_round_trips(self, capsys, tmp_path):
+        # ALT4's row 1 is not all-plus, so no sent state is a Bell state: each
+        # spreads to top probability 0.25, and `run` refuses every message
+        mats = tmp_path / "mats.txt"
+        mats.write_text(ALT4)
+        code, out, _ = run_cli(capsys, "sweep", "--n", "2", "--custom-matrices", str(mats))
+        payload = json.loads(out)
+        assert code == 1
+        assert (payload["round_trip_ok"], payload["checked"]) == (0, 16)
+        assert payload["failures"] == [{"decoded": None, "sent": m} for m in range(16)]
+        code, out, err = run_cli(
+            capsys, "run", "--n", "2", "--message", "3", "--custom-matrices", str(mats)
+        )
+        assert (code, out) == (2, "") and typed_error(err) is errors.NonDeterministicOutcome
+
     def test_sweep_pipeline_path(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--n", "1", "--path", "pipeline")
         assert code == 0

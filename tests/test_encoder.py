@@ -16,9 +16,9 @@ from sdc.encoder import (
     resolve_composition_order,
     resolve_member_mixer_reading,
 )
-from sdc.errors import ArgOutOfRange, PropertyViolated
+from sdc.errors import ArgOutOfRange, DimensionMismatch, PropertyViolated
 from sdc.gates import channel_sign_gate
-from sdc.hilbert import apply, compose_perms, partial_trace
+from sdc.hilbert import SignedPermutationOp, apply, compose_perms, partial_trace
 
 # a symmetric sign matrix of order 4 whose rows do not close under products
 ALT4 = np.array([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]])
@@ -210,6 +210,31 @@ class TestComposedForm:
         # family (2, -1) gets the shift of family (2, +1)
         monkeypatch.setattr(enc, "family_shift", lambda N, k, r: shift(N, k, 1 if k == 2 else r))
         with pytest.raises(PropertyViolated, match="neither composition order"):
+            resolved_order(2, hadamard.build(4))
+
+    @pytest.mark.parametrize(
+        "name,arg,bad,message",
+        [
+            ("member_mixer", 1, lambda d: (np.zeros(d), np.ones(d)), "not a permutation"),
+            ("member_mixer", 1, lambda d: (np.arange(d), 2 * np.ones(d)), "unit modulus"),
+            ("family_shift", 0, lambda d: (np.arange(d) // 2, np.ones(d)), "not a permutation"),
+        ],
+        ids=["mixer-repeated-target", "mixer-non-unit-phase", "shift-repeated-target"],
+    )
+    def test_unchecked_non_permutation_is_caught_once_stacked(
+        self, monkeypatch, name, arg, bad, message
+    ):
+        # the gates are built unchecked, so the stacked check stands in for the
+        # constructor's: one broken build (member j = 2, family k = 2) raises
+        # the constructor's error
+        build = getattr(enc, name)
+
+        def broken(N, *args):
+            op = build(N, *args)
+            return SignedPermutationOp._trusted(op.dim, *bad(op.dim)) if args[arg] == 2 else op
+
+        monkeypatch.setattr(enc, name, broken)
+        with pytest.raises(DimensionMismatch, match=message):
             resolved_order(2, hadamard.build(4))
 
     @pytest.mark.parametrize("N", [1, 2, 4])

@@ -82,6 +82,17 @@ class TestLadderShift:
         up, down = ladder_shift_gate(5, 1), ladder_shift_gate(5, -1)
         assert np.array_equal(np.asarray(compose_perms(down, up)), np.eye(10))
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 16])
+    def test_matches_the_label_by_label_map(self, N):
+        # channel +-n goes to +-m with m - 1 = (n - 1 + power) mod N
+        for power in range(-2 * N, 2 * N + 1):
+            expected = np.empty(2 * N, dtype=np.intp)
+            for n in range(1, N + 1):
+                m = (n - 1 + power) % N + 1
+                expected[label_to_index(n, N)] = label_to_index(m, N)
+                expected[label_to_index(-n, N)] = label_to_index(-m, N)
+            assert np.array_equal(ladder_shift_gate(N, power).target, expected)
+
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_cycle_order(self, N):
         op = identity_perm(2 * N)

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from sdc import hadamard
 from sdc.bell import BellLabel, bell_state
+from sdc.encoder import MEMBER_MIXER_READINGS, family_shift, member_mixer
 from sdc.errors import DimensionMismatch, LabelOutOfRange
+from sdc.gates import channel_sign_gate, channel_swap_gate, ladder_shift_gate
 from sdc.hilbert import (
     SignedPermutationOp,
     StateVector,
     apply,
     apply_full,
     basis_state,
+    check_signed_permutations,
     compose_perms,
     identity_perm,
     index_to_label,
@@ -213,3 +216,94 @@ def test_json_round_trip():
     again = state_from_dict(state_to_dict(s))
     assert again.dims == s.dims
     assert np.max(np.abs(again.amp - s.amp)) == 0.0
+
+
+def closed_form_gates(N):
+    """Every sign, swap and ladder gate at N, and the identity."""
+    yield identity_perm(2 * N)
+    for n in range(1, N + 1):
+        yield channel_sign_gate(N, n)
+        yield channel_swap_gate(N, n)
+    for power in range(-2 * N, 2 * N + 1):
+        yield ladder_shift_gate(N, power)
+
+
+def assert_equals_its_checked_rewrap(op):
+    checked = SignedPermutationOp(op.dim, op.target.copy(), op.phase.copy())
+    assert type(op.dim) is int and op.dim == checked.dim
+    assert op.target.dtype == checked.target.dtype == np.intp
+    assert op.phase.dtype == checked.phase.dtype == np.complex128
+    assert np.array_equal(op.target, checked.target)
+    assert np.array_equal(op.phase, checked.phase)
+    assert not op.target.flags.writeable and not op.phase.flags.writeable
+
+
+class TestTrustedConstruction:
+    """Closed-form builds skip the constructor's checks and lose nothing."""
+
+    @pytest.mark.parametrize("N", range(1, 17))
+    def test_gates_equal_their_checked_rewrap(self, N):
+        ops = list(closed_form_gates(N))
+        for op in ops:
+            assert_equals_its_checked_rewrap(op)
+        assert_equals_its_checked_rewrap(compose_perms(ops[1], ops[-1]))
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    def test_mixers_and_shifts_equal_their_checked_rewrap(self, N):
+        H = hadamard.build(2 * N)
+        for reading in MEMBER_MIXER_READINGS:
+            for j in range(1, 2 * N + 1):
+                assert_equals_its_checked_rewrap(member_mixer(N, H, j, reading))
+        for k in range(1, N + 1):
+            for r in (+1, -1):
+                assert_equals_its_checked_rewrap(family_shift(N, k, r))
+
+    @pytest.mark.parametrize(
+        "dim,target,phase,message",
+        [
+            (3, [0, 0, 2], [1, 1, 1], "target is not a permutation"),
+            (3, [0, 1], [1, 1], "target/phase length must equal dim"),
+            (3, [0, 1, 2], [1, 1j, 0.5], "phases must have unit modulus"),
+        ],
+        ids=["repeated-target", "wrong-length", "non-unit-phase"],
+    )
+    def test_public_constructor_still_checks(self, dim, target, phase, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            SignedPermutationOp(dim, np.array(target), np.array(phase))
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            (([0, 0, 2], [1, 1, 1]), "target is not a permutation"),
+            (([2, 0, 1], [1, -1, 1.5]), "phases must have unit modulus"),
+        ],
+        ids=["repeated-target", "non-unit-phase"],
+    )
+    def test_stacked_check_rejects_any_bad_row(self, row, message):
+        good = np.arange(3), np.ones(3)
+        targets, phases = (np.array([g, b]) for g, b in zip(good, row))
+        check_signed_permutations(*good)
+        with pytest.raises(DimensionMismatch, match=message):
+            check_signed_permutations(targets, phases)
+
+    def test_gate_builds_and_compositions_run_no_check(self, monkeypatch):
+        # the checks cost most of verify when every internal build ran them
+        calls = []
+        check = SignedPermutationOp.__post_init__
+
+        def counted(self):
+            calls.append(self.dim)
+            check(self)
+
+        monkeypatch.setattr(SignedPermutationOp, "__post_init__", counted)
+        N, H = 4, hadamard.build(8)
+        product = identity_perm(2 * N)
+        for op in closed_form_gates(N):
+            product = compose_perms(op, product)
+        for j in range(1, 2 * N + 1):
+            product = compose_perms(member_mixer(N, H, j, "same-column"), product)
+        for k in range(1, N + 1):
+            product = compose_perms(family_shift(N, k, -1), product)
+        assert calls == []
+        SignedPermutationOp(product.dim, product.target, product.phase)
+        assert calls == [2 * N]  # the counter sees the public constructor

@@ -28,7 +28,7 @@ from .decoder import (
 from .errors import ArgOutOfRange, MessageOutOfRange, NonDeterministicOutcome
 from .encoder import encode_direct
 from .hadamard import HadamardMatrix
-from .hilbert import StateVector, TOL_CHAINED, apply
+from .hilbert import StateVector, TOL_CHAINED, apply, compose_perms
 
 __all__ = [
     "TimingModel",
@@ -130,9 +130,7 @@ def _certify_sent(N: int, H: HadamardMatrix, decoder, messages) -> tuple[np.ndar
     start = encode_direct(N, H, START)
 
     def sent(chunk):
-        targets, phases = encoder_table(N, H, chunk)
-        bell = flip_start(chunk, 2 * N)
-        return targets[:, start.target], start.phase * phases[:, start.target], bell
+        return compose_perms(encoder_table(N, H, chunk), start), flip_start(chunk, 2 * N)
 
     return certify_grand(decoder, np.asarray(messages, dtype=np.intp), sent)
 

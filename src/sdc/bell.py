@@ -8,9 +8,9 @@ relabeling of the first particle and carries one Hadamard sign per basis ket;
 its pairing (`compact_partner_table`) fixes the index blocks on which
 `decoder.grand_blocks` repeats one Hadamard block.  Each state is
 (U x I)|Phi+> for a signed permutation U, and each family is defined once,
-as the table of these permutations (`bell_table`); the relabeling and
-verify's basis and encoder-law checks are exact index and sign arithmetic
-on the tables.
+as the stacked `SignedPermutationOp` of these permutations (`bell_table`);
+the relabeling and verify's basis and encoder-law checks compose and
+overlap the stacks with `hilbert`'s exact index and sign arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ArgOutOfRange, NoLocalMapFound, OrderMismatch
 from .hadamard import HadamardMatrix
-from .hilbert import SignedPermutationOp, StateVector, identity_perm
+from .hilbert import SignedPermutationOp, StateVector, compose_perms, identity_perm
 
 __all__ = [
     "BellLabel",
@@ -99,19 +99,18 @@ def encode_direct(N: int, H: HadamardMatrix, label: BellLabel) -> SignedPermutat
     a signed permutation.  It is the one row of `encoder_table` for the
     label's message id.
     """
-    if H.order != 2 * N:
-        raise OrderMismatch(f"need order {2 * N}, got {H.order}")
-    targets, phases = encoder_table(N, H, [label_to_message(label, N)])
-    return SignedPermutationOp(2 * N, targets[0], phases[0])
+    table = encoder_table(N, H, [label_to_message(label, N)])
+    return SignedPermutationOp(2 * N, table.target[0], table.phase[0])
 
 
-def encoder_table(N: int, H: HadamardMatrix, messages) -> tuple[np.ndarray, np.ndarray]:
-    """`encode_direct` of each message id, stacked: (targets, phases), len x 2N.
+def encoder_table(N: int, H: HadamardMatrix, messages) -> SignedPermutationOp:
+    """`encode_direct` of each message id, as one stack of len(messages) rows.
 
     Column i is partner channel +-c (c = i mod N + 1, minus for i >= N).  In
     family (k, r) it pairs with first-particle channel n = c - (k-1),
     zero-free mod N, on i's half-axis when r = +1 and on the other one when
-    r = -1; the sign is h[j, 2n-1] on +n and h[j, 2n] on -n.
+    r = -1; the sign is h[j, 2n-1] on +n and h[j, 2n] on -n.  Each row is a
+    signed permutation by construction, so the stack is not checked.
     """
     if H.order != 2 * N:
         raise OrderMismatch(f"need order {2 * N}, got {H.order}")
@@ -120,7 +119,8 @@ def encoder_table(N: int, H: HadamardMatrix, messages) -> tuple[np.ndarray, np.n
     i = np.arange(2 * N)
     n = (i % N - k_off) % N  # 0-based channel; -n sits at index N + n
     minus = (i >= N) != (r_minus == 1)
-    return n + N * minus, H.ints[member, 2 * n + minus].astype(np.complex128)
+    phase = H.ints[member, 2 * n + minus].astype(np.complex128)
+    return SignedPermutationOp._trusted(2 * N, n + N * minus, phase)
 
 
 def _dense_state(op: SignedPermutationOp) -> StateVector:
@@ -155,8 +155,8 @@ def compact_partner_table(N: int) -> np.ndarray:
     return np.where((r > 0) == (m % 2 == 1), v, N + v)
 
 
-def bell_table(N: int, H: HadamardMatrix, compact: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """One family as stacked signed permutations: (targets, phases), 4N^2 x 2N.
+def bell_table(N: int, H: HadamardMatrix, compact: bool = False) -> SignedPermutationOp:
+    """One family as one stack of 4N^2 signed permutations.
 
     Row `label_to_message(label)` is the U of that state (U x I)|Phi+>:
     column i (second particle) carries phase[i] on first-particle index
@@ -170,15 +170,15 @@ def bell_table(N: int, H: HadamardMatrix, compact: bool = False) -> tuple[np.nda
         raise OrderMismatch(f"need order {2 * N}, got {H.order}")
     targets = np.repeat(np.argsort(compact_partner_table(N), axis=1), 2 * N, axis=0)
     members = np.tile(np.arange(2 * N), 2 * N)[:, None]  # j - 1 of every row
-    return targets, H.ints[members, targets].astype(np.complex128)
+    phase = H.ints[members, targets].astype(np.complex128)
+    return SignedPermutationOp._trusted(2 * N, targets, phase)
 
 
 def compact_bell_state(N: int, label: BellLabel, H: HadamardMatrix) -> StateVector:
     """Compact-family basis state sum_m h[j, m] |m, partner(m)> / sqrt(2N): the
     dense view of its row of the compact `bell_table`."""
-    targets, phases = bell_table(N, H, compact=True)
-    row = label_to_message(label, N)
-    return _dense_state(SignedPermutationOp(2 * N, targets[row], phases[row]))
+    table, row = bell_table(N, H, compact=True), label_to_message(label, N)
+    return _dense_state(SignedPermutationOp(2 * N, table.target[row], table.phase[row]))
 
 
 def first_particle_interleave(N: int) -> SignedPermutationOp:
@@ -211,27 +211,23 @@ def derive_compact_relabel(N: int, H: HadamardMatrix) -> CompactRelabel:
     result reproducible and usable as an oracle.  For larger N the known
     constructive pair (interleave the first particle, identity on the second)
     is verified against every label instead.  Both families are compared as
-    `bell_table`s, so a match is exact in every index and sign.  If no pair
+    `bell_table`s, so a match is exact in every index and sign: the pair
+    sends (U x I)|Phi+> to (perm_a U perm_b^T x I)|Phi+>.  If no pair
     passes, the decoder must fall back to an explicit basis-change unitary;
     that situation is reported through NoLocalMapFound rather than papered
     over.
     """
     dim = 2 * N
     labels = all_labels(N)
-    targets, phases = bell_table(N, H)
+    standard, compact_table = bell_table(N, H), bell_table(N, H, compact=True)
     # each compact row's exact (target, phase) bytes -> its label
-    compact_rows = zip(labels, *bell_table(N, H, compact=True))
+    compact_rows = zip(labels, compact_table.target, compact_table.phase)
     compact = {t.tobytes() + p.tobytes(): lab for lab, t, p in compact_rows}
-    ones = np.ones(dim, dtype=np.complex128)
 
     def matches(perm_a, perm_b) -> dict[BellLabel, BellLabel] | None:
-        # perm_b moves column i to perm_b.target[i], perm_a its first index t
-        # to perm_a.target[t]; the two phases multiply in
-        moved_t, moved_p = np.empty_like(targets), np.empty_like(phases)
-        moved_t[:, perm_b.target] = perm_a.target[targets]
-        moved_p[:, perm_b.target] = phases * perm_a.phase[targets] * perm_b.phase
+        moved = compose_perms(compose_perms(perm_a, standard), perm_b.T)
         mapping = {}
-        for lab, t, p in zip(labels, moved_t, moved_p):
+        for lab, t, p in zip(labels, moved.target, moved.phase):
             hit = compact.get(t.tobytes() + p.tobytes())
             if hit is None:
                 return None
@@ -240,13 +236,12 @@ def derive_compact_relabel(N: int, H: HadamardMatrix) -> CompactRelabel:
         return mapping if len(set(mapping.values())) == len(mapping) else None
 
     if dim <= 4:
-        for pa in itertools.permutations(range(dim)):
-            perm_a = SignedPermutationOp(dim, np.array(pa, dtype=np.intp), ones)
-            for pb in itertools.permutations(range(dim)):
-                perm_b = SignedPermutationOp(dim, np.array(pb, dtype=np.intp), ones)
-                mapping = matches(perm_a, perm_b)
-                if mapping is not None:
-                    return CompactRelabel(perm_a, perm_b, mapping, "exhaustive")
+        order = np.array(list(itertools.permutations(range(dim))))
+        perms = SignedPermutationOp(dim, order, np.ones(order.shape))
+        for a, b in itertools.product(range(len(order)), repeat=2):
+            mapping = matches(perms[a], perms[b])
+            if mapping is not None:
+                return CompactRelabel(perms[a], perms[b], mapping, "exhaustive")
         raise NoLocalMapFound(f"no local permutation pair found at N={N}")
 
     perm_a, perm_b = first_particle_interleave(N), identity_perm(dim)

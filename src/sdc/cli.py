@@ -131,7 +131,7 @@ def _static_conventions(H) -> dict:
     }
 
 
-def table_residuals(targets: np.ndarray, phases: np.ndarray) -> dict:
+def table_residuals(table: hilbert.SignedPermutationOp) -> dict:
     """Worst Bell-basis residuals of a `bell.bell_table`, exact for +-1 phases.
 
     gram: max|<a|b> - delta_ab|.  States a and b overlap where their targets
@@ -143,7 +143,7 @@ def table_residuals(targets: np.ndarray, phases: np.ndarray) -> dict:
     are diag(|phase|^2) / 2N.  amplitude: max||amp| - 1/sqrt(2N)| over the
     amplitudes phase / sqrt(2N).
     """
-    dim = phases.shape[1]
+    targets, phases, dim = table.target, table.phase, table.dim
     uniq, group, sizes = np.unique(targets, axis=0, return_inverse=True, return_counts=True)
     members = np.split(np.argsort(group.reshape(-1), kind="stable"), np.cumsum(sizes)[:-1])
     worst = 0.0
@@ -172,7 +172,7 @@ def table_residuals(targets: np.ndarray, phases: np.ndarray) -> dict:
 
 def cmd_bases(cfg: RunConfig) -> int:
     H, _ = cfg.hadamard_pair()
-    gram_dev = table_residuals(*bell.bell_table(cfg.n, H))["gram"]
+    gram_dev = table_residuals(bell.bell_table(cfg.n, H))["gram"]
     states = []
     for lab in bell.all_labels(cfg.n):
         entry = {"label": {"k": lab.k, "r": lab.r, "j": lab.j}}
@@ -189,15 +189,6 @@ def cmd_bases(cfg: RunConfig) -> int:
     return 0
 
 
-def _check(name: str, residual: float, tolerance: float) -> dict:
-    return {
-        "name": name,
-        "residual": float(residual),
-        "tolerance": tolerance,
-        "pass": bool(residual <= tolerance),
-    }
-
-
 def build_verify_report(cfg: RunConfig) -> dict:
     """Full invariant suite for one N; every check carries its residual."""
     N = cfg.n
@@ -205,27 +196,24 @@ def build_verify_report(cfg: RunConfig) -> dict:
     dim = 2 * N
     checks: list[dict] = []
 
+    def check(name: str, residual: float, tolerance: float) -> None:
+        entry = {"name": name, "residual": float(residual), "tolerance": tolerance}
+        checks.append({**entry, "pass": bool(residual <= tolerance)})
+
     # Hadamard backbone
     norm = H.normalized
-    checks.append(_check("hadamard-symmetry", np.max(np.abs(norm - norm.T)), 0.0))
-    checks.append(
-        _check("hadamard-involution", np.max(np.abs(norm @ norm - np.eye(dim))), cfg.tol_exact)
-    )
-    checks.append(
-        _check(
-            "hadamard-entry-magnitude",
-            np.max(np.abs(np.abs(norm) - 1.0 / np.sqrt(dim))),
-            cfg.tol_exact,
-        )
-    )
+    check("hadamard-symmetry", np.max(np.abs(norm - norm.T)), 0.0)
+    check("hadamard-involution", np.max(np.abs(norm @ norm - np.eye(dim))), cfg.tol_exact)
+    magnitude = np.max(np.abs(np.abs(norm) - 1.0 / np.sqrt(dim)))
+    check("hadamard-entry-magnitude", magnitude, cfg.tol_exact)
 
     # Bell bases, each held as its table of signed permutations
-    standard = table_residuals(*bell.bell_table(N, H))
-    compact = table_residuals(*bell.bell_table(N, H, compact=True))
-    checks.append(_check("bell-gram", standard["gram"], cfg.tol_exact))
-    checks.append(_check("bell-compact-gram", compact["gram"], cfg.tol_exact))
-    checks.append(_check("bell-partial-trace", standard["partial_trace"], cfg.tol_exact))
-    checks.append(_check("bell-amplitude-structure", standard["amplitude"], cfg.tol_exact))
+    standard = table_residuals(bell.bell_table(N, H))
+    compact = table_residuals(bell.bell_table(N, H, compact=True))
+    check("bell-gram", standard["gram"], cfg.tol_exact)
+    check("bell-compact-gram", compact["gram"], cfg.tol_exact)
+    check("bell-partial-trace", standard["partial_trace"], cfg.tol_exact)
+    check("bell-amplitude-structure", standard["amplitude"], cfg.tol_exact)
 
     try:
         relabel_method = bell.derive_compact_relabel(N, H).method
@@ -233,7 +221,7 @@ def build_verify_report(cfg: RunConfig) -> dict:
     except SdcError:
         relabel_method = "none"
         relabel_missing = 1.0
-    checks.append(_check("bell-compact-relabel-found", relabel_missing, 0.0))
+    check("bell-compact-relabel-found", relabel_missing, 0.0)
 
     # basic gates
     gate_report = {}
@@ -242,8 +230,8 @@ def build_verify_report(cfg: RunConfig) -> dict:
         unit = float(np.max(np.abs(mat.conj().T @ mat - np.eye(d))))
         invol = float(np.max(np.abs(mat @ mat - np.eye(d))))
         gate_report[name] = {"unitarity": unit, "involution": invol}
-        checks.append(_check(f"gate-{name}-unitarity", unit, cfg.tol_chained))
-        return invol
+        check(f"gate-{name}-unitarity", unit, cfg.tol_chained)
+        check(f"gate-{name}-involution", invol, cfg.tol_chained)
 
     for n in range(1, N + 1):
         for name, op in (
@@ -251,20 +239,13 @@ def build_verify_report(cfg: RunConfig) -> dict:
             (f"channel-swap-{n}", gates.channel_swap_gate(N, n)),
             (f"channel-hadamard-{n}", gates.channel_hadamard_gate(N, n)),
         ):
-            invol = op_residuals(name, np.asarray(op))
-            checks.append(_check(f"gate-{name}-involution", invol, cfg.tol_chained))
+            op_residuals(name, np.asarray(op))
 
     ladder = gates.ladder_shift_gate(N, 1)
     cycle = hilbert.identity_perm(dim)
     for _ in range(N):
         cycle = hilbert.compose_perms(ladder, cycle)
-    checks.append(
-        _check(
-            "gate-ladder-cycle",
-            np.max(np.abs(np.asarray(cycle) - np.eye(dim))),
-            cfg.tol_exact,
-        )
-    )
+    check("gate-ladder-cycle", np.max(np.abs(np.asarray(cycle) - np.eye(dim))), cfg.tol_exact)
 
     # signed permutation P: P^H P = diag(|phase|^2); P^2 - I is 0 where P^2
     # sends an index home with phase 1, and has a unit entry elsewhere
@@ -274,36 +255,28 @@ def build_verify_report(cfg: RunConfig) -> dict:
     home = square.target == np.arange(pcs.dim)
     invol = float(np.max(np.where(home, np.abs(square.phase - 1.0), 1.0)))
     gate_report["controlled-swap"] = {"unitarity": unit, "involution": invol}
-    checks.append(_check("gate-controlled-swap-unitarity", unit, cfg.tol_chained))
-    checks.append(_check("gate-controlled-swap-involution", invol, cfg.tol_chained))
+    check("gate-controlled-swap-unitarity", unit, cfg.tol_chained)
+    check("gate-controlled-swap-involution", invol, cfg.tol_chained)
     if N >= 2:
         h1 = gates.channel_hadamard_gate(N, 1)
         h2 = gates.channel_hadamard_gate(N, 2)
-        checks.append(
-            _check("gate-disjoint-commutation", np.max(np.abs(h1 @ h2 - h2 @ h1)), cfg.tol_exact)
-        )
+        check("gate-disjoint-commutation", np.max(np.abs(h1 @ h2 - h2 @ h1)), cfg.tol_exact)
 
     mixer_info = None
     if HN is not None:
         mixer_info = gates.resolve_mixer_normalization(N, HN)
-        checks.append(
-            _check("gate-mixer-unitarity", mixer_info["unitarity_residual"], cfg.tol_chained)
-        )
-        checks.append(
-            _check("gate-mixer-involution", mixer_info["involution_residual"], cfg.tol_chained)
-        )
+        check("gate-mixer-unitarity", mixer_info["unitarity_residual"], cfg.tol_chained)
+        check("gate-mixer-involution", mixer_info["involution_residual"], cfg.tol_chained)
 
     # encoder laws
     laws = encoder.encode_law_residuals(N, H)
-    checks.append(_check("encode-signed-permutation-structure", laws["structure"], cfg.tol_exact))
-    checks.append(_check("encode-family-rule", laws["family_rule"], cfg.tol_chained))
-    checks.append(_check("encode-no-signaling", laws["no_signaling"], cfg.tol_exact))
+    check("encode-signed-permutation-structure", laws["structure"], cfg.tol_exact)
+    check("encode-family-rule", laws["family_rule"], cfg.tol_chained)
+    check("encode-no-signaling", laws["no_signaling"], cfg.tol_exact)
 
     reading = encoder.resolve_member_mixer_reading(N, H)
     order = encoder.resolve_composition_order(N, H, reading["reading"])
-    checks.append(
-        _check("encode-composed-action", order["max_overlap_deviation"], cfg.tol_chained)
-    )
+    check("encode-composed-action", order["max_overlap_deviation"], cfg.tol_chained)
 
     # decoder: P (I x B / sqrt(2N)) P^T is unitary (an involution) exactly when
     # P is a bijection and the +-1 block B has B^T B = 2N I (B B = 2N I)
@@ -314,16 +287,16 @@ def build_verify_report(cfg: RunConfig) -> dict:
     exact = exact and np.array_equal(gop.block, signs / np.sqrt(dim))
     for name, square in (("grand-unitarity", signs.T @ signs), ("grand-involution", signs @ signs)):
         ok = exact and np.array_equal(square, dim * np.eye(dim, dtype=np.int64))
-        checks.append(_check(name, 0.0 if ok else 1.0, cfg.tol_chained))
+        check(name, 0.0 if ok else 1.0, cfg.tol_chained)
 
     # each Bell state certified by its one operator row: a certified point
     # mass is the whole distribution; injective by build_decode_table's rule
     outcomes, probs = decoder.bell_outcomes(N, H, grand)
     min_top = float(probs.min())
     injective = min_top >= 1.0 - hilbert.TOL_CHAINED and np.unique(outcomes).size == 4 * N * N
-    checks.append(_check("decode-determinism", 1.0 - min_top, cfg.tol_chained))
-    checks.append(_check("decode-injectivity", 0.0 if injective else 1.0, 0.0))
-    checks.append(_check("measurement-completeness", np.max(np.abs(probs - 1.0)), cfg.tol_exact))
+    check("decode-determinism", 1.0 - min_top, cfg.tol_chained)
+    check("decode-injectivity", 0.0 if injective else 1.0, 0.0)
+    check("measurement-completeness", np.max(np.abs(probs - 1.0)), cfg.tol_exact)
 
     conventions = {
         **_static_conventions(H),

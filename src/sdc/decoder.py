@@ -14,9 +14,10 @@ route are measured and reported, never assumed.
 operators once and returns a `Decoder` that applies them in order.  Tables,
 reports, protocol runs and the command line all take or build one `Decoder`.
 `bell_outcomes` is a route's one Bell-state measurement.  On the grand route
-it checks stacked signed-permutation states against one operator row each
-(`certify_grand`), bit-identical to the amplitude route (`Decoder.decode`),
-which stays the oracle and decodes arbitrary states and the pipeline's.
+it checks a stacked `SignedPermutationOp` of states against one operator row
+each (`certify_grand`), bit-identical to the amplitude route
+(`Decoder.decode`), which stays the oracle and decodes arbitrary states and
+the pipeline's.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .gates import hadamard_layer, nonlocal_mixer, position_controlled_swap
 from .hadamard import HadamardMatrix
-from .hilbert import TOL_CHAINED, TOL_EXACT, PermutedBlockOp, StateVector, apply, apply_full
+from .hilbert import TOL_CHAINED, TOL_EXACT, PermutedBlockOp, StateVector, apply, apply_full, compose_perms
 
 __all__ = [
     "MeasurementOutcome",
@@ -179,14 +180,14 @@ def make_decoder(
 def certify_grand(decoder: Decoder, messages: np.ndarray, stack) -> tuple[np.ndarray, np.ndarray]:
     """Outcome and probability of stacked signed-permutation states on the grand route.
 
-    `stack(chunk)` returns (targets, phases, bell) for a slice of `messages`,
-    at most CERTIFY_CHUNK long: state s is sum_i phases[s, i] |targets[s, i], i>
-    over sqrt(2N), claimed to be the standard Bell state with message id
-    bell[s].  Each state is carried through the decoder's interleave by index
-    arithmetic.  Bell state (k, r, j) lands on output row rows[(k, r), j-1],
-    and that one row of the held operator, read at the state's 2N nonzeros,
-    gives its amplitude there.  Returns the predicted outcomes (flat index
-    first·2N + second) and their probabilities.  The state is normalized and
+    `stack(chunk)` returns (states, bell) for a slice of `messages`, at most
+    CERTIFY_CHUNK long: row s of the stacked signed permutations `states` is
+    the U of (U x I)|Phi+>, claimed to be the standard Bell state with
+    message id bell[s].  The decoder's interleave is composed after each U.
+    Bell state (k, r, j) lands on output row rows[(k, r), j-1], and that one
+    row of the held operator, read at the state's 2N nonzeros, gives its
+    amplitude there.  Returns the predicted outcomes (flat index first·2N +
+    second) and their probabilities.  The state is normalized and
     the operator unitary, so a probability of at least 1 - TOL_CHAINED
     certifies a point mass.  The terms are added left to right as they come:
     a certified state's 2N terms are equal, so every order rounds alike, and
@@ -205,9 +206,10 @@ def certify_grand(decoder: Decoder, messages: np.ndarray, stack) -> tuple[np.nda
     probs = np.empty(len(messages))
     for lo in range(0, len(messages), CERTIFY_CHUNK):
         chunk = slice(lo, lo + CERTIFY_CHUNK)
-        targets, phases, bell = stack(messages[chunk])
-        cols = interleave.target[targets] * dim + np.arange(dim)  # after the interleave
-        amps = phases * interleave.phase[targets] / np.sqrt(dim)
+        states, bell = stack(messages[chunk])
+        moved = compose_perms(interleave, states)
+        cols = moved.target * dim + np.arange(dim)
+        amps = moved.phase / np.sqrt(dim)
         family, member = np.divmod(bell, dim)
         hit = col_family[cols] == family[:, None]
         weights = np.where(hit, gop.block[member[:, None], col_pos[cols]], 0)
@@ -226,7 +228,7 @@ def bell_outcomes(N: int, H: HadamardMatrix, decoder: Decoder) -> tuple[np.ndarr
     """
     if decoder.path == "grand":
         return certify_grand(
-            decoder, np.arange(4 * N * N), lambda chunk: (*encoder_table(N, H, chunk), chunk)
+            decoder, np.arange(4 * N * N), lambda chunk: (encoder_table(N, H, chunk), chunk)
         )
     tops = [decoder.decode(bell_state(N, lab, H))[0] for lab in all_labels(N)]
     outcomes = np.array([top.first * 2 * N + top.second for top in tops], dtype=np.intp)

@@ -9,9 +9,10 @@ half-axis swaps).  Two textual ambiguities in the composed route, the
 exponent columns of the member mixer and the order of the two factors, are
 resolved mechanically against the laws the operators must satisfy, and the
 resolved readings are reported.  Every law is checked on signed permutations
-(a Bell state is its encoder's permutation over sqrt(2N)) held as stacked
-(targets, phases) arrays, one row per label, so the checks are exact index
-and sign comparisons.  Nothing is memoized: each call resolves afresh.
+(a Bell state is its encoder's permutation over sqrt(2N)) held as one
+stacked `SignedPermutationOp`, one row per label, and composed and overlapped
+by `hilbert`, so the checks are exact index and sign comparisons.  Nothing
+is memoized: each call resolves afresh.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .hadamard import HadamardMatrix
 from .hilbert import (
     TOL_CHAINED,
     SignedPermutationOp,
-    check_signed_permutations,
     compose_perms,
     identity_perm,
+    phi_plus_overlap,
 )
 
 __all__ = [
@@ -86,8 +87,8 @@ def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
     H, or a member whose mixed state deviates from the target.
     """
     dim = 2 * N
-    targets, phases = encoder_table(N, H, np.arange(dim * dim if N <= 8 else dim))
-    family, member = np.divmod(np.arange(len(targets)), dim)
+    table = encoder_table(N, H, np.arange(dim * dim if N <= 8 else dim))
+    family, member = np.divmod(np.arange(len(table.target)), dim)
     # product[j-1, j'-1]: the row of H (0-based) equal to row j * row j', -1 if none
     row_of = {row.tobytes(): i for i, row in enumerate(H.ints)}
     product = np.array([[row_of.get((a * b).tobytes(), -1) for b in H.ints] for a in H.ints])
@@ -96,19 +97,20 @@ def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
         for j in range(1, dim + 1):
             op = _member_mixer_with_reading(N, H, j, reading)
             # the mixer acts on the first particle, i.e. on the encoder's rows
-            moved_t, moved_p = _after(op.target, op.phase, targets, phases)
+            moved = compose_perms(op, table)
             jpp = product[j - 1, member]
-            want = family * dim + jpp  # read only where the product row exists
-            same = (moved_t == targets[want]).all(axis=1) & (moved_p == phases[want]).all(axis=1)
-            bad = np.flatnonzero((jpp < 0) | ~same)
+            want = table[family * dim + jpp]  # read only where the product row exists
+            same = (moved.target == want.target) & (moved.phase == want.phase)
+            bad = np.flatnonzero((jpp < 0) | ~same.all(axis=1))
             if bad.size:
                 m, lab = bad[0], all_labels(N)[bad[0]]
                 if jpp[m] < 0:
                     failures[reading] = f"row {j} * row {lab.j} is not a row of H"
                 else:
-                    moved = SignedPermutationOp(dim, moved_t[m], moved_p[m])
-                    target = SignedPermutationOp(dim, targets[want[m]], phases[want[m]])
-                    dev = np.max(np.abs(np.asarray(moved) - np.asarray(target))) / np.sqrt(dim)
+                    got, target = (
+                        SignedPermutationOp(dim, a.target[m], a.phase[m]) for a in (moved, want)
+                    )
+                    dev = np.max(np.abs(np.asarray(got) - np.asarray(target))) / np.sqrt(dim)
                     failures[reading] = f"mixer {j} on {lab} deviates by {dev:.3e}"
                 break
         else:
@@ -151,22 +153,10 @@ def family_shift(N: int, k: int, r: int) -> SignedPermutationOp:
     return compose_perms(ladder_shift_gate(N, 1 - k), op)
 
 
-def _after(target: np.ndarray, phase: np.ndarray, targets: np.ndarray, phases: np.ndarray):
-    """The permutation (target, phase) composed after each stacked one:
-    compose_perms row by row."""
-    return target[targets], phases * phase[targets]
-
-
-def _overlaps(a, b) -> np.ndarray:
-    """<a|b> of the Bell states of stacked signed permutations a and b, row by row.
-
-    The Bell state of U is its dense matrix over sqrt(2N) read as a grid, so
-    the overlap is the sum over columns whose targets agree of
-    conj(phase_a) * phase_b, over 2N: an exact small-integer sum for +-1
-    phases.
-    """
-    (ta, pa), (tb, pb) = a, b
-    return np.sum(np.conj(pa) * pb * (ta == tb), axis=-1) / ta.shape[-1]
+def _checked_stack(dim: int, ops) -> SignedPermutationOp:
+    """The operators `ops` yields, stacked in order and checked; only their arrays are kept."""
+    target, phase = map(np.array, zip(*((op.target, op.phase) for op in ops)))
+    return SignedPermutationOp(dim, target, phase)
 
 
 def resolve_composition_order(N: int, H: HadamardMatrix, reading: str) -> dict:
@@ -186,28 +176,18 @@ def resolve_composition_order(N: int, H: HadamardMatrix, reading: str) -> dict:
     """
     dim, labels = 2 * N, all_labels(N)
     table = bell_table(N, H)  # row m: encode_direct of message m
-    starts = tuple(a[::dim] for a in table)  # the member-1 row of each family
-    shifts = [family_shift(N, lab.k, lab.r) for lab in labels[::dim]]
-    mixer, shift = (  # (targets, phases) stacks, one row per label
-        (np.array([op.target for op in ops]), np.array([op.phase for op in ops]))
-        for ops in (
-            [member_mixer(N, H, lab.j, reading) for lab in labels],
-            [op for op in shifts for _ in range(dim)],
-        )
-    )
+    starts = table[::dim]  # the member-1 row of each family
     # the gates are built unchecked, so both stacks are checked here, once
-    for stack in (mixer, shift):
-        check_signed_permutations(*stack)
+    mixer = _checked_stack(dim, (member_mixer(N, H, lab.j, reading) for lab in labels))
+    shifts = _checked_stack(dim, (family_shift(N, lab.k, lab.r) for lab in labels[::dim]))
+    shift = shifts[np.arange(len(labels)) // dim]  # one row per label
     for order in COMPOSITION_ORDERS:
-        (outer_t, outer_p), (inner_t, inner_p) = (
-            (mixer, shift) if order == "family-shift-first" else (shift, mixer)
-        )
-        # compose_perms(outer, inner) on every label's row
-        composed_t = np.take_along_axis(outer_t, inner_t, axis=1)
-        composed = composed_t, inner_p * np.take_along_axis(outer_p, inner_t, axis=1)
+        outer, inner = (mixer, shift) if order == "family-shift-first" else (shift, mixer)
+        composed = compose_perms(outer, inner)  # row by row, one per label
         worst_overlap = worst_phase = 0.0
-        for t, p, ct, cp in zip(*table, *composed):
-            overlap = _overlaps(_after(t, p, *starts), _after(ct, cp, *starts))
+        for m in range(len(labels)):
+            direct, via_gates = compose_perms(table[m], starts), compose_perms(composed[m], starts)
+            overlap = phi_plus_overlap(direct, via_gates)
             dev = float(np.max(np.abs(np.abs(overlap) - 1.0)))
             worst_overlap = max(worst_overlap, dev)
             if dev > TOL_CHAINED:
@@ -218,7 +198,7 @@ def resolve_composition_order(N: int, H: HadamardMatrix, reading: str) -> dict:
                 "order": order,
                 "max_overlap_deviation": worst_overlap,
                 "max_phase_deviation": worst_phase,
-                "matrix_equal_to_direct": all(map(np.array_equal, composed, table)),
+                "matrix_equal_to_direct": composed == table,
             }
     raise PropertyViolated("neither composition order reproduces the direct encoder's action")
 
@@ -235,21 +215,20 @@ def encode_law_residuals(N: int, H: HadamardMatrix) -> dict:
     encoder's signed permutation, so all three are exact.
     """
     dim = 2 * N
-    targets, phases = bell_table(N, H)
-    structure = float(np.max(np.abs(np.abs(phases) - 1.0)))
-    starts = targets[::dim], phases[::dim]  # the member-1 row of each family
+    table = bell_table(N, H)
+    structure = float(np.max(np.abs(np.abs(table.phase) - 1.0)))
+    starts = table[::dim]  # the member-1 row of each family
     families = [(lab.k, lab.r) for lab in all_labels(N)[::dim]]
     index = {fam: f for f, fam in enumerate(families)}
     # landing[f, f']: the family that family f's encoders send start family f' to
     landing = np.array([[index[compose_family(*a, *b, N)] for b in families] for a in families])
     rule = signaling = 0.0
-    for m, (t, p) in enumerate(zip(targets, phases)):
-        moved_t, moved_p = _after(t, p, *starts)
-        landed = landing[m // dim] * dim + m % dim
-        overlap = _overlaps((targets[landed], phases[landed]), (moved_t, moved_p))
+    for m in range(len(table.target)):
+        moved = compose_perms(table[m], starts)
+        overlap = phi_plus_overlap(table[landing[m // dim] * dim + m % dim], moved)
         rule = max(rule, float(np.max(np.abs(np.abs(overlap) - 1.0))))
         # the state of a signed permutation has rho_B = diag(|phase|^2) / 2N
-        signaling = max(signaling, float(np.max(np.abs(np.abs(moved_p) ** 2 - 1.0)) / dim))
+        signaling = max(signaling, float(np.max(np.abs(np.abs(moved.phase) ** 2 - 1.0)) / dim))
     return {"structure": structure, "family_rule": rule, "no_signaling": signaling}
 
 

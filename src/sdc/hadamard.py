@@ -41,9 +41,9 @@ class HadamardMatrix:
     """A normalized symmetric Hadamard matrix with exact integer backing.
 
     `ints` holds the unnormalized +-1 entries; `normalized` divides by
-    sqrt(order).  Construction validates symmetry, entry values, and the
-    self-inverse property H @ H = I (exact in integer arithmetic:
-    ints @ ints == order * I).
+    sqrt(order); both are read-only.  Construction validates symmetry, entry
+    values, and the self-inverse property H @ H = I (exact in integer
+    arithmetic: ints @ ints == order * I).
     """
 
     order: int
@@ -65,6 +65,7 @@ class HadamardMatrix:
             raise ConstructionUnavailable("matrix is not self-inverse after normalization")
         object.__setattr__(self, "_norm", m / np.sqrt(self.order))
         self.ints.setflags(write=False)
+        self._norm.setflags(write=False)
 
     @property
     def normalized(self) -> np.ndarray:

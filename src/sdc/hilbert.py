@@ -7,13 +7,13 @@ states are flat complex vectors with a dims header.  An operator is a
 `SignedPermutationOp` (one unit-modulus entry per column, moved by index
 relocation), a `PermutedBlockOp` (one block on each block of an index
 partition) or, on one factor only, a plain ndarray.  `np.asarray(op)`
-densifies any of them.
-
-A signed permutation is checked where it enters: the public constructor
-`SignedPermutationOp(dim, target, phase)` and `check_signed_permutations`,
-the same test on a stack of them.  Results that are signed permutations by
-construction (the identity, a composition of two, the closed-form gates)
-are wrapped by the unchecked `SignedPermutationOp._trusted`.
+densifies any of them.  A `SignedPermutationOp` is one signed permutation
+or a stack of them; they compose (`compose_perms`) and overlap as states
+(U x I)|Phi+> (`phi_plus_overlap`) here only, row by row.  Each is checked
+where it enters, by the public constructor; results that are signed
+permutations by construction (the identity, compositions, rows,
+transposes, the closed-form gates, the Bell tables) are wrapped by the
+unchecked `SignedPermutationOp._trusted`.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ __all__ = [
     "StateVector",
     "SignedPermutationOp",
     "PermutedBlockOp",
-    "check_signed_permutations",
     "identity_perm",
     "compose_perms",
+    "phi_plus_overlap",
     "apply",
     "apply_full",
     "inner",
@@ -79,8 +79,7 @@ class StateVector:
             raise DimensionMismatch(
                 f"{amp.size} amplitudes for dims {self.dims}"
             )
-        object.__setattr__(self, "amp", amp)
-        amp.setflags(write=False)
+        _freeze(self, amp=amp)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amp))
@@ -97,22 +96,31 @@ def basis_state(dims: tuple[int, ...], indices: tuple[int, ...]) -> StateVector:
     return StateVector(dims, amp)
 
 
-def check_signed_permutations(targets: np.ndarray, phases: np.ndarray) -> None:
-    """Raise DimensionMismatch unless every row of `targets` is a bijection of
-    0..dim-1 and every phase has unit modulus (dim = the last axis)."""
-    if not (np.sort(targets, axis=-1) == np.arange(targets.shape[-1])).all():
-        raise DimensionMismatch("target is not a permutation")
-    if np.max(np.abs(np.abs(phases) - 1.0)) > TOL_EXACT:
-        raise DimensionMismatch("phases must have unit modulus")
+def _freeze(obj, **arrays):
+    """Set each field of a frozen dataclass to its array, made read-only."""
+    vars(obj).update(arrays)
+    for array in arrays.values():
+        array.setflags(write=False)
 
 
-@dataclass(frozen=True)
+def _equal(a, b) -> bool:
+    """Exact equality of two operators: one type, each field of one shape and value."""
+    return type(a) is type(b) and all(
+        np.shape(x) == np.shape(y) and np.array_equal(x, y)
+        for x, y in zip(vars(a).values(), vars(b).values())
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class SignedPermutationOp:
-    """Unitary with exactly one unit-modulus entry per row and column.
+    """Unitary with exactly one unit-modulus entry per row and column, or a
+    stack of them: one per index of the leading axes of `target` and `phase`,
+    both of shape (..., dim).
 
-    Acts as |i> -> phase[i] |target[i]>.  `target` must be a bijection of
-    0..dim-1 and every phase must have modulus 1; the public constructor
-    checks both.  `_trusted` wraps arrays that hold both by construction.
+    Acts as |i> -> phase[i] |target[i]>.  Every row of `target` must be a
+    bijection of 0..dim-1 and every phase must have modulus 1; the public
+    constructor checks both.  `_trusted` wraps arrays that hold both by
+    construction.  Equality is exact, in dim, shape and every entry.
     """
 
     dim: int
@@ -122,57 +130,81 @@ class SignedPermutationOp:
     def __post_init__(self):
         target = np.asarray(self.target, dtype=np.intp)
         phase = np.asarray(self.phase, dtype=np.complex128)
-        if target.shape != (self.dim,) or phase.shape != (self.dim,):
+        if target.shape[-1:] != (self.dim,) or phase.shape != target.shape:
             raise DimensionMismatch("target/phase length must equal dim")
-        check_signed_permutations(target, phase)
-        self._freeze(target, phase)
-
-    def _freeze(self, target: np.ndarray, phase: np.ndarray):
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "phase", phase)
-        target.setflags(write=False)
-        phase.setflags(write=False)
+        if not (np.sort(target, axis=-1) == np.arange(self.dim)).all():
+            raise DimensionMismatch("target is not a permutation")
+        if not np.max(np.abs(np.abs(phase) - 1.0)) <= TOL_EXACT:  # also rejects NaN
+            raise DimensionMismatch("phases must have unit modulus")
+        _freeze(self, target=target, phase=phase)
 
     @classmethod
     def _trusted(cls, dim: int, target: np.ndarray, phase: np.ndarray) -> SignedPermutationOp:
         """The operator of arrays that are a signed permutation by
         construction, without the constructor's checks."""
         op = object.__new__(cls)
-        object.__setattr__(op, "dim", dim)
-        op._freeze(np.asarray(target, dtype=np.intp), np.asarray(phase, dtype=np.complex128))
+        target, phase = np.asarray(target, np.intp), np.asarray(phase, np.complex128)
+        vars(op).update(dim=dim, target=target, phase=phase)  # _freeze, inlined: a hot path
+        target.setflags(write=False)
+        phase.setflags(write=False)
         return op
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.dim, self.dim)
+    def shape(self) -> tuple[int, ...]:
+        return self.target.shape + (self.dim,)
+
+    def __getitem__(self, rows) -> SignedPermutationOp:
+        """The operators at `rows` of a stack's leading axes."""
+        return SignedPermutationOp._trusted(self.dim, self.target[rows], self.phase[rows])
+
+    @property
+    def T(self) -> SignedPermutationOp:
+        """The transpose of each operator: |target[i]> -> phase[i] |i>."""
+        inverse = np.argsort(self.target, axis=-1)
+        phase = np.take_along_axis(self.phase, inverse, -1)
+        return SignedPermutationOp._trusted(self.dim, inverse, phase)
+
+    __eq__ = _equal
+
+    def __hash__(self) -> int:
+        # + 0 turns -0.0, equal to 0.0, into 0.0
+        return hash((self.dim, self.target.shape, self.target.tobytes(), (self.phase + 0).tobytes()))
 
     def __array__(self, dtype=None, copy=None):
-        """Dense complex matrix: column i holds phase[i] in row target[i].
-
-        numpy casts the result when `np.asarray(op, dtype)` asks for a dtype.
-        """
+        """Dense complex matrices, shape (..., dim, dim): column i of each
+        holds phase[i] in row target[i].  numpy casts them to a dtype it asks for."""
         if copy is False:
             raise ValueError("a signed permutation has no dense buffer to share")
         m = np.zeros(self.shape, dtype=np.complex128)
-        m[self.target, np.arange(self.dim)] = self.phase
+        np.put_along_axis(m, self.target[..., None, :], self.phase[..., None, :], axis=-2)
         return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermutedBlockOp:
     """Direct sum of copies of one b x b block, conjugated by a permutation.
 
     `rows` is a (blocks x b) index array partitioning 0..dim-1: the amplitudes
     at rows[k] are multiplied by `block` and land back on rows[k], so entry
     (rows[k, j], rows[k, t]) is block[j, t] and every other entry is zero.
+    Both arrays are read-only, and equality is exact.
     """
 
     rows: np.ndarray
     block: np.ndarray
 
+    def __post_init__(self):
+        _freeze(self, rows=np.asarray(self.rows, dtype=np.intp), block=np.asarray(self.block))
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows.size, self.rows.size)
+
+    __eq__ = _equal
+
+    def __hash__(self) -> int:
+        # the block's dtype may differ between equal operators; its values are left out
+        return hash((self.rows.shape, self.rows.tobytes(), self.block.shape))
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
@@ -188,14 +220,32 @@ def identity_perm(dim: int) -> SignedPermutationOp:
 
 def compose_perms(outer: SignedPermutationOp, inner: SignedPermutationOp) -> SignedPermutationOp:
     """Signed permutation equal to applying `inner` first, then `outer`: a
-    bijection after a bijection, unit phases times unit phases."""
+    bijection after a bijection, unit phases times unit phases.  A single
+    operator composes with every row of a stack; two stacks of one rank
+    compose row by row, their leading axes broadcasting.
+    """
     if outer.dim != inner.dim:
         raise DimensionMismatch("composed permutations must share dim")
-    return SignedPermutationOp._trusted(
-        outer.dim,
-        outer.target[inner.target],
-        inner.phase * outer.phase[inner.target],
-    )
+    if outer.target.ndim == 1:  # the hot path: plain fancy indexing
+        target, phase = outer.target[inner.target], outer.phase[inner.target]
+    elif inner.target.ndim == 1:
+        target, phase = outer.target[..., inner.target], outer.phase[..., inner.target]
+    elif outer.target.ndim == inner.target.ndim:
+        target, phase = (np.take_along_axis(a, inner.target, -1) for a in (outer.target, outer.phase))
+    else:
+        raise DimensionMismatch("composed stacks must have the same rank")
+    np.multiply(inner.phase, phase, out=phase)  # in place: spares a stack-sized temporary
+    return SignedPermutationOp._trusted(outer.dim, target, phase)
+
+
+def phi_plus_overlap(a: SignedPermutationOp, b: SignedPermutationOp) -> np.ndarray:
+    """<(a x I)Phi+|(b x I)Phi+> row by row, |Phi+> = sum_i |i, i> / sqrt(dim): the sum
+    over columns whose targets agree of conj(phase_a) * phase_b, over dim, an exact
+    small-integer sum for +-1 phases.  A single operator broadcasts against a stack.
+    """
+    if a.dim != b.dim:
+        raise DimensionMismatch("overlapping permutations must share dim")
+    return np.sum(np.conj(a.phase) * b.phase * (a.target == b.target), axis=-1) / a.dim
 
 
 def apply(op, subsystem: int, s: StateVector) -> StateVector:

@@ -75,8 +75,9 @@ def compact_state_loop(N, label, H):
     return StateVector((dim, dim), grid.reshape(-1) / np.sqrt(dim))
 
 
-def table_basis(targets, phases):
+def table_basis(table):
     """Dense rows of a `bell_table`: phase / sqrt(2N) at flat index target * 2N + i."""
+    targets, phases = table.target, table.phase
     count, dim = phases.shape
     basis = np.zeros((count, dim * dim), dtype=np.complex128)
     basis[np.arange(count)[:, None], targets * dim + np.arange(dim)] = phases / np.sqrt(dim)

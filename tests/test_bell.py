@@ -33,6 +33,7 @@ from sdc.bell import (
 from sdc.cli import table_residuals
 from sdc.errors import ArgOutOfRange, OrderMismatch
 from sdc.hilbert import (
+    SignedPermutationOp,
     apply,
     index_to_label,
     label_to_index,
@@ -219,13 +220,14 @@ class TestFamilyTables:
     def test_table_rows_are_the_dense_states(self, N, compact):
         H = hadamard.build(2 * N)
         dense = bell_basis_matrix(N, H, compact)
-        assert np.array_equal(table_basis(*bell_table(N, H, compact)), dense)
+        assert np.array_equal(table_basis(bell_table(N, H, compact)), dense)
 
     @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 32])
     def test_standard_table_is_the_per_label_encoder_stack(self, N):
         H = hadamard.build(2 * N)
         rows = [encode_direct_loop(N, H, lab) for lab in all_labels(N)]
-        for got, want in zip(bell_table(N, H), map(np.array, zip(*rows))):
+        table = bell_table(N, H)
+        for got, want in zip((table.target, table.phase), map(np.array, zip(*rows))):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("N", [1, 2, 4, 8])
@@ -238,10 +240,8 @@ class TestFamilyTables:
 
     def test_encoder_table_rows_follow_the_requested_messages(self):
         H = hadamard.build(8)
-        targets, phases = bell_table(4, H)
         picked = [63, 0, 17, 17]
-        got_t, got_p = encoder_table(4, H, picked)
-        assert np.array_equal(got_t, targets[picked]) and np.array_equal(got_p, phases[picked])
+        assert encoder_table(4, H, picked) == bell_table(4, H)[picked]
         with pytest.raises(OrderMismatch):
             encoder_table(2, H, [0])
 
@@ -256,7 +256,7 @@ class TestFamilyTables:
     @pytest.mark.parametrize("N", [1, 2, 4, 8])
     def test_residuals_are_exact_and_match_the_dense_route(self, N, compact):
         H = hadamard.build(2 * N)
-        exact = table_residuals(*bell_table(N, H, compact))
+        exact = table_residuals(bell_table(N, H, compact))
         dense = dense_residuals(bell_basis_matrix(N, H, compact))
         assert exact == {"gram": 0.0, "partial_trace": 0.0, "amplitude": 0.0}
         for name, value in dense.items():
@@ -276,7 +276,7 @@ class TestFamilyTables:
 
         monkeypatch.setattr(bell_mod, "compact_partner_table", colliding)
         H = hadamard.build(2 * N)
-        exact = table_residuals(*bell_table(N, H, compact=True))["gram"]
+        exact = table_residuals(bell_table(N, H, compact=True))["gram"]
         dense = dense_residuals(bell_basis_matrix(N, H, compact=True))["gram"]
         assert exact >= 1.0 / (2 * N)
         assert abs(exact - dense) <= 1e-12
@@ -287,13 +287,14 @@ class TestFamilyTables:
 
         def flipped(n, H, messages):
             # the encoder of message 0, label (1, +1, 1), gets one sign flipped
-            targets, phases = table(n, H, messages)
-            phases[np.asarray(messages) == 0, 0] *= -1
-            return targets, phases
+            op = table(n, H, messages)
+            phase = op.phase.copy()
+            phase[np.asarray(messages) == 0, 0] *= -1
+            return SignedPermutationOp(op.dim, op.target, phase)
 
         monkeypatch.setattr(bell_mod, "encoder_table", flipped)
         H = hadamard.build(2 * N)
-        exact = table_residuals(*bell_table(N, H))["gram"]
+        exact = table_residuals(bell_table(N, H))["gram"]
         dense = dense_residuals(bell_basis_matrix(N, H))["gram"]
         assert exact >= 1.0 / N
         assert abs(exact - dense) <= 1e-12

@@ -43,7 +43,7 @@ from sdc.gates import (
     position_controlled_swap,
     resolve_mixer_normalization,
 )
-from sdc.hilbert import PermutedBlockOp, StateVector, apply_full
+from sdc.hilbert import PermutedBlockOp, SignedPermutationOp, StateVector, apply_full
 
 
 def grand_oracle(N, H):
@@ -412,8 +412,8 @@ class TestGuards:
         table = bell_mod.bell_table
 
         def twisted(N, H, compact=False):
-            targets, phases = table(N, H, compact)
-            return targets, phases * np.exp(0.1j) if compact else phases
+            op = table(N, H, compact)
+            return SignedPermutationOp(op.dim, op.target, op.phase * np.exp(0.1j)) if compact else op
 
         monkeypatch.setattr(bell_mod, "bell_table", twisted)
         with pytest.raises(NoLocalMapFound):

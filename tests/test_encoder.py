@@ -18,7 +18,7 @@ from sdc.encoder import (
 )
 from sdc.errors import ArgOutOfRange, DimensionMismatch, PropertyViolated
 from sdc.gates import channel_sign_gate
-from sdc.hilbert import SignedPermutationOp, apply, compose_perms, partial_trace
+from sdc.hilbert import SignedPermutationOp, apply, compose_perms, partial_trace, phi_plus_overlap
 
 # a symmetric sign matrix of order 4 whose rows do not close under products
 ALT4 = np.array([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]])
@@ -305,17 +305,14 @@ def order_overlaps(N, H, reading):
     The composed encoder takes its member mixer in the given exponent reading.
     """
     ops = [encode_direct(N, H, BellLabel(kp, rp, 1)) for kp in range(1, N + 1) for rp in (+1, -1)]
-    stack = (np.array([op.target for op in ops]), np.array([op.phase for op in ops]))
+    stack = SignedPermutationOp(2 * N, [op.target for op in ops], [op.phase for op in ops])
     exact, dense = [], []
     for lab in all_labels(N):
         mixer = _member_mixer_with_reading(N, H, lab.j, reading)
         direct = encode_direct(N, H, lab)
         composed = compose_perms(mixer, family_shift(N, lab.k, lab.r))
         exact.extend(
-            enc._overlaps(
-                enc._after(direct.target, direct.phase, *stack),
-                enc._after(composed.target, composed.phase, *stack),
-            )
+            phi_plus_overlap(compose_perms(direct, stack), compose_perms(composed, stack))
         )
         for start in member_one_states(N, H):
             dense.append(np.vdot(apply(direct, 0, start).amp, apply(composed, 0, start).amp))

@@ -6,23 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdc import hadamard
-from sdc.bell import BellLabel, bell_state
+from sdc.bell import BellLabel, bell_state, bell_table
+from sdc.decoder import make_decoder
 from sdc.encoder import MEMBER_MIXER_READINGS, family_shift, member_mixer
 from sdc.errors import DimensionMismatch, LabelOutOfRange
-from sdc.gates import channel_sign_gate, channel_swap_gate, ladder_shift_gate
+from sdc.gates import channel_sign_gate, channel_swap_gate, ladder_shift_gate, nonlocal_mixer
 from sdc.hilbert import (
+    PermutedBlockOp,
     SignedPermutationOp,
     StateVector,
     apply,
     apply_full,
     basis_state,
-    check_signed_permutations,
     compose_perms,
     identity_perm,
     index_to_label,
     inner,
     label_to_index,
     partial_trace,
+    phi_plus_overlap,
     state_from_dict,
     state_to_dict,
 )
@@ -264,8 +266,9 @@ class TestTrustedConstruction:
             (3, [0, 0, 2], [1, 1, 1], "target is not a permutation"),
             (3, [0, 1], [1, 1], "target/phase length must equal dim"),
             (3, [0, 1, 2], [1, 1j, 0.5], "phases must have unit modulus"),
+            (2, [0, 1], [np.nan, 1], "phases must have unit modulus"),
         ],
-        ids=["repeated-target", "wrong-length", "non-unit-phase"],
+        ids=["repeated-target", "wrong-length", "non-unit-phase", "nan-phase"],
     )
     def test_public_constructor_still_checks(self, dim, target, phase, message):
         with pytest.raises(DimensionMismatch, match=message):
@@ -276,15 +279,15 @@ class TestTrustedConstruction:
         [
             (([0, 0, 2], [1, 1, 1]), "target is not a permutation"),
             (([2, 0, 1], [1, -1, 1.5]), "phases must have unit modulus"),
+            (([2, 0, 1], [1, np.nan, 1]), "phases must have unit modulus"),
         ],
-        ids=["repeated-target", "non-unit-phase"],
+        ids=["repeated-target", "non-unit-phase", "nan-phase"],
     )
     def test_stacked_check_rejects_any_bad_row(self, row, message):
         good = np.arange(3), np.ones(3)
-        targets, phases = (np.array([g, b]) for g, b in zip(good, row))
-        check_signed_permutations(*good)
+        SignedPermutationOp(3, *(np.array([g, g]) for g in good))
         with pytest.raises(DimensionMismatch, match=message):
-            check_signed_permutations(targets, phases)
+            SignedPermutationOp(3, *(np.array([g, b]) for g, b in zip(good, row)))
 
     def test_gate_builds_and_compositions_run_no_check(self, monkeypatch):
         # the checks cost most of verify when every internal build ran them
@@ -304,6 +307,115 @@ class TestTrustedConstruction:
             product = compose_perms(member_mixer(N, H, j, "same-column"), product)
         for k in range(1, N + 1):
             product = compose_perms(family_shift(N, k, -1), product)
+        stack = bell_table(N, H)
+        for outer, inner_op in ((product, stack), (stack, product), (stack, stack)):
+            compose_perms(outer, inner_op)
         assert calls == []
         SignedPermutationOp(product.dim, product.target, product.phase)
         assert calls == [2 * N]  # the counter sees the public constructor
+
+
+def random_stack(rng, rows, dim):
+    """A checked stack of `rows` random signed permutations with +-1, +-i phases."""
+    target = np.array([rng.permutation(dim) for _ in range(rows)])
+    phase = rng.choice([1, -1, 1j, -1j], size=(rows, dim))
+    return SignedPermutationOp(dim, target, phase)
+
+
+class TestStackedOperators:
+    """A stack of signed permutations against its rows and their dense matrices."""
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    def test_rows_and_dense_view(self, N):
+        rng, dim = np.random.default_rng(N), 2 * N
+        stack = random_stack(rng, 5, dim)
+        dense = np.asarray(stack)
+        assert stack.shape == dense.shape == (5, dim, dim)
+        for i in range(5):
+            row = stack[i]
+            assert row == SignedPermutationOp(dim, stack.target[i], stack.phase[i])
+            assert np.array_equal(np.asarray(row), dense[i])
+            assert np.array_equal(np.asarray(row.T), dense[i].T)
+        assert np.array_equal(np.asarray(stack.T), dense.transpose(0, 2, 1))
+        assert stack[[4, 0, 0]] == SignedPermutationOp(
+            dim, stack.target[[4, 0, 0]], stack.phase[[4, 0, 0]]
+        )
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    def test_compose_broadcasts_like_the_row_by_row_products(self, N):
+        rng, dim = np.random.default_rng(10 + N), 2 * N
+        a, b = random_stack(rng, 4, dim), random_stack(rng, 4, dim)
+        single = a[1]
+        for outer, inner_op in ((single, b), (a, single), (a, b)):
+            got = np.asarray(compose_perms(outer, inner_op))
+            assert got.shape == (4, dim, dim)
+            assert np.array_equal(got, np.asarray(outer) @ np.asarray(inner_op))
+        # leading axes broadcast too: (2, 1) rows against (1, 3) rows
+        left = SignedPermutationOp(dim, a.target[:2, None], a.phase[:2, None])
+        right = SignedPermutationOp(dim, b.target[None, :3], b.phase[None, :3])
+        got = np.asarray(compose_perms(left, right))
+        assert np.array_equal(got, np.asarray(left) @ np.asarray(right))
+        with pytest.raises(DimensionMismatch):
+            compose_perms(a, left)
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    def test_overlap_is_the_dense_inner_product(self, N):
+        rng, dim = np.random.default_rng(20 + N), 2 * N
+        a = random_stack(rng, 6, dim)
+        # rows 0-2 of b are a's rows with every sign flipped: overlap -1
+        target = np.where(np.arange(6)[:, None] < 3, a.target, random_stack(rng, 6, dim).target)
+        b = SignedPermutationOp(dim, target, -a.phase)
+        phi_plus = StateVector((dim, dim), np.eye(dim).reshape(-1) / np.sqrt(dim))
+        dense_a, dense_b = ([apply(op[i], 0, phi_plus).amp for i in range(6)] for op in (a, b))
+        got = phi_plus_overlap(a, b)
+        assert np.allclose(got, [np.vdot(x, y) for x, y in zip(dense_a, dense_b)], rtol=0, atol=1e-12)
+        assert np.all(got[:3] == -1)
+        one_to_many = [np.vdot(dense_a[0], y) for y in dense_b]
+        assert np.allclose(phi_plus_overlap(a[0], b), one_to_many, rtol=0, atol=1e-12)
+
+    def test_apply_refuses_a_stack(self):
+        stack = random_stack(np.random.default_rng(0), 2, 4)
+        s = basis_state((4, 4), (0, 0))
+        with pytest.raises(DimensionMismatch):
+            apply(stack, 0, s)
+        with pytest.raises(DimensionMismatch):
+            phi_plus_overlap(stack, identity_perm(6))
+
+
+class TestValueSemantics:
+    def test_equal_builds_compare_and_hash_equal(self):
+        a, b = identity_perm(4), identity_perm(4)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        flipped = SignedPermutationOp(4, np.arange(4), [1, 1, -1, 1])
+        assert a != flipped
+        assert a != identity_perm(6)
+        assert a != np.eye(4) and a != "identity" and (a == None) is False  # noqa: E711
+        # the same entries as a one-row stack have another shape
+        assert a != SignedPermutationOp(4, [np.arange(4)], [np.ones(4)])
+        # -0.0 and 0.0 compare equal, so they must hash alike
+        signed_zero = SignedPermutationOp(4, np.arange(4), np.full(4, complex(1, -0.0)))
+        assert a == signed_zero and hash(a) == hash(signed_zero)
+
+    def test_block_operators_compare_and_hash_by_value(self):
+        H = hadamard.build(4)
+        a, b = (make_decoder(2, H).stages[-1][0] for _ in range(2))
+        assert a == b and hash(a) == hash(b)
+        block = a.block.copy()
+        block[0, 0] = -block[0, 0]
+        assert a != PermutedBlockOp(a.rows, block)
+        assert a != PermutedBlockOp(a.rows[::-1], a.block)
+        assert a != a.block
+
+    def test_held_arrays_are_read_only(self):
+        H, HN = hadamard.build(4), hadamard.build(2)
+        grand = make_decoder(2, H).stages[-1][0]
+        mixer = nonlocal_mixer(2, HN)
+        stack = bell_table(2, H)
+        arrays = (
+            H.ints, H.normalized, grand.rows, grand.block, mixer.rows, mixer.block,
+            stack.target, stack.phase, stack[1:3].target, stack[[0, 2]].phase,
+        )
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0
+        assert np.array_equal(H.normalized, H.ints / 2)

@@ -304,10 +304,7 @@ def spin_state_report(N: int, S: float, H: HadamardMatrix, sign: int = +1) -> di
 
 
 def _weyl_shift(d: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=np.complex128)
-    for i in range(d):
-        m[(i + 1) % d, i] = 1.0
-    return m
+    return np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)  # |i> -> |i + 1 mod d>
 
 
 def _weyl_clock(d: int) -> np.ndarray:

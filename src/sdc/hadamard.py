@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ConstructionUnavailable, IndexOutOfRange, UnsupportedOrder
+from .hilbert import _equal
 
 __all__ = [
     "HadamardMatrix",
@@ -36,14 +37,14 @@ def _sylvester(order: int) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HadamardMatrix:
     """A normalized symmetric Hadamard matrix with exact integer backing.
 
     `ints` holds the unnormalized +-1 entries; `normalized` divides by
     sqrt(order); both are read-only.  Construction validates symmetry, entry
     values, and the self-inverse property H @ H = I (exact in integer
-    arithmetic: ints @ ints == order * I).
+    arithmetic: ints @ ints == order * I).  Equality and hashing are exact.
     """
 
     order: int
@@ -66,6 +67,11 @@ class HadamardMatrix:
         object.__setattr__(self, "_norm", m / np.sqrt(self.order))
         self.ints.setflags(write=False)
         self._norm.setflags(write=False)
+
+    __eq__ = _equal
+
+    def __hash__(self) -> int:  # entries are +-1 in any dtype: equal matrices share their signs
+        return hash((self.order, self.construction, (self.ints > 0).tobytes()))
 
     @property
     def normalized(self) -> np.ndarray:

@@ -65,9 +65,24 @@ def index_to_label(i: int, N: int) -> int:
     return i + 1 if i < N else -(i - N + 1)
 
 
-@dataclass(frozen=True)
+def _freeze(obj, **arrays):
+    """Set each field of a frozen dataclass to its array, made read-only."""
+    vars(obj).update(arrays)
+    for array in arrays.values():
+        array.setflags(write=False)
+
+
+def _equal(a, b) -> bool:
+    """Exact equality of two frozen values: one type, each field of one shape and value."""
+    return type(a) is type(b) and all(
+        np.shape(x) == np.shape(y) and np.array_equal(x, y)
+        for x, y in zip(vars(a).values(), vars(b).values())
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Complex amplitude vector over a tensor product of position factors."""
+    """Complex amplitude vector over a tensor product of position factors; equality is exact."""
 
     dims: tuple[int, ...]
     amp: np.ndarray
@@ -76,10 +91,13 @@ class StateVector:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         amp = np.asarray(self.amp, dtype=np.complex128).reshape(-1)
         if amp.size != math.prod(self.dims):  # exact: np.prod wraps in int64
-            raise DimensionMismatch(
-                f"{amp.size} amplitudes for dims {self.dims}"
-            )
+            raise DimensionMismatch(f"{amp.size} amplitudes for dims {self.dims}")
         _freeze(self, amp=amp)
+
+    __eq__ = _equal
+
+    def __hash__(self) -> int:
+        return hash((self.dims, (self.amp + 0).tobytes()))  # + 0 turns -0.0 into 0.0
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amp))
@@ -94,21 +112,6 @@ def basis_state(dims: tuple[int, ...], indices: tuple[int, ...]) -> StateVector:
     grid = amp.reshape(dims)
     grid[tuple(indices)] = 1.0
     return StateVector(dims, amp)
-
-
-def _freeze(obj, **arrays):
-    """Set each field of a frozen dataclass to its array, made read-only."""
-    vars(obj).update(arrays)
-    for array in arrays.values():
-        array.setflags(write=False)
-
-
-def _equal(a, b) -> bool:
-    """Exact equality of two operators: one type, each field of one shape and value."""
-    return type(a) is type(b) and all(
-        np.shape(x) == np.shape(y) and np.array_equal(x, y)
-        for x, y in zip(vars(a).values(), vars(b).values())
-    )
 
 
 @dataclass(frozen=True, eq=False)

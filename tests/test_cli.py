@@ -175,6 +175,39 @@ class TestVerify:
         assert code == 0
         assert len(calls) == 1
 
+    def test_broken_gates_fail_with_the_dense_residuals(self, capsys, monkeypatch):
+        import numpy as np
+
+        import sdc.gates as gates_mod
+        from sdc.hilbert import SignedPermutationOp
+
+        def three_cycle(N, n):
+            target = np.arange(2 * N)
+            target[:3] = [1, 2, 0]
+            return SignedPermutationOp(2 * N, target, np.ones(2 * N))
+
+        def sign_i(N, n):
+            phase = np.ones(2 * N, dtype=complex)
+            phase[N + n - 1] = 1j
+            return SignedPermutationOp(2 * N, np.arange(2 * N), phase)
+
+        monkeypatch.setattr(gates_mod, "channel_swap_gate", three_cycle)
+        monkeypatch.setattr(gates_mod, "channel_sign_gate", sign_i)
+        code, out, _ = run_cli(capsys, "verify", "--n", "2")
+        assert code == 1
+        report = json.loads(out)
+        for name, gate, involution in (("swap", three_cycle, 1.0), ("sign", sign_i, 2.0)):
+            dense = np.asarray(gate(2, 1))
+            residuals = {
+                "unitarity": float(np.max(np.abs(dense.conj().T @ dense - np.eye(4)))),
+                "involution": float(np.max(np.abs(dense @ dense - np.eye(4)))),
+            }
+            assert residuals == {"unitarity": 0.0, "involution": involution}
+            assert report["gates"][f"channel-{name}-1"] == residuals
+        failing = {c["name"] for c in report["checks"] if not c["pass"]}
+        broken = ("swap", "sign")
+        assert failing == {f"gate-channel-{name}-{n}-involution" for name in broken for n in (1, 2)}
+
     def test_wrong_family_shift_fails_the_composed_action(self, capsys, monkeypatch):
         import sdc.encoder as enc
 
@@ -627,6 +660,16 @@ class TestRates:
         code, out, err = run_cli(capsys, "rates", "--t", t)
         assert code == 2 and out == ""
         assert "ArgOutOfRange" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--t", "1e308"], ["--t", "1e-320"], ["--n-list", "1,1" + "0" * 200]],
+        ids=["rate-underflows-to-zero", "rate-overflows-to-inf", "n-past-a-float"],
+    )
+    def test_rates_must_be_finite_and_positive(self, capsys, argv):
+        code, out, err = run_cli(capsys, "rates", *argv)
+        assert code == 2 and out == ""
+        assert "ArgOutOfRange" in err and "not finite and > 0" in err
 
 
 class TestSpin:

@@ -7,6 +7,7 @@ import sdc.encoder as enc
 from sdc import hadamard
 from sdc.bell import BellLabel, all_labels, bell_state, compose_family
 from sdc.encoder import (
+    MEMBER_MIXER_READINGS,
     _member_mixer_with_reading,
     encode_composed,
     encode_direct,
@@ -341,6 +342,23 @@ class TestExactLawChecks:
         exact, dense = order_overlaps(N, hadamard.build(2 * N), "cross-column")
         assert np.max(np.abs(exact - dense)) <= 1e-12
         assert np.max(np.abs(np.abs(exact) - 1.0)) > 1e-10
+
+    @pytest.mark.parametrize("reading", MEMBER_MIXER_READINGS)
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    def test_every_start_overlap_is_the_encoders_own_overlap(self, N, reading):
+        # <(D S x I)Phi+|(C S x I)Phi+> = tr(D^H C) / 2N for every start S, which
+        # lets resolve_composition_order overlap the encoders themselves
+        H = hadamard.build(2 * N)
+        per_start, _ = order_overlaps(N, H, reading)
+        own = []
+        for lab in all_labels(N):
+            mixer = _member_mixer_with_reading(N, H, lab.j, reading)
+            composed = compose_perms(mixer, family_shift(N, lab.k, lab.r))
+            own.append(phi_plus_overlap(encode_direct(N, H, lab), composed))
+        own = np.array(own)
+        assert (per_start.reshape(-1, 2 * N) == own[:, None]).all()
+        if reading == "cross-column":  # a failing reading: some overlaps are not unit
+            assert np.max(np.abs(np.abs(own) - 1.0)) > 1e-10
 
     def test_lawless_matrix_fails_on_both_routes(self):
         H = hadamard.build(4, custom={4: ALT4})

@@ -36,6 +36,20 @@ def test_construction_is_deterministic():
     assert np.array_equal(a.ints, b.ints)
 
 
+def test_matrices_compare_and_hash_by_value():
+    a, b = hadamard.build(4), hadamard.build(4)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # the entries' dtype is not part of the value
+    narrow = hadamard.HadamardMatrix(4, a.ints.astype(np.int8))
+    assert a == narrow and hash(a) == hash(narrow)
+    # order 1 admits both signs, so one entry can change and stay valid
+    plus = hadamard.HadamardMatrix(1, np.array([[1]]))
+    assert plus != hadamard.HadamardMatrix(1, np.array([[-1]]))
+    assert a != hadamard.HadamardMatrix(4, a.ints.copy(), construction="custom")
+    assert a != hadamard.build(8)
+    assert a != a.ints and a != "sylvester" and (a == None) is False  # noqa: E711
+
+
 @pytest.mark.parametrize("order", [6, 10, 14, 3, 5, 0, -4])
 def test_impossible_orders_rejected(order):
     with pytest.raises(UnsupportedOrder):

@@ -406,6 +406,16 @@ class TestValueSemantics:
         assert a != PermutedBlockOp(a.rows[::-1], a.block)
         assert a != a.block
 
+    def test_states_compare_and_hash_by_value(self):
+        a, b = basis_state((2, 2), (0, 0)), basis_state((2, 2), (0, 0))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != basis_state((2, 2), (0, 1))
+        assert a != StateVector((4,), a.amp)  # the same amplitudes under other dims
+        assert a != a.amp and a != "state" and (a == None) is False  # noqa: E711
+        # -0.0 and 0.0 compare equal, so they must hash alike
+        signed_zero = StateVector((2, 2), [1, complex(-0.0, -0.0), 0, 0])
+        assert a == signed_zero and hash(a) == hash(signed_zero)
+
     def test_held_arrays_are_read_only(self):
         H, HN = hadamard.build(4), hadamard.build(2)
         grand = make_decoder(2, H).stages[-1][0]

@@ -5,7 +5,9 @@ encoding; the receiver's Bell-state measurement recovers one of 4N^2
 messages, i.e. 2*log2(2N) bits per sent particle.  Rates divide those bits by
 the decoding gate time under a common-time model and are compared against two
 multi-qubit reference schemes.  The spin extension multiplies the channel by
-an independent (2S+1)-level factor.
+an independent (2S+1)-level factor; its round trip is the plain one times
+exact overlaps of the d^2 Weyl-encoded spin pair states, all signed
+permutations.  Only the extended state's own checks stay dense.
 """
 
 from __future__ import annotations
@@ -28,7 +30,14 @@ from .decoder import (
 from .errors import ArgOutOfRange, MessageOutOfRange, NonDeterministicOutcome
 from .encoder import encode_direct
 from .hadamard import HadamardMatrix
-from .hilbert import StateVector, TOL_CHAINED, apply, compose_perms
+from .hilbert import (
+    SignedPermutationOp,
+    StateVector,
+    TOL_CHAINED,
+    apply,
+    compose_perms,
+    phi_plus_overlap,
+)
 
 __all__ = [
     "TimingModel",
@@ -218,11 +227,24 @@ def advantage(N: int, t: float = 1.0) -> float:
 # spin extension
 
 
+# The most entries a spin route may allocate in its largest array (64 MiB of
+# complex128); a larger spin is refused before anything is allocated.
+MAX_SPIN_ENTRIES = 1 << 22
+
+
 def _spin_dim(S: float) -> int:
     d2 = 2 * S
     if not math.isfinite(d2) or d2 < 0 or abs(d2 - round(d2)) > 1e-9:
         raise ArgOutOfRange(f"spin must be a nonnegative half-integer, got {S}")
     return int(round(d2)) + 1
+
+
+def _check_spin_size(S: float, entries: int, array: str) -> None:
+    if entries > MAX_SPIN_ENTRIES:
+        raise ArgOutOfRange(
+            f"spin {S} is too large: {array} would hold {entries} entries "
+            f"(at most {MAX_SPIN_ENTRIES})"
+        )
 
 
 def spin_capacity(N: int, S: float) -> float:
@@ -235,6 +257,21 @@ def spin_message_count(N: int, S: float) -> int:
     return 4 * N * N * d * d
 
 
+def _spin_pair(d: int, sign: int) -> SignedPermutationOp:
+    """V of the spin pair state (V x I)|Phi+>: |i> -> sign^(d-1-i) |d-1-i>."""
+    flipped = d - 1 - np.arange(d)
+    return SignedPermutationOp._trusted(d, flipped, float(sign) ** flipped)
+
+
+def _weyl_table(d: int) -> SignedPermutationOp:
+    """The d^2 Weyl operators shift^a clock^b as one stack, at row a*d + b:
+    |i> -> exp(2 pi i b i / d) |i + a mod d>."""
+    i = np.arange(d)
+    target = np.repeat((i[:, None] + i) % d, d, axis=0)  # row a*d + b holds row a
+    phase = np.tile(np.exp(2j * np.pi * np.outer(i, i) / d), (d, 1))  # and row b
+    return SignedPermutationOp._trusted(d, target, phase)
+
+
 def spin_base_state(S: float, sign: int = +1) -> StateVector:
     """Zero-total-spin pair state: sum_s sign^s |S-s, -(S-s)> / sqrt(2S+1).
 
@@ -245,10 +282,7 @@ def spin_base_state(S: float, sign: int = +1) -> StateVector:
     if sign not in (+1, -1):
         raise ArgOutOfRange(f"sign must be +1 or -1, got {sign}")
     d = _spin_dim(S)
-    grid = np.zeros((d, d), dtype=np.complex128)
-    for s in range(d):
-        grid[s, d - 1 - s] = float(sign) ** s
-    return StateVector((d, d), grid.reshape(-1) / np.sqrt(d))
+    return StateVector((d, d), np.asarray(_spin_pair(d, sign)).reshape(-1) / np.sqrt(d))
 
 
 def spin_extended_state(
@@ -256,9 +290,10 @@ def spin_extended_state(
 ) -> StateVector:
     """Product of the position start state and the spin pair state, reordered
     to one (position x spin) factor per particle."""
+    d = _spin_dim(S)
+    _check_spin_size(S, (2 * N * d) ** 2, "the extended state")
     pos = start_state(N, H).grid()
     spin = spin_base_state(S, sign).grid()
-    d = spin.shape[0]
     combined = np.einsum("ab,cd->acbd", pos, spin)
     dim = 2 * N * d
     return StateVector((dim, dim), combined.reshape(dim * dim))
@@ -303,29 +338,6 @@ def spin_state_report(N: int, S: float, H: HadamardMatrix, sign: int = +1) -> di
     }
 
 
-def _weyl_shift(d: int) -> np.ndarray:
-    return np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)  # |i> -> |i + 1 mod d>
-
-
-def _weyl_clock(d: int) -> np.ndarray:
-    omega = np.exp(2j * np.pi / d)
-    return np.diag(omega ** np.arange(d))
-
-
-def _spin_bell_matrix(S: float, sign: int) -> np.ndarray:
-    """Rows: the d^2 spin Bell states (shift^a clock^b x I) applied to the base
-    pair state, in (a, b) order."""
-    d = _spin_dim(S)
-    base = spin_base_state(S, sign)
-    shift, clock = _weyl_shift(d), _weyl_clock(d)
-    rows = []
-    for a in range(d):
-        for b in range(d):
-            op = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-            rows.append(apply(op, 0, base).amp)
-    return np.array(rows)
-
-
 def run_protocol_spin(
     N: int,
     S: float,
@@ -335,45 +347,27 @@ def run_protocol_spin(
 ) -> int:
     """Round trip in the combined position (x) spin channel.
 
-    The message splits into a position part and a spin part.  The position
-    part is encoded and measured exactly as in the plain protocol; the spin
-    part rides an independent qudit dense-coding channel using shift/clock
-    encodings of the spin pair state.  Only the grand position path is used.
+    The message splits into a position part and a spin part (shift a, clock
+    b).  The pair state is (position pair) x (spin pair) and the measurement
+    is a product basis, so the two outcomes are independent: the position
+    part is `run_protocol`'s round trip, which refuses a spread state, and
+    the spin part is read by exact overlaps of the sent state with the d^2
+    spin Bell states (shift^a clock^b V x I)|Phi+>, all signed permutations.
+    A spin whose top probability is below 1 - TOL_CHAINED raises
+    NonDeterministicOutcome.  Only the grand position path is used.
     """
     d = _spin_dim(S)
     total = spin_message_count(N, S)
     if not 0 <= message < total:
         raise MessageOutOfRange(f"message {message} outside 0..{total - 1}")
-    if d == 1:
-        return run_protocol(N, H, message)
-
+    _check_spin_size(S, d**3, "the Weyl table")
     m_pos, m_spin = divmod(message, d * d)
-    a, b = divmod(m_spin, d)
-
-    pos_label = message_to_label(m_pos, N)
-    pos_op = np.asarray(encode_direct(N, H, pos_label))
-    shift, clock = _weyl_shift(d), _weyl_clock(d)
-    spin_op = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-
-    state = spin_extended_state(N, S, H, sign)
-    encoded = apply(np.kron(pos_op, spin_op), 0, state)
-
-    # factor the pair state into (position pair) x (spin pair) axes; each
-    # spin-pair column is a position state that the grand route rotates
-    pos_vecs = encoded.amp.reshape(2 * N, d, 2 * N, d).transpose(0, 2, 1, 3)
-    pos_vecs = pos_vecs.reshape(4 * N * N, d * d)
-    decoder = make_decoder(N, H)
-    pos_dims = (2 * N, 2 * N)
-    rotated = np.column_stack(
-        [decoder.rotate(StateVector(pos_dims, col)).amp for col in pos_vecs.T]
-    )
-
-    # spin side: project onto the spin Bell basis
-    spin_basis = _spin_bell_matrix(S, sign)
-    joint = rotated @ spin_basis.conj().T  # (position outcome, spin label)
-
-    probs = (np.abs(joint) ** 2).reshape(-1)
-    flat = int(np.argmax(probs))
-    pos_flat, spin_label = divmod(flat, d * d)
-
-    return int(grand_messages(decoder, pos_flat)) * d * d + spin_label
+    basis = compose_perms(_weyl_table(d), _spin_pair(d, sign))
+    probs = np.abs(phi_plus_overlap(basis, basis[m_spin])) ** 2
+    spin = int(np.argmax(probs))
+    if probs[spin] < 1.0 - TOL_CHAINED:
+        raise NonDeterministicOutcome(
+            f"spin measurement spread the sent state over multiple outcomes "
+            f"(top probability {probs[spin]:.6f})"
+        )
+    return run_protocol(N, H, m_pos) * d * d + spin

@@ -53,7 +53,7 @@ class HadamardMatrix:
     _norm: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        m = self.ints
+        m = np.array(self.ints)  # a copy, made read-only below: the caller's array stays writable
         if m.shape != (self.order, self.order):
             raise ConstructionUnavailable(
                 f"matrix shape {m.shape} does not match order {self.order}"
@@ -64,8 +64,9 @@ class HadamardMatrix:
             raise ConstructionUnavailable("matrix is not symmetric")
         if not np.array_equal(m @ m, self.order * np.eye(self.order, dtype=np.int64)):
             raise ConstructionUnavailable("matrix is not self-inverse after normalization")
+        object.__setattr__(self, "ints", m)
         object.__setattr__(self, "_norm", m / np.sqrt(self.order))
-        self.ints.setflags(write=False)
+        m.setflags(write=False)
         self._norm.setflags(write=False)
 
     __eq__ = _equal
@@ -149,7 +150,7 @@ def build(order: int, custom: dict[int, np.ndarray] | None = None) -> HadamardMa
             f"no real Hadamard matrix of order {order} exists (allowed: 1, 2, 4k)"
         )
     if custom and order in custom:
-        return HadamardMatrix(order=order, ints=np.array(custom[order]), construction="custom")
+        return HadamardMatrix(order=order, ints=custom[order], construction="custom")
     if order & (order - 1) == 0:  # power of two
         return HadamardMatrix(order=order, ints=_sylvester(order), construction="sylvester")
     raise ConstructionUnavailable(

@@ -89,7 +89,7 @@ class StateVector:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        amp = np.asarray(self.amp, dtype=np.complex128).reshape(-1)
+        amp = np.array(self.amp, dtype=np.complex128).reshape(-1)  # a copy: the caller keeps theirs
         if amp.size != math.prod(self.dims):  # exact: np.prod wraps in int64
             raise DimensionMismatch(f"{amp.size} amplitudes for dims {self.dims}")
         _freeze(self, amp=amp)

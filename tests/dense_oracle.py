@@ -5,8 +5,9 @@ the family tables, so differential tests at small N can hold the two routes
 against each other: the compact pairing as a scalar formula, both bases as
 dense 4N^2 x 4N^2 stacks of per-label states, the basis residuals computed
 from those stacks, the grand operator assembled one label at a time, the
-pipeline's mixer assembled ket by ket as a csc matrix, and the compact
-relabeling searched on dense states.
+pipeline's mixer assembled ket by ket as a csc matrix, the compact
+relabeling searched on dense states, and the spin-extended round trip run
+on the dense (2N(2S+1))^2 state.
 """
 
 import itertools
@@ -14,12 +15,15 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
+from sdc.analysis import spin_base_state, spin_extended_state
 from sdc.bell import (
     all_labels,
     bell_state,
     compact_bell_state,
     first_particle_interleave,
 )
+from sdc.decoder import grand_messages
+from sdc.encoder import encode_direct
 from sdc.hilbert import SignedPermutationOp, StateVector, apply, label_to_index, partial_trace
 
 
@@ -185,3 +189,49 @@ def dense_relabel(N, H):
     perm_a, perm_b = first_particle_interleave(N), SignedPermutationOp(dim, np.arange(dim), ones)
     mapping = matches(perm_a, perm_b)
     return None if mapping is None else ("constructive", perm_a, perm_b, mapping)
+
+
+def weyl_ops(d):
+    """The d^2 dense operators shift^a clock^b, stacked in (a, b) order."""
+    shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)  # |i> -> |i + 1 mod d>
+    clock = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+    return np.array([
+        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+        for a in range(d)
+        for b in range(d)
+    ])
+
+
+def spin_bell_basis(S, sign):
+    """Rows: the d^2 spin Bell states, shift^a clock^b applied to the first
+    particle of the spin pair state, in (a, b) order."""
+    base = spin_base_state(S, sign)
+    return np.array([apply(op, 0, base).amp for op in weyl_ops(base.dims[0])])
+
+
+def spin_round_trips_dense(N, S, H, decoder, sign=1):
+    """What the combined position x spin round trip decodes for every
+    message, on the dense extended state: the Kronecker products of the
+    position and spin encoders applied to it, the grand rotation of each
+    spin-pair column, a projection on the spin Bell basis and the joint
+    argmax.  `decoder` is the grand route of (N, H)."""
+    state = spin_extended_state(N, S, H, sign)
+    dim = 2 * N
+    d = state.dims[0] // dim
+    weyl = weyl_ops(d)
+    positions = np.array([np.asarray(encode_direct(N, H, lab)) for lab in all_labels(N)])
+    # kron(P, W) of every message (P, W), in message order
+    encoders = np.einsum("pab,wce->pwacbe", positions, weyl).reshape(-1, dim * d, dim * d)
+    encoded = encoders @ state.grid()  # the operator acts on the first particle
+    # (position pair) x (spin pair) axes: each spin-pair column is a position state
+    columns = encoded.reshape(-1, dim, d, dim, d).transpose(0, 1, 3, 2, 4)
+    columns = columns.reshape(-1, dim * dim, d * d)
+    # the grand rotation as a dense matrix, one rotated basis state per column
+    rotation = np.column_stack(
+        [decoder.rotate(StateVector((dim, dim), e)).amp for e in np.eye(dim * dim)]
+    )
+    # (message, position outcome, spin label)
+    joint = rotation @ columns @ spin_bell_basis(S, sign).conj().T
+    flat = np.argmax(np.abs(joint.reshape(len(joint), -1)) ** 2, axis=1)
+    pos_flat, spin_label = np.divmod(flat, d * d)
+    return (grand_messages(decoder, pos_flat) * d * d + spin_label).tolist()

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from dense_oracle import spin_bell_basis, spin_round_trips_dense
 
 import sdc.analysis as analysis_mod
 import sdc.bell as bell_mod
@@ -31,7 +32,7 @@ from sdc.analysis import (
 from sdc.cli import main
 from sdc.decoder import build_decode_table, make_decoder
 from sdc.errors import ArgOutOfRange, MessageOutOfRange
-from sdc.hilbert import partial_trace
+from sdc.hilbert import compose_perms, partial_trace, phi_plus_overlap
 
 
 class TestRoundTrips:
@@ -218,6 +219,28 @@ class TestSpinExtension:
     def test_combined_message_bound(self):
         with pytest.raises(MessageOutOfRange):
             run_protocol_spin(1, 0.5, 16, hadamard.build(2))
+
+    def test_spin_bell_basis_is_the_dense_weyl_basis(self):
+        # run --s reads the spin part off these rows, and its label off their order
+        for S in (0.5, 1.0, 1.5):
+            d = int(2 * S) + 1
+            for sign in (1, -1):
+                basis = compose_perms(analysis_mod._weyl_table(d), analysis_mod._spin_pair(d, sign))
+                gram = phi_plus_overlap(basis[:, None], basis[None])
+                assert np.max(np.abs(gram - np.eye(d * d))) < 1e-12
+                states = np.asarray(basis).reshape(d * d, -1) / np.sqrt(d)
+                assert np.max(np.abs(states - spin_bell_basis(S, sign))) < 1e-12
+
+    def test_combined_round_trip_matches_the_dense_spin_run(self):
+        # the dense oracle rotates the Kronecker-encoded extended state column by column
+        for N in (1, 2, 4):
+            H = hadamard.build(2 * N)
+            decoder = make_decoder(N, H)
+            for S in (0.5, 1.0, 1.5):
+                for sign in (1, -1):
+                    dense = spin_round_trips_dense(N, S, H, decoder, sign)
+                    got = [run_protocol_spin(N, S, m, H, sign) for m in range(len(dense))]
+                    assert got == dense == list(range(spin_message_count(N, S)))
 
 
 def test_start_state_is_the_symmetric_base_pair():

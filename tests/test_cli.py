@@ -240,11 +240,19 @@ class TestRun:
         payload = json.loads(out)
         assert code == 0 and payload["decoded"] == 11
 
-    @pytest.mark.parametrize("spin", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("spin", ["-1", "nan", "inf", "1e6"])
     def test_invalid_spin_is_rejected(self, capsys, spin):
         code, out, err = run_cli(capsys, "run", "--n", "1", "--message", "0", "--s", spin)
         assert code == 2 and out == ""
         assert "ArgOutOfRange" in err
+
+    def test_spread_spin_state_is_refused(self, capsys, tmp_path):
+        # ALT4's position part spreads over 4 outcomes, as in plain `run`
+        mats = tmp_path / "mats.txt"
+        mats.write_text(ALT4)
+        argv = ["run", "--n", "2", "--message", "3", "--s", "0.5", "--custom-matrices", str(mats)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and typed_error(err) is errors.NonDeterministicOutcome
 
     def test_spin_with_the_pipeline_route_is_refused(self, capsys):
         # the spin extension decodes on the grand route only
@@ -685,6 +693,12 @@ class TestSpin:
         code, out, _ = run_cli(capsys, "spin", "--n", "1", "--s", "1", "--sign", "-1")
         assert code == 0
         assert json.loads(out)["schmidt_rank"] == 6
+
+    def test_too_large_spin_is_refused_before_allocating(self, capsys):
+        # (2N(2S+1))^2 = 4e12 amplitudes: refused by count, nothing is allocated
+        code, out, err = run_cli(capsys, "spin", "--n", "1", "--s", "1e6")
+        assert (code, out) == (2, "") and typed_error(err) is errors.ArgOutOfRange
+        assert "too large" in err
 
 
 class TestBases:

@@ -50,6 +50,13 @@ def test_matrices_compare_and_hash_by_value():
     assert a != a.ints and a != "sylvester" and (a == None) is False  # noqa: E711
 
 
+def test_construction_leaves_the_callers_array_writable():
+    m = np.array([[1, 1], [1, -1]])
+    H = hadamard.HadamardMatrix(2, m)
+    m[0, 0] = -1
+    assert H.ints[0, 0] == 1 and not H.ints.flags.writeable
+
+
 @pytest.mark.parametrize("order", [6, 10, 14, 3, 5, 0, -4])
 def test_impossible_orders_rejected(order):
     with pytest.raises(UnsupportedOrder):

@@ -406,6 +406,13 @@ class TestValueSemantics:
         assert a != PermutedBlockOp(a.rows[::-1], a.block)
         assert a != a.block
 
+    def test_states_copy_the_callers_array(self):
+        a = np.zeros(4, complex)
+        s = StateVector((2, 2), a)
+        before = hash(s)
+        a[0] = 1
+        assert s.amp[0] == 0 and hash(s) == before and s == StateVector((2, 2), np.zeros(4))
+
     def test_states_compare_and_hash_by_value(self):
         a, b = basis_state((2, 2), (0, 0)), basis_state((2, 2), (0, 0))
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1

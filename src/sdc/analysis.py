@@ -282,6 +282,7 @@ def spin_base_state(S: float, sign: int = +1) -> StateVector:
     if sign not in (+1, -1):
         raise ArgOutOfRange(f"sign must be +1 or -1, got {sign}")
     d = _spin_dim(S)
+    _check_spin_size(S, d * d, "the pair state")
     return StateVector((d, d), np.asarray(_spin_pair(d, sign)).reshape(-1) / np.sqrt(d))
 
 

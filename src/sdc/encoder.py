@@ -3,16 +3,17 @@
 The direct construction, `encode_direct`, is defined in `bell`, where it also
 builds the standard Bell family; it places one Hadamard sign per channel
 according to the label's family pairing and is a signed permutation by
-inspection.  The composed construction multiplies a member mixer (a diagonal
-of single-channel sign gates) with a family shift (ladder powers and
-half-axis swaps).  Two textual ambiguities in the composed route, the
-exponent columns of the member mixer and the order of the two factors, are
-resolved mechanically against the laws the operators must satisfy, and the
-resolved readings are reported.  Every law is checked on signed permutations
-(a Bell state is its encoder's permutation over sqrt(2N)) held as one
-stacked `SignedPermutationOp`, one row per label, and composed and overlapped
-by `hilbert`, so the checks are exact index and sign comparisons; the
-composed and direct encoders' actions overlap by tr(D^H C) / 2N on every
+inspection.  The composed construction multiplies a member mixer (sign gates
+on disjoint channels, built as the +-1 diagonal they multiply to; the gate
+product is the oracle in `tests/dense_oracle.py`) with a family shift (ladder
+powers and half-axis swaps).  Two textual ambiguities in the composed route,
+the exponent columns of the member mixer and the order of the two factors,
+are resolved mechanically against the laws the operators must satisfy, and
+the resolved readings are reported.  Every law is checked on signed
+permutations (a Bell state is its encoder's permutation over sqrt(2N)) held
+as one stacked `SignedPermutationOp`, one row per label, and composed and
+overlapped by `hilbert`, so the checks are exact index and sign comparisons;
+the composed and direct encoders' actions overlap by tr(D^H C) / 2N on every
 start state, so they are overlapped as operators.  Nothing is memoized.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .bell import BellLabel, all_labels, bell_table, compose_family, encode_direct, encoder_table
 from .errors import ArgOutOfRange, OrderMismatch, PropertyViolated
-from .gates import channel_sign_gate, channel_swap_gate, ladder_shift_gate
+from .gates import channel_swap_gate, ladder_shift_gate
 from .hadamard import HadamardMatrix
 from .hilbert import (
     TOL_CHAINED,
@@ -57,20 +58,11 @@ def _member_mixer_with_reading(
     N: int, H: HadamardMatrix, j: int, reading: str
 ) -> SignedPermutationOp:
     row_1, row_j = H.row(1), H.row(j)
-    op = identity_perm(2 * N)
-    for i in range(1, N + 1):
-        if reading == "cross-column":
-            e1 = (row_1[2 * i - 2] - row_j[2 * i - 1]) // 2
-        else:
-            e1 = (row_1[2 * i - 2] - row_j[2 * i - 2]) // 2
-        e2 = (row_1[2 * i - 1] - row_j[2 * i - 1]) // 2
-        if e1 % 2 != 0:
-            swap = channel_swap_gate(N, i)
-            flipped_sign = compose_perms(swap, compose_perms(channel_sign_gate(N, i), swap))
-            op = compose_perms(flipped_sign, op)
-        if e2 % 2 != 0:
-            op = compose_perms(channel_sign_gate(N, i), op)
-    return op
+    col = row_j[1::2] if reading == "cross-column" else row_j[0::2]
+    e1 = (row_1[0::2] - col) // 2 % 2  # swap_i sign_i swap_i: flips channel +i
+    e2 = (row_1[1::2] - row_j[1::2]) // 2 % 2  # sign_i: flips channel -i
+    phase = np.concatenate([1 - 2 * e1, 1 - 2 * e2]).astype(np.complex128)
+    return SignedPermutationOp._trusted(2 * N, np.arange(2 * N), phase)
 
 
 def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
@@ -122,6 +114,12 @@ def member_mixer(
 ) -> SignedPermutationOp:
     """Diagonal gate product that multiplies the member index into a state.
 
+    Channel i takes swap_i sign_i swap_i (a -1 on +i) to the power e1 and
+    sign_i (a -1 on -i) to the power e2, where e1 = (h[1, 2i-1] - h[j, c]) / 2
+    with c = 2i under the cross-column reading and 2i-1 under same-column, and
+    e2 = (h[1, 2i] - h[j, 2i]) / 2.  The gates act on disjoint channels, so
+    the product is the diagonal (-1)^e1 on +i and (-1)^e2 on -i, built as
+    such; `tests/dense_oracle.py::member_mixer_gates` multiplies the gates.
     Exponents are taken against row 1, which the built-in construction makes
     all-plus, so member 1's mixer is the identity.  `reading` defaults to the
     resolved one, resolved afresh on every such call.

@@ -6,8 +6,8 @@ against each other: the compact pairing as a scalar formula, both bases as
 dense 4N^2 x 4N^2 stacks of per-label states, the basis residuals computed
 from those stacks, the grand operator assembled one label at a time, the
 pipeline's mixer assembled ket by ket as a csc matrix, the compact
-relabeling searched on dense states, and the spin-extended round trip run
-on the dense (2N(2S+1))^2 state.
+relabeling searched on dense states, the spin-extended round trip run on
+the dense (2N(2S+1))^2 state, and the member mixer multiplied gate by gate.
 """
 
 import itertools
@@ -24,7 +24,16 @@ from sdc.bell import (
 )
 from sdc.decoder import grand_messages
 from sdc.encoder import encode_direct
-from sdc.hilbert import SignedPermutationOp, StateVector, apply, label_to_index, partial_trace
+from sdc.gates import channel_sign_gate, channel_swap_gate
+from sdc.hilbert import (
+    SignedPermutationOp,
+    StateVector,
+    apply,
+    compose_perms,
+    identity_perm,
+    label_to_index,
+    partial_trace,
+)
 
 
 def compact_partner(N, k, r, m):
@@ -47,6 +56,26 @@ def encode_direct_loop(N, H, label):
     target[plus], target[minus] = n, n + N
     phase[plus], phase[minus] = row[0::2], row[1::2]
     return target, phase
+
+
+def member_mixer_gates(N, H, j, reading):
+    """Member mixer j as the gate product: per channel i,
+    (swap_i sign_i swap_i)^e1 then sign_i^e2, exponents against row 1."""
+    row_1, row_j = H.row(1), H.row(j)
+    op = identity_perm(2 * N)
+    for i in range(1, N + 1):
+        if reading == "cross-column":
+            e1 = (row_1[2 * i - 2] - row_j[2 * i - 1]) // 2
+        else:
+            e1 = (row_1[2 * i - 2] - row_j[2 * i - 2]) // 2
+        e2 = (row_1[2 * i - 1] - row_j[2 * i - 1]) // 2
+        if e1 % 2 != 0:
+            swap = channel_swap_gate(N, i)
+            flipped_sign = compose_perms(swap, compose_perms(channel_sign_gate(N, i), swap))
+            op = compose_perms(flipped_sign, op)
+        if e2 % 2 != 0:
+            op = compose_perms(channel_sign_gate(N, i), op)
+    return op
 
 
 def interleave_loop(N):

@@ -202,6 +202,11 @@ class TestSpinExtension:
         with pytest.raises(ArgOutOfRange):
             spin_capacity(1, -0.5)
 
+    def test_huge_pair_state_is_refused_before_allocating(self):
+        # its d^2 dense amplitudes would take 58.2 TiB
+        with pytest.raises(ArgOutOfRange, match="the pair state would hold 4000004000001 entries"):
+            spin_base_state(1e6)
+
     def test_combined_round_trip(self):
         N, S = 1, 0.5
         H = hadamard.build(2)

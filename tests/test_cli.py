@@ -96,8 +96,9 @@ class TestVerify:
             (["--n", "4"], "942eafa8ae6ddb68c0fea5eb2ca1e37374d92d759134d35a29c534b6790220ad"),
             (["--n", "1"], "a0786e8283edb66229cd0e029151db3ef7d2eaee285b47d9ee432fd21a2c49d6"),
             (["--n", "16"], "e5b104d60b0fe09d105619e39a633b52880dac181239f5349d1731186e8848a5"),
+            (["--n", "32"], "7db46beb93a48faaff2b489ba641223c117d8e6e821e90f3eb24e6ae432edf8b"),
         ],
-        ids=["n2", "n8", "n2-pipeline", "n8-pipeline", "n4-gates", "n4", "n1", "n16"],
+        ids=["n2", "n8", "n2-pipeline", "n8-pipeline", "n4-gates", "n4", "n1", "n16", "n32"],
     )
     def test_report_matches_recorded_digest(self, capsys, argv, digest):
         # residuals of one or two ulps (4.4e-16 at --n 1, 2.2e-16 at --n 4 and

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from dense_oracle import member_mixer_gates
 
 import sdc.encoder as enc
 from sdc import hadamard
@@ -23,6 +24,18 @@ from sdc.hilbert import SignedPermutationOp, apply, compose_perms, partial_trace
 
 # a symmetric sign matrix of order 4 whose rows do not close under products
 ALT4 = np.array([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]])
+
+
+def paley_order_12():
+    """Paley II with q = 5: C (x) [[1, 1], [1, -1]] + I_6 (x) [[1, -1], [-1, -1]]
+    for the conference matrix C = [[0, 1^T], [1, Q]] of GF(5)'s Jacobsthal
+    matrix Q, conjugated by diag(row 1) so that row 1 is all-plus."""
+    chi = {0: 0, 1: 1, 2: -1, 3: -1, 4: 1}  # the quadratic character of GF(5)
+    C = np.zeros((6, 6), dtype=int)
+    C[0, 1:] = C[1:, 0] = 1
+    C[1:, 1:] = [[chi[(a - b) % 5] for b in range(5)] for a in range(5)]
+    H = np.kron(C, [[1, 1], [1, -1]]) + np.kron(np.eye(6, dtype=int), [[1, -1], [-1, -1]])
+    return H * H[0] * H[0][:, None]
 
 
 def resolved_order(N, H):
@@ -158,6 +171,28 @@ class TestMemberMixer:
     def test_argument_range(self):
         with pytest.raises(ArgOutOfRange):
             member_mixer(2, hadamard.build(4), 5)
+
+
+class TestMemberMixerOracle:
+    """The diagonal mixer against the gate-by-gate product, exactly."""
+
+    @staticmethod
+    def assert_matches_gates(N, H):
+        for reading in MEMBER_MIXER_READINGS:
+            for j in range(1, 2 * N + 1):
+                assert member_mixer(N, H, j, reading) == member_mixer_gates(N, H, j, reading)
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
+    def test_sylvester(self, N):
+        self.assert_matches_gates(N, hadamard.build(2 * N))
+
+    def test_rows_not_closed_under_products(self):
+        self.assert_matches_gates(2, hadamard.build(4, custom={4: ALT4}))
+
+    def test_paley_order_12(self):
+        H = paley_order_12()
+        assert (H @ H.T == 12 * np.eye(12)).all() and (H == H.T).all() and (H[0] == 1).all()
+        self.assert_matches_gates(6, hadamard.build(12, custom={12: H}))
 
 
 class TestFamilyShift:

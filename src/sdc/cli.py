@@ -291,7 +291,9 @@ def build_verify_report(cfg: RunConfig) -> dict:
     # mass is the whole distribution; injective by build_decode_table's rule
     outcomes, probs = decoder.bell_outcomes(N, H, grand)
     min_top = float(probs.min())
-    injective = min_top >= 1.0 - hilbert.TOL_CHAINED and np.unique(outcomes).size == 4 * N * N
+    # outcomes lie in 0..4N^2-1, so they are distinct exactly when they sort to that range
+    distinct = np.array_equal(np.sort(outcomes), np.arange(4 * N * N))
+    injective = min_top >= 1.0 - hilbert.TOL_CHAINED and distinct
     check("decode-determinism", 1.0 - min_top, cfg.tol_chained)
     check("decode-injectivity", 0.0 if injective else 1.0, 0.0)
     check("measurement-completeness", np.max(np.abs(probs - 1.0)), cfg.tol_exact)

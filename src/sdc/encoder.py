@@ -11,10 +11,14 @@ the exponent columns of the member mixer and the order of the two factors,
 are resolved mechanically against the laws the operators must satisfy, and
 the resolved readings are reported.  Every law is checked on signed
 permutations (a Bell state is its encoder's permutation over sqrt(2N)) held
-as one stacked `SignedPermutationOp`, one row per label, and composed and
-overlapped by `hilbert`, so the checks are exact index and sign comparisons;
-the composed and direct encoders' actions overlap by tr(D^H C) / 2N on every
-start state, so they are overlapped as operators.  Nothing is memoized.
+as one stacked `SignedPermutationOp`, one row per label, so the checks are
+exact index and sign comparisons.  The readings are composed and overlapped
+by `hilbert`; the composed and direct encoders' actions overlap by
+tr(D^H C) / 2N on every start state, so they are overlapped as operators.
+The direct encoder's own laws are read on its factors, a +-1 diagonal per
+member after a permutation per family, once the table is checked to factor
+so; the per-label loop is the oracle in `tests/dense_oracle.py`.  Nothing is
+memoized.
 """
 
 from __future__ import annotations
@@ -201,34 +205,60 @@ def encode_law_residuals(N: int, H: HadamardMatrix) -> dict:
     acting on each member-1 start state (k', r', 1) with the basis state
     (compose_family(k, r, k', r'), j), the landing family read from one
     table of compose_family over all family pairs.  no_signaling:
-    max|rho_B - I/2N| over the encoded states.  Every state is held as its
-    encoder's signed permutation, so all three are exact.
+    max|rho_B - I/2N| over the encoded states.
+
+    The laws are read on the table's factors.  Each encoder is
+    D_{f,j} = Psi_j T_f, a +-1 diagonal for member j after a permutation for
+    family f (Werner's shift-and-multiply unitary error basis), and the table
+    is first checked to factor so, exactly: every member of family f has the
+    targets T_f of its member 1, member j's signs psi_j (read off family 0)
+    are +-1, and phase[f, j, i] == psi_j[target[f, j, i]].  A table that does
+    not factor fails family_rule with residual 1.  Where the landing and moved
+    targets agree the member signs cancel (psi^2 = 1), so the overlap of
+    family f on start S = D_{f',1} is sum_i [T_g(i) = T_f(S(i))] phase_S(i) / 2N
+    for the landing family g, whatever j; and |psi_j phase_S|^2 = |phase_S|^2
+    on every column.  One pass per start family then holds only (2N)^2
+    temporaries besides the table.  The per-label loop these residuals equal
+    exactly is `tests/dense_oracle.py::encode_law_residuals_loop`.
     """
     dim = 2 * N
     table = bell_table(N, H)
-    structure = float(np.max(np.abs(np.abs(table.phase) - 1.0)))
-    starts = table[::dim]  # the member-1 row of each family
+    grid = (dim, dim, dim)  # (family, member, column)
+    target, phase = table.target.reshape(grid), table.phase.reshape(grid)
+    family_target = target[:, 0]  # T_f, read off member 1
+    psi = np.zeros((dim, dim), dtype=phase.dtype)  # psi[j, t]: member j's sign on index t
+    psi[:, family_target[0]] = phase[0]
+    factors = bool(np.all((psi == 1) | (psi == -1)))
     families = [(lab.k, lab.r) for lab in all_labels(N)[::dim]]
     index = {fam: f for f, fam in enumerate(families)}
     # landing[f, f']: the family that family f's encoders send start family f' to
     landing = np.array([[index[compose_family(*a, *b, N)] for b in families] for a in families])
-    rule = signaling = 0.0
-    for m in range(len(table.target)):
-        moved = compose_perms(table[m], starts)
-        overlap = phi_plus_overlap(table[landing[m // dim] * dim + m % dim], moved)
+    structure = rule = signaling = 0.0
+    for s in range(dim):  # family s's block is checked, and its member 1 is a start
+        factors = factors and bool(np.all(target[s] == family_target[s]))
+        factors = factors and bool(np.all(phase[s] == psi[:, family_target[s]]))
+        structure = max(structure, float(np.max(np.abs(np.abs(phase[s]) - 1.0))))
+        start_target, start_phase = family_target[s], phase[s, 0]
+        # row f: family f's targets after the start against its landing family's
+        agree = family_target[:, start_target] == family_target[landing[:, s]]
+        overlap = np.sum(agree * start_phase, axis=-1) / dim  # the same for every member
         rule = max(rule, float(np.max(np.abs(np.abs(overlap) - 1.0))))
         # the state of a signed permutation has rho_B = diag(|phase|^2) / 2N
-        signaling = max(signaling, float(np.max(np.abs(np.abs(moved.phase) ** 2 - 1.0)) / dim))
-    return {"structure": structure, "family_rule": rule, "no_signaling": signaling}
+        moved_phase = psi[:, start_target] * start_phase  # member signs times the start's
+        signaling = max(signaling, float(np.max(np.abs(np.abs(moved_phase) ** 2 - 1.0))) / dim)
+    return {"structure": structure, "family_rule": rule if factors else 1.0, "no_signaling": signaling}
 
 
-def encode_composed(N: int, H: HadamardMatrix, label: BellLabel) -> SignedPermutationOp:
-    """Encoding unitary assembled from basic gates.  Each call resolves the
-    member-mixer reading once and, under it, the composition order."""
+def encode_composed(
+    N: int, H: HadamardMatrix, label: BellLabel, reading: str, order: str
+) -> SignedPermutationOp:
+    """Encoding unitary assembled from basic gates: the member mixer built
+    under `reading` (`resolve_member_mixer_reading`) and the family shift,
+    composed in `order` (`resolve_composition_order`)."""
     _check_setup(N, H)
     label.validate(N)
-    reading = resolve_member_mixer_reading(N, H)["reading"]
-    order = resolve_composition_order(N, H, reading)["order"]
+    if reading not in MEMBER_MIXER_READINGS or order not in COMPOSITION_ORDERS:
+        raise ArgOutOfRange(f"unknown member-mixer reading {reading!r} or composition order {order!r}")
     mixer = member_mixer(N, H, label.j, reading)
     shift = family_shift(N, label.k, label.r)
     if order == "family-shift-first":

@@ -7,7 +7,8 @@ dense 4N^2 x 4N^2 stacks of per-label states, the basis residuals computed
 from those stacks, the grand operator assembled one label at a time, the
 pipeline's mixer assembled ket by ket as a csc matrix, the compact
 relabeling searched on dense states, the spin-extended round trip run on
-the dense (2N(2S+1))^2 state, and the member mixer multiplied gate by gate.
+the dense (2N(2S+1))^2 state, the member mixer multiplied gate by gate, and
+the encoder laws checked label by label on the unfactored table.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
+import sdc.encoder as enc
 from sdc.analysis import spin_base_state, spin_extended_state
 from sdc.bell import (
     all_labels,
@@ -33,6 +35,7 @@ from sdc.hilbert import (
     identity_perm,
     label_to_index,
     partial_trace,
+    phi_plus_overlap,
 )
 
 
@@ -76,6 +79,28 @@ def member_mixer_gates(N, H, j, reading):
         if e2 % 2 != 0:
             op = compose_perms(channel_sign_gate(N, i), op)
     return op
+
+
+def encode_law_residuals_loop(N, H):
+    """`encode_law_residuals` without the factorization: every label's encoder
+    composed with the 2N member-1 start encoders and overlapped with its
+    predicted basis state, 16N^4 entries, one label at a time.  The table and
+    the landing family are read through `sdc.encoder`, so a patch there
+    reaches both routes."""
+    dim = 2 * N
+    table = enc.bell_table(N, H)
+    structure = float(np.max(np.abs(np.abs(table.phase) - 1.0)))
+    starts = table[::dim]  # the member-1 row of each family
+    families = [(lab.k, lab.r) for lab in all_labels(N)[::dim]]
+    index = {fam: f for f, fam in enumerate(families)}
+    landing = np.array([[index[enc.compose_family(*a, *b, N)] for b in families] for a in families])
+    rule = signaling = 0.0
+    for m in range(len(table.target)):
+        moved = compose_perms(table[m], starts)
+        overlap = phi_plus_overlap(table[landing[m // dim] * dim + m % dim], moved)
+        rule = max(rule, float(np.max(np.abs(np.abs(overlap) - 1.0))))
+        signaling = max(signaling, float(np.max(np.abs(np.abs(moved.phase) ** 2 - 1.0)) / dim))
+    return {"structure": structure, "family_rule": rule, "no_signaling": signaling}
 
 
 def interleave_loop(N):

@@ -115,16 +115,16 @@ def test_c04_gate_decomposition_equivalence():
     worst = 1.0
     for N in (1, 2, 4):
         H = hadamard.build(2 * N)
+        reading = resolve_member_mixer_reading(N, H)["reading"]
+        order = resolve_composition_order(N, H, reading)["order"]
         for lab in all_labels(N):
             direct = encode_direct(N, H, lab)
-            composed = encode_composed(N, H, lab)
+            composed = encode_composed(N, H, lab, reading, order)
             for kp in range(1, N + 1):
                 for rp in (+1, -1):
                     start = bell_state(N, BellLabel(kp, rp, 1), H)
                     overlap = np.vdot(apply(direct, 0, start).amp, apply(composed, 0, start).amp)
                     worst = min(worst, abs(overlap))
-    reading = resolve_member_mixer_reading(4, hadamard.build(8))["reading"]
-    order = resolve_composition_order(4, hadamard.build(8), reading)["order"]
     verdict(
         "4 (decomposition equivalence)",
         worst > 1 - 1e-10,

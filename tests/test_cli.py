@@ -303,19 +303,33 @@ class TestRun:
         assert "NonDeterministicOutcome" in err and "0.562500" in err
 
 
-def test_commands_import_no_scipy():
-    # scipy is a test-only oracle; importing it would cost most of a small
-    # run's start-up
+def modules_loaded_by(argvs, package):
+    """Run each argv through `sdc.cli.main` in turn, in one fresh process, and
+    list after each the loaded modules that lie in `package`."""
     script = (
         "import json, sys, contextlib, io\n"
         "import sdc.cli\n"
+        "package = sys.argv[2]\n"
         "loaded = {}\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        sdc.cli.main(argv)\n"
-        "    loaded[' '.join(argv)] = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "    loaded[' '.join(argv)] = sorted(\n"
+        "        m for m in sys.modules if m == package or m.startswith(package + '.'))\n"
         "print(json.dumps(loaded))\n"
     )
+    env = {**os.environ, "PYTHONPATH": str(Path(sdc.__file__).parents[1])}
+    env.pop("SDC_CONFIG", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs), package],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_commands_import_no_scipy():
+    # scipy is a test-only oracle; importing it would cost most of a small
+    # run's start-up
     argvs = [
         ["run", "--n", "4", "--message", "5"],
         ["sweep", "--n", "4"],
@@ -324,14 +338,13 @@ def test_commands_import_no_scipy():
         ["table", "--n", "2"],
         ["bases", "--n", "2"],
     ]
-    env = {**os.environ, "PYTHONPATH": str(Path(sdc.__file__).parents[1])}
-    env.pop("SDC_CONFIG", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argvs)],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    loaded = json.loads(proc.stdout)
-    assert loaded == {" ".join(argv): [] for argv in argvs}
+    assert modules_loaded_by(argvs, "scipy") == {" ".join(argv): [] for argv in argvs}
+
+
+def test_verify_imports_no_numpy_ma():
+    # on numpy 2.x a bare np.unique imports numpy.ma, about 14 ms in a cold process
+    argvs = [["verify", "--n", "2"], ["verify", "--n", "2", "--path", "pipeline"]]
+    assert modules_loaded_by(argvs, "numpy.ma") == {" ".join(argv): [] for argv in argvs}
 
 
 class TestEncodeDecode:

@@ -1,8 +1,10 @@
 """Encoding operators: direct form, gate composition, and the family rule."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from dense_oracle import member_mixer_gates
+from dense_oracle import encode_law_residuals_loop, member_mixer_gates
 
 import sdc.encoder as enc
 from sdc import hadamard
@@ -36,6 +38,15 @@ def paley_order_12():
     C[1:, 1:] = [[chi[(a - b) % 5] for b in range(5)] for a in range(5)]
     H = np.kron(C, [[1, 1], [1, -1]]) + np.kron(np.eye(6, dtype=int), [[1, -1], [-1, -1]])
     return H * H[0] * H[0][:, None]
+
+
+def flipped_sylvester(order):
+    """Sylvester of the given order with row and column 4 negated: still
+    symmetric and Hadamard, with one minus sign in row 1."""
+    H = hadamard.build(order).ints.copy()
+    H[3] *= -1
+    H[:, 3] *= -1
+    return H
 
 
 def resolved_order(N, H):
@@ -222,17 +233,25 @@ class TestFamilyShift:
             family_shift(2, 1, 0)
 
 
+def resolved_readings(N, H):
+    """The member-mixer reading and, under it, the composition order, each resolved once."""
+    reading = resolve_member_mixer_reading(N, H)["reading"]
+    return reading, resolve_composition_order(N, H, reading)["order"]
+
+
 class TestComposedForm:
     def test_identity_label(self):
         H = hadamard.build(2)
-        assert np.array_equal(np.asarray(encode_composed(1, H, BellLabel(1, +1, 1))), np.eye(2))
+        op = encode_composed(1, H, BellLabel(1, +1, 1), *resolved_readings(1, H))
+        assert np.array_equal(np.asarray(op), np.eye(2))
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_action_matches_direct_on_all_member_one_states(self, N):
         H = hadamard.build(2 * N)
+        readings = resolved_readings(N, H)
         for lab in all_labels(N):
             direct = encode_direct(N, H, lab)
-            composed = encode_composed(N, H, lab)
+            composed = encode_composed(N, H, lab, *readings)
             for kp in range(1, N + 1):
                 for rp in (+1, -1):
                     start = bell_state(N, BellLabel(kp, rp, 1), H)
@@ -240,6 +259,13 @@ class TestComposedForm:
                     b = apply(composed, 0, start).amp
                     overlap = np.vdot(a, b)
                     assert abs(abs(overlap) - 1.0) < 1e-10
+
+    def test_unknown_reading_or_order_is_refused(self):
+        H, lab = hadamard.build(4), BellLabel(1, +1, 1)
+        with pytest.raises(ArgOutOfRange, match="reading 'diagonal'"):
+            encode_composed(2, H, lab, "diagonal", "family-shift-first")
+        with pytest.raises(ArgOutOfRange, match="order 'both'"):
+            encode_composed(2, H, lab, "same-column", "both")
 
     def test_wrong_family_shift_matches_no_order(self, monkeypatch):
         shift = enc.family_shift
@@ -394,6 +420,60 @@ class TestExactLawChecks:
         assert (per_start.reshape(-1, 2 * N) == own[:, None]).all()
         if reading == "cross-column":  # a failing reading: some overlaps are not unit
             assert np.max(np.abs(np.abs(own) - 1.0)) > 1e-10
+
+    @pytest.mark.parametrize(
+        "matrix,N,rule",
+        [
+            *(("sylvester", n, 0.0) for n in (1, 2, 4, 8, 16)),
+            ("alt4", 2, 0.5),
+            ("paley", 6, 0.0),
+            *(("flipped", n, 1 / n) for n in (2, 4, 8, 16)),
+        ],
+    )
+    def test_factored_residuals_equal_the_per_label_loop(self, matrix, N, rule):
+        # the family rule depends on row 1 and the pairing only: a row 1 with
+        # one minus sign reads 1/N
+        custom = {"alt4": lambda: ALT4, "paley": paley_order_12, "flipped": lambda: flipped_sylvester(2 * N)}
+        H = hadamard.build(2 * N, custom={2 * N: custom[matrix]()} if matrix in custom else None)
+        exact = encode_law_residuals(N, H)
+        assert exact == encode_law_residuals_loop(N, H)
+        assert exact == {"structure": 0.0, "family_rule": rule, "no_signaling": 0.0}
+
+    def test_no_temporary_is_table_sized(self, monkeypatch):
+        # one start family at a time: beyond the table, only (2N)^2-entry
+        # temporaries are held (about 8 of them at N = 32), where the table's
+        # phases alone hold 4N^2 * 2N
+        N, dim = 32, 64
+        H = hadamard.build(dim)
+        table = enc.bell_table(N, H)
+        monkeypatch.setattr(enc, "bell_table", lambda N, H, compact=False: table)
+        tracemalloc.start()
+        try:
+            encode_law_residuals(N, H)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * dim * dim * 16  # 16 complex (2N)^2 arrays, a quarter of the table's phases
+
+    def test_unfactored_table_fails_on_both_routes(self, monkeypatch):
+        # member 2 takes another sign in family 1 than in family 0, so no
+        # member-j diagonal serves every family
+        build = enc.bell_table
+
+        def mixed_signs(N, H, compact=False):
+            table = build(N, H, compact)
+            phase = table.phase.copy()
+            phase[2 * N + 1, 0] *= -1  # family 1, member 2, column 0
+            return SignedPermutationOp._trusted(table.dim, table.target, phase)
+
+        monkeypatch.setattr(enc, "bell_table", mixed_signs)
+        H = hadamard.build(4)
+        exact = encode_law_residuals(2, H)
+        loop = encode_law_residuals_loop(2, H)
+        assert exact["family_rule"] == 1.0
+        assert loop["family_rule"] > 1e-10
+        assert exact["structure"] == loop["structure"] == 0.0
+        assert exact["no_signaling"] == loop["no_signaling"] == 0.0
 
     def test_lawless_matrix_fails_on_both_routes(self):
         H = hadamard.build(4, custom={4: ALT4})

@@ -8,9 +8,10 @@ relabeling of the first particle and carries one Hadamard sign per basis ket;
 its pairing (`compact_partner_table`) fixes the index blocks on which
 `decoder.grand_blocks` repeats one Hadamard block.  Each state is
 (U x I)|Phi+> for a signed permutation U, and each family is defined once,
-as the stacked `SignedPermutationOp` of these permutations (`bell_table`);
-the relabeling and verify's basis and encoder-law checks compose and
-overlap the stacks with `hilbert`'s exact index and sign arithmetic.
+as the stacked `SignedPermutationOp` of these permutations (`bell_table`),
+in 2N family blocks of 2N rows that share one target row; `table_residuals`
+reads the basis residuals off those blocks, and the relabeling and encoder
+laws compose and overlap the stacks with `hilbert`'s exact arithmetic.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "bell_state",
     "compact_partner_table",
     "bell_table",
+    "table_residuals",
     "compact_bell_state",
     "first_particle_interleave",
     "CompactRelabel",
@@ -172,6 +174,41 @@ def bell_table(N: int, H: HadamardMatrix, compact: bool = False) -> SignedPermut
     members = np.tile(np.arange(2 * N), 2 * N)[:, None]  # j - 1 of every row
     phase = H.ints[members, targets].astype(np.complex128)
     return SignedPermutationOp._trusted(2 * N, targets, phase)
+
+
+def table_residuals(table: SignedPermutationOp) -> dict:
+    """Worst Bell-basis residuals of a `bell_table`, exact for +-1 phases.
+
+    Read in `bell_table`'s layout: 2N family blocks of 2N member rows, each
+    row of block f with its family's targets T_f.  gram: max|<a|b> - delta_ab|,
+    where <a|b> = sum_i [t_a[i] == t_b[i]] p_a[i] conj(p_b[i]) / 2N, so block
+    f's Gram block is P_f P_f^H / 2N, and blocks f and g overlap only where
+    T_f and T_g agree (nowhere, on a correct table).  A table not in that
+    layout reads gram 1.0, as an unfactored one reads family_rule 1.0 in
+    `encoder.encode_law_residuals`.  partial_trace: max|rho - I/2N| for the
+    reduced states diag(|phase|^2) / 2N.  amplitude: max||amp| - 1/sqrt(2N)|.
+    Temporaries are (2N)^2 entries besides the (2N)^3 bool agreement grid; the
+    grouped search this replaces is `tests/dense_oracle.py::table_residuals_grouped`.
+    """
+    dim = table.dim
+    grid = (dim, dim, dim)  # (family, member, column)
+    target, phase = table.target.reshape(grid), table.phase.reshape(grid)
+    family_target = target[:, 0]
+    agree = family_target[:, None, :] == family_target[None, :, :]
+    grouped, gram, trace, amplitude = True, 0.0, 0.0, 0.0
+    for f in range(dim):
+        p, mags = phase[f], np.abs(phase[f])
+        grouped = grouped and bool(np.all(target[f] == family_target[f]))
+        gram = max(gram, float(np.max(np.abs(p @ p.conj().T - dim * np.eye(dim)))))
+        for g in np.flatnonzero(agree[f, f + 1:].any(axis=1)) + f + 1:
+            gram = max(gram, float(np.max(np.abs((p * agree[f, g]) @ phase[g].conj().T))))
+        trace = max(trace, float(np.max(np.abs(mags**2 - 1.0))))
+        amplitude = max(amplitude, float(np.max(np.abs(mags - 1.0))))
+    return {
+        "gram": gram / dim if grouped else 1.0,
+        "partial_trace": trace / dim,
+        "amplitude": float(amplitude / np.sqrt(dim)),
+    }
 
 
 def compact_bell_state(N: int, label: BellLabel, H: HadamardMatrix) -> StateVector:

@@ -131,41 +131,6 @@ def _static_conventions(H) -> dict:
     }
 
 
-def table_residuals(table: hilbert.SignedPermutationOp) -> dict:
-    """Worst Bell-basis residuals of a `bell.bell_table`, exact for +-1 phases.
-
-    gram: max|<a|b> - delta_ab|.  States a and b overlap where their targets
-    agree, so <a|b> = sum_i [t_a[i] == t_b[i]] p_a[i] conj(p_b[i]) / 2N.
-    Rows with one target row (a family) form a group whose Gram block is
-    P P^H / 2N; two groups overlap only on the columns where their targets
-    agree, which are found from the (target, column) slots held by more than
-    one group.  partial_trace: max|rho - I/2N|, where both reduced states
-    are diag(|phase|^2) / 2N.  amplitude: max||amp| - 1/sqrt(2N)| over the
-    amplitudes phase / sqrt(2N).
-    """
-    targets, phases, dim = table.target, table.phase, table.dim
-    uniq, group, sizes = np.unique(targets, axis=0, return_inverse=True, return_counts=True)
-    members = np.split(np.argsort(group.reshape(-1), kind="stable"), np.cumsum(sizes)[:-1])
-    worst = 0.0
-    for rows in members:
-        p = phases[rows]
-        worst = max(worst, np.max(np.abs(p @ p.conj().T - dim * np.eye(len(rows)))))
-    _, slot, held = np.unique(uniq * dim + np.arange(dim), return_inverse=True, return_counts=True)
-    sharing = np.flatnonzero((held[slot.reshape(uniq.shape)] > 1).any(axis=1))
-    for i, g in enumerate(sharing):
-        for h in sharing[i + 1:]:
-            cols = np.flatnonzero(uniq[g] == uniq[h])
-            if cols.size:
-                cross = phases[members[g]][:, cols] @ phases[members[h]][:, cols].conj().T
-                worst = max(worst, np.max(np.abs(cross)))
-    mags = np.abs(phases)
-    return {
-        "gram": float(worst) / dim,
-        "partial_trace": float(np.max(np.abs(mags**2 - 1.0))) / dim,
-        "amplitude": float(np.max(np.abs(mags - 1.0)) / np.sqrt(dim)),
-    }
-
-
 def _off_identity(op: hilbert.SignedPermutationOp) -> float:
     """max|P - I| of a signed permutation P with unit phases: |phase - 1| where
     P sends an index home, and 1 (a unit entry off the diagonal) elsewhere."""
@@ -179,7 +144,7 @@ def _off_identity(op: hilbert.SignedPermutationOp) -> float:
 
 def cmd_bases(cfg: RunConfig) -> int:
     H, _ = cfg.hadamard_pair()
-    gram_dev = table_residuals(bell.bell_table(cfg.n, H))["gram"]
+    gram_dev = bell.table_residuals(bell.bell_table(cfg.n, H))["gram"]
     states = []
     for lab in bell.all_labels(cfg.n):
         entry = {"label": {"k": lab.k, "r": lab.r, "j": lab.j}}
@@ -215,8 +180,8 @@ def build_verify_report(cfg: RunConfig) -> dict:
     check("hadamard-entry-magnitude", magnitude, cfg.tol_exact)
 
     # Bell bases, each held as its table of signed permutations
-    standard = table_residuals(bell.bell_table(N, H))
-    compact = table_residuals(bell.bell_table(N, H, compact=True))
+    standard = bell.table_residuals(bell.bell_table(N, H))
+    compact = bell.table_residuals(bell.bell_table(N, H, compact=True))
     check("bell-gram", standard["gram"], cfg.tol_exact)
     check("bell-compact-gram", compact["gram"], cfg.tol_exact)
     check("bell-partial-trace", standard["partial_trace"], cfg.tol_exact)
@@ -460,7 +425,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0 if result["round_trip_ok"] == result["checked"] else 1
 
 
-def cmd_rates(cfg: RunConfig, n_list: str, t: float) -> int:
+def cmd_rates(n_list: str, t: float) -> int:
     if not (t > 0 and np.isfinite(t)):
         raise ArgOutOfRange(f"--t must be a finite time > 0, got {t}")
     rows = []
@@ -573,8 +538,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "rates":
-            cfg = RunConfig()
-            return cmd_rates(cfg, args.n_list, args.t)
+            return cmd_rates(args.n_list, args.t)
         cfg = make_config(args)
         if args.command == "bases":
             return cmd_bases(cfg)

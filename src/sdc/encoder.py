@@ -113,9 +113,7 @@ def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
     raise PropertyViolated(f"no member-mixer exponent reading satisfies the row-product law: {failures}")
 
 
-def member_mixer(
-    N: int, H: HadamardMatrix, j: int, reading: str | None = None
-) -> SignedPermutationOp:
+def member_mixer(N: int, H: HadamardMatrix, j: int, reading: str) -> SignedPermutationOp:
     """Diagonal gate product that multiplies the member index into a state.
 
     Channel i takes swap_i sign_i swap_i (a -1 on +i) to the power e1 and
@@ -125,14 +123,14 @@ def member_mixer(
     the product is the diagonal (-1)^e1 on +i and (-1)^e2 on -i, built as
     such; `tests/dense_oracle.py::member_mixer_gates` multiplies the gates.
     Exponents are taken against row 1, which the built-in construction makes
-    all-plus, so member 1's mixer is the identity.  `reading` defaults to the
-    resolved one, resolved afresh on every such call.
+    all-plus, so member 1's mixer is the identity.  `reading` is one of
+    `MEMBER_MIXER_READINGS`, as `resolve_member_mixer_reading` picks it.
     """
     _check_setup(N, H)
     if not 1 <= j <= 2 * N:
         raise ArgOutOfRange(f"j={j} must lie in 1..{2 * N}")
-    if reading is None:
-        reading = resolve_member_mixer_reading(N, H)["reading"]
+    if reading not in MEMBER_MIXER_READINGS:
+        raise ArgOutOfRange(f"unknown member-mixer reading {reading!r}")
     return _member_mixer_with_reading(N, H, j, reading)
 
 

@@ -1,14 +1,17 @@
 """Dense reference routes for the table-based Bell-family code in `sdc.bell`.
 
-Each function works state by state or label by label on amplitudes, never on
-the family tables, so differential tests at small N can hold the two routes
-against each other: the compact pairing as a scalar formula, both bases as
-dense 4N^2 x 4N^2 stacks of per-label states, the basis residuals computed
-from those stacks, the grand operator assembled one label at a time, the
-pipeline's mixer assembled ket by ket as a csc matrix, the compact
-relabeling searched on dense states, the spin-extended round trip run on
-the dense (2N(2S+1))^2 state, the member mixer multiplied gate by gate, and
-the encoder laws checked label by label on the unfactored table.
+Each function works state by state or label by label on amplitudes, or on a
+family table without reading its layout, so differential tests at small N
+can hold the two routes against each other: the compact pairing as a scalar
+formula, both bases as dense 4N^2 x 4N^2 stacks of per-label states, the
+basis residuals computed from those stacks and from the table's rows grouped
+by search, the grand operator assembled one label at a time, the pipeline's
+mixer assembled ket by ket as a csc matrix, the compact relabeling searched
+on dense states, the spin-extended round trip run on the dense
+(2N(2S+1))^2 state, the member mixer multiplied gate by gate, and the
+encoder laws checked label by label on the unfactored table.  Three sign
+matrices beyond Sylvester's (ALT4, Paley order 12 and a negated Sylvester)
+are kept here for the tests that share them.
 """
 
 import itertools
@@ -17,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 import sdc.encoder as enc
+from sdc import hadamard
 from sdc.analysis import spin_base_state, spin_extended_state
 from sdc.bell import (
     all_labels,
@@ -37,6 +41,39 @@ from sdc.hilbert import (
     partial_trace,
     phi_plus_overlap,
 )
+
+
+# a symmetric sign matrix of order 4 whose rows do not close under products
+ALT4 = np.array([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]])
+
+
+def paley_order_12():
+    """Paley II with q = 5: C (x) [[1, 1], [1, -1]] + I_6 (x) [[1, -1], [-1, -1]]
+    for the conference matrix C = [[0, 1^T], [1, Q]] of GF(5)'s Jacobsthal
+    matrix Q, conjugated by diag(row 1) so that row 1 is all-plus."""
+    chi = {0: 0, 1: 1, 2: -1, 3: -1, 4: 1}  # the quadratic character of GF(5)
+    C = np.zeros((6, 6), dtype=int)
+    C[0, 1:] = C[1:, 0] = 1
+    C[1:, 1:] = [[chi[(a - b) % 5] for b in range(5)] for a in range(5)]
+    H = np.kron(C, [[1, 1], [1, -1]]) + np.kron(np.eye(6, dtype=int), [[1, -1], [-1, -1]])
+    return H * H[0] * H[0][:, None]
+
+
+def flipped_sylvester(order):
+    """Sylvester of the given order with row and column 4 negated: still
+    symmetric and Hadamard, with one minus sign in row 1."""
+    H = hadamard.build(order).ints.copy()
+    H[3] *= -1
+    H[:, 3] *= -1
+    return H
+
+
+def sign_matrix(name, N):
+    """The order-2N `HadamardMatrix` built from a named sign matrix: "alt4"
+    (N = 2), "paley" (N = 6), "flipped" (negated Sylvester), or Sylvester's
+    for any other name."""
+    custom = {"alt4": lambda: ALT4, "paley": paley_order_12, "flipped": lambda: flipped_sylvester(2 * N)}
+    return hadamard.build(2 * N, custom={2 * N: custom[name]()} if name in custom else None)
 
 
 def compact_partner(N, k, r, m):
@@ -161,6 +198,35 @@ def dense_residuals(basis):
             ptr = max(ptr, float(np.max(np.abs(partial_trace(state, keep) - np.eye(dim) / dim))))
         amp = max(amp, float(np.max(np.min(np.abs(np.abs(row)[:, None] - allowed), axis=1))))
     return {"gram": gram, "partial_trace": ptr, "amplitude": amp}
+
+
+def table_residuals_grouped(table):
+    """`bell.table_residuals` with the families found by search, not read
+    off the layout: rows with one target row form a group (a row lexsort),
+    each group's Gram block is P P^H / 2N, and two groups are multiplied
+    only on the columns where their targets agree, found from the
+    (target, column) slots that more than one group holds."""
+    targets, phases, dim = table.target, table.phase, table.dim
+    uniq, group, sizes = np.unique(targets, axis=0, return_inverse=True, return_counts=True)
+    members = np.split(np.argsort(group.reshape(-1), kind="stable"), np.cumsum(sizes)[:-1])
+    worst = 0.0
+    for rows in members:
+        p = phases[rows]
+        worst = max(worst, np.max(np.abs(p @ p.conj().T - dim * np.eye(len(rows)))))
+    _, slot, held = np.unique(uniq * dim + np.arange(dim), return_inverse=True, return_counts=True)
+    sharing = np.flatnonzero((held[slot.reshape(uniq.shape)] > 1).any(axis=1))
+    for i, g in enumerate(sharing):
+        for h in sharing[i + 1:]:
+            cols = np.flatnonzero(uniq[g] == uniq[h])
+            if cols.size:
+                cross = phases[members[g]][:, cols] @ phases[members[h]][:, cols].conj().T
+                worst = max(worst, np.max(np.abs(cross)))
+    mags = np.abs(phases)
+    return {
+        "gram": float(worst) / dim,
+        "partial_trace": float(np.max(np.abs(mags**2 - 1.0))) / dim,
+        "amplitude": float(np.max(np.abs(mags - 1.0)) / np.sqrt(dim)),
+    }
 
 
 def grand_operator_loop(N, H):

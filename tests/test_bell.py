@@ -1,5 +1,7 @@
 """Bell families: construction, orthonormality, entanglement, relabeling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from dense_oracle import (
@@ -10,7 +12,9 @@ from dense_oracle import (
     dense_residuals,
     encode_direct_loop,
     interleave_loop,
+    sign_matrix,
     table_basis,
+    table_residuals_grouped,
 )
 
 import sdc.bell as bell_mod
@@ -29,10 +33,11 @@ from sdc.bell import (
     first_particle_interleave,
     label_to_message,
     message_to_label,
+    table_residuals,
 )
-from sdc.cli import table_residuals
 from sdc.errors import ArgOutOfRange, OrderMismatch
 from sdc.hilbert import (
+    TOL_EXACT,
     SignedPermutationOp,
     apply,
     index_to_label,
@@ -276,10 +281,12 @@ class TestFamilyTables:
 
         monkeypatch.setattr(bell_mod, "compact_partner_table", colliding)
         H = hadamard.build(2 * N)
-        exact = table_residuals(bell_table(N, H, compact=True))["gram"]
+        built = bell_table(N, H, compact=True)
+        exact = table_residuals(built)["gram"]
         dense = dense_residuals(bell_basis_matrix(N, H, compact=True))["gram"]
         assert exact >= 1.0 / (2 * N)
         assert abs(exact - dense) <= 1e-12
+        assert table_residuals(built) == table_residuals_grouped(built)
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_flipped_phase_breaks_both_grams(self, N, monkeypatch):
@@ -294,10 +301,12 @@ class TestFamilyTables:
 
         monkeypatch.setattr(bell_mod, "encoder_table", flipped)
         H = hadamard.build(2 * N)
-        exact = table_residuals(bell_table(N, H))["gram"]
+        built = bell_table(N, H)
+        exact = table_residuals(built)["gram"]
         dense = dense_residuals(bell_basis_matrix(N, H))["gram"]
         assert exact >= 1.0 / N
         assert abs(exact - dense) <= 1e-12
+        assert table_residuals(built) == table_residuals_grouped(built)
 
     @pytest.mark.parametrize("N", [1, 2, 4, 8])
     def test_relabel_matches_the_dense_search(self, N):
@@ -309,6 +318,48 @@ class TestFamilyTables:
             assert np.array_equal(got.target, want.target)
             assert np.array_equal(got.phase, want.phase)
         assert relabel.label_map == label_map
+
+
+class TestResidualRoutes:
+    """`table_residuals` reads the family layout; the grouped route searches for it."""
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["standard", "compact"])
+    @pytest.mark.parametrize(
+        "matrix,N",
+        [
+            *(("sylvester", n) for n in (1, 2, 4, 8, 16)),
+            ("alt4", 2),
+            ("paley", 6),
+            *(("flipped", n) for n in (2, 4, 8, 16)),
+        ],
+    )
+    def test_layout_route_equals_the_grouped_route(self, matrix, N, compact):
+        table = bell_table(N, sign_matrix(matrix, N), compact)
+        assert table_residuals(table) == table_residuals_grouped(table)
+
+    def test_unblocked_table_fails_on_both_routes(self):
+        # member 2 of family 0 swaps two of its targets: its row is still a
+        # permutation, but no longer in its family's block
+        table = bell_table(2, hadamard.build(4))
+        target = table.target.copy()
+        target[1, [0, 1]] = target[1, [1, 0]]
+        unblocked = SignedPermutationOp(table.dim, target, table.phase)
+        assert table_residuals(unblocked)["gram"] == 1.0
+        assert table_residuals_grouped(unblocked)["gram"] > TOL_EXACT
+
+    def test_no_temporary_is_table_sized(self):
+        # one pass over the family blocks holds (2N)^2-entry temporaries and
+        # the (2N)^3 bool agreement grid (256 KiB at N = 32); the table's
+        # phases alone hold 4 MiB
+        N = 32
+        table = bell_table(N, hadamard.build(2 * N))
+        tracemalloc.start()
+        try:
+            table_residuals(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("N", range(1, 33))

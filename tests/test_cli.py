@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from dense_oracle import paley_order_12
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -747,6 +748,28 @@ class TestBases:
         assert code == 0
         assert json.loads(out)["gram_max_deviation"] == 0.0
         digest = "b35d639873573ce86ee09e988f3a84de474add19d37238c610d19214f9bed24c"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "n,matrix,digest",
+        [
+            ("2", ALT4, "d896662e6da474d6b979a639a4b2087480ea7be6cea88b630a928625a4f3d406"),
+            (
+                "6",
+                "".join(" ".join(map(str, row)) + "\n" for row in paley_order_12()),
+                "6b9047d63ffb83ad3c2bd0081969a514f0cc5e7bb2b436fe4ed2803ed9a5d68c",
+            ),
+        ],
+        ids=["alt4", "paley-12"],
+    )
+    def test_registry_report_matches_recorded_digest(self, capsys, tmp_path, n, matrix, digest):
+        # verify stops at the member-mixer reading for both matrices, so
+        # bases is where their Gram deviation is reported
+        mats = tmp_path / "mats.txt"
+        mats.write_text(matrix)
+        code, out, _ = run_cli(capsys, "bases", "--n", n, "--custom-matrices", str(mats))
+        assert code == 0
+        assert json.loads(out)["gram_max_deviation"] == 0.0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -4,7 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_oracle import encode_law_residuals_loop, member_mixer_gates
+from dense_oracle import (
+    ALT4,
+    encode_law_residuals_loop,
+    member_mixer_gates,
+    paley_order_12,
+    sign_matrix,
+)
 
 import sdc.encoder as enc
 from sdc import hadamard
@@ -23,31 +29,6 @@ from sdc.encoder import (
 from sdc.errors import ArgOutOfRange, DimensionMismatch, PropertyViolated
 from sdc.gates import channel_sign_gate
 from sdc.hilbert import SignedPermutationOp, apply, compose_perms, partial_trace, phi_plus_overlap
-
-# a symmetric sign matrix of order 4 whose rows do not close under products
-ALT4 = np.array([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]])
-
-
-def paley_order_12():
-    """Paley II with q = 5: C (x) [[1, 1], [1, -1]] + I_6 (x) [[1, -1], [-1, -1]]
-    for the conference matrix C = [[0, 1^T], [1, Q]] of GF(5)'s Jacobsthal
-    matrix Q, conjugated by diag(row 1) so that row 1 is all-plus."""
-    chi = {0: 0, 1: 1, 2: -1, 3: -1, 4: 1}  # the quadratic character of GF(5)
-    C = np.zeros((6, 6), dtype=int)
-    C[0, 1:] = C[1:, 0] = 1
-    C[1:, 1:] = [[chi[(a - b) % 5] for b in range(5)] for a in range(5)]
-    H = np.kron(C, [[1, 1], [1, -1]]) + np.kron(np.eye(6, dtype=int), [[1, -1], [-1, -1]])
-    return H * H[0] * H[0][:, None]
-
-
-def flipped_sylvester(order):
-    """Sylvester of the given order with row and column 4 negated: still
-    symmetric and Hadamard, with one minus sign in row 1."""
-    H = hadamard.build(order).ints.copy()
-    H[3] *= -1
-    H[:, 3] *= -1
-    return H
-
 
 def resolved_order(N, H):
     """`resolve_composition_order` under a fresh member-mixer resolution."""
@@ -126,19 +107,22 @@ class TestActionCheck:
 class TestMemberMixer:
     def test_anchor_member_is_identity(self):
         H = hadamard.build(4)
-        assert np.array_equal(np.asarray(member_mixer(2, H, 1)), np.eye(4))
+        reading = resolve_member_mixer_reading(2, H)["reading"]
+        assert np.array_equal(np.asarray(member_mixer(2, H, 1, reading)), np.eye(4))
 
     def test_one_pair_second_member_is_the_sign_gate(self):
         H = hadamard.build(2)
+        reading = resolve_member_mixer_reading(1, H)["reading"]
         assert np.array_equal(
-            np.asarray(member_mixer(1, H, 2)), np.asarray(channel_sign_gate(1, 1))
+            np.asarray(member_mixer(1, H, 2, reading)), np.asarray(channel_sign_gate(1, 1))
         )
 
     def test_row_product_law_at_one_pair(self):
         N, H = 1, hadamard.build(2)
         rows = {tuple(H.ints[i]): i + 1 for i in range(2)}
+        reading = resolve_member_mixer_reading(N, H)["reading"]
         for j in (1, 2):
-            op = member_mixer(N, H, j)
+            op = member_mixer(N, H, j, reading)
             for lab in all_labels(N):
                 jpp = rows[tuple(H.ints[j - 1] * H.ints[lab.j - 1])]
                 moved = apply(op, 0, bell_state(N, lab, H))
@@ -150,11 +134,13 @@ class TestMemberMixer:
         N, H = 2, hadamard.build(4)
         rows = {tuple(H.ints[i]): i + 1 for i in range(4)}
         start = bell_state(N, BellLabel(1, +1, 1), H)
+        reading = resolve_member_mixer_reading(N, H)["reading"]
         for j in range(1, 5):
             for jp in range(1, 5):
                 jpp = rows[tuple(H.ints[j - 1] * H.ints[jp - 1])]
-                chained = apply(member_mixer(N, H, jp), 0, apply(member_mixer(N, H, j), 0, start))
-                direct = apply(member_mixer(N, H, jpp), 0, start)
+                mixed = apply(member_mixer(N, H, j, reading), 0, start)
+                chained = apply(member_mixer(N, H, jp, reading), 0, mixed)
+                direct = apply(member_mixer(N, H, jpp, reading), 0, start)
                 assert np.max(np.abs(chained.amp - direct.amp)) < 1e-12
 
     def test_reading_resolution(self):
@@ -176,12 +162,16 @@ class TestMemberMixer:
         # the rejected reading builds a different operator for member 2
         N, H = 1, hadamard.build(2)
         literal = _member_mixer_with_reading(N, H, 2, "cross-column")
-        resolved = member_mixer(N, H, 2)
+        resolved = member_mixer(N, H, 2, resolve_member_mixer_reading(N, H)["reading"])
         assert not np.array_equal(np.asarray(literal), np.asarray(resolved))
 
     def test_argument_range(self):
         with pytest.raises(ArgOutOfRange):
-            member_mixer(2, hadamard.build(4), 5)
+            member_mixer(2, hadamard.build(4), 5, "same-column")
+
+    def test_unknown_reading_is_refused(self):
+        with pytest.raises(ArgOutOfRange, match="unknown member-mixer reading 'bogus'"):
+            member_mixer(2, hadamard.build(4), 2, "bogus")
 
 
 class TestMemberMixerOracle:
@@ -433,8 +423,7 @@ class TestExactLawChecks:
     def test_factored_residuals_equal_the_per_label_loop(self, matrix, N, rule):
         # the family rule depends on row 1 and the pairing only: a row 1 with
         # one minus sign reads 1/N
-        custom = {"alt4": lambda: ALT4, "paley": paley_order_12, "flipped": lambda: flipped_sylvester(2 * N)}
-        H = hadamard.build(2 * N, custom={2 * N: custom[matrix]()} if matrix in custom else None)
+        H = sign_matrix(matrix, N)
         exact = encode_law_residuals(N, H)
         assert exact == encode_law_residuals_loop(N, H)
         assert exact == {"structure": 0.0, "family_rule": rule, "no_signaling": 0.0}

@@ -11,7 +11,8 @@ its pairing (`compact_partner_table`) fixes the index blocks on which
 as the stacked `SignedPermutationOp` of these permutations (`bell_table`),
 in 2N family blocks of 2N rows that share one target row; `table_residuals`
 reads the basis residuals off those blocks, and the relabeling and encoder
-laws compose and overlap the stacks with `hilbert`'s exact arithmetic.
+laws compose and overlap them, one block at a time, with `hilbert`'s exact
+arithmetic.
 """
 
 from __future__ import annotations
@@ -249,7 +250,10 @@ def derive_compact_relabel(N: int, H: HadamardMatrix) -> CompactRelabel:
     constructive pair (interleave the first particle, identity on the second)
     is verified against every label instead.  Both families are compared as
     `bell_table`s, so a match is exact in every index and sign: the pair
-    sends (U x I)|Phi+> to (perm_a U perm_b^T x I)|Phi+>.  If no pair
+    sends (U x I)|Phi+> to (perm_a U perm_b^T x I)|Phi+>, composed one
+    family block of 2N standard rows at a time, so no moved copy of the
+    table is held; each moved row is looked up in a dict of the compact
+    rows' bytes, which is about one table's worth.  If no pair
     passes, the decoder must fall back to an explicit basis-change unitary;
     that situation is reported through NoLocalMapFound rather than papered
     over.
@@ -262,13 +266,15 @@ def derive_compact_relabel(N: int, H: HadamardMatrix) -> CompactRelabel:
     compact = {t.tobytes() + p.tobytes(): lab for lab, t, p in compact_rows}
 
     def matches(perm_a, perm_b) -> dict[BellLabel, BellLabel] | None:
-        moved = compose_perms(compose_perms(perm_a, standard), perm_b.T)
-        mapping = {}
-        for lab, t, p in zip(labels, moved.target, moved.phase):
-            hit = compact.get(t.tobytes() + p.tobytes())
-            if hit is None:
-                return None
-            mapping[lab] = hit
+        perm_b_t, mapping = perm_b.T, {}
+        for rows in range(0, len(labels), dim):  # one family block at a time
+            block = standard[rows:rows + dim]
+            moved = compose_perms(compose_perms(perm_a, block), perm_b_t)
+            for lab, t, p in zip(labels[rows:rows + dim], moved.target, moved.phase):
+                hit = compact.get(t.tobytes() + p.tobytes())
+                if hit is None:
+                    return None
+                mapping[lab] = hit
         # a bijection: no two standard states may land on one compact state
         return mapping if len(set(mapping.values())) == len(mapping) else None
 

@@ -4,7 +4,7 @@ Subcommands: bases, verify, encode, decode, table, run, sweep, rates, spin.
 Reports are emitted as sorted-key JSON or LF-terminated CSV and contain no
 timestamps or unordered collections, so identical configurations produce
 byte-identical output.  Exit codes: 0 success, 1 verification/round-trip
-failure, 2 usage or configuration error.
+failure, 2 usage or configuration error, or an N too large to allocate.
 """
 
 from __future__ import annotations
@@ -557,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "spin":
             return cmd_spin(cfg, args.sign)
         parser.error(f"unknown command {args.command}")
-    except (SdcError, OSError, ValueError) as exc:  # OSError and ValueError: a safety net
+    except (SdcError, OSError, ValueError, MemoryError) as exc:  # all but SdcError: a safety net
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
     return 2

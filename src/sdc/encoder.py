@@ -11,10 +11,13 @@ the exponent columns of the member mixer and the order of the two factors,
 are resolved mechanically against the laws the operators must satisfy, and
 the resolved readings are reported.  Every law is checked on signed
 permutations (a Bell state is its encoder's permutation over sqrt(2N)) held
-as one stacked `SignedPermutationOp`, one row per label, so the checks are
+as stacked `SignedPermutationOp`s, one row per label, so the checks are
 exact index and sign comparisons.  The readings are composed and overlapped
-by `hilbert`; the composed and direct encoders' actions overlap by
-tr(D^H C) / 2N on every start state, so they are overlapped as operators.
+by `hilbert`, one family block of 2N labels at a time, so no check holds a
+(2N)^3 stack beyond the Bell table it reads; the whole-stack routes are the
+oracles in `tests/dense_oracle.py`.  The composed and direct encoders'
+actions overlap by tr(D^H C) / 2N on every start state, so they are
+overlapped as operators.
 The direct encoder's own laws are read on its factors, a +-1 diagonal per
 member after a permutation per family, once the table is checked to factor
 so; the per-label loop is the oracle in `tests/dense_oracle.py`.  Nothing is
@@ -76,16 +79,21 @@ def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
     the one whose sign row is the entrywise product of rows j and j', with
     the family untouched.  Basis states are their direct encoders' signed
     permutations, so each candidate reading is checked exactly: mixer j after
-    the stacked encoders of (k, r, j') must give those of (k, r, j'').  The
-    first reading that holds for every (family, member) pair wins; all
-    families up to N=8, one beyond (the law is family-uniform for diagonal
-    mixers, which both candidates are).  Otherwise the error names each
-    reading's first failure in (j, label) order: a row product missing from
-    H, or a member whose mixed state deviates from the target.
+    the stacked encoders of (k, r, j') must give those of (k, r, j'').  Only
+    family (1, +1)'s block is checked, at every N: every encoder
+    `encoder_table` builds is Psi_j' T_f, a +-1 diagonal per member after a
+    permutation per family (`encode_law_residuals`), and both candidate
+    mixers are diagonals, so mixer j sends Psi_j' T_f to Psi_j'' T_f in
+    every family exactly when it does in one, and by the same deviation.
+    The all-families check is
+    `tests/dense_oracle.py::resolve_member_mixer_reading_all_families`.  The
+    first reading that holds for every member pair wins.  Otherwise the
+    error names each reading's first failure in (j, label) order: a row
+    product missing from H, or a member whose mixed state deviates from the
+    target.
     """
     dim = 2 * N
-    table = encoder_table(N, H, np.arange(dim * dim if N <= 8 else dim))
-    family, member = np.divmod(np.arange(len(table.target)), dim)
+    table = encoder_table(N, H, np.arange(dim))  # family (1, +1): row j' - 1 is member j'
     # product[j-1, j'-1]: the row of H (0-based) equal to row j * row j', -1 if none
     row_of = {row.tobytes(): i for i, row in enumerate(H.ints)}
     product = np.array([[row_of.get((a * b).tobytes(), -1) for b in H.ints] for a in H.ints])
@@ -95,8 +103,8 @@ def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
             op = _member_mixer_with_reading(N, H, j, reading)
             # the mixer acts on the first particle, i.e. on the encoder's rows
             moved = compose_perms(op, table)
-            jpp = product[j - 1, member]
-            want = table[family * dim + jpp]  # read only where the product row exists
+            jpp = product[j - 1]
+            want = table[jpp]  # read only where the product row exists
             same = (moved.target == want.target) & (moved.phase == want.phase)
             bad = np.flatnonzero((jpp < 0) | ~same.all(axis=1))
             if bad.size:
@@ -151,46 +159,51 @@ def family_shift(N: int, k: int, r: int) -> SignedPermutationOp:
     return compose_perms(ladder_shift_gate(N, 1 - k), op)
 
 
-def _checked_stack(dim: int, ops, rows: tuple[int, ...]) -> SignedPermutationOp:
-    """The operators `ops` yields, checked and stacked on leading axes `rows`; only arrays are kept."""
-    target, phase = (np.reshape(a, (*rows, dim)) for a in zip(*((o.target, o.phase) for o in ops)))
-    return SignedPermutationOp(dim, target, phase)
-
-
 def resolve_composition_order(N: int, H: HadamardMatrix, reading: str) -> dict:
     """Decide which factor of the composed encoder acts first.
 
     `reading` is the caller's resolved member-mixer reading
-    (`resolve_member_mixer_reading`).  One member mixer per label, built
-    under that reading, and one family shift per family are stacked as
-    (family, member) and (family, 1) grids, checked as signed permutations
-    (the gates are built unchecked) and composed in both orders, each family
-    shift broadcast over its members.  Each label's composed encoder is
-    overlapped with its direct encoder once: the overlap is the same on every
-    start state, so one value stands for all of them, and it is exact.  An
-    order passes if every label matches with unit overlap up to a global
-    phase; the observed worst phase deviation and whether the operators agree
-    as matrices (a stronger fact than required) are recorded alongside.
+    (`resolve_member_mixer_reading`).  The check runs one family block at a
+    time: the family's 2N member mixers, one per label, built under that
+    reading, are stacked and its family shift is taken alone; both are
+    checked as signed permutations (the gates are built unchecked) and
+    composed in both orders, the shift broadcast over the members.  Each
+    label's composed encoder is overlapped with its direct encoder (the
+    family's rows of `bell_table`, built alone by `encoder_table`) once:
+    the overlap is the same on every start state, so one value stands for
+    all of them, and it is exact.  Only the (family, member) overlaps and
+    whether the operators agree as matrices (a stronger fact than required)
+    are kept per order, so nothing of (2N)^3 entries is held.  An order
+    passes if every label matches with unit overlap up to a global phase;
+    the observed worst phase deviation is recorded alongside.  The stacked
+    route over all labels at once is
+    `tests/dense_oracle.py::resolve_composition_order_stacked`.
     """
     dim, labels = 2 * N, all_labels(N)
-    table = bell_table(N, H)  # row m: encode_direct of message m = family * 2N + member
-    grid = (dim, dim, dim)  # (family, member, column)
-    direct = SignedPermutationOp._trusted(dim, table.target.reshape(grid), table.phase.reshape(grid))
-    # the gates are built unchecked, so both stacks are checked here, once
-    mixer = _checked_stack(dim, (member_mixer(N, H, lab.j, reading) for lab in labels), (dim, dim))
-    shift = _checked_stack(dim, (family_shift(N, lab.k, lab.r) for lab in labels[::dim]), (dim, 1))
-    for order in COMPOSITION_ORDERS:
-        outer, inner = (mixer, shift) if order == "family-shift-first" else (shift, mixer)
-        composed = compose_perms(outer, inner)
-        # <(D S x I)Phi+|(C S x I)Phi+> = tr(S^H D^H C S) / 2N = tr(D^H C) / 2N for every start S
-        overlap = phi_plus_overlap(direct, composed)
+    overlaps = np.empty((len(COMPOSITION_ORDERS), dim, dim), dtype=np.complex128)
+    equal = [True] * len(COMPOSITION_ORDERS)
+    for f in range(dim):
+        rows = range(f * dim, (f + 1) * dim)  # message = family * 2N + member
+        direct = encoder_table(N, H, rows)
+        # the gates are built unchecked, so each family's are checked here, once
+        mixers = [member_mixer(N, H, labels[m].j, reading) for m in rows]
+        mixer = SignedPermutationOp(dim, [op.target for op in mixers], [op.phase for op in mixers])
+        shift = family_shift(N, labels[f * dim].k, labels[f * dim].r)
+        shift = SignedPermutationOp(dim, shift.target, shift.phase)
+        for o, order in enumerate(COMPOSITION_ORDERS):
+            outer, inner = (mixer, shift) if order == "family-shift-first" else (shift, mixer)
+            composed = compose_perms(outer, inner)
+            # <(D S x I)Phi+|(C S x I)Phi+> = tr(S^H D^H C S) / 2N = tr(D^H C) / 2N for every start S
+            overlaps[o, f] = phi_plus_overlap(direct, composed)
+            equal[o] = equal[o] and composed == direct
+    for order, overlap, matrix_equal in zip(COMPOSITION_ORDERS, overlaps, equal):
         worst_overlap = float(np.max(np.abs(np.abs(overlap) - 1.0)))
         if worst_overlap <= TOL_CHAINED:
             return {
                 "order": order,
                 "max_overlap_deviation": worst_overlap,
                 "max_phase_deviation": float(np.max(np.abs(overlap / np.abs(overlap) - 1.0))),
-                "matrix_equal_to_direct": composed == direct,
+                "matrix_equal_to_direct": matrix_equal,
             }
     raise PropertyViolated("neither composition order reproduces the direct encoder's action")
 

@@ -8,8 +8,10 @@ basis residuals computed from those stacks and from the table's rows grouped
 by search, the grand operator assembled one label at a time, the pipeline's
 mixer assembled ket by ket as a csc matrix, the compact relabeling searched
 on dense states, the spin-extended round trip run on the dense
-(2N(2S+1))^2 state, the member mixer multiplied gate by gate, and the
-encoder laws checked label by label on the unfactored table.  Three sign
+(2N(2S+1))^2 state, the member mixer multiplied gate by gate, the
+encoder laws checked label by label on the unfactored table, the
+member-mixer reading checked on every family, and the composition order
+checked on whole (2N)^3 stacks.  Three sign
 matrices beyond Sylvester's (ALT4, Paley order 12 and a negated Sylvester)
 are kept here for the tests that share them.
 """
@@ -30,6 +32,7 @@ from sdc.bell import (
 )
 from sdc.decoder import grand_messages
 from sdc.encoder import encode_direct
+from sdc.errors import PropertyViolated
 from sdc.gates import channel_sign_gate, channel_swap_gate
 from sdc.hilbert import (
     SignedPermutationOp,
@@ -116,6 +119,69 @@ def member_mixer_gates(N, H, j, reading):
         if e2 % 2 != 0:
             op = compose_perms(channel_sign_gate(N, i), op)
     return op
+
+
+def resolve_member_mixer_reading_all_families(N, H):
+    """`resolve_member_mixer_reading` checked on every family's block, not
+    family (1, +1)'s alone: each candidate mixer after all 4N^2 direct
+    encoders, with the same result or the same error text.  The mixers and
+    readings are read through `sdc.encoder`, so a patch there reaches both."""
+    dim = 2 * N
+    table = enc.encoder_table(N, H, np.arange(dim * dim))
+    family, member = np.divmod(np.arange(dim * dim), dim)
+    row_of = {row.tobytes(): i for i, row in enumerate(H.ints)}
+    product = np.array([[row_of.get((a * b).tobytes(), -1) for b in H.ints] for a in H.ints])
+    failures = {}
+    for reading in enc.MEMBER_MIXER_READINGS:
+        for j in range(1, dim + 1):
+            moved = compose_perms(enc._member_mixer_with_reading(N, H, j, reading), table)
+            jpp = product[j - 1, member]
+            want = table[family * dim + jpp]
+            same = (moved.target == want.target) & (moved.phase == want.phase)
+            bad = np.flatnonzero((jpp < 0) | ~same.all(axis=1))
+            if bad.size:
+                m, lab = bad[0], all_labels(N)[bad[0]]
+                if jpp[m] < 0:
+                    failures[reading] = f"row {j} * row {lab.j} is not a row of H"
+                else:
+                    dev = np.max(np.abs(np.asarray(moved[m]) - np.asarray(want[m]))) / np.sqrt(dim)
+                    failures[reading] = f"mixer {j} on {lab} deviates by {dev:.3e}"
+                break
+        else:
+            return {"reading": reading, "max_deviation": 0.0, "anchor_row": 1}
+    raise PropertyViolated(f"no member-mixer exponent reading satisfies the row-product law: {failures}")
+
+
+def resolve_composition_order_stacked(N, H, reading):
+    """`resolve_composition_order` on whole stacks: all 4N^2 member mixers
+    as one checked (family, member) grid, the 2N family shifts as a checked
+    (family, 1) grid, and the (2N)^3 direct table, composed and overlapped
+    at once, each order in turn.  The gates and the table are read through
+    `sdc.encoder`, so a patch there reaches both routes."""
+    dim, labels = 2 * N, all_labels(N)
+
+    def checked(ops, rows):
+        target, phase = (np.reshape(a, (*rows, dim)) for a in zip(*((o.target, o.phase) for o in ops)))
+        return SignedPermutationOp(dim, target, phase)
+
+    table = enc.bell_table(N, H)
+    grid = (dim, dim, dim)  # (family, member, column)
+    direct = SignedPermutationOp._trusted(dim, table.target.reshape(grid), table.phase.reshape(grid))
+    mixer = checked((enc.member_mixer(N, H, lab.j, reading) for lab in labels), (dim, dim))
+    shift = checked((enc.family_shift(N, lab.k, lab.r) for lab in labels[::dim]), (dim, 1))
+    for order in enc.COMPOSITION_ORDERS:
+        outer, inner = (mixer, shift) if order == "family-shift-first" else (shift, mixer)
+        composed = compose_perms(outer, inner)
+        overlap = phi_plus_overlap(direct, composed)
+        worst_overlap = float(np.max(np.abs(np.abs(overlap) - 1.0)))
+        if worst_overlap <= enc.TOL_CHAINED:
+            return {
+                "order": order,
+                "max_overlap_deviation": worst_overlap,
+                "max_phase_deviation": float(np.max(np.abs(overlap / np.abs(overlap) - 1.0))),
+                "matrix_equal_to_direct": composed == direct,
+            }
+    raise PropertyViolated("neither composition order reproduces the direct encoder's action")
 
 
 def encode_law_residuals_loop(N, H):

@@ -216,6 +216,24 @@ class TestCompactRelabel:
         assert relabel.method == "constructive"
         assert all(lab == out for lab, out in relabel.label_map.items())
 
+    def test_relabel_composes_one_family_block_at_a_time(self):
+        # the standard and compact tables and the dict of compact rows (about
+        # one table) are held, and the moved rows one family block at a time; a
+        # table is its targets plus phases, 6 MiB at N = 32.  Moving the whole
+        # standard table at once peaks at about 5.1 tables.
+        N = 32
+        H = hadamard.build(2 * N)
+        table = bell_table(N, H)
+        size = table.target.nbytes + table.phase.nbytes
+        del table
+        tracemalloc.start()
+        try:
+            derive_compact_relabel(N, H)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * size
+
 
 class TestFamilyTables:
     """Each family's table of signed permutations against the dense per-state route."""

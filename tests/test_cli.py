@@ -53,6 +53,24 @@ class TestVerify:
         assert code == 2
         assert "UnsupportedOrder" in err
 
+    @pytest.mark.parametrize(
+        "command,argv",
+        [("cmd_verify", ["verify", "--n", "2"]), ("cmd_sweep", ["sweep", "--n", "2"]),
+         ("cmd_bases", ["bases", "--n", "2"])],
+    )
+    def test_memory_error_exits_2_with_one_line(self, capsys, monkeypatch, command, argv):
+        # an N too large for the machine surfaces as numpy's MemoryError; it
+        # is a usage error, not a verification failure (exit 1) or a traceback
+        import sdc.cli as cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+        monkeypatch.setattr(cli, command, exhausted)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: MemoryError: Unable to allocate 2.00 GiB for an array\n"
+
     def test_pipeline_report_included(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n", "2", "--path", "pipeline")
         assert code == 0

@@ -9,6 +9,8 @@ from dense_oracle import (
     encode_law_residuals_loop,
     member_mixer_gates,
     paley_order_12,
+    resolve_composition_order_stacked,
+    resolve_member_mixer_reading_all_families,
     sign_matrix,
 )
 
@@ -26,7 +28,7 @@ from sdc.encoder import (
     resolve_composition_order,
     resolve_member_mixer_reading,
 )
-from sdc.errors import ArgOutOfRange, DimensionMismatch, PropertyViolated
+from sdc.errors import ArgOutOfRange, DimensionMismatch, PropertyViolated, SdcError
 from sdc.gates import channel_sign_gate
 from sdc.hilbert import SignedPermutationOp, apply, compose_perms, partial_trace, phi_plus_overlap
 
@@ -144,7 +146,7 @@ class TestMemberMixer:
                 assert np.max(np.abs(chained.amp - direct.amp)) < 1e-12
 
     def test_reading_resolution(self):
-        # N = 16 checks the single-family branch
+        # every N checks family (1, +1)'s block alone
         for N in (1, 2, 4, 16):
             info = resolve_member_mixer_reading(N, hadamard.build(2 * N))
             assert info["reading"] == "same-column"
@@ -157,6 +159,9 @@ class TestMemberMixer:
         with pytest.raises(PropertyViolated) as info:
             resolve_member_mixer_reading(4, hadamard.build(8))
         assert "mixer 2 on BellLabel(k=1, r=1, j=1) deviates by 7.071e-01" in str(info.value)
+        with pytest.raises(PropertyViolated) as oracle:
+            resolve_member_mixer_reading_all_families(4, hadamard.build(8))
+        assert str(oracle.value) == str(info.value)
 
     def test_cross_column_reading_violates_the_law(self):
         # the rejected reading builds a different operator for member 2
@@ -263,6 +268,8 @@ class TestComposedForm:
         monkeypatch.setattr(enc, "family_shift", lambda N, k, r: shift(N, k, 1 if k == 2 else r))
         with pytest.raises(PropertyViolated, match="neither composition order"):
             resolved_order(2, hadamard.build(4))
+        with pytest.raises(PropertyViolated, match="neither composition order"):
+            resolve_composition_order_stacked(2, hadamard.build(4), "same-column")
 
     @pytest.mark.parametrize(
         "name,arg,bad,message",
@@ -276,9 +283,9 @@ class TestComposedForm:
     def test_unchecked_non_permutation_is_caught_once_stacked(
         self, monkeypatch, name, arg, bad, message
     ):
-        # the gates are built unchecked, so the stacked check stands in for the
-        # constructor's: one broken build (member j = 2, family k = 2) raises
-        # the constructor's error
+        # the gates are built unchecked, so each family's check stands in for
+        # the constructor's: one broken build (member j = 2, family k = 2)
+        # raises the constructor's error, as on the whole-stack route
         build = getattr(enc, name)
 
         def broken(N, *args):
@@ -288,6 +295,8 @@ class TestComposedForm:
         monkeypatch.setattr(enc, name, broken)
         with pytest.raises(DimensionMismatch, match=message):
             resolved_order(2, hadamard.build(4))
+        with pytest.raises(DimensionMismatch, match=message):
+            resolve_composition_order_stacked(2, hadamard.build(4), "same-column")
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_resolved_order_gives_matrix_equality(self, N):
@@ -483,3 +492,77 @@ class TestExactLawChecks:
         assert exact["family_rule"] == 1.0
         for name, value in dense.items():
             assert abs(value - exact[name]) <= 1e-12
+
+
+def resolution(resolve, *args):
+    """What `resolve` returns, or the type and text of the SdcError it raises."""
+    try:
+        return resolve(*args)
+    except SdcError as exc:
+        return type(exc), str(exc)
+
+
+LAWFUL_AND_LAWLESS = [
+    *(("sylvester", n) for n in (1, 2, 4, 8)),
+    ("alt4", 2),
+    ("paley", 6),
+    *(("flipped", n) for n in (2, 4, 8)),
+]
+
+
+class TestFamilyBlockRoutes:
+    """The resolutions, one family block at a time, against their whole-table
+    oracles in `dense_oracle`: the same result or the same error text."""
+
+    @pytest.mark.parametrize("reading", MEMBER_MIXER_READINGS)
+    @pytest.mark.parametrize("matrix,N", [("sylvester", 16), *LAWFUL_AND_LAWLESS])
+    def test_order_equals_the_stacked_route(self, matrix, N, reading):
+        # the cross-column reading fails on Sylvester, so both outcomes are compared
+        H = sign_matrix(matrix, N)
+        got = resolution(resolve_composition_order, N, H, reading)
+        assert got == resolution(resolve_composition_order_stacked, N, H, reading)
+        if matrix == "sylvester":
+            passes = reading == "same-column"
+            assert isinstance(got, dict) if passes else got[0] is PropertyViolated
+
+    @pytest.mark.parametrize("matrix,N", LAWFUL_AND_LAWLESS)
+    def test_reading_equals_the_all_families_route(self, matrix, N):
+        H = sign_matrix(matrix, N)
+        got = resolution(resolve_member_mixer_reading, N, H)
+        assert got == resolution(resolve_member_mixer_reading_all_families, N, H)
+
+    def test_global_phase_on_one_family_is_not_matrix_equality(self, monkeypatch):
+        # family (1, +1)'s shift carries a global -1: every overlap stays of
+        # modulus 1, so the order passes, but that family's composed encoders
+        # differ from the direct ones as matrices
+        shift = enc.family_shift
+
+        def negated(N, k, r):
+            op = shift(N, k, r)
+            return SignedPermutationOp(op.dim, op.target, -op.phase) if (k, r) == (1, 1) else op
+
+        monkeypatch.setattr(enc, "family_shift", negated)
+        H = hadamard.build(8)
+        got = resolve_composition_order(4, H, "same-column")
+        assert got == resolve_composition_order_stacked(4, H, "same-column")
+        assert got["order"] == "family-shift-first"
+        assert got["matrix_equal_to_direct"] is False
+        assert (got["max_overlap_deviation"], got["max_phase_deviation"]) == (0.0, 2.0)
+
+    def test_order_check_holds_no_table_sized_array(self):
+        # only one family's (2N)^2-entry mixers, shift, direct rows and
+        # compositions are held at a time; a table (targets plus phases,
+        # 6 MiB at N = 32) is never built.  The whole-stack route peaks at
+        # about 3.8 tables.
+        N = 32
+        H = hadamard.build(2 * N)
+        table = enc.bell_table(N, H)
+        size = table.target.nbytes + table.phase.nbytes
+        del table
+        tracemalloc.start()
+        try:
+            resolve_composition_order(N, H, "same-column")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * size

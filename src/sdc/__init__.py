@@ -15,7 +15,7 @@ from .bell import (
     all_labels,
     bell_state,
     compact_bell_state,
-    derive_compact_relabel,
+    compact_relabel_holds,
     label_to_message,
     message_to_label,
 )

@@ -3,28 +3,27 @@
 Two equivalent families are provided.  The standard family pairs channel +-n
 of the first particle with a signed partner channel of the second, chosen by
 a family index (k, r); member index j selects a sign row of the Hadamard
-matrix.  The compact family is the image of the standard one under a fixed
-relabeling of the first particle and carries one Hadamard sign per basis ket;
-its pairing (`compact_partner_table`) fixes the index blocks on which
-`decoder.grand_blocks` repeats one Hadamard block.  Each state is
+matrix.  The compact family is the image of the standard one under one fixed
+relabeling, `first_particle_interleave`, and carries one Hadamard sign per
+basis ket; its pairing (`compact_partner_table`) fixes the index blocks on
+which `decoder.grand_blocks` repeats one Hadamard block.  Each state is
 (U x I)|Phi+> for a signed permutation U, and each family is defined once,
 as the stacked `SignedPermutationOp` of these permutations (`bell_table`),
 in 2N family blocks of 2N rows that share one target row; `table_residuals`
-reads the basis residuals off those blocks, and the relabeling and encoder
-laws compose and overlap them, one block at a time, with `hilbert`'s exact
-arithmetic.
+reads the basis residuals off those blocks, `compact_relabel_holds` checks
+the relabeling on them label for label, and the encoder laws compose and
+overlap them, one block at a time, with `hilbert`'s exact arithmetic.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgOutOfRange, NoLocalMapFound, OrderMismatch
+from .errors import ArgOutOfRange, OrderMismatch
 from .hadamard import HadamardMatrix
-from .hilbert import SignedPermutationOp, StateVector, compose_perms, identity_perm
+from .hilbert import SignedPermutationOp, StateVector, compose_perms
 
 __all__ = [
     "BellLabel",
@@ -40,8 +39,7 @@ __all__ = [
     "table_residuals",
     "compact_bell_state",
     "first_particle_interleave",
-    "CompactRelabel",
-    "derive_compact_relabel",
+    "compact_relabel_holds",
 ]
 
 
@@ -226,69 +224,18 @@ def first_particle_interleave(N: int) -> SignedPermutationOp:
     return SignedPermutationOp(2 * N, target, np.ones(2 * N, dtype=np.complex128))
 
 
-@dataclass(frozen=True)
-class CompactRelabel:
-    """Local permutation pair carrying the standard basis onto the compact one.
+def compact_relabel_holds(standard: SignedPermutationOp, compact: SignedPermutationOp) -> bool:
+    """Whether `first_particle_interleave` carries every standard row onto the
+    compact row of the same label, exactly in every index and sign.
 
-    (perm_a x perm_b) bell_state(lab) == compact_bell_state(label_map[lab])
-    holds amplitude-exactly for every label.  `method` records whether the
-    pair came from the exhaustive search or the constructive candidate.
+    Takes the standard and compact `bell_table`s; the interleave P sends
+    (U x I)|Phi+> to (P U x I)|Phi+>, composed one family block of 2N rows at
+    a time, so no moved copy of the table is held.  The exhaustive search
+    over local permutation pairs is `tests/dense_oracle.py::dense_relabel`.
     """
-
-    perm_a: SignedPermutationOp
-    perm_b: SignedPermutationOp
-    label_map: dict[BellLabel, BellLabel]
-    method: str
-
-
-def derive_compact_relabel(N: int, H: HadamardMatrix) -> CompactRelabel:
-    """Find local permutations relating the standard and compact families.
-
-    For 2N <= 4 the search is exhaustive over all ((2N)!)^2 permutation pairs
-    in lexicographic order and returns the first full match, which makes the
-    result reproducible and usable as an oracle.  For larger N the known
-    constructive pair (interleave the first particle, identity on the second)
-    is verified against every label instead.  Both families are compared as
-    `bell_table`s, so a match is exact in every index and sign: the pair
-    sends (U x I)|Phi+> to (perm_a U perm_b^T x I)|Phi+>, composed one
-    family block of 2N standard rows at a time, so no moved copy of the
-    table is held; each moved row is looked up in a dict of the compact
-    rows' bytes, which is about one table's worth.  If no pair
-    passes, the decoder must fall back to an explicit basis-change unitary;
-    that situation is reported through NoLocalMapFound rather than papered
-    over.
-    """
-    dim = 2 * N
-    labels = all_labels(N)
-    standard, compact_table = bell_table(N, H), bell_table(N, H, compact=True)
-    # each compact row's exact (target, phase) bytes -> its label
-    compact_rows = zip(labels, compact_table.target, compact_table.phase)
-    compact = {t.tobytes() + p.tobytes(): lab for lab, t, p in compact_rows}
-
-    def matches(perm_a, perm_b) -> dict[BellLabel, BellLabel] | None:
-        perm_b_t, mapping = perm_b.T, {}
-        for rows in range(0, len(labels), dim):  # one family block at a time
-            block = standard[rows:rows + dim]
-            moved = compose_perms(compose_perms(perm_a, block), perm_b_t)
-            for lab, t, p in zip(labels[rows:rows + dim], moved.target, moved.phase):
-                hit = compact.get(t.tobytes() + p.tobytes())
-                if hit is None:
-                    return None
-                mapping[lab] = hit
-        # a bijection: no two standard states may land on one compact state
-        return mapping if len(set(mapping.values())) == len(mapping) else None
-
-    if dim <= 4:
-        order = np.array(list(itertools.permutations(range(dim))))
-        perms = SignedPermutationOp(dim, order, np.ones(order.shape))
-        for a, b in itertools.product(range(len(order)), repeat=2):
-            mapping = matches(perms[a], perms[b])
-            if mapping is not None:
-                return CompactRelabel(perms[a], perms[b], mapping, "exhaustive")
-        raise NoLocalMapFound(f"no local permutation pair found at N={N}")
-
-    perm_a, perm_b = first_particle_interleave(N), identity_perm(dim)
-    mapping = matches(perm_a, perm_b)
-    if mapping is None:
-        raise NoLocalMapFound(f"constructive relabel failed verification at N={N}")
-    return CompactRelabel(perm_a, perm_b, mapping, "constructive")
+    dim = standard.dim
+    interleave = first_particle_interleave(dim // 2)
+    return standard.shape == compact.shape and all(
+        compose_perms(interleave, standard[rows:rows + dim]) == compact[rows:rows + dim]
+        for rows in range(0, len(standard.target), dim)
+    )

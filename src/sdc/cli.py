@@ -180,20 +180,16 @@ def build_verify_report(cfg: RunConfig) -> dict:
     check("hadamard-entry-magnitude", magnitude, cfg.tol_exact)
 
     # Bell bases, each held as its table of signed permutations
-    standard = bell.table_residuals(bell.bell_table(N, H))
-    compact = bell.table_residuals(bell.bell_table(N, H, compact=True))
+    standard_table, compact_table = bell.bell_table(N, H), bell.bell_table(N, H, compact=True)
+    standard = bell.table_residuals(standard_table)
+    compact = bell.table_residuals(compact_table)
+    relabel_holds = bell.compact_relabel_holds(standard_table, compact_table)
+    del standard_table, compact_table  # held through the checks below, they would set the peak
     check("bell-gram", standard["gram"], cfg.tol_exact)
     check("bell-compact-gram", compact["gram"], cfg.tol_exact)
     check("bell-partial-trace", standard["partial_trace"], cfg.tol_exact)
     check("bell-amplitude-structure", standard["amplitude"], cfg.tol_exact)
-
-    try:
-        relabel_method = bell.derive_compact_relabel(N, H).method
-        relabel_missing = 0.0
-    except SdcError:
-        relabel_method = "none"
-        relabel_missing = 1.0
-    check("bell-compact-relabel-found", relabel_missing, 0.0)
+    check("bell-compact-relabel-found", 0.0 if relabel_holds else 1.0, 0.0)
 
     # basic gates: a signed permutation P has P^H P = diag(|phase|^2), and its
     # P^2 - I is the off-identity residual of P o P; only the Hadamards go dense
@@ -279,7 +275,7 @@ def build_verify_report(cfg: RunConfig) -> dict:
             "member_mixer": reading,
             "composition": order,
             "mixer_normalization": mixer_info,
-            "compact_relabel_method": relabel_method,
+            "compact_relabel_method": "constructive" if relabel_holds else "none",
         },
         "gates": gate_report,
         "checks": checks,

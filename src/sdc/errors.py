@@ -33,10 +33,6 @@ class ArgOutOfRange(SdcError):
     """Scalar argument outside its documented range."""
 
 
-class NoLocalMapFound(SdcError):
-    """No pair of local permutations relates the two Bell families."""
-
-
 class NonUnitaryResolution(SdcError):
     """No normalization reading of the nonlocal mixer yields a unitary involution."""
 

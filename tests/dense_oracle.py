@@ -348,7 +348,9 @@ def _amplitude_key(amp):
 
 def dense_relabel(N, H):
     """(method, perm_a, perm_b, label_map) of the compact relabeling, found on
-    dense states: the same candidates in the same order as the library."""
+    dense states: the first pair in lexicographic order by exhaustive search
+    at 2N <= 4, and the decoder's pair (`first_particle_interleave`, identity)
+    checked beyond."""
     dim = 2 * N
     standard = {lab: bell_state(N, lab, H) for lab in all_labels(N)}
     compact = {_amplitude_key(compact_bell_state(N, lab, H).amp): lab for lab in all_labels(N)}

@@ -98,11 +98,11 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv,digest",
         [
-            (["--n", "2"], "9d80310626b934645cb272068ba591f1c2a2096c5f356d8e6adfe9a5ba95ff19"),
+            (["--n", "2"], "ebef6b07677384c324787cc4e2e95f31dd618e1e0efb06df3fe7d6dccc69b303"),
             (["--n", "8"], "ee903b964c45d349e52231304485080df5aac31870a9b13960490b0ab7269923"),
             (
                 ["--n", "2", "--path", "pipeline"],
-                "78fd2475c9327f6a962c4cce5cdb51d0ed9e8f28941a80c189ab50adc189b751",
+                "8575397fc44ffe22bd98b5a5b8d7789c5c07a8f7c5a2e58b63217af46841fd64",
             ),
             (
                 ["--n", "8", "--path", "pipeline"],
@@ -113,7 +113,7 @@ class TestVerify:
                 "641321d3072ed177f02fa96e5896675f82ecd9f9b4a03c155ec0738fdac23e08",
             ),
             (["--n", "4"], "942eafa8ae6ddb68c0fea5eb2ca1e37374d92d759134d35a29c534b6790220ad"),
-            (["--n", "1"], "a0786e8283edb66229cd0e029151db3ef7d2eaee285b47d9ee432fd21a2c49d6"),
+            (["--n", "1"], "af0fff8057112842909ccc339f55af4916c773eeaa31bda7af287d1baed05e28"),
             (["--n", "16"], "e5b104d60b0fe09d105619e39a633b52880dac181239f5349d1731186e8848a5"),
             (["--n", "32"], "7db46beb93a48faaff2b489ba641223c117d8e6e821e90f3eb24e6ae432edf8b"),
         ],
@@ -125,6 +125,33 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_small_sizes_check_the_decoders_relabel(self, capsys, n):
+        code, out, _ = run_cli(capsys, "verify", "--n", n)
+        assert code == 0
+        assert json.loads(out)["resolutions"]["compact_relabel_method"] == "constructive"
+
+    def test_unrelatable_compact_family_fails_the_relabel_check(self, capsys, monkeypatch):
+        import numpy as np
+
+        import sdc.bell as bell_mod
+        from sdc.hilbert import SignedPermutationOp
+
+        table = bell_mod.bell_table
+
+        def twisted(N, H, compact=False):
+            op = table(N, H, compact)
+            return SignedPermutationOp(op.dim, op.target, op.phase * np.exp(0.1j)) if compact else op
+
+        monkeypatch.setattr(bell_mod, "bell_table", twisted)
+        code, out, _ = run_cli(capsys, "verify", "--n", "2")
+        report = json.loads(out)
+        assert code == 1
+        assert [(c["name"], c["residual"]) for c in report["checks"] if not c["pass"]] == [
+            ("bell-compact-relabel-found", 1.0)
+        ]
+        assert report["resolutions"]["compact_relabel_method"] == "none"
 
     def test_makes_no_dense_decode(self, capsys, monkeypatch):
         import sdc.decoder as dec

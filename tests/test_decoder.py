@@ -405,16 +405,11 @@ class TestGuards:
         with pytest.raises(CollisionDetected, match=r"outcome \(0, 0\) hit by both"):
             build_decode_table(N, H, Decoder("grand", (interleave, (bad, None))))
 
-    def test_unrelatable_compact_family_is_reported(self, monkeypatch):
+    def test_unrelatable_compact_family_is_reported(self):
         import sdc.bell as bell_mod
-        from sdc.errors import NoLocalMapFound
 
-        table = bell_mod.bell_table
-
-        def twisted(N, H, compact=False):
-            op = table(N, H, compact)
-            return SignedPermutationOp(op.dim, op.target, op.phase * np.exp(0.1j)) if compact else op
-
-        monkeypatch.setattr(bell_mod, "bell_table", twisted)
-        with pytest.raises(NoLocalMapFound):
-            bell_mod.derive_compact_relabel(1, hadamard.build(2))
+        H = hadamard.build(2)
+        standard, compact = bell_mod.bell_table(1, H), bell_mod.bell_table(1, H, compact=True)
+        twisted = SignedPermutationOp(compact.dim, compact.target, compact.phase * np.exp(0.1j))
+        assert bell_mod.compact_relabel_holds(standard, compact)
+        assert not bell_mod.compact_relabel_holds(standard, twisted)

@@ -7,16 +7,20 @@ matrix.  The compact family is the image of the standard one under one fixed
 relabeling, `first_particle_interleave`, and carries one Hadamard sign per
 basis ket; its pairing (`compact_partner_table`) fixes the index blocks on
 which `decoder.grand_blocks` repeats one Hadamard block.  Each state is
-(U x I)|Phi+> for a signed permutation U, and each family is defined once,
-as the stacked `SignedPermutationOp` of these permutations (`bell_table`),
-in 2N family blocks of 2N rows that share one target row; `table_residuals`
-reads the basis residuals off those blocks, `compact_relabel_holds` checks
-the relabeling on them label for label, and the encoder laws compose and
-overlap them, one block at a time, with `hilbert`'s exact arithmetic.
+(U x I)|Phi+> for a signed permutation U.  Each family falls into 2N family
+blocks of 2N rows that share one target row (Werner's D = Psi_j T_f), and
+`FamilyBlocks` builds them one at a time: `table_residuals` reads the basis
+residuals off a pass over them, `compact_relabel_holds` checks the
+relabeling on them label for label, and the encoder laws compose and overlap
+them with `hilbert`'s exact arithmetic, so no command holds a whole family.
+`bell_table`, the family as one stack of 4N^2 signed permutations, is built
+by no command; it is the oracle the blocks must equal.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,7 @@ __all__ = [
     "bell_state",
     "compact_partner_table",
     "bell_table",
+    "FamilyBlocks",
     "table_residuals",
     "compact_bell_state",
     "first_particle_interleave",
@@ -175,34 +180,73 @@ def bell_table(N: int, H: HadamardMatrix, compact: bool = False) -> SignedPermut
     return SignedPermutationOp._trusted(2 * N, targets, phase)
 
 
-def table_residuals(table: SignedPermutationOp) -> dict:
-    """Worst Bell-basis residuals of a `bell_table`, exact for +-1 phases.
+class FamilyBlocks(Sequence):
+    """One Bell family as its 2N family blocks, each built when it is read.
 
-    Read in `bell_table`'s layout: 2N family blocks of 2N member rows, each
-    row of block f with its family's targets T_f.  gram: max|<a|b> - delta_ab|,
-    where <a|b> = sum_i [t_a[i] == t_b[i]] p_a[i] conj(p_b[i]) / 2N, so block
-    f's Gram block is P_f P_f^H / 2N, and blocks f and g overlap only where
-    T_f and T_g agree (nowhere, on a correct table).  A table not in that
-    layout reads gram 1.0, as an unfactored one reads family_rule 1.0 in
-    `encoder.encode_law_residuals`.  partial_trace: max|rho - I/2N| for the
-    reduced states diag(|phase|^2) / 2N.  amplitude: max||amp| - 1/sqrt(2N)|.
-    Temporaries are (2N)^2 entries besides the (2N)^3 bool agreement grid; the
-    grouped search this replaces is `tests/dense_oracle.py::table_residuals_grouped`.
+    Block f holds the 2N member rows of family f (message ids f*2N .. f*2N +
+    2N-1 of `bell_table`), and every row carries the family's target row.  A
+    standard block is `encoder_table` of those ids; a compact block repeats
+    row f of the inverted `compact_partner_table`, with phase h[j, target].
+    The pairing is inverted once, here, so a pass over the blocks never
+    holds more than one block and (2N)^2 indices.  Blocks equal the rows of
+    `bell_table` exactly.
     """
-    dim = table.dim
-    grid = (dim, dim, dim)  # (family, member, column)
-    target, phase = table.target.reshape(grid), table.phase.reshape(grid)
-    family_target = target[:, 0]
-    agree = family_target[:, None, :] == family_target[None, :, :]
+
+    def __init__(self, N: int, H: HadamardMatrix, compact: bool = False):
+        if H.order != 2 * N:
+            raise OrderMismatch(f"need order {2 * N}, got {H.order}")
+        self.N, self.H, self.compact = N, H, compact
+        self._targets = np.argsort(compact_partner_table(N), axis=1) if compact else None
+
+    def __len__(self) -> int:
+        return 2 * self.N
+
+    def __getitem__(self, f: int) -> SignedPermutationOp:
+        dim = 2 * self.N
+        if not 0 <= f < dim:
+            raise IndexError(f"family block {f} outside 0..{dim - 1}")
+        if not self.compact:
+            return encoder_table(self.N, self.H, range(f * dim, (f + 1) * dim))
+        targets = np.repeat(self._targets[f:f + 1], dim, axis=0)
+        phase = self.H.ints[np.arange(dim)[:, None], targets].astype(np.complex128)
+        return SignedPermutationOp._trusted(dim, targets, phase)
+
+
+def table_residuals(blocks) -> dict:
+    """Worst Bell-basis residuals of one family, exact for +-1 phases.
+
+    `blocks` is the family's sequence of 2N blocks (`FamilyBlocks`, or the
+    row slices of a `bell_table`), each of 2N member rows with its family's
+    targets T_f.  gram: max|<a|b> - delta_ab|, where
+    <a|b> = sum_i [t_a[i] == t_b[i]] p_a[i] conj(p_b[i]) / 2N, so block f's
+    Gram block is P_f P_f^H / 2N, and blocks f and g overlap only where T_f
+    and T_g agree.  They agree nowhere exactly when every column's 2N family
+    targets are distinct, which one sort per column shows; only if some
+    are not, the pairs of families that agree are built again and multiplied.  A block whose rows
+    do not share one target row reads gram 1.0, as an unfactored table reads
+    family_rule 1.0 in `encoder.encode_law_residuals`.  partial_trace:
+    max|rho - I/2N| for the reduced states diag(|phase|^2) / 2N.  amplitude:
+    max||amp| - 1/sqrt(2N)|.  One pass holds one block and the (2N)^2 family
+    targets; the whole-table route is `tests/dense_oracle.py::whole_table_residuals`
+    and the grouped search `tests/dense_oracle.py::table_residuals_grouped`.
+    """
+    dim = len(blocks)
+    family_target = np.empty((dim, dim), dtype=np.intp)
     grouped, gram, trace, amplitude = True, 0.0, 0.0, 0.0
-    for f in range(dim):
-        p, mags = phase[f], np.abs(phase[f])
-        grouped = grouped and bool(np.all(target[f] == family_target[f]))
+    for f, block in enumerate(blocks):
+        p, mags = block.phase, np.abs(block.phase)
+        family_target[f] = block.target[0]  # a copy: a kept view would pin the block
+        grouped = grouped and bool(np.all(block.target == family_target[f]))
         gram = max(gram, float(np.max(np.abs(p @ p.conj().T - dim * np.eye(dim)))))
-        for g in np.flatnonzero(agree[f, f + 1:].any(axis=1)) + f + 1:
-            gram = max(gram, float(np.max(np.abs((p * agree[f, g]) @ phase[g].conj().T))))
         trace = max(trace, float(np.max(np.abs(mags**2 - 1.0))))
         amplitude = max(amplitude, float(np.max(np.abs(mags - 1.0))))
+    # two families agree somewhere only if a sorted column holds a target twice
+    shared = np.any(np.diff(np.sort(family_target, axis=0), axis=0) == 0)
+    for f, g in itertools.combinations(range(dim), 2) if shared else ():
+        agree = family_target[f] == family_target[g]
+        if agree.any():
+            cross = (blocks[f].phase * agree) @ blocks[g].phase.conj().T
+            gram = max(gram, float(np.max(np.abs(cross))))
     return {
         "gram": gram / dim if grouped else 1.0,
         "partial_trace": trace / dim,
@@ -212,9 +256,9 @@ def table_residuals(table: SignedPermutationOp) -> dict:
 
 def compact_bell_state(N: int, label: BellLabel, H: HadamardMatrix) -> StateVector:
     """Compact-family basis state sum_m h[j, m] |m, partner(m)> / sqrt(2N): the
-    dense view of its row of the compact `bell_table`."""
-    table, row = bell_table(N, H, compact=True), label_to_message(label, N)
-    return _dense_state(SignedPermutationOp(2 * N, table.target[row], table.phase[row]))
+    dense view of its row of its compact family block."""
+    family, member = divmod(label_to_message(label, N), 2 * N)
+    return _dense_state(FamilyBlocks(N, H, compact=True)[family][member])
 
 
 def first_particle_interleave(N: int) -> SignedPermutationOp:
@@ -224,18 +268,19 @@ def first_particle_interleave(N: int) -> SignedPermutationOp:
     return SignedPermutationOp(2 * N, target, np.ones(2 * N, dtype=np.complex128))
 
 
-def compact_relabel_holds(standard: SignedPermutationOp, compact: SignedPermutationOp) -> bool:
+def compact_relabel_holds(standard, compact) -> bool:
     """Whether `first_particle_interleave` carries every standard row onto the
     compact row of the same label, exactly in every index and sign.
 
-    Takes the standard and compact `bell_table`s; the interleave P sends
-    (U x I)|Phi+> to (P U x I)|Phi+>, composed one family block of 2N rows at
-    a time, so no moved copy of the table is held.  The exhaustive search
-    over local permutation pairs is `tests/dense_oracle.py::dense_relabel`.
+    Takes the standard and compact families as block sequences
+    (`FamilyBlocks`, or the row slices of `bell_table`s); the interleave P
+    sends (U x I)|Phi+> to (P U x I)|Phi+>, composed one family block of 2N
+    rows at a time, so no moved copy of a family is held.  The whole-table
+    route is `tests/dense_oracle.py::whole_table_relabel_holds`, and the
+    exhaustive search over local permutation pairs
+    `tests/dense_oracle.py::dense_relabel`.
     """
-    dim = standard.dim
-    interleave = first_particle_interleave(dim // 2)
-    return standard.shape == compact.shape and all(
-        compose_perms(interleave, standard[rows:rows + dim]) == compact[rows:rows + dim]
-        for rows in range(0, len(standard.target), dim)
+    interleave = first_particle_interleave(len(standard) // 2)
+    return len(standard) == len(compact) and all(
+        compose_perms(interleave, s) == c for s, c in zip(standard, compact)
     )

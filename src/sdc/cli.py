@@ -144,7 +144,7 @@ def _off_identity(op: hilbert.SignedPermutationOp) -> float:
 
 def cmd_bases(cfg: RunConfig) -> int:
     H, _ = cfg.hadamard_pair()
-    gram_dev = bell.table_residuals(bell.bell_table(cfg.n, H))["gram"]
+    gram_dev = bell.table_residuals(bell.FamilyBlocks(cfg.n, H))["gram"]
     states = []
     for lab in bell.all_labels(cfg.n):
         entry = {"label": {"k": lab.k, "r": lab.r, "j": lab.j}}
@@ -179,12 +179,11 @@ def build_verify_report(cfg: RunConfig) -> dict:
     magnitude = np.max(np.abs(np.abs(norm) - 1.0 / np.sqrt(dim)))
     check("hadamard-entry-magnitude", magnitude, cfg.tol_exact)
 
-    # Bell bases, each held as its table of signed permutations
-    standard_table, compact_table = bell.bell_table(N, H), bell.bell_table(N, H, compact=True)
-    standard = bell.table_residuals(standard_table)
-    compact = bell.table_residuals(compact_table)
-    relabel_holds = bell.compact_relabel_holds(standard_table, compact_table)
-    del standard_table, compact_table  # held through the checks below, they would set the peak
+    # Bell bases, each read one family block at a time
+    standard_blocks, compact_blocks = bell.FamilyBlocks(N, H), bell.FamilyBlocks(N, H, compact=True)
+    standard = bell.table_residuals(standard_blocks)
+    compact = bell.table_residuals(compact_blocks)
+    relabel_holds = bell.compact_relabel_holds(standard_blocks, compact_blocks)
     check("bell-gram", standard["gram"], cfg.tol_exact)
     check("bell-compact-gram", compact["gram"], cfg.tol_exact)
     check("bell-partial-trace", standard["partial_trace"], cfg.tol_exact)

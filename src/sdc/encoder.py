@@ -14,21 +14,20 @@ permutations (a Bell state is its encoder's permutation over sqrt(2N)) held
 as stacked `SignedPermutationOp`s, one row per label, so the checks are
 exact index and sign comparisons.  The readings are composed and overlapped
 by `hilbert`, one family block of 2N labels at a time, so no check holds a
-(2N)^3 stack beyond the Bell table it reads; the whole-stack routes are the
-oracles in `tests/dense_oracle.py`.  The composed and direct encoders'
-actions overlap by tr(D^H C) / 2N on every start state, so they are
-overlapped as operators.
+(2N)^3 stack or a Bell table; the whole-stack routes are the oracles in
+`tests/dense_oracle.py`.  The composed and direct encoders' actions overlap
+by tr(D^H C) / 2N on every start state, so they are overlapped as operators.
 The direct encoder's own laws are read on its factors, a +-1 diagonal per
-member after a permutation per family, once the table is checked to factor
-so; the per-label loop is the oracle in `tests/dense_oracle.py`.  Nothing is
-memoized.
+member after a permutation per family, once each family block is checked
+to factor so; the per-label loop is the oracle in `tests/dense_oracle.py`.
+Nothing is memoized.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bell import BellLabel, all_labels, bell_table, compose_family, encode_direct, encoder_table
+from .bell import BellLabel, FamilyBlocks, all_labels, compose_family, encode_direct, encoder_table
 from .errors import ArgOutOfRange, OrderMismatch, PropertyViolated
 from .gates import channel_swap_gate, ladder_shift_gate
 from .hadamard import HadamardMatrix
@@ -218,38 +217,38 @@ def encode_law_residuals(N: int, H: HadamardMatrix) -> dict:
     table of compose_family over all family pairs.  no_signaling:
     max|rho_B - I/2N| over the encoded states.
 
-    The laws are read on the table's factors.  Each encoder is
+    The laws are read on the encoders' factors.  Each encoder is
     D_{f,j} = Psi_j T_f, a +-1 diagonal for member j after a permutation for
-    family f (Werner's shift-and-multiply unitary error basis), and the table
-    is first checked to factor so, exactly: every member of family f has the
-    targets T_f of its member 1, member j's signs psi_j (read off family 0)
-    are +-1, and phase[f, j, i] == psi_j[target[f, j, i]].  A table that does
-    not factor fails family_rule with residual 1.  Where the landing and moved
+    family f (Werner's shift-and-multiply unitary error basis), and each
+    family block (`FamilyBlocks`) is checked to factor so, exactly: every
+    member of family f has the targets T_f of the 2N member-1 encoders,
+    member j's signs psi_j (read off block 0) are +-1, and
+    phase[f, j, i] == psi_j[target[f, j, i]].  A family that does not factor
+    fails family_rule with residual 1.  Where the landing and moved
     targets agree the member signs cancel (psi^2 = 1), so the overlap of
     family f on start S = D_{f',1} is sum_i [T_g(i) = T_f(S(i))] phase_S(i) / 2N
     for the landing family g, whatever j; and |psi_j phase_S|^2 = |phase_S|^2
-    on every column.  One pass per start family then holds only (2N)^2
-    temporaries besides the table.  The per-label loop these residuals equal
-    exactly is `tests/dense_oracle.py::encode_law_residuals_loop`.
+    on every column.  One pass per start family then holds its block and
+    (2N)^2 temporaries, and no table.  The per-label loop these residuals
+    equal exactly is `tests/dense_oracle.py::encode_law_residuals_loop`, and
+    the whole-table route `tests/dense_oracle.py::whole_table_encode_law_residuals`.
     """
     dim = 2 * N
-    table = bell_table(N, H)
-    grid = (dim, dim, dim)  # (family, member, column)
-    target, phase = table.target.reshape(grid), table.phase.reshape(grid)
-    family_target = target[:, 0]  # T_f, read off member 1
-    psi = np.zeros((dim, dim), dtype=phase.dtype)  # psi[j, t]: member j's sign on index t
-    psi[:, family_target[0]] = phase[0]
+    blocks = FamilyBlocks(N, H)
+    family_target = encoder_table(N, H, range(0, dim * dim, dim)).target  # T_f, the member-1 rows
+    psi = np.zeros((dim, dim), dtype=np.complex128)  # psi[j, t]: member j's sign on index t
+    psi[:, family_target[0]] = blocks[0].phase
     factors = bool(np.all((psi == 1) | (psi == -1)))
     families = [(lab.k, lab.r) for lab in all_labels(N)[::dim]]
     index = {fam: f for f, fam in enumerate(families)}
     # landing[f, f']: the family that family f's encoders send start family f' to
     landing = np.array([[index[compose_family(*a, *b, N)] for b in families] for a in families])
     structure = rule = signaling = 0.0
-    for s in range(dim):  # family s's block is checked, and its member 1 is a start
-        factors = factors and bool(np.all(target[s] == family_target[s]))
-        factors = factors and bool(np.all(phase[s] == psi[:, family_target[s]]))
-        structure = max(structure, float(np.max(np.abs(np.abs(phase[s]) - 1.0))))
-        start_target, start_phase = family_target[s], phase[s, 0]
+    for s, block in enumerate(blocks):  # family s's block is checked, and its member 1 is a start
+        factors = factors and bool(np.all(block.target == family_target[s]))
+        factors = factors and bool(np.all(block.phase == psi[:, family_target[s]]))
+        structure = max(structure, float(np.max(np.abs(np.abs(block.phase) - 1.0))))
+        start_target, start_phase = family_target[s], block.phase[0]
         # row f: family f's targets after the start against its landing family's
         agree = family_target[:, start_target] == family_target[landing[:, s]]
         overlap = np.sum(agree * start_phase, axis=-1) / dim  # the same for every member

@@ -10,8 +10,10 @@ mixer assembled ket by ket as a csc matrix, the compact relabeling searched
 on dense states, the spin-extended round trip run on the dense
 (2N(2S+1))^2 state, the member mixer multiplied gate by gate, the
 encoder laws checked label by label on the unfactored table, the
-member-mixer reading checked on every family, and the composition order
-checked on whole (2N)^3 stacks.  Three sign
+member-mixer reading checked on every family, the composition order
+checked on whole (2N)^3 stacks, and the basis residuals, the compact
+relabel and the encoder laws read off whole tables, as they ran before
+`sdc` streamed family blocks.  Three sign
 matrices beyond Sylvester's (ALT4, Paley order 12 and a negated Sylvester)
 are kept here for the tests that share them.
 """
@@ -21,6 +23,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
+import sdc.bell as bell_mod
 import sdc.encoder as enc
 from sdc import hadamard
 from sdc.analysis import spin_base_state, spin_extended_state
@@ -156,15 +159,15 @@ def resolve_composition_order_stacked(N, H, reading):
     """`resolve_composition_order` on whole stacks: all 4N^2 member mixers
     as one checked (family, member) grid, the 2N family shifts as a checked
     (family, 1) grid, and the (2N)^3 direct table, composed and overlapped
-    at once, each order in turn.  The gates and the table are read through
-    `sdc.encoder`, so a patch there reaches both routes."""
+    at once, each order in turn.  The gates and the direct encoders are read
+    through `sdc.encoder`, so a patch there reaches both routes."""
     dim, labels = 2 * N, all_labels(N)
 
     def checked(ops, rows):
         target, phase = (np.reshape(a, (*rows, dim)) for a in zip(*((o.target, o.phase) for o in ops)))
         return SignedPermutationOp(dim, target, phase)
 
-    table = enc.bell_table(N, H)
+    table = enc.encoder_table(N, H, np.arange(dim * dim))
     grid = (dim, dim, dim)  # (family, member, column)
     direct = SignedPermutationOp._trusted(dim, table.target.reshape(grid), table.phase.reshape(grid))
     mixer = checked((enc.member_mixer(N, H, lab.j, reading) for lab in labels), (dim, dim))
@@ -184,14 +187,59 @@ def resolve_composition_order_stacked(N, H, reading):
     raise PropertyViolated("neither composition order reproduces the direct encoder's action")
 
 
+def table_blocks(table):
+    """The family blocks of a whole `bell_table`: its 2N row slices of 2N
+    rows, as views, for the block-streaming checks of `sdc.bell`."""
+    dim = table.dim
+    return [table[rows:rows + dim] for rows in range(0, len(table.target), dim)]
+
+
+def stack_blocks(blocks):
+    """The whole table of a family's block sequence, its blocks stacked in order."""
+    blocks = list(blocks)
+    target = np.concatenate([block.target for block in blocks])
+    phase = np.concatenate([block.phase for block in blocks])
+    return SignedPermutationOp._trusted(blocks[0].dim, target, phase)
+
+
+def whole_table_encode_law_residuals(N, H):
+    """`encode_law_residuals` on one whole `bell_table`: its (family, member,
+    column) grid checked to factor and read start family by start family,
+    as the check ran before it streamed family blocks.  The table is built
+    through `sdc.bell` and the landing family read through `sdc.encoder`."""
+    dim = 2 * N
+    table = bell_mod.bell_table(N, H)
+    grid = (dim, dim, dim)  # (family, member, column)
+    target, phase = table.target.reshape(grid), table.phase.reshape(grid)
+    family_target = target[:, 0]  # T_f, read off member 1
+    psi = np.zeros((dim, dim), dtype=phase.dtype)  # psi[j, t]: member j's sign on index t
+    psi[:, family_target[0]] = phase[0]
+    factors = bool(np.all((psi == 1) | (psi == -1)))
+    families = [(lab.k, lab.r) for lab in all_labels(N)[::dim]]
+    index = {fam: f for f, fam in enumerate(families)}
+    landing = np.array([[index[enc.compose_family(*a, *b, N)] for b in families] for a in families])
+    structure = rule = signaling = 0.0
+    for s in range(dim):
+        factors = factors and bool(np.all(target[s] == family_target[s]))
+        factors = factors and bool(np.all(phase[s] == psi[:, family_target[s]]))
+        structure = max(structure, float(np.max(np.abs(np.abs(phase[s]) - 1.0))))
+        start_target, start_phase = family_target[s], phase[s, 0]
+        agree = family_target[:, start_target] == family_target[landing[:, s]]
+        overlap = np.sum(agree * start_phase, axis=-1) / dim
+        rule = max(rule, float(np.max(np.abs(np.abs(overlap) - 1.0))))
+        moved_phase = psi[:, start_target] * start_phase
+        signaling = max(signaling, float(np.max(np.abs(np.abs(moved_phase) ** 2 - 1.0))) / dim)
+    return {"structure": structure, "family_rule": rule if factors else 1.0, "no_signaling": signaling}
+
+
 def encode_law_residuals_loop(N, H):
     """`encode_law_residuals` without the factorization: every label's encoder
     composed with the 2N member-1 start encoders and overlapped with its
-    predicted basis state, 16N^4 entries, one label at a time.  The table and
-    the landing family are read through `sdc.encoder`, so a patch there
-    reaches both routes."""
+    predicted basis state, 16N^4 entries, one label at a time.  The table is
+    stacked from `sdc.encoder`'s family blocks and the landing family read
+    through `sdc.encoder`, so a patch of either reaches both routes."""
     dim = 2 * N
-    table = enc.bell_table(N, H)
+    table = stack_blocks(enc.FamilyBlocks(N, H))
     structure = float(np.max(np.abs(np.abs(table.phase) - 1.0)))
     starts = table[::dim]  # the member-1 row of each family
     families = [(lab.k, lab.r) for lab in all_labels(N)[::dim]]
@@ -264,6 +312,43 @@ def dense_residuals(basis):
             ptr = max(ptr, float(np.max(np.abs(partial_trace(state, keep) - np.eye(dim) / dim))))
         amp = max(amp, float(np.max(np.min(np.abs(np.abs(row)[:, None] - allowed), axis=1))))
     return {"gram": gram, "partial_trace": ptr, "amplitude": amp}
+
+
+def whole_table_residuals(table):
+    """`bell.table_residuals` on one whole `bell_table`, as it ran before it
+    streamed family blocks: the table read as a (family, member, column)
+    grid, and the families that overlap found from the (2N)^3 bool grid of
+    agreeing family target rows."""
+    dim = table.dim
+    grid = (dim, dim, dim)  # (family, member, column)
+    target, phase = table.target.reshape(grid), table.phase.reshape(grid)
+    family_target = target[:, 0]
+    agree = family_target[:, None, :] == family_target[None, :, :]
+    grouped, gram, trace, amplitude = True, 0.0, 0.0, 0.0
+    for f in range(dim):
+        p, mags = phase[f], np.abs(phase[f])
+        grouped = grouped and bool(np.all(target[f] == family_target[f]))
+        gram = max(gram, float(np.max(np.abs(p @ p.conj().T - dim * np.eye(dim)))))
+        for g in np.flatnonzero(agree[f, f + 1:].any(axis=1)) + f + 1:
+            gram = max(gram, float(np.max(np.abs((p * agree[f, g]) @ phase[g].conj().T))))
+        trace = max(trace, float(np.max(np.abs(mags**2 - 1.0))))
+        amplitude = max(amplitude, float(np.max(np.abs(mags - 1.0))))
+    return {
+        "gram": gram / dim if grouped else 1.0,
+        "partial_trace": trace / dim,
+        "amplitude": float(amplitude / np.sqrt(dim)),
+    }
+
+
+def whole_table_relabel_holds(standard, compact):
+    """`bell.compact_relabel_holds` on the whole standard and compact
+    `bell_table`s, one family block of their rows at a time."""
+    dim = standard.dim
+    interleave = first_particle_interleave(dim // 2)
+    return standard.shape == compact.shape and all(
+        compose_perms(interleave, standard[rows:rows + dim]) == compact[rows:rows + dim]
+        for rows in range(0, len(standard.target), dim)
+    )
 
 
 def table_residuals_grouped(table):

@@ -13,14 +13,19 @@ from dense_oracle import (
     encode_direct_loop,
     interleave_loop,
     sign_matrix,
+    stack_blocks,
     table_basis,
+    table_blocks,
     table_residuals_grouped,
+    whole_table_relabel_holds,
+    whole_table_residuals,
 )
 
 import sdc.bell as bell_mod
 from sdc import hadamard
 from sdc.bell import (
     BellLabel,
+    FamilyBlocks,
     all_labels,
     bell_state,
     bell_table,
@@ -197,7 +202,7 @@ class TestCompactRelabel:
     @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 32])
     def test_relabel_holds_at_every_size(self, N):
         H = hadamard.build(2 * N)
-        assert compact_relabel_holds(bell_table(N, H), bell_table(N, H, compact=True))
+        assert compact_relabel_holds(FamilyBlocks(N, H), FamilyBlocks(N, H, compact=True))
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_relabel_equation_holds_for_all_labels(self, N):
@@ -217,7 +222,7 @@ class TestCompactRelabel:
         size = standard.target.nbytes + standard.phase.nbytes
         tracemalloc.start()
         try:
-            assert compact_relabel_holds(standard, compact)
+            assert compact_relabel_holds(table_blocks(standard), table_blocks(compact))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -268,7 +273,7 @@ class TestFamilyTables:
     @pytest.mark.parametrize("N", [1, 2, 4, 8])
     def test_residuals_are_exact_and_match_the_dense_route(self, N, compact):
         H = hadamard.build(2 * N)
-        exact = table_residuals(bell_table(N, H, compact))
+        exact = table_residuals(FamilyBlocks(N, H, compact))
         dense = dense_residuals(bell_basis_matrix(N, H, compact))
         assert exact == {"gram": 0.0, "partial_trace": 0.0, "amplitude": 0.0}
         for name, value in dense.items():
@@ -289,11 +294,12 @@ class TestFamilyTables:
         monkeypatch.setattr(bell_mod, "compact_partner_table", colliding)
         H = hadamard.build(2 * N)
         built = bell_table(N, H, compact=True)
-        exact = table_residuals(built)["gram"]
+        streamed = table_residuals(FamilyBlocks(N, H, compact=True))
+        exact = streamed["gram"]
         dense = dense_residuals(bell_basis_matrix(N, H, compact=True))["gram"]
         assert exact >= 1.0 / (2 * N)
         assert abs(exact - dense) <= 1e-12
-        assert table_residuals(built) == table_residuals_grouped(built)
+        assert streamed == table_residuals_grouped(built) == whole_table_residuals(built)
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_flipped_phase_breaks_both_grams(self, N, monkeypatch):
@@ -309,16 +315,17 @@ class TestFamilyTables:
         monkeypatch.setattr(bell_mod, "encoder_table", flipped)
         H = hadamard.build(2 * N)
         built = bell_table(N, H)
-        exact = table_residuals(built)["gram"]
+        streamed = table_residuals(FamilyBlocks(N, H))
+        exact = streamed["gram"]
         dense = dense_residuals(bell_basis_matrix(N, H))["gram"]
         assert exact >= 1.0 / N
         assert abs(exact - dense) <= 1e-12
-        assert table_residuals(built) == table_residuals_grouped(built)
+        assert streamed == table_residuals_grouped(built) == whole_table_residuals(built)
 
     @pytest.mark.parametrize("N", [1, 2, 4, 8])
     def test_relabel_matches_the_dense_search(self, N):
         H = hadamard.build(2 * N)
-        assert compact_relabel_holds(bell_table(N, H), bell_table(N, H, compact=True))
+        assert compact_relabel_holds(FamilyBlocks(N, H), FamilyBlocks(N, H, compact=True))
         found = dense_relabel(N, H)
         assert found is not None  # the search finds some pair at 2N <= 4
         if N <= 2:
@@ -331,7 +338,8 @@ class TestFamilyTables:
 
 
 class TestResidualRoutes:
-    """`table_residuals` reads the family layout; the grouped route searches for it."""
+    """`table_residuals` streams the family blocks; the whole-table route reads
+    them off one table, and the grouped route searches for them."""
 
     @pytest.mark.parametrize("compact", [False, True], ids=["standard", "compact"])
     @pytest.mark.parametrize(
@@ -344,8 +352,20 @@ class TestResidualRoutes:
         ],
     )
     def test_layout_route_equals_the_grouped_route(self, matrix, N, compact):
-        table = bell_table(N, sign_matrix(matrix, N), compact)
-        assert table_residuals(table) == table_residuals_grouped(table)
+        H = sign_matrix(matrix, N)
+        table = bell_table(N, H, compact)
+        streamed = table_residuals(FamilyBlocks(N, H, compact))
+        assert streamed == whole_table_residuals(table) == table_residuals_grouped(table)
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["standard", "compact"])
+    def test_families_sharing_every_target_fail_on_all_routes(self, compact):
+        # block 1 takes block 0's targets: the two families' states overlap
+        blocks = table_blocks(bell_table(4, hadamard.build(8), compact))
+        blocks[1] = SignedPermutationOp._trusted(blocks[1].dim, blocks[0].target, blocks[1].phase)
+        table = stack_blocks(blocks)
+        streamed = table_residuals(blocks)
+        assert streamed["gram"] > TOL_EXACT
+        assert streamed == whole_table_residuals(table) == table_residuals_grouped(table)
 
     def test_unblocked_table_fails_on_both_routes(self):
         # member 2 of family 0 swaps two of its targets: its row is still a
@@ -354,22 +374,79 @@ class TestResidualRoutes:
         target = table.target.copy()
         target[1, [0, 1]] = target[1, [1, 0]]
         unblocked = SignedPermutationOp(table.dim, target, table.phase)
-        assert table_residuals(unblocked)["gram"] == 1.0
+        assert table_residuals(table_blocks(unblocked))["gram"] == 1.0
+        assert whole_table_residuals(unblocked)["gram"] == 1.0
         assert table_residuals_grouped(unblocked)["gram"] > TOL_EXACT
 
     def test_no_temporary_is_table_sized(self):
-        # one pass over the family blocks holds (2N)^2-entry temporaries and
-        # the (2N)^3 bool agreement grid (256 KiB at N = 32); the table's
-        # phases alone hold 4 MiB
+        # one pass over the family blocks holds (2N)^2-entry temporaries; the
+        # table's phases alone hold 4 MiB
         N = 32
         table = bell_table(N, hadamard.build(2 * N))
+        blocks = table_blocks(table)
         tracemalloc.start()
         try:
-            table_residuals(table)
+            table_residuals(blocks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+STREAMED_MATRICES = [
+    *(("sylvester", n) for n in (1, 2, 4, 8, 16)),
+    ("alt4", 2),
+    ("paley", 6),
+    *(("flipped", n) for n in (2, 4, 8, 16)),
+]
+
+
+class TestFamilyBlocks:
+    """The family blocks the checks stream, against the whole tables."""
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["standard", "compact"])
+    @pytest.mark.parametrize("matrix,N", STREAMED_MATRICES)
+    def test_blocks_are_the_table_rows(self, matrix, N, compact):
+        H = sign_matrix(matrix, N)
+        blocks, table = FamilyBlocks(N, H, compact), bell_table(N, H, compact)
+        assert len(blocks) == 2 * N
+        assert stack_blocks(blocks) == table
+
+    @pytest.mark.parametrize("matrix,N", STREAMED_MATRICES)
+    def test_streamed_relabel_equals_the_whole_table_route(self, matrix, N):
+        H = sign_matrix(matrix, N)
+        standard, compact = FamilyBlocks(N, H), FamilyBlocks(N, H, compact=True)
+        streamed = compact_relabel_holds(standard, compact)
+        assert streamed is whole_table_relabel_holds(bell_table(N, H), bell_table(N, H, compact=True))
+        twisted = [SignedPermutationOp(c.dim, c.target, c.phase * np.exp(0.1j)) for c in compact]
+        assert not compact_relabel_holds(standard, twisted)
+        assert not whole_table_relabel_holds(bell_table(N, H), stack_blocks(twisted))
+
+    def test_out_of_range_block_and_wrong_order_are_refused(self):
+        blocks = FamilyBlocks(2, hadamard.build(4), compact=True)
+        with pytest.raises(IndexError):
+            blocks[4]
+        assert len(list(blocks)) == 4
+        with pytest.raises(OrderMismatch):
+            FamilyBlocks(2, hadamard.build(8))
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["standard", "compact"])
+    def test_a_streamed_pass_holds_one_block(self, compact):
+        # table_residuals over built-on-demand blocks: the block in hand, the
+        # next one and their (2N)^2-entry temporaries, about 0.065 tables
+        # (a table, targets plus phases, is 6 MiB at N = 32)
+        N = 32
+        H = hadamard.build(2 * N)
+        table = bell_table(N, H, compact)
+        size = table.target.nbytes + table.phase.nbytes
+        del table
+        tracemalloc.start()
+        try:
+            table_residuals(FamilyBlocks(N, H, compact))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * size
 
 
 @pytest.mark.parametrize("N", range(1, 33))

@@ -138,13 +138,13 @@ class TestVerify:
         import sdc.bell as bell_mod
         from sdc.hilbert import SignedPermutationOp
 
-        table = bell_mod.bell_table
+        build = bell_mod.FamilyBlocks.__getitem__
 
-        def twisted(N, H, compact=False):
-            op = table(N, H, compact)
-            return SignedPermutationOp(op.dim, op.target, op.phase * np.exp(0.1j)) if compact else op
+        def twisted(self, f):
+            op = build(self, f)
+            return SignedPermutationOp(op.dim, op.target, op.phase * np.exp(0.1j)) if self.compact else op
 
-        monkeypatch.setattr(bell_mod, "bell_table", twisted)
+        monkeypatch.setattr(bell_mod.FamilyBlocks, "__getitem__", twisted)
         code, out, _ = run_cli(capsys, "verify", "--n", "2")
         report = json.loads(out)
         assert code == 1
@@ -152,6 +152,25 @@ class TestVerify:
             ("bell-compact-relabel-found", 1.0)
         ]
         assert report["resolutions"]["compact_relabel_method"] == "none"
+
+    def test_report_holds_no_bell_table(self):
+        # every table check streams family blocks: a repeated report at N = 32
+        # peaks under half of one Bell table (targets plus phases, 6 MiB), where
+        # holding the standard and compact tables took about 14 MiB
+        import tracemalloc
+
+        from sdc.cli import RunConfig, build_verify_report
+
+        cfg = RunConfig(n=32)
+        first = build_verify_report(cfg)  # first use of each numpy routine is not traced
+        tracemalloc.start()
+        try:
+            again = build_verify_report(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again == first and again["pass"] is True
+        assert peak < 3 * 2**20
 
     def test_makes_no_dense_decode(self, capsys, monkeypatch):
         import sdc.decoder as dec

@@ -409,7 +409,7 @@ class TestGuards:
         import sdc.bell as bell_mod
 
         H = hadamard.build(2)
-        standard, compact = bell_mod.bell_table(1, H), bell_mod.bell_table(1, H, compact=True)
-        twisted = SignedPermutationOp(compact.dim, compact.target, compact.phase * np.exp(0.1j))
+        standard, compact = bell_mod.FamilyBlocks(1, H), bell_mod.FamilyBlocks(1, H, compact=True)
+        twisted = [SignedPermutationOp(c.dim, c.target, c.phase * np.exp(0.1j)) for c in compact]
         assert bell_mod.compact_relabel_holds(standard, compact)
         assert not bell_mod.compact_relabel_holds(standard, twisted)

@@ -12,11 +12,13 @@ from dense_oracle import (
     resolve_composition_order_stacked,
     resolve_member_mixer_reading_all_families,
     sign_matrix,
+    table_blocks,
+    whole_table_encode_law_residuals,
 )
 
 import sdc.encoder as enc
 from sdc import hadamard
-from sdc.bell import BellLabel, all_labels, bell_state, compose_family
+from sdc.bell import BellLabel, FamilyBlocks, all_labels, bell_state, bell_table, compose_family
 from sdc.encoder import (
     MEMBER_MIXER_READINGS,
     _member_mixer_with_reading,
@@ -437,14 +439,28 @@ class TestExactLawChecks:
         assert exact == encode_law_residuals_loop(N, H)
         assert exact == {"structure": 0.0, "family_rule": rule, "no_signaling": 0.0}
 
+    @pytest.mark.parametrize(
+        "matrix,N",
+        [
+            *(("sylvester", n) for n in (1, 2, 4, 8, 16)),
+            ("alt4", 2),
+            ("paley", 6),
+            *(("flipped", n) for n in (2, 4, 8, 16)),
+        ],
+    )
+    def test_streamed_residuals_equal_the_whole_table_route(self, matrix, N):
+        H = sign_matrix(matrix, N)
+        assert encode_law_residuals(N, H) == whole_table_encode_law_residuals(N, H)
+
     def test_no_temporary_is_table_sized(self, monkeypatch):
-        # one start family at a time: beyond the table, only (2N)^2-entry
+        # one start family at a time: beyond its block, only (2N)^2-entry
         # temporaries are held (about 8 of them at N = 32), where the table's
-        # phases alone hold 4N^2 * 2N
+        # phases alone hold 4N^2 * 2N.  The blocks are served as views of a
+        # table built beforehand, so only the check's own arrays are traced.
         N, dim = 32, 64
         H = hadamard.build(dim)
-        table = enc.bell_table(N, H)
-        monkeypatch.setattr(enc, "bell_table", lambda N, H, compact=False: table)
+        blocks = table_blocks(bell_table(N, H))
+        monkeypatch.setattr(FamilyBlocks, "__getitem__", lambda self, f: blocks[f])
         tracemalloc.start()
         try:
             encode_law_residuals(N, H)
@@ -456,15 +472,17 @@ class TestExactLawChecks:
     def test_unfactored_table_fails_on_both_routes(self, monkeypatch):
         # member 2 takes another sign in family 1 than in family 0, so no
         # member-j diagonal serves every family
-        build = enc.bell_table
+        build = FamilyBlocks.__getitem__
 
-        def mixed_signs(N, H, compact=False):
-            table = build(N, H, compact)
-            phase = table.phase.copy()
-            phase[2 * N + 1, 0] *= -1  # family 1, member 2, column 0
-            return SignedPermutationOp._trusted(table.dim, table.target, phase)
+        def mixed_signs(self, f):
+            block = build(self, f)
+            if f != 1:
+                return block
+            phase = block.phase.copy()
+            phase[1, 0] *= -1  # family 1, member 2, column 0
+            return SignedPermutationOp._trusted(block.dim, block.target, phase)
 
-        monkeypatch.setattr(enc, "bell_table", mixed_signs)
+        monkeypatch.setattr(FamilyBlocks, "__getitem__", mixed_signs)
         H = hadamard.build(4)
         exact = encode_law_residuals(2, H)
         loop = encode_law_residuals_loop(2, H)
@@ -556,7 +574,7 @@ class TestFamilyBlockRoutes:
         # about 3.8 tables.
         N = 32
         H = hadamard.build(2 * N)
-        table = enc.bell_table(N, H)
+        table = bell_table(N, H)
         size = table.target.nbytes + table.phase.nbytes
         del table
         tracemalloc.start()

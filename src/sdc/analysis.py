@@ -174,8 +174,10 @@ def round_trip_sweep(
             top, _ = decoder.decode(send(N, H, start, m))
             spread = top.probability < 1.0 - TOL_CHAINED
             got[m] = -1 if spread else table[top.first * 2 * N + top.second]
+    failed = np.flatnonzero(got != messages)  # only the failures become Python ints
     failures = [
-        {"sent": m, "decoded": None if d < 0 else d} for m, d in enumerate(got.tolist()) if d != m
+        {"sent": m, "decoded": None if d < 0 else d}
+        for m, d in zip(failed.tolist(), got[failed].tolist())
     ]
     return {
         "n": N,

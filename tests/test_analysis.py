@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,21 @@ class TestRoundTrips:
         with pytest.raises(MessageOutOfRange):
             run_protocol(1, hadamard.build(2), 4)
 
+    def test_sweep_holds_no_message_sized_list(self):
+        # one 64-state chunk at a time, and only the failures become Python
+        # objects: about 1.6 MiB at N = 64, where a 256-state chunk and a list
+        # of all 16,384 decoded ids took about 5 MiB
+        H = hadamard.build(128)
+        first = round_trip_sweep(64, H)  # first use of each numpy routine is not traced
+        tracemalloc.start()
+        try:
+            again = round_trip_sweep(64, H)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again == first and again["round_trip_ok"] == 4 * 64 * 64
+        assert peak < 2.5 * 2**20
+
     def test_grand_run_maps_its_outcome_without_a_decode_table(self, monkeypatch):
         monkeypatch.setattr(
             analysis_mod, "build_decode_table", lambda *a: pytest.fail("decode table built")
@@ -87,6 +103,24 @@ class TestCertifiedSweep:
         result = round_trip_sweep(N, H)
         assert result["failures"] == [{"sent": 5, "decoded": decoded}]
         assert result["round_trip_ok"] == 15 and result["checked"] == 16
+
+    def test_failures_straddling_chunk_boundaries(self, monkeypatch):
+        # 63 ends the first 64-state chunk, 64 starts the second, 255 ends the
+        # fourth; the corruptions chain, and none sends another corrupted id
+        N, H = 16, hadamard.build(32)
+        instead = {63: 0, 64: 1000, 255: 256}
+        for sent, other in instead.items():
+            self.corrupt(monkeypatch, sent, other)
+        grand = make_decoder(N, H)
+        table, start = build_decode_table(N, H, grand), start_state(N, H)
+        want = []
+        for sent in instead:
+            top, _ = grand.decode(send(N, H, start, sent))
+            want.append({"sent": sent, "decoded": int(table[top.first * 2 * N + top.second])})
+        assert [w["decoded"] for w in want] == list(instead.values())
+        result = round_trip_sweep(N, H)
+        assert result["failures"] == want
+        assert result["round_trip_ok"] == 1021 and result["checked"] == 1024
 
     def test_cli_sweep_exits_1_on_a_failure(self, monkeypatch, capsys):
         self.corrupt(monkeypatch, 5, 9)

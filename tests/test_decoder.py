@@ -4,10 +4,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from dense_oracle import compact_partner, decode_table_loop, grand_operator_loop
+from dense_oracle import compact_partner, decode_table_loop, grand_operator_loop, sign_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdc.decoder as decoder_mod
 from sdc import hadamard
 from sdc.analysis import _certify_sent, round_trip_sweep, run_protocol, send, start_state
 from sdc.bell import (
@@ -216,6 +217,25 @@ class TestCertification:
         flat, _ = _certify_sent(N, H, grand, np.arange(4 * N * N))
         want = table[flat].tolist()
         assert grand_messages(grand, flat).tolist() == want == list(range(4 * N * N))
+
+    @pytest.mark.parametrize(
+        "name, N",
+        [("sylvester", 1), ("sylvester", 2), ("sylvester", 4), ("sylvester", 8)]
+        + [("alt4", 2), ("paley", 6)],
+    )
+    def test_chunking_changes_no_output_bit(self, monkeypatch, name, N):
+        # each state is certified on its own, so one state per chunk, a chunk
+        # that splits the families unevenly and one chunk of every message
+        # all give the same outcomes and probabilities, bit for bit
+        H = sign_matrix(name, N)
+        grand = make_decoder(N, H)
+        messages = np.arange(4 * N * N)
+        runs = []
+        for chunk in (1, 5, 64, 4 * N * N):
+            monkeypatch.setattr(decoder_mod, "CERTIFY_CHUNK", chunk)
+            certified = (*bell_outcomes(N, H, grand), *_certify_sent(N, H, grand, messages))
+            runs.append([a.tolist() for a in certified])
+        assert all(run == runs[0] for run in runs[1:])
 
     def test_sweep_decodes_misread_messages_on_the_amplitude_route(self, monkeypatch):
         import sdc.analysis as analysis_mod

@@ -162,12 +162,12 @@ def round_trip_sweep(
     """
     decoder = make_decoder(N, H, path, HN)
     messages = np.arange(4 * N * N)
-    got = np.empty_like(messages)
-    redo = np.ones(len(messages), dtype=bool)
     if path == "grand":
         flat, probs = _certify_sent(N, H, decoder, messages)
         got = grand_messages(decoder, flat)
         redo = (probs < 1.0 - TOL_CHAINED) | (got != messages)
+    else:
+        got, redo = np.empty_like(messages), np.ones(len(messages), dtype=bool)
     if redo.any():
         table, start = build_decode_table(N, H, decoder), start_state(N, H)
         for m in np.flatnonzero(redo).tolist():

@@ -7,27 +7,25 @@ matrix.  The compact family is the image of the standard one under one fixed
 relabeling, `first_particle_interleave`, and carries one Hadamard sign per
 basis ket; its pairing (`compact_partner_table`) fixes the index blocks on
 which `decoder.grand_blocks` repeats one Hadamard block.  Each state is
-(U x I)|Phi+> for a signed permutation U.  Each family falls into 2N family
-blocks of 2N rows that share one target row (Werner's D = Psi_j T_f), and
-`FamilyBlocks` builds them one at a time: `table_residuals` reads the basis
-residuals off a pass over them, `compact_relabel_holds` checks the
-relabeling on them label for label, and the encoder laws compose and overlap
-them with `hilbert`'s exact arithmetic, so no command holds a whole family.
-`bell_table`, the family as one stack of 4N^2 signed permutations, is built
-by no command; it is the oracle the blocks must equal.
+(U x I)|Phi+> for a signed permutation U = Psi_j T_f (Werner's factoring: a
++-1 diagonal per member after a permutation per family), and a family is
+held as those factors, two (2N)^2 arrays (`FamilyFactors`): the standard
+family's read and checked in one pass over its 2N family blocks, the compact
+family's in closed form.  The basis residuals, the relabeling and the
+encoder laws read the factors.  `bell_table`, the family as one stack of
+4N^2 signed permutations, is built by no command; it is the factors' oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgOutOfRange, OrderMismatch
 from .hadamard import HadamardMatrix
-from .hilbert import SignedPermutationOp, StateVector, compose_perms
+from .hilbert import SignedPermutationOp, StateVector
 
 __all__ = [
     "BellLabel",
@@ -40,7 +38,9 @@ __all__ = [
     "bell_state",
     "compact_partner_table",
     "bell_table",
-    "FamilyBlocks",
+    "FamilyFactors",
+    "factor_blocks",
+    "family_factors",
     "table_residuals",
     "compact_bell_state",
     "first_particle_interleave",
@@ -167,98 +167,99 @@ def bell_table(N: int, H: HadamardMatrix, compact: bool = False) -> SignedPermut
     Row `label_to_message(label)` is the U of that state (U x I)|Phi+>:
     column i (second particle) carries phase[i] on first-particle index
     target[i].  Standard rows are `encode_direct`; compact label m sits in
-    column partner(m) with sign h[j, m], so compact targets invert the rows
-    of `compact_partner_table`.
+    column partner(m) with sign h[j, m], which the closed-form compact
+    factors hold.
     """
     if not compact:
         return encoder_table(N, H, np.arange(4 * N * N))
+    factors = family_factors(N, H, compact=True)
+    targets = np.repeat(factors.target, 2 * N, axis=0)
+    members = np.tile(np.arange(2 * N), 2 * N)[:, None]  # j - 1 of every row
+    return SignedPermutationOp._trusted(2 * N, targets, factors.psi[members, targets])
+
+
+@dataclass(frozen=True, eq=False)
+class FamilyFactors:
+    """One Bell family as Werner's factors: row (f, j) of `bell_table` is
+    D_{f,j} = Psi_j T_f, carrying psi[j, target[f, i]] on first-particle
+    index target[f, i] in column i.  psi and target are both (2N, 2N);
+    `factors` is False if the blocks they were read from do not factor so,
+    and then the Gram, the family rule and the relabel read as failed."""
+
+    psi: np.ndarray
+    target: np.ndarray
+    factors: bool
+
+
+def factor_blocks(blocks) -> FamilyFactors:
+    """A family's factors, read and checked exactly in one pass over its 2N
+    blocks of 2N member rows (in `bell_table` order), holding one block at a
+    time: every row of block f has the target row T_f of its member 1, every
+    phase equals psi[j, T_f] with psi read off block 0, and every T_f is a
+    permutation."""
+    for f, block in enumerate(blocks):
+        if f == 0:
+            dim, factors = block.dim, True
+            target = np.full((dim, dim), -1, dtype=np.intp)  # a missing block reads -1
+            psi = np.zeros((dim, dim), dtype=block.phase.dtype)
+            psi[:, block.target[0]] = block.phase
+        target[f] = block.target[0]
+        factors = factors and bool(np.all(block.target == target[f]))
+        factors = factors and bool(np.all(block.phase == psi[:, target[f]]))
+    factors = factors and bool(np.all(np.sort(target, axis=1) == np.arange(dim)))
+    return FamilyFactors(psi, target, factors)
+
+
+def family_factors(N: int, H: HadamardMatrix, compact: bool = False) -> FamilyFactors:
+    """One family's factors: the standard family's by `factor_blocks` over
+    its blocks, each built once by `encoder_table`; the compact family's in
+    closed form (psi = h, and T_f inverts row f of `compact_partner_table`)."""
     if H.order != 2 * N:
         raise OrderMismatch(f"need order {2 * N}, got {H.order}")
-    targets = np.repeat(np.argsort(compact_partner_table(N), axis=1), 2 * N, axis=0)
-    members = np.tile(np.arange(2 * N), 2 * N)[:, None]  # j - 1 of every row
-    phase = H.ints[members, targets].astype(np.complex128)
-    return SignedPermutationOp._trusted(2 * N, targets, phase)
+    dim = 2 * N
+    if compact:
+        target = np.argsort(compact_partner_table(N), axis=1)
+        return FamilyFactors(H.ints.astype(np.complex128), target, True)
+    return factor_blocks(encoder_table(N, H, range(f * dim, (f + 1) * dim)) for f in range(dim))
 
 
-class FamilyBlocks(Sequence):
-    """One Bell family as its 2N family blocks, each built when it is read.
-
-    Block f holds the 2N member rows of family f (message ids f*2N .. f*2N +
-    2N-1 of `bell_table`), and every row carries the family's target row.  A
-    standard block is `encoder_table` of those ids; a compact block repeats
-    row f of the inverted `compact_partner_table`, with phase h[j, target].
-    The pairing is inverted once, here, so a pass over the blocks never
-    holds more than one block and (2N)^2 indices.  Blocks equal the rows of
-    `bell_table` exactly.
-    """
-
-    def __init__(self, N: int, H: HadamardMatrix, compact: bool = False):
-        if H.order != 2 * N:
-            raise OrderMismatch(f"need order {2 * N}, got {H.order}")
-        self.N, self.H, self.compact = N, H, compact
-        self._targets = np.argsort(compact_partner_table(N), axis=1) if compact else None
-
-    def __len__(self) -> int:
-        return 2 * self.N
-
-    def __getitem__(self, f: int) -> SignedPermutationOp:
-        dim = 2 * self.N
-        if not 0 <= f < dim:
-            raise IndexError(f"family block {f} outside 0..{dim - 1}")
-        if not self.compact:
-            return encoder_table(self.N, self.H, range(f * dim, (f + 1) * dim))
-        targets = np.repeat(self._targets[f:f + 1], dim, axis=0)
-        phase = self.H.ints[np.arange(dim)[:, None], targets].astype(np.complex128)
-        return SignedPermutationOp._trusted(dim, targets, phase)
-
-
-def table_residuals(blocks) -> dict:
+def table_residuals(factors: FamilyFactors) -> dict:
     """Worst Bell-basis residuals of one family, exact for +-1 phases.
 
-    `blocks` is the family's sequence of 2N blocks (`FamilyBlocks`, or the
-    row slices of a `bell_table`), each of 2N member rows with its family's
-    targets T_f.  gram: max|<a|b> - delta_ab|, where
-    <a|b> = sum_i [t_a[i] == t_b[i]] p_a[i] conj(p_b[i]) / 2N, so block f's
-    Gram block is P_f P_f^H / 2N, and blocks f and g overlap only where T_f
-    and T_g agree.  They agree nowhere exactly when every column's 2N family
-    targets are distinct, which one sort per column shows; only if some
-    are not, the pairs of families that agree are built again and multiplied.  A block whose rows
-    do not share one target row reads gram 1.0, as an unfactored table reads
-    family_rule 1.0 in `encoder.encode_law_residuals`.  partial_trace:
-    max|rho - I/2N| for the reduced states diag(|phase|^2) / 2N.  amplitude:
-    max||amp| - 1/sqrt(2N)|.  One pass holds one block and the (2N)^2 family
-    targets; the whole-table route is `tests/dense_oracle.py::whole_table_residuals`
-    and the grouped search `tests/dense_oracle.py::table_residuals_grouped`.
+    gram: max|<a|b> - delta_ab|, where <a|b> = sum_i [t_a[i] == t_b[i]]
+    p_a[i] conj(p_b[i]) / 2N.  Block f's rows are psi's columns permuted by
+    T_f, so every Gram block is psi psi^H / 2N, and blocks f and g overlap
+    on the indices where T_f and T_g agree; one sort per column shows
+    whether any do, and only then are those pairs multiplied.  A family
+    that does not factor reads gram 1.0, as it reads family_rule 1.0 in
+    `encoder.encode_law_residuals`.  partial_trace: max|rho - I/2N| for the
+    reduced states diag(|phase|^2) / 2N.  amplitude: max||amp| - 1/sqrt(2N)|.
+    The oracles are `tests/dense_oracle.py::whole_table_residuals` and
+    `tests/dense_oracle.py::table_residuals_grouped`.
     """
-    dim = len(blocks)
-    family_target = np.empty((dim, dim), dtype=np.intp)
-    grouped, gram, trace, amplitude = True, 0.0, 0.0, 0.0
-    for f, block in enumerate(blocks):
-        p, mags = block.phase, np.abs(block.phase)
-        family_target[f] = block.target[0]  # a copy: a kept view would pin the block
-        grouped = grouped and bool(np.all(block.target == family_target[f]))
-        gram = max(gram, float(np.max(np.abs(p @ p.conj().T - dim * np.eye(dim)))))
-        trace = max(trace, float(np.max(np.abs(mags**2 - 1.0))))
-        amplitude = max(amplitude, float(np.max(np.abs(mags - 1.0))))
+    psi, target = factors.psi, factors.target
+    dim, mags = len(target), np.abs(psi)
+    gram = float(np.max(np.abs(psi @ psi.conj().T - dim * np.eye(dim))))
     # two families agree somewhere only if a sorted column holds a target twice
-    shared = np.any(np.diff(np.sort(family_target, axis=0), axis=0) == 0)
+    shared = np.any(np.diff(np.sort(target, axis=0), axis=0) == 0)
     for f, g in itertools.combinations(range(dim), 2) if shared else ():
-        agree = family_target[f] == family_target[g]
-        if agree.any():
-            cross = (blocks[f].phase * agree) @ blocks[g].phase.conj().T
-            gram = max(gram, float(np.max(np.abs(cross))))
+        p = psi[:, target[f][target[f] == target[g]]]
+        if p.size:
+            gram = max(gram, float(np.max(np.abs(p @ p.conj().T))))
     return {
-        "gram": gram / dim if grouped else 1.0,
-        "partial_trace": trace / dim,
-        "amplitude": float(amplitude / np.sqrt(dim)),
+        "gram": gram / dim if factors.factors else 1.0,
+        "partial_trace": float(np.max(np.abs(mags**2 - 1.0))) / dim,
+        "amplitude": float(np.max(np.abs(mags - 1.0)) / np.sqrt(dim)),
     }
 
 
 def compact_bell_state(N: int, label: BellLabel, H: HadamardMatrix) -> StateVector:
     """Compact-family basis state sum_m h[j, m] |m, partner(m)> / sqrt(2N): the
-    dense view of its row of its compact family block."""
+    dense view of its row Psi_j T_f of the compact factors."""
     family, member = divmod(label_to_message(label, N), 2 * N)
-    return _dense_state(FamilyBlocks(N, H, compact=True)[family][member])
+    factors = family_factors(N, H, compact=True)
+    target = factors.target[family]
+    return _dense_state(SignedPermutationOp._trusted(2 * N, target, factors.psi[member, target]))
 
 
 def first_particle_interleave(N: int) -> SignedPermutationOp:
@@ -268,19 +269,21 @@ def first_particle_interleave(N: int) -> SignedPermutationOp:
     return SignedPermutationOp(2 * N, target, np.ones(2 * N, dtype=np.complex128))
 
 
-def compact_relabel_holds(standard, compact) -> bool:
+def compact_relabel_holds(standard: FamilyFactors, compact: FamilyFactors) -> bool:
     """Whether `first_particle_interleave` carries every standard row onto the
     compact row of the same label, exactly in every index and sign.
 
-    Takes the standard and compact families as block sequences
-    (`FamilyBlocks`, or the row slices of `bell_table`s); the interleave P
-    sends (U x I)|Phi+> to (P U x I)|Phi+>, composed one family block of 2N
-    rows at a time, so no moved copy of a family is held.  The whole-table
-    route is `tests/dense_oracle.py::whole_table_relabel_holds`, and the
-    exhaustive search over local permutation pairs
-    `tests/dense_oracle.py::dense_relabel`.
+    The interleave P sends (U x I)|Phi+> to (P U x I)|Phi+>, and P Psi_j T_f
+    = Psi'_j (P T_f) with Psi'_j[P[t]] = Psi_j[t]; so, both families
+    factoring, it holds exactly when P[T_std] == T_cmp and psi_std ==
+    psi_cmp[:, P].  The oracles are `tests/dense_oracle.py::whole_table_relabel_holds`
+    and the exhaustive search `tests/dense_oracle.py::dense_relabel`.
     """
-    interleave = first_particle_interleave(len(standard) // 2)
-    return len(standard) == len(compact) and all(
-        compose_perms(interleave, s) == c for s, c in zip(standard, compact)
+    P = first_particle_interleave(len(standard.target) // 2).target
+    return (
+        standard.factors
+        and compact.factors
+        and standard.target.shape == compact.target.shape
+        and np.array_equal(P[standard.target], compact.target)
+        and np.array_equal(standard.psi, compact.psi[:, P])
     )

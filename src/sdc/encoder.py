@@ -17,9 +17,10 @@ by `hilbert`, one family block of 2N labels at a time, so no check holds a
 (2N)^3 stack or a Bell table; the whole-stack routes are the oracles in
 `tests/dense_oracle.py`.  The composed and direct encoders' actions overlap
 by tr(D^H C) / 2N on every start state, so they are overlapped as operators.
-The direct encoder's own laws are read on its factors, a +-1 diagonal per
-member after a permutation per family, once each family block is checked
-to factor so; the per-label loop is the oracle in `tests/dense_oracle.py`.
+The direct encoder's own laws are read on the standard family's factors
+(`bell.FamilyFactors`), a +-1 diagonal per member after a permutation per
+family, which `bell.factor_blocks` checks exactly in its one pass over the
+family blocks; the per-label loop is the oracle in `tests/dense_oracle.py`.
 Nothing is memoized.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bell import BellLabel, FamilyBlocks, all_labels, compose_family, encode_direct, encoder_table
+from .bell import BellLabel, FamilyFactors, all_labels, compose_family, encode_direct, encoder_table
 from .errors import ArgOutOfRange, OrderMismatch, PropertyViolated
 from .gates import channel_swap_gate, ladder_shift_gate
 from .hadamard import HadamardMatrix
@@ -207,7 +208,7 @@ def resolve_composition_order(N: int, H: HadamardMatrix, reading: str) -> dict:
     raise PropertyViolated("neither composition order reproduces the direct encoder's action")
 
 
-def encode_law_residuals(N: int, H: HadamardMatrix) -> dict:
+def encode_law_residuals(factors: FamilyFactors) -> dict:
     """Worst residuals of the direct encoder's laws over every label.
 
     structure: max ||phase| - 1| over all encoders, so every row and column
@@ -217,38 +218,30 @@ def encode_law_residuals(N: int, H: HadamardMatrix) -> dict:
     table of compose_family over all family pairs.  no_signaling:
     max|rho_B - I/2N| over the encoded states.
 
-    The laws are read on the encoders' factors.  Each encoder is
-    D_{f,j} = Psi_j T_f, a +-1 diagonal for member j after a permutation for
-    family f (Werner's shift-and-multiply unitary error basis), and each
-    family block (`FamilyBlocks`) is checked to factor so, exactly: every
-    member of family f has the targets T_f of the 2N member-1 encoders,
-    member j's signs psi_j (read off block 0) are +-1, and
-    phase[f, j, i] == psi_j[target[f, j, i]].  A family that does not factor
-    fails family_rule with residual 1.  Where the landing and moved
-    targets agree the member signs cancel (psi^2 = 1), so the overlap of
-    family f on start S = D_{f',1} is sum_i [T_g(i) = T_f(S(i))] phase_S(i) / 2N
-    for the landing family g, whatever j; and |psi_j phase_S|^2 = |phase_S|^2
-    on every column.  One pass per start family then holds its block and
-    (2N)^2 temporaries, and no table.  The per-label loop these residuals
-    equal exactly is `tests/dense_oracle.py::encode_law_residuals_loop`, and
-    the whole-table route `tests/dense_oracle.py::whole_table_encode_law_residuals`.
+    The laws are read on the standard family's factors (`bell.family_factors`),
+    D_{f,j} = Psi_j T_f: a +-1 diagonal for member j after a permutation for
+    family f (Werner's shift-and-multiply unitary error basis).  A family
+    that does not factor so, or whose signs are not +-1, fails family_rule
+    with residual 1.  Every phase is some psi[j, t], so structure is read
+    off psi.  Where the landing and moved targets agree the member signs
+    cancel (psi^2 = 1), so the overlap of family f on start S = D_{f',1} is
+    sum_i [T_g(i) = T_f(S(i))] phase_S(i) / 2N for the landing family g,
+    whatever j; and |psi_j phase_S|^2 = |phase_S|^2 on every column.  The
+    per-label loop these residuals equal exactly is
+    `tests/dense_oracle.py::encode_law_residuals_loop`, and the whole-table
+    route `tests/dense_oracle.py::whole_table_encode_law_residuals`.
     """
-    dim = 2 * N
-    blocks = FamilyBlocks(N, H)
-    family_target = encoder_table(N, H, range(0, dim * dim, dim)).target  # T_f, the member-1 rows
-    psi = np.zeros((dim, dim), dtype=np.complex128)  # psi[j, t]: member j's sign on index t
-    psi[:, family_target[0]] = blocks[0].phase
-    factors = bool(np.all((psi == 1) | (psi == -1)))
-    families = [(lab.k, lab.r) for lab in all_labels(N)[::dim]]
+    psi, family_target = factors.psi, factors.target
+    dim = len(family_target)
+    unit = factors.factors and bool(np.all((psi == 1) | (psi == -1)))
+    families = [(lab.k, lab.r) for lab in all_labels(dim // 2)[::dim]]
     index = {fam: f for f, fam in enumerate(families)}
     # landing[f, f']: the family that family f's encoders send start family f' to
-    landing = np.array([[index[compose_family(*a, *b, N)] for b in families] for a in families])
-    structure = rule = signaling = 0.0
-    for s, block in enumerate(blocks):  # family s's block is checked, and its member 1 is a start
-        factors = factors and bool(np.all(block.target == family_target[s]))
-        factors = factors and bool(np.all(block.phase == psi[:, family_target[s]]))
-        structure = max(structure, float(np.max(np.abs(np.abs(block.phase) - 1.0))))
-        start_target, start_phase = family_target[s], block.phase[0]
+    landing = np.array([[index[compose_family(*a, *b, dim // 2)] for b in families] for a in families])
+    structure = float(np.max(np.abs(np.abs(psi) - 1.0)))
+    rule = signaling = 0.0
+    for s in range(dim):  # member 1 of family s is a start
+        start_target, start_phase = family_target[s], psi[0, family_target[s]]
         # row f: family f's targets after the start against its landing family's
         agree = family_target[:, start_target] == family_target[landing[:, s]]
         overlap = np.sum(agree * start_phase, axis=-1) / dim  # the same for every member
@@ -256,7 +249,7 @@ def encode_law_residuals(N: int, H: HadamardMatrix) -> dict:
         # the state of a signed permutation has rho_B = diag(|phase|^2) / 2N
         moved_phase = psi[:, start_target] * start_phase  # member signs times the start's
         signaling = max(signaling, float(np.max(np.abs(np.abs(moved_phase) ** 2 - 1.0))) / dim)
-    return {"structure": structure, "family_rule": rule if factors else 1.0, "no_signaling": signaling}
+    return {"structure": structure, "family_rule": rule if unit else 1.0, "no_signaling": signaling}
 
 
 def encode_composed(

@@ -13,7 +13,7 @@ encoder laws checked label by label on the unfactored table, the
 member-mixer reading checked on every family, the composition order
 checked on whole (2N)^3 stacks, and the basis residuals, the compact
 relabel and the encoder laws read off whole tables, as they ran before
-`sdc` streamed family blocks.  Three sign
+`sdc` read the families' factors.  Three sign
 matrices beyond Sylvester's (ALT4, Paley order 12 and a negated Sylvester)
 are kept here for the tests that share them.
 """
@@ -23,7 +23,6 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-import sdc.bell as bell_mod
 import sdc.encoder as enc
 from sdc import hadamard
 from sdc.analysis import spin_base_state, spin_extended_state
@@ -189,7 +188,7 @@ def resolve_composition_order_stacked(N, H, reading):
 
 def table_blocks(table):
     """The family blocks of a whole `bell_table`: its 2N row slices of 2N
-    rows, as views, for the block-streaming checks of `sdc.bell`."""
+    rows, as views, for `sdc.bell.factor_blocks`."""
     dim = table.dim
     return [table[rows:rows + dim] for rows in range(0, len(table.target), dim)]
 
@@ -202,13 +201,13 @@ def stack_blocks(blocks):
     return SignedPermutationOp._trusted(blocks[0].dim, target, phase)
 
 
-def whole_table_encode_law_residuals(N, H):
+def whole_table_encode_law_residuals(table):
     """`encode_law_residuals` on one whole `bell_table`: its (family, member,
     column) grid checked to factor and read start family by start family,
-    as the check ran before it streamed family blocks.  The table is built
-    through `sdc.bell` and the landing family read through `sdc.encoder`."""
-    dim = 2 * N
-    table = bell_mod.bell_table(N, H)
+    as the check ran before it read the factors.  The landing family is
+    read through `sdc.encoder`."""
+    dim = table.dim
+    N = dim // 2
     grid = (dim, dim, dim)  # (family, member, column)
     target, phase = table.target.reshape(grid), table.phase.reshape(grid)
     family_target = target[:, 0]  # T_f, read off member 1
@@ -232,14 +231,14 @@ def whole_table_encode_law_residuals(N, H):
     return {"structure": structure, "family_rule": rule if factors else 1.0, "no_signaling": signaling}
 
 
-def encode_law_residuals_loop(N, H):
+def encode_law_residuals_loop(table):
     """`encode_law_residuals` without the factorization: every label's encoder
-    composed with the 2N member-1 start encoders and overlapped with its
-    predicted basis state, 16N^4 entries, one label at a time.  The table is
-    stacked from `sdc.encoder`'s family blocks and the landing family read
-    through `sdc.encoder`, so a patch of either reaches both routes."""
-    dim = 2 * N
-    table = stack_blocks(enc.FamilyBlocks(N, H))
+    of a whole `bell_table` composed with the 2N member-1 start encoders and
+    overlapped with its predicted basis state, 16N^4 entries, one label at a
+    time.  The landing family is read through `sdc.encoder`, so a patch
+    there reaches both routes."""
+    dim = table.dim
+    N = dim // 2
     structure = float(np.max(np.abs(np.abs(table.phase) - 1.0)))
     starts = table[::dim]  # the member-1 row of each family
     families = [(lab.k, lab.r) for lab in all_labels(N)[::dim]]
@@ -314,9 +313,18 @@ def dense_residuals(basis):
     return {"gram": gram, "partial_trace": ptr, "amplitude": amp}
 
 
+def factor_table(factors):
+    """The whole table a family's `FamilyFactors` stand for: row f * 2N + j
+    has targets T_f and phases psi[j, T_f]."""
+    dim = len(factors.target)
+    target = np.repeat(factors.target, dim, axis=0)
+    members = np.tile(np.arange(dim), dim)[:, None]
+    return SignedPermutationOp._trusted(dim, target, factors.psi[members, target])
+
+
 def whole_table_residuals(table):
     """`bell.table_residuals` on one whole `bell_table`, as it ran before it
-    streamed family blocks: the table read as a (family, member, column)
+    read the factors: the table read as a (family, member, column)
     grid, and the families that overlap found from the (2N)^3 bool grid of
     agreeing family target rows."""
     dim = table.dim

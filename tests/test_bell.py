@@ -11,6 +11,8 @@ from dense_oracle import (
     dense_relabel,
     dense_residuals,
     encode_direct_loop,
+    encode_law_residuals_loop,
+    factor_table,
     interleave_loop,
     sign_matrix,
     stack_blocks,
@@ -25,7 +27,7 @@ import sdc.bell as bell_mod
 from sdc import hadamard
 from sdc.bell import (
     BellLabel,
-    FamilyBlocks,
+    FamilyFactors,
     all_labels,
     bell_state,
     bell_table,
@@ -35,13 +37,17 @@ from sdc.bell import (
     compose_family,
     encode_direct,
     encoder_table,
+    factor_blocks,
+    family_factors,
     first_particle_interleave,
     label_to_message,
     message_to_label,
     table_residuals,
 )
+from sdc.encoder import encode_law_residuals
 from sdc.errors import ArgOutOfRange, OrderMismatch
 from sdc.hilbert import (
+    TOL_CHAINED,
     TOL_EXACT,
     SignedPermutationOp,
     apply,
@@ -202,7 +208,7 @@ class TestCompactRelabel:
     @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 32])
     def test_relabel_holds_at_every_size(self, N):
         H = hadamard.build(2 * N)
-        assert compact_relabel_holds(FamilyBlocks(N, H), FamilyBlocks(N, H, compact=True))
+        assert compact_relabel_holds(family_factors(N, H), family_factors(N, H, compact=True))
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_relabel_equation_holds_for_all_labels(self, N):
@@ -213,16 +219,17 @@ class TestCompactRelabel:
             assert np.array_equal(moved.amp, compact_bell_state(N, lab, H).amp)
 
     def test_relabel_composes_one_family_block_at_a_time(self):
-        # given both tables, only one family block of moved rows is held at a
-        # time: about 0.016 tables at N = 32 (a table is its targets plus
-        # phases, 6 MiB there)
+        # given both tables' factors, the relabel holds only (2N)^2-entry
+        # temporaries: under 0.05 tables at N = 32 (a table is its targets
+        # plus phases, 6 MiB there)
         N = 32
         H = hadamard.build(2 * N)
         standard, compact = bell_table(N, H), bell_table(N, H, compact=True)
         size = standard.target.nbytes + standard.phase.nbytes
+        factors = factor_blocks(table_blocks(standard)), factor_blocks(table_blocks(compact))
         tracemalloc.start()
         try:
-            assert compact_relabel_holds(table_blocks(standard), table_blocks(compact))
+            assert compact_relabel_holds(*factors)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -273,7 +280,7 @@ class TestFamilyTables:
     @pytest.mark.parametrize("N", [1, 2, 4, 8])
     def test_residuals_are_exact_and_match_the_dense_route(self, N, compact):
         H = hadamard.build(2 * N)
-        exact = table_residuals(FamilyBlocks(N, H, compact))
+        exact = table_residuals(family_factors(N, H, compact))
         dense = dense_residuals(bell_basis_matrix(N, H, compact))
         assert exact == {"gram": 0.0, "partial_trace": 0.0, "amplitude": 0.0}
         for name, value in dense.items():
@@ -294,7 +301,7 @@ class TestFamilyTables:
         monkeypatch.setattr(bell_mod, "compact_partner_table", colliding)
         H = hadamard.build(2 * N)
         built = bell_table(N, H, compact=True)
-        streamed = table_residuals(FamilyBlocks(N, H, compact=True))
+        streamed = table_residuals(family_factors(N, H, compact=True))
         exact = streamed["gram"]
         dense = dense_residuals(bell_basis_matrix(N, H, compact=True))["gram"]
         assert exact >= 1.0 / (2 * N)
@@ -302,30 +309,29 @@ class TestFamilyTables:
         assert streamed == table_residuals_grouped(built) == whole_table_residuals(built)
 
     @pytest.mark.parametrize("N", [1, 2, 4])
-    def test_flipped_phase_breaks_both_grams(self, N, monkeypatch):
-        table = bell_mod.encoder_table
-
-        def flipped(n, H, messages):
-            # the encoder of message 0, label (1, +1, 1), gets one sign flipped
-            op = table(n, H, messages)
-            phase = op.phase.copy()
-            phase[np.asarray(messages) == 0, 0] *= -1
-            return SignedPermutationOp(op.dim, op.target, phase)
-
-        monkeypatch.setattr(bell_mod, "encoder_table", flipped)
-        H = hadamard.build(2 * N)
-        built = bell_table(N, H)
-        streamed = table_residuals(FamilyBlocks(N, H))
-        exact = streamed["gram"]
-        dense = dense_residuals(bell_basis_matrix(N, H))["gram"]
-        assert exact >= 1.0 / N
-        assert abs(exact - dense) <= 1e-12
-        assert streamed == table_residuals_grouped(built) == whole_table_residuals(built)
+    def test_flipped_phase_breaks_both_grams(self, N):
+        # the encoder of message 0, label (1, +1, 1), gets one sign flipped:
+        # its block still shares one target row, but member 1's signs now
+        # differ between families, so the family does not factor and the
+        # factor route reads 1.0; the whole-table routes read the deviation
+        table = bell_table(N, hadamard.build(2 * N))
+        phase = table.phase.copy()
+        phase[0, 0] *= -1
+        flipped = SignedPermutationOp(table.dim, table.target, phase)
+        factors = factor_blocks(table_blocks(flipped))
+        assert factors.factors is False
+        assert table_residuals(factors)["gram"] == 1.0
+        assert encode_law_residuals(factors)["family_rule"] == 1.0
+        dense = dense_residuals(table_basis(flipped))["gram"]
+        whole = whole_table_residuals(flipped)["gram"]
+        assert whole >= 1.0 / N and abs(whole - dense) <= 1e-12
+        assert table_residuals_grouped(flipped)["gram"] == whole
+        assert encode_law_residuals_loop(flipped)["family_rule"] > TOL_CHAINED
 
     @pytest.mark.parametrize("N", [1, 2, 4, 8])
     def test_relabel_matches_the_dense_search(self, N):
         H = hadamard.build(2 * N)
-        assert compact_relabel_holds(FamilyBlocks(N, H), FamilyBlocks(N, H, compact=True))
+        assert compact_relabel_holds(family_factors(N, H), family_factors(N, H, compact=True))
         found = dense_relabel(N, H)
         assert found is not None  # the search finds some pair at 2N <= 4
         if N <= 2:
@@ -338,8 +344,8 @@ class TestFamilyTables:
 
 
 class TestResidualRoutes:
-    """`table_residuals` streams the family blocks; the whole-table route reads
-    them off one table, and the grouped route searches for them."""
+    """`table_residuals` reads the family factors; the whole-table route reads
+    the family blocks off one table, and the grouped route searches for them."""
 
     @pytest.mark.parametrize("compact", [False, True], ids=["standard", "compact"])
     @pytest.mark.parametrize(
@@ -354,18 +360,20 @@ class TestResidualRoutes:
     def test_layout_route_equals_the_grouped_route(self, matrix, N, compact):
         H = sign_matrix(matrix, N)
         table = bell_table(N, H, compact)
-        streamed = table_residuals(FamilyBlocks(N, H, compact))
+        streamed = table_residuals(family_factors(N, H, compact))
         assert streamed == whole_table_residuals(table) == table_residuals_grouped(table)
 
     @pytest.mark.parametrize("compact", [False, True], ids=["standard", "compact"])
     def test_families_sharing_every_target_fail_on_all_routes(self, compact):
-        # block 1 takes block 0's targets: the two families' states overlap
+        # block 1 takes block 0's targets: the two families' states overlap,
+        # and block 1's phases are no longer psi on its targets, so the
+        # factor route reads 1.0 while the oracles read the overlap
         blocks = table_blocks(bell_table(4, hadamard.build(8), compact))
         blocks[1] = SignedPermutationOp._trusted(blocks[1].dim, blocks[0].target, blocks[1].phase)
         table = stack_blocks(blocks)
-        streamed = table_residuals(blocks)
-        assert streamed["gram"] > TOL_EXACT
-        assert streamed == whole_table_residuals(table) == table_residuals_grouped(table)
+        assert table_residuals(factor_blocks(blocks))["gram"] == 1.0
+        assert whole_table_residuals(table)["gram"] > TOL_EXACT
+        assert table_residuals_grouped(table)["gram"] > TOL_EXACT
 
     def test_unblocked_table_fails_on_both_routes(self):
         # member 2 of family 0 swaps two of its targets: its row is still a
@@ -374,19 +382,19 @@ class TestResidualRoutes:
         target = table.target.copy()
         target[1, [0, 1]] = target[1, [1, 0]]
         unblocked = SignedPermutationOp(table.dim, target, table.phase)
-        assert table_residuals(table_blocks(unblocked))["gram"] == 1.0
+        assert table_residuals(factor_blocks(table_blocks(unblocked)))["gram"] == 1.0
         assert whole_table_residuals(unblocked)["gram"] == 1.0
         assert table_residuals_grouped(unblocked)["gram"] > TOL_EXACT
 
     def test_no_temporary_is_table_sized(self):
-        # one pass over the family blocks holds (2N)^2-entry temporaries; the
-        # table's phases alone hold 4 MiB
+        # factoring the blocks and reading the residuals off the factors hold
+        # (2N)^2-entry arrays; the table's phases alone hold 4 MiB
         N = 32
         table = bell_table(N, hadamard.build(2 * N))
         blocks = table_blocks(table)
         tracemalloc.start()
         try:
-            table_residuals(blocks)
+            table_residuals(factor_blocks(blocks))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -402,39 +410,47 @@ STREAMED_MATRICES = [
 
 
 class TestFamilyBlocks:
-    """The family blocks the checks stream, against the whole tables."""
+    """The family blocks read as factors, against the whole tables."""
 
     @pytest.mark.parametrize("compact", [False, True], ids=["standard", "compact"])
     @pytest.mark.parametrize("matrix,N", STREAMED_MATRICES)
     def test_blocks_are_the_table_rows(self, matrix, N, compact):
+        # the factors stand for the table, and factoring its blocks gives
+        # them back
         H = sign_matrix(matrix, N)
-        blocks, table = FamilyBlocks(N, H, compact), bell_table(N, H, compact)
-        assert len(blocks) == 2 * N
-        assert stack_blocks(blocks) == table
+        factors, table = family_factors(N, H, compact), bell_table(N, H, compact)
+        assert factors.factors is True and factors.target.shape == (2 * N, 2 * N)
+        assert factor_table(factors) == table
+        read = factor_blocks(table_blocks(table))
+        assert read.factors is True
+        assert np.array_equal(read.target, factors.target) and np.array_equal(read.psi, factors.psi)
 
     @pytest.mark.parametrize("matrix,N", STREAMED_MATRICES)
     def test_streamed_relabel_equals_the_whole_table_route(self, matrix, N):
         H = sign_matrix(matrix, N)
-        standard, compact = FamilyBlocks(N, H), FamilyBlocks(N, H, compact=True)
+        standard, compact = family_factors(N, H), family_factors(N, H, compact=True)
         streamed = compact_relabel_holds(standard, compact)
         assert streamed is whole_table_relabel_holds(bell_table(N, H), bell_table(N, H, compact=True))
-        twisted = [SignedPermutationOp(c.dim, c.target, c.phase * np.exp(0.1j)) for c in compact]
+        twisted = FamilyFactors(compact.psi * np.exp(0.1j), compact.target, True)
         assert not compact_relabel_holds(standard, twisted)
-        assert not whole_table_relabel_holds(bell_table(N, H), stack_blocks(twisted))
+        assert not whole_table_relabel_holds(bell_table(N, H), factor_table(twisted))
 
     def test_out_of_range_block_and_wrong_order_are_refused(self):
-        blocks = FamilyBlocks(2, hadamard.build(4), compact=True)
+        blocks = table_blocks(bell_table(2, hadamard.build(4)))
+        assert factor_blocks(blocks).factors is True
         with pytest.raises(IndexError):
-            blocks[4]
-        assert len(list(blocks)) == 4
-        with pytest.raises(OrderMismatch):
-            FamilyBlocks(2, hadamard.build(8))
+            factor_blocks(blocks + blocks[:1])  # a fifth block has no family
+        assert factor_blocks(blocks[:-1]).factors is False  # a missing block reads target -1
+        for compact in (False, True):
+            with pytest.raises(OrderMismatch):
+                family_factors(2, hadamard.build(8), compact)
 
     @pytest.mark.parametrize("compact", [False, True], ids=["standard", "compact"])
     def test_a_streamed_pass_holds_one_block(self, compact):
-        # table_residuals over built-on-demand blocks: the block in hand, the
-        # next one and their (2N)^2-entry temporaries, about 0.065 tables
-        # (a table, targets plus phases, is 6 MiB at N = 32)
+        # the standard factors are read one built-on-demand block at a time,
+        # the compact ones in closed form: the factors, one block and their
+        # (2N)^2-entry temporaries, under 0.1 tables (a table, targets plus
+        # phases, is 6 MiB at N = 32)
         N = 32
         H = hadamard.build(2 * N)
         table = bell_table(N, H, compact)
@@ -442,7 +458,7 @@ class TestFamilyBlocks:
         del table
         tracemalloc.start()
         try:
-            table_residuals(FamilyBlocks(N, H, compact))
+            family_factors(N, H, compact)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -136,15 +136,14 @@ class TestVerify:
         import numpy as np
 
         import sdc.bell as bell_mod
-        from sdc.hilbert import SignedPermutationOp
 
-        build = bell_mod.FamilyBlocks.__getitem__
+        build = bell_mod.family_factors
 
-        def twisted(self, f):
-            op = build(self, f)
-            return SignedPermutationOp(op.dim, op.target, op.phase * np.exp(0.1j)) if self.compact else op
+        def twisted(N, H, compact=False):
+            f = build(N, H, compact)
+            return bell_mod.FamilyFactors(f.psi * np.exp(0.1j), f.target, f.factors) if compact else f
 
-        monkeypatch.setattr(bell_mod.FamilyBlocks, "__getitem__", twisted)
+        monkeypatch.setattr(bell_mod, "family_factors", twisted)
         code, out, _ = run_cli(capsys, "verify", "--n", "2")
         report = json.loads(out)
         assert code == 1
@@ -153,8 +152,46 @@ class TestVerify:
         ]
         assert report["resolutions"]["compact_relabel_method"] == "none"
 
+    def test_report_factors_each_family_once(self, monkeypatch):
+        # one pass factors the standard family's blocks; the family checks
+        # read the factors and build no block, and no Bell table is built
+        import sdc.bell as bell_mod
+        import sdc.encoder as enc
+        from sdc.cli import RunConfig, build_verify_report
+
+        calls, checking = [], []
+
+        def spy(module, name, is_check=False):
+            real = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append((name, bool(checking)))  # (name, inside a family check)
+                if is_check:
+                    checking.append(name)
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    if is_check:
+                        checking.pop()
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        for module, name in ((bell_mod, "factor_blocks"), (bell_mod, "bell_table"),
+                             (bell_mod, "encoder_table"), (enc, "encoder_table")):
+            spy(module, name)
+        for module, name in ((bell_mod, "table_residuals"), (bell_mod, "compact_relabel_holds"),
+                             (enc, "encode_law_residuals")):
+            spy(module, name, is_check=True)
+        assert build_verify_report(RunConfig(n=4))["pass"] is True
+        names = [name for name, _ in calls]
+        assert names.count("factor_blocks") == 1
+        assert "bell_table" not in names
+        assert ("encoder_table", True) not in calls
+        assert (names.count("table_residuals"), names.count("compact_relabel_holds")) == (2, 1)
+        assert names.count("encode_law_residuals") == 1
+
     def test_report_holds_no_bell_table(self):
-        # every table check streams family blocks: a repeated report at N = 32
+        # every table check reads family factors: a repeated report at N = 32
         # peaks under half of one Bell table (targets plus phases, 6 MiB), where
         # holding the standard and compact tables took about 14 MiB
         import tracemalloc

@@ -44,7 +44,7 @@ from sdc.gates import (
     position_controlled_swap,
     resolve_mixer_normalization,
 )
-from sdc.hilbert import PermutedBlockOp, SignedPermutationOp, StateVector, apply_full
+from sdc.hilbert import PermutedBlockOp, StateVector, apply_full
 
 
 def grand_oracle(N, H):
@@ -429,7 +429,7 @@ class TestGuards:
         import sdc.bell as bell_mod
 
         H = hadamard.build(2)
-        standard, compact = bell_mod.FamilyBlocks(1, H), bell_mod.FamilyBlocks(1, H, compact=True)
-        twisted = [SignedPermutationOp(c.dim, c.target, c.phase * np.exp(0.1j)) for c in compact]
+        standard, compact = bell_mod.family_factors(1, H), bell_mod.family_factors(1, H, compact=True)
+        twisted = bell_mod.FamilyFactors(compact.psi * np.exp(0.1j), compact.target, True)
         assert bell_mod.compact_relabel_holds(standard, compact)
         assert not bell_mod.compact_relabel_holds(standard, twisted)

@@ -18,7 +18,15 @@ from dense_oracle import (
 
 import sdc.encoder as enc
 from sdc import hadamard
-from sdc.bell import BellLabel, FamilyBlocks, all_labels, bell_state, bell_table, compose_family
+from sdc.bell import (
+    BellLabel,
+    all_labels,
+    bell_state,
+    bell_table,
+    compose_family,
+    factor_blocks,
+    family_factors,
+)
 from sdc.encoder import (
     MEMBER_MIXER_READINGS,
     _member_mixer_with_reading,
@@ -388,7 +396,7 @@ class TestExactLawChecks:
     @pytest.mark.parametrize("N", [1, 2, 4, 8])
     def test_exact_residuals_match_the_dense_route(self, N):
         H = hadamard.build(2 * N)
-        exact = encode_law_residuals(N, H)
+        exact = encode_law_residuals(family_factors(N, H))
         dense = dense_encode_law_residuals(N, H)
         assert exact == {"structure": 0.0, "family_rule": 0.0, "no_signaling": 0.0}
         for name, value in dense.items():
@@ -435,8 +443,8 @@ class TestExactLawChecks:
         # the family rule depends on row 1 and the pairing only: a row 1 with
         # one minus sign reads 1/N
         H = sign_matrix(matrix, N)
-        exact = encode_law_residuals(N, H)
-        assert exact == encode_law_residuals_loop(N, H)
+        exact = encode_law_residuals(family_factors(N, H))
+        assert exact == encode_law_residuals_loop(bell_table(N, H))
         assert exact == {"structure": 0.0, "family_rule": rule, "no_signaling": 0.0}
 
     @pytest.mark.parametrize(
@@ -450,42 +458,35 @@ class TestExactLawChecks:
     )
     def test_streamed_residuals_equal_the_whole_table_route(self, matrix, N):
         H = sign_matrix(matrix, N)
-        assert encode_law_residuals(N, H) == whole_table_encode_law_residuals(N, H)
+        assert encode_law_residuals(family_factors(N, H)) == whole_table_encode_law_residuals(bell_table(N, H))
 
-    def test_no_temporary_is_table_sized(self, monkeypatch):
-        # one start family at a time: beyond its block, only (2N)^2-entry
+    def test_no_temporary_is_table_sized(self):
+        # one start family at a time: beyond the factors, only (2N)^2-entry
         # temporaries are held (about 8 of them at N = 32), where the table's
-        # phases alone hold 4N^2 * 2N.  The blocks are served as views of a
-        # table built beforehand, so only the check's own arrays are traced.
+        # phases alone hold 4N^2 * 2N.  The factors are read beforehand, so
+        # only the check's own arrays are traced.
         N, dim = 32, 64
         H = hadamard.build(dim)
-        blocks = table_blocks(bell_table(N, H))
-        monkeypatch.setattr(FamilyBlocks, "__getitem__", lambda self, f: blocks[f])
+        factors = family_factors(N, H)
         tracemalloc.start()
         try:
-            encode_law_residuals(N, H)
+            encode_law_residuals(factors)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 16 * dim * dim * 16  # 16 complex (2N)^2 arrays, a quarter of the table's phases
 
-    def test_unfactored_table_fails_on_both_routes(self, monkeypatch):
+    def test_unfactored_table_fails_on_both_routes(self):
         # member 2 takes another sign in family 1 than in family 0, so no
         # member-j diagonal serves every family
-        build = FamilyBlocks.__getitem__
-
-        def mixed_signs(self, f):
-            block = build(self, f)
-            if f != 1:
-                return block
-            phase = block.phase.copy()
-            phase[1, 0] *= -1  # family 1, member 2, column 0
-            return SignedPermutationOp._trusted(block.dim, block.target, phase)
-
-        monkeypatch.setattr(FamilyBlocks, "__getitem__", mixed_signs)
-        H = hadamard.build(4)
-        exact = encode_law_residuals(2, H)
-        loop = encode_law_residuals_loop(2, H)
+        table = bell_table(2, hadamard.build(4))
+        phase = table.phase.copy()
+        phase[4 + 1, 0] *= -1  # family 1, member 2, column 0
+        mixed = SignedPermutationOp._trusted(table.dim, table.target, phase)
+        factors = factor_blocks(table_blocks(mixed))
+        exact = encode_law_residuals(factors)
+        loop = encode_law_residuals_loop(mixed)
+        assert factors.factors is False
         assert exact["family_rule"] == 1.0
         assert loop["family_rule"] > 1e-10
         assert exact["structure"] == loop["structure"] == 0.0
@@ -493,7 +494,7 @@ class TestExactLawChecks:
 
     def test_lawless_matrix_fails_on_both_routes(self):
         H = hadamard.build(4, custom={4: ALT4})
-        exact = encode_law_residuals(2, H)
+        exact = encode_law_residuals(family_factors(2, H))
         dense = dense_encode_law_residuals(2, H)
         assert exact["family_rule"] > 1e-10
         for name, value in dense.items():
@@ -505,7 +506,7 @@ class TestExactLawChecks:
             enc, "compose_family", lambda k, r, kp, rp, N: ((k + kp - 1) % N + 1, r * rp)
         )
         H = hadamard.build(4)
-        exact = encode_law_residuals(2, H)
+        exact = encode_law_residuals(family_factors(2, H))
         dense = dense_encode_law_residuals(2, H)
         assert exact["family_rule"] == 1.0
         for name, value in dense.items():

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -113,12 +112,11 @@ def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _emit_csv(header: list[str], rows) -> None:
+    """Write the header and each row of the iterable `rows` straight to stdout."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
 
 
 def _static_conventions(H) -> dict:
@@ -353,9 +351,9 @@ def cmd_decode(cfg: RunConfig, state_path: str) -> int:
 def cmd_table(cfg: RunConfig) -> int:
     H, HN = cfg.hadamard_pair()
     table = decoder.build_decode_table(cfg.n, H, decoder.make_decoder(cfg.n, H, cfg.path, HN))
-    # the table is a permutation; its inverse lists each message's outcome
-    rows = [[m, *divmod(out, 2 * cfg.n)] for m, out in enumerate(np.argsort(table).tolist())]
-    _emit_csv(["message", "first", "second"], rows)
+    # the table is a permutation; its inverse lists each message's outcome, row by row
+    first, second = np.divmod(np.argsort(table), 2 * cfg.n)
+    _emit_csv(["message", "first", "second"], zip(range(len(table)), first, second))
     return 0
 
 

@@ -17,7 +17,8 @@ reports, protocol runs and the command line all take or build one `Decoder`.
 it checks a stacked `SignedPermutationOp` of states against one operator row
 each (`certify_grand`), bit-identical to the amplitude route
 (`Decoder.decode`), which stays the oracle and decodes arbitrary states and
-the pipeline's.
+the pipeline's.  Tables and the grand route index Bell states by message
+id; `build_decode_table` builds a `BellLabel` only to name one in an error.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .bell import (
     compact_partner_table,
     encoder_table,
     first_particle_interleave,
+    message_to_label,
 )
 from .errors import (
     CollisionDetected,
@@ -289,23 +291,22 @@ def build_decode_table(N: int, H: HadamardMatrix, decoder: Decoder) -> np.ndarra
     probability.
     """
     outcomes, probs = bell_outcomes(N, H, decoder)
-    labels = all_labels(N)
     _, first, inverse = np.unique(outcomes, return_index=True, return_inverse=True)
-    earlier = first[inverse]  # the first label to reach each label's outcome
-    repeat = earlier != np.arange(len(labels))
+    earlier = first[inverse]  # the first message to reach each message's outcome
+    repeat = earlier != np.arange(len(outcomes))
     spread = probs < 1.0 - TOL_CHAINED
     if decoder.path == "grand":  # a collision in the held rows comes first
         spread &= not repeat.any()
     bad = np.flatnonzero(spread | repeat)
     if bad.size:
-        i = bad[0]
+        i = int(bad[0])
         if spread[i]:
             raise NonDeterministicOutcome(
-                f"{decoder.path} decoder spread label {labels[i]} over multiple outcomes "
-                f"(top probability {probs[i]:.6f})"
+                f"{decoder.path} decoder spread label {message_to_label(i, N)} over multiple "
+                f"outcomes (top probability {probs[i]:.6f})"
             )
-        key = divmod(int(outcomes[i]), 2 * N)
-        raise CollisionDetected(f"outcome {key} hit by both {labels[earlier[i]]} and {labels[i]}")
+        key, first_label = divmod(int(outcomes[i]), 2 * N), message_to_label(int(earlier[i]), N)
+        raise CollisionDetected(f"outcome {key} hit by both {first_label} and {message_to_label(i, N)}")
     # the outcomes are distinct, so their inverse names each outcome's Bell state
     return flip_start(np.argsort(outcomes), 2 * N)
 

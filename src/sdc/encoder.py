@@ -21,14 +21,16 @@ The direct encoder's own laws are read on the standard family's factors
 (`bell.FamilyFactors`), a +-1 diagonal per member after a permutation per
 family, which `bell.factor_blocks` checks exactly in its one pass over the
 family blocks; the per-label loop is the oracle in `tests/dense_oracle.py`.
-Nothing is memoized.
+Every check reads a label as its message id m = family·2N + member, by
+divmod; a `BellLabel` is built only to name one in an error text and for the
+2N families' (k, r).  Nothing is memoized.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bell import BellLabel, FamilyFactors, all_labels, compose_family, encode_direct, encoder_table
+from .bell import BellLabel, FamilyFactors, compose_family, encode_direct, encoder_table, message_to_label
 from .errors import ArgOutOfRange, OrderMismatch, PropertyViolated
 from .gates import channel_swap_gate, ladder_shift_gate
 from .hadamard import HadamardMatrix
@@ -108,12 +110,12 @@ def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
             same = (moved.target == want.target) & (moved.phase == want.phase)
             bad = np.flatnonzero((jpp < 0) | ~same.all(axis=1))
             if bad.size:
-                m, lab = bad[0], all_labels(N)[bad[0]]
+                m = int(bad[0])  # the message id of member m + 1 of family (1, +1)
                 if jpp[m] < 0:
-                    failures[reading] = f"row {j} * row {lab.j} is not a row of H"
+                    failures[reading] = f"row {j} * row {m + 1} is not a row of H"
                 else:
                     dev = np.max(np.abs(np.asarray(moved[m]) - np.asarray(want[m]))) / np.sqrt(dim)
-                    failures[reading] = f"mixer {j} on {lab} deviates by {dev:.3e}"
+                    failures[reading] = f"mixer {j} on {message_to_label(m, N)} deviates by {dev:.3e}"
                 break
         else:
             # permutations compare exactly, so a passing reading deviates by 0
@@ -179,16 +181,17 @@ def resolve_composition_order(N: int, H: HadamardMatrix, reading: str) -> dict:
     route over all labels at once is
     `tests/dense_oracle.py::resolve_composition_order_stacked`.
     """
-    dim, labels = 2 * N, all_labels(N)
+    dim = 2 * N
     overlaps = np.empty((len(COMPOSITION_ORDERS), dim, dim), dtype=np.complex128)
     equal = [True] * len(COMPOSITION_ORDERS)
     for f in range(dim):
         rows = range(f * dim, (f + 1) * dim)  # message = family * 2N + member
         direct = encoder_table(N, H, rows)
         # the gates are built unchecked, so each family's are checked here, once
-        mixers = [member_mixer(N, H, labels[m].j, reading) for m in rows]
+        mixers = [member_mixer(N, H, j, reading) for j in range(1, dim + 1)]
         mixer = SignedPermutationOp(dim, [op.target for op in mixers], [op.phase for op in mixers])
-        shift = family_shift(N, labels[f * dim].k, labels[f * dim].r)
+        family = message_to_label(f * dim, N)
+        shift = family_shift(N, family.k, family.r)
         shift = SignedPermutationOp(dim, shift.target, shift.phase)
         for o, order in enumerate(COMPOSITION_ORDERS):
             outer, inner = (mixer, shift) if order == "family-shift-first" else (shift, mixer)
@@ -234,21 +237,23 @@ def encode_law_residuals(factors: FamilyFactors) -> dict:
     psi, family_target = factors.psi, factors.target
     dim = len(family_target)
     unit = factors.factors and bool(np.all((psi == 1) | (psi == -1)))
-    families = [(lab.k, lab.r) for lab in all_labels(dim // 2)[::dim]]
+    heads = (message_to_label(f * dim, dim // 2) for f in range(dim))  # member 1 of each family
+    families = [(lab.k, lab.r) for lab in heads]
     index = {fam: f for f, fam in enumerate(families)}
     # landing[f, f']: the family that family f's encoders send start family f' to
     landing = np.array([[index[compose_family(*a, *b, dim // 2)] for b in families] for a in families])
     structure = float(np.max(np.abs(np.abs(psi) - 1.0)))
-    rule = signaling = 0.0
+    # the state of a signed permutation has rho_B = diag(|phase|^2) / 2N; start s
+    # moves member j's signs to psi[j, T_s] * psi[0, T_s], a column permutation
+    # of psi * psi[0], so every start gives the same residual
+    signaling = float(np.max(np.abs(np.abs(psi * psi[0]) ** 2 - 1.0))) / dim
+    rule = 0.0
     for s in range(dim):  # member 1 of family s is a start
         start_target, start_phase = family_target[s], psi[0, family_target[s]]
         # row f: family f's targets after the start against its landing family's
         agree = family_target[:, start_target] == family_target[landing[:, s]]
         overlap = np.sum(agree * start_phase, axis=-1) / dim  # the same for every member
         rule = max(rule, float(np.max(np.abs(np.abs(overlap) - 1.0))))
-        # the state of a signed permutation has rho_B = diag(|phase|^2) / 2N
-        moved_phase = psi[:, start_target] * start_phase  # member signs times the start's
-        signaling = max(signaling, float(np.max(np.abs(np.abs(moved_phase) ** 2 - 1.0))) / dim)
     return {"structure": structure, "family_rule": rule if unit else 1.0, "no_signaling": signaling}
 
 

@@ -11,9 +11,9 @@ densifies any of them.  A `SignedPermutationOp` is one signed permutation
 or a stack of them; they compose (`compose_perms`) and overlap as states
 (U x I)|Phi+> (`phi_plus_overlap`) here only, row by row.  Each is checked
 where it enters, by the public constructor; results that are signed
-permutations by construction (the identity, compositions, rows,
-transposes, the closed-form gates, the Bell tables) are wrapped by the
-unchecked `SignedPermutationOp._trusted`.
+permutations by construction (the identity, compositions, rows, the
+closed-form gates, the Bell tables) are wrapped by the unchecked
+`SignedPermutationOp._trusted`.
 """
 
 from __future__ import annotations
@@ -159,13 +159,6 @@ class SignedPermutationOp:
     def __getitem__(self, rows) -> SignedPermutationOp:
         """The operators at `rows` of a stack's leading axes."""
         return SignedPermutationOp._trusted(self.dim, self.target[rows], self.phase[rows])
-
-    @property
-    def T(self) -> SignedPermutationOp:
-        """The transpose of each operator: |target[i]> -> phase[i] |i>."""
-        inverse = np.argsort(self.target, axis=-1)
-        phase = np.take_along_axis(self.phase, inverse, -1)
-        return SignedPermutationOp._trusted(self.dim, inverse, phase)
 
     __eq__ = _equal
 

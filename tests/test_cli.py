@@ -449,6 +449,27 @@ def test_verify_imports_no_numpy_ma():
     assert modules_loaded_by(argvs, "numpy.ma") == {" ".join(argv): [] for argv in argvs}
 
 
+def test_verify_and_table_build_no_label_list(capsys, monkeypatch):
+    # checks and the table read message ids, divmod(m, 2N); a label is built
+    # only to name one in a text or for a family's (k, r), so no module lists
+    # all 4N^2 of them
+    import sdc.bell as bell_mod
+    from sdc.cli import RunConfig, build_verify_report
+
+    calls, real = [], bell_mod.all_labels
+
+    def counted(N):
+        calls.append(N)
+        return real(N)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "sdc" and getattr(module, "all_labels", None) is real:
+            monkeypatch.setattr(module, "all_labels", counted)
+    assert build_verify_report(RunConfig(n=4))["pass"] is True
+    assert run_cli(capsys, "table", "--n", "4")[0] == 0
+    assert calls == []
+
+
 class TestEncodeDecode:
     def test_encode_dump_matches_operator(self, capsys):
         from sdc import hadamard
@@ -483,6 +504,10 @@ class TestEncodeDecode:
                 "3e08e640f4291c246a4e0de0301bf307e4cbf0b63174f4e9bd0b18b3baf54da7",
             ),
             (
+                [["table", "--n", "64"]],
+                "c9f00a4473fcf1503c94315a30bbeeaa7beb974f61eceb62d2deacf29e541ba3",
+            ),
+            (
                 [["sweep", "--n", "16"]],
                 "553c7b93edff0b1c75e78f11dba82304707448842508ec5894b27e408637d8bc",
             ),
@@ -492,7 +517,7 @@ class TestEncodeDecode:
                 "7df5b649e04686e8cb5fa96d7c862b54323b07aec6998ded6c26f3ecec4224de",
             ),
         ],
-        ids=["encode-n2", "encode-n4", "table-n4", "table-n8", "sweep-n16", "sweep-n64"],
+        ids=["encode-n2", "encode-n4", "table-n4", "table-n8", "table-n64", "sweep-n16", "sweep-n64"],
     )
     def test_integer_output_matches_recorded_digest(self, capsys, argvs, digest):
         # sha256 of the concatenated stdout of each command, in order; the
@@ -636,6 +661,23 @@ class TestTableAndSweep:
         assert sorted(int(r[0]) for r in rows[1:]) == [0, 1, 2, 3]
         # outcome pairs are distinct
         assert len({(r[1], r[2]) for r in rows[1:]}) == 4
+
+    def test_table_streams_its_rows(self):
+        # the rows go straight to stdout from the 4N^2 outcome arrays: a second
+        # table at N = 64 peaks at about 1.8 MiB traced, where building 4N^2 row
+        # lists and a copy of the whole CSV took about 4.2 MiB
+        import contextlib
+        import tracemalloc
+
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(["table", "--n", "64"]) == 0  # first use of each numpy routine is not traced
+            tracemalloc.start()
+            try:
+                assert main(["table", "--n", "64"]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_sweep_certifies_the_bell_states_once(self, capsys, monkeypatch):
         # the decode table is built only for states the certified pass misreads

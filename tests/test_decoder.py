@@ -46,6 +46,9 @@ from sdc.gates import (
 )
 from sdc.hilbert import PermutedBlockOp, StateVector, apply_full
 
+# both routes name a collision by the first two labels, in message order, to reach the outcome
+COLLISION_TEXT = "outcome (0, 0) hit by both BellLabel(k=1, r=1, j=1) and BellLabel(k=1, r=1, j=2)"
+
 
 def grand_oracle(N, H):
     """Independent grand route: sum of |product ket><compact state| outer products."""
@@ -309,9 +312,13 @@ class TestPipeline:
         # inputs over several outcomes, so no decode table exists for it
         report = resolved_pipeline_report(8, hadamard.build(16), hadamard.build(8))
         assert report["deterministic"] is False
-        with pytest.raises(NonDeterministicOutcome):
-            H = hadamard.build(16)
+        H = hadamard.build(16)
+        with pytest.raises(NonDeterministicOutcome) as exc:
             build_decode_table(8, H, make_decoder(8, H, "pipeline", hadamard.build(8)))
+        assert str(exc.value) == (
+            "pipeline decoder spread label BellLabel(k=2, r=1, j=9) over multiple outcomes "
+            "(top probability 0.250000)"
+        )
 
 
 def test_outcome_distribution_completeness():
@@ -393,8 +400,9 @@ class TestGuards:
             lambda self, s: (MeasurementOutcome(0, 0, 1.0), []),
         )
         H, HN = hadamard.build(2), hadamard.build(1)
-        with pytest.raises(CollisionDetected):
+        with pytest.raises(CollisionDetected) as exc:
             dec.build_decode_table(1, H, dec.make_decoder(1, H, "pipeline", HN))
+        assert str(exc.value) == COLLISION_TEXT
 
     def test_corrupted_grand_operator_is_nondeterministic(self):
         N, H = 2, hadamard.build(4)
@@ -402,8 +410,12 @@ class TestGuards:
         block = gop.block.copy()
         block[0, 0] = -block[0, 0]  # one sign, read by member 1 of every family
         bad = PermutedBlockOp(gop.rows, block)
-        with pytest.raises(NonDeterministicOutcome, match="probability 0.250000"):
+        with pytest.raises(NonDeterministicOutcome) as exc:
             build_decode_table(N, H, Decoder("grand", (interleave, (bad, None))))
+        assert str(exc.value) == (
+            "grand decoder spread label BellLabel(k=1, r=1, j=1) over multiple outcomes "
+            "(top probability 0.250000)"
+        )
 
     def test_rows_swapped_across_families_are_nondeterministic(self):
         # certification counts a term only inside its own family's block; the
@@ -414,16 +426,21 @@ class TestGuards:
         rows = gop.rows.copy()
         rows[[0, 1], 1] = rows[[1, 0], 1]
         bad = PermutedBlockOp(rows, gop.block)
-        with pytest.raises(NonDeterministicOutcome, match="probability 0.562500"):
+        with pytest.raises(NonDeterministicOutcome) as exc:
             build_decode_table(N, H, Decoder("grand", (interleave, (bad, None))))
+        assert str(exc.value) == (
+            "grand decoder spread label BellLabel(k=1, r=1, j=1) over multiple outcomes "
+            "(top probability 0.562500)"
+        )
 
     def test_colliding_partner_table_is_reported(self):
         N, H = 2, hadamard.build(4)
         interleave, (gop, _) = make_decoder(N, H).stages
         # every family's rows now predict outcome (0, 0) for every member
         bad = PermutedBlockOp(np.zeros_like(gop.rows), gop.block)
-        with pytest.raises(CollisionDetected, match=r"outcome \(0, 0\) hit by both"):
+        with pytest.raises(CollisionDetected) as exc:
             build_decode_table(N, H, Decoder("grand", (interleave, (bad, None))))
+        assert str(exc.value) == COLLISION_TEXT
 
     def test_unrelatable_compact_family_is_reported(self):
         import sdc.bell as bell_mod

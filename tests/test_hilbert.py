@@ -335,8 +335,6 @@ class TestStackedOperators:
             row = stack[i]
             assert row == SignedPermutationOp(dim, stack.target[i], stack.phase[i])
             assert np.array_equal(np.asarray(row), dense[i])
-            assert np.array_equal(np.asarray(row.T), dense[i].T)
-        assert np.array_equal(np.asarray(stack.T), dense.transpose(0, 2, 1))
         assert stack[[4, 0, 0]] == SignedPermutationOp(
             dim, stack.target[[4, 0, 0]], stack.phase[[4, 0, 0]]
         )

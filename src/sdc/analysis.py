@@ -2,8 +2,9 @@
 
 The protocol sends one particle of the fixed start state after a local
 encoding; the receiver's Bell-state measurement recovers one of 4N^2
-messages, i.e. 2*log2(2N) bits per sent particle.  Rates divide those bits by
-the decoding gate time under a common-time model and are compared against two
+messages, i.e. 2*log2(2N) bits per sent particle; `round_trip` is that round
+trip for `run` and `sweep` alike.  Rates divide those bits by the decoding
+gate time under a common-time model and are compared against two
 multi-qubit reference schemes.  The spin extension multiplies the channel by
 an independent (2S+1)-level factor; its round trip is the plain one times
 exact overlaps of the d^2 Weyl-encoded spin pair states, all signed
@@ -20,7 +21,6 @@ import numpy as np
 from .bell import BellLabel, bell_state, encoder_table, message_to_label
 from .decoder import (
     Decoder,
-    MeasurementOutcome,
     build_decode_table,
     certify_grand,
     flip_start,
@@ -44,8 +44,10 @@ __all__ = [
     "capacity_bits",
     "start_state",
     "send",
+    "check_message",
+    "round_trip",
+    "round_trip_message",
     "run_protocol",
-    "decode_message",
     "round_trip_sweep",
     "rate_spatial",
     "rate_spatial_asymptotic",
@@ -92,42 +94,14 @@ def start_state(N: int, H: HadamardMatrix) -> StateVector:
 
 def send(N: int, H: HadamardMatrix, start: StateVector, message: int) -> StateVector:
     """The start state after the sender encodes `message` on their particle."""
-    if not 0 <= message < 4 * N * N:
-        raise MessageOutOfRange(f"message {message} outside 0..{4 * N * N - 1}")
+    check_message(N, message)
     return apply(encode_direct(N, H, message_to_label(message, N)), 0, start)
 
 
-def run_protocol(
-    N: int,
-    H: HadamardMatrix,
-    message: int,
-    path: str = "grand",
-    HN: HadamardMatrix | None = None,
-) -> int:
-    """Encode a message on the start state, decode it, return what came out."""
-    sent = send(N, H, start_state(N, H), message)
-    return decode_message(N, H, make_decoder(N, H, path, HN), sent)[1]
-
-
-def decode_message(
-    N: int, H: HadamardMatrix, decoder: Decoder, sent: StateVector
-) -> tuple[MeasurementOutcome, int]:
-    """Measure a sent state: (top outcome, message id it decodes to).
-
-    The grand route maps its outcome through the held rows (`grand_messages`)
-    and checks only this state's own top probability, raising
-    NonDeterministicOutcome below 1 - TOL_CHAINED; the other labels are not
-    tabulated.  The pipeline route looks the outcome up in its decode table.
-    """
-    top, _ = decoder.decode(sent)
-    if decoder.path != "grand":
-        return top, int(build_decode_table(N, H, decoder)[top.first * 2 * N + top.second])
-    if top.probability < 1.0 - TOL_CHAINED:
-        raise NonDeterministicOutcome(
-            f"grand decoder spread the sent state over multiple outcomes "
-            f"(top probability {top.probability:.6f})"
-        )
-    return top, int(grand_messages(decoder, top.first * 2 * N + top.second))
+def check_message(N: int, message: int) -> None:
+    """Refuse a message id outside 0..4N^2-1 (MessageOutOfRange)."""
+    if not 0 <= message < 4 * N * N:
+        raise MessageOutOfRange(f"message {message} outside 0..{4 * N * N - 1}")
 
 
 def _certify_sent(N: int, H: HadamardMatrix, decoder, messages) -> tuple[np.ndarray, np.ndarray]:
@@ -144,36 +118,69 @@ def _certify_sent(N: int, H: HadamardMatrix, decoder, messages) -> tuple[np.ndar
     return certify_grand(decoder, np.asarray(messages, dtype=np.intp), sent)
 
 
-def round_trip_sweep(
-    N: int,
-    H: HadamardMatrix,
-    path: str = "grand",
-    HN: HadamardMatrix | None = None,
-) -> dict:
-    """Round-trip every one of the 4N^2 messages.
+def round_trip(N: int, H: HadamardMatrix, decoder: Decoder, messages) -> tuple[np.ndarray, ...]:
+    """Outcome (first·2N + second), top probability and decoded message id of
+    each message's sent state; a spread state (top probability below
+    1 - TOL_CHAINED) decodes to -1.
 
-    On the grand route every sent state is certified by one operator row
-    and its outcome mapped to a message id in one pass; only a state that
-    fails, or maps to another message, is decoded on the amplitude route,
-    which also decodes every state of the pipeline; their outcomes map
-    through the decode table, built only when such a state exists.  A state
-    whose top probability is below 1 - TOL_CHAINED decodes to no message
-    (`"decoded": null`), as `run` refuses it.
+    On the grand route every sent state is certified by one operator row and
+    mapped to a message id in one pass; only a state that fails, or maps to
+    another message, is decoded on the amplitude route, as is every pipeline
+    state.  Their outcomes map through the decode table, which the grand
+    route builds only for such a state that is not spread.
     """
-    decoder = make_decoder(N, H, path, HN)
+    messages = np.asarray(messages, dtype=np.intp)
+    if decoder.path == "grand":
+        outcomes, probs = _certify_sent(N, H, decoder, messages)
+        got, table = grand_messages(decoder, outcomes), None
+        redo = np.flatnonzero((probs < 1.0 - TOL_CHAINED) | (got != messages))
+    else:  # every state is decoded, so the table, which may refuse the route, comes first
+        table, redo = build_decode_table(N, H, decoder), np.arange(len(messages))
+        outcomes, probs, got = np.empty_like(messages), np.empty(len(messages)), np.empty_like(messages)
+    if redo.size:
+        start = start_state(N, H)
+        for i in redo.tolist():
+            top, _ = decoder.decode(send(N, H, start, int(messages[i])))
+            outcomes[i], probs[i] = top.first * 2 * N + top.second, top.probability
+    spread = probs < 1.0 - TOL_CHAINED
+    redo = redo[~spread[redo]]
+    if redo.size:
+        table = build_decode_table(N, H, decoder) if table is None else table
+        got[redo] = table[outcomes[redo]]
+    got[spread] = -1
+    return outcomes, probs, got
+
+
+def round_trip_message(
+    N: int, H: HadamardMatrix, message: int, path: str = "grand", HN: HadamardMatrix | None = None
+) -> tuple[int, float, int]:
+    """`round_trip` of one message on a fresh route: (outcome, probability,
+    decoded id).  The message is range-checked before anything is built, and
+    a spread state raises NonDeterministicOutcome."""
+    check_message(N, message)
+    (outcome,), (probability,), (decoded,) = round_trip(N, H, make_decoder(N, H, path, HN), [message])
+    if decoded < 0:
+        raise NonDeterministicOutcome(
+            f"{path} decoder spread the sent state over multiple outcomes "
+            f"(top probability {probability:.6f})"
+        )
+    return int(outcome), float(probability), int(decoded)
+
+
+def run_protocol(
+    N: int, H: HadamardMatrix, message: int, path: str = "grand", HN: HadamardMatrix | None = None
+) -> int:
+    """Encode a message on the start state, decode it, return what came out."""
+    return round_trip_message(N, H, message, path, HN)[2]
+
+
+def round_trip_sweep(
+    N: int, H: HadamardMatrix, path: str = "grand", HN: HadamardMatrix | None = None
+) -> dict:
+    """`round_trip` of every one of the 4N^2 messages.  A spread state
+    decodes to no message (`"decoded": null`), as `run` refuses it."""
     messages = np.arange(4 * N * N)
-    if path == "grand":
-        flat, probs = _certify_sent(N, H, decoder, messages)
-        got = grand_messages(decoder, flat)
-        redo = (probs < 1.0 - TOL_CHAINED) | (got != messages)
-    else:
-        got, redo = np.empty_like(messages), np.ones(len(messages), dtype=bool)
-    if redo.any():
-        table, start = build_decode_table(N, H, decoder), start_state(N, H)
-        for m in np.flatnonzero(redo).tolist():
-            top, _ = decoder.decode(send(N, H, start, m))
-            spread = top.probability < 1.0 - TOL_CHAINED
-            got[m] = -1 if spread else table[top.first * 2 * N + top.second]
+    got = round_trip(N, H, make_decoder(N, H, path, HN), messages)[2]
     failed = np.flatnonzero(got != messages)  # only the failures become Python ints
     failures = [
         {"sent": m, "decoded": None if d < 0 else d}

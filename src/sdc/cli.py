@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, bell, decoder, encoder, gates, hadamard, hilbert
-from .errors import ArgOutOfRange, ConfigError, MessageOutOfRange, SdcError
+from .errors import ArgOutOfRange, ConfigError, SdcError
 
 CONFIG_ENV = "SDC_CONFIG"
 # config file key -> RunConfig field; any other key is an error
@@ -297,10 +297,7 @@ def cmd_verify(cfg: RunConfig, gates_only: bool = False) -> int:
 
 def cmd_encode(cfg: RunConfig, message: int, dump_op: bool) -> int:
     H, _ = cfg.hadamard_pair()
-    if not 0 <= message < 4 * cfg.n * cfg.n:
-        raise MessageOutOfRange(
-            f"message {message} outside 0..{4 * cfg.n * cfg.n - 1}"
-        )
+    analysis.check_message(cfg.n, message)
     lab = bell.message_to_label(message, cfg.n)
     payload = {
         "n": cfg.n,
@@ -381,14 +378,14 @@ def cmd_run(cfg: RunConfig, message: int, dump_state: str | None, sign: int = 1)
         _emit_json({**payload, "ok": decoded == message})
         return 0 if decoded == message else 1
 
-    sent = analysis.send(cfg.n, H, analysis.start_state(cfg.n, H), message)
     if dump_state:
+        sent = analysis.send(cfg.n, H, analysis.start_state(cfg.n, H), message)
         try:
             Path(dump_state).write_text(json.dumps(hilbert.state_to_dict(sent), sort_keys=True))
         except OSError as exc:
             raise ConfigError(f"cannot write state file {dump_state}: {exc}") from exc
-    dec = decoder.make_decoder(cfg.n, H, cfg.path, HN)
-    top, decoded = analysis.decode_message(cfg.n, H, dec, sent)
+    outcome, probability, decoded = analysis.round_trip_message(cfg.n, H, message, cfg.path, HN)
+    first, second = divmod(outcome, 2 * cfg.n)
     lab = bell.message_to_label(message, cfg.n)
     _emit_json(
         {
@@ -397,11 +394,7 @@ def cmd_run(cfg: RunConfig, message: int, dump_state: str | None, sign: int = 1)
             "conventions": _static_conventions(H),
             "message": message,
             "label": {"k": lab.k, "r": lab.r, "j": lab.j},
-            "outcome": {
-                "first": top.first,
-                "second": top.second,
-                "probability": top.probability,
-            },
+            "outcome": {"first": first, "second": second, "probability": probability},
             "decoded": decoded,
             "ok": decoded == message,
         }

@@ -16,8 +16,8 @@ reports, protocol runs and the command line all take or build one `Decoder`.
 `bell_outcomes` is a route's one Bell-state measurement.  On the grand route
 it checks a stacked `SignedPermutationOp` of states against one operator row
 each (`certify_grand`), bit-identical to the amplitude route
-(`Decoder.decode`), which stays the oracle and decodes arbitrary states and
-the pipeline's.  Tables and the grand route index Bell states by message
+(`Decoder.decode`), which decodes arbitrary states, the pipeline's, and a
+sent state that fails certification.  Tables index Bell states by message
 id; `build_decode_table` builds a `BellLabel` only to name one in an error.
 """
 
@@ -284,22 +284,22 @@ def build_decode_table(N: int, H: HadamardMatrix, decoder: Decoder) -> np.ndarra
     start state.
 
     Raises NonDeterministicOutcome if a Bell state fails to produce a point
-    mass, and CollisionDetected if two share an outcome; either would break
-    unique decodability for that path.  The pipeline reports the first label,
-    in message order, that does either.  The grand route's outcomes are read
-    from its held rows, so a collision there is reported before any
-    probability.
+    mass, and CollisionDetected if two share an outcome (the outcomes, all in
+    0..4N^2-1, then fail to sort onto arange(4N^2)); either breaks unique
+    decodability.  Only then are the outcomes grouped, to name the first label
+    in message order that does either; on the grand route, whose outcomes
+    are its held rows, a collision is named before any probability.
     """
     outcomes, probs = bell_outcomes(N, H, decoder)
-    _, first, inverse = np.unique(outcomes, return_index=True, return_inverse=True)
-    earlier = first[inverse]  # the first message to reach each message's outcome
-    repeat = earlier != np.arange(len(outcomes))
+    order = np.argsort(outcomes)
     spread = probs < 1.0 - TOL_CHAINED
-    if decoder.path == "grand":  # a collision in the held rows comes first
-        spread &= not repeat.any()
-    bad = np.flatnonzero(spread | repeat)
-    if bad.size:
-        i = int(bad[0])
+    if spread.any() or (outcomes[order] != np.arange(len(order))).any():
+        _, first, inverse = np.unique(outcomes, return_index=True, return_inverse=True)
+        earlier = first[inverse]  # the first message to reach each message's outcome
+        repeat = earlier != np.arange(len(outcomes))
+        if decoder.path == "grand":  # a collision in the held rows comes first
+            spread &= not repeat.any()
+        i = int(np.flatnonzero(spread | repeat)[0])
         if spread[i]:
             raise NonDeterministicOutcome(
                 f"{decoder.path} decoder spread label {message_to_label(i, N)} over multiple "
@@ -308,7 +308,7 @@ def build_decode_table(N: int, H: HadamardMatrix, decoder: Decoder) -> np.ndarra
         key, first_label = divmod(int(outcomes[i]), 2 * N), message_to_label(int(earlier[i]), N)
         raise CollisionDetected(f"outcome {key} hit by both {first_label} and {message_to_label(i, N)}")
     # the outcomes are distinct, so their inverse names each outcome's Bell state
-    return flip_start(np.argsort(outcomes), 2 * N)
+    return flip_start(order, 2 * N)
 
 
 def pipeline_report(N: int, H: HadamardMatrix, HN: HadamardMatrix, mixer_reading: str) -> dict:

@@ -13,9 +13,11 @@ encoder laws checked label by label on the unfactored table, the
 member-mixer reading checked on every family, the composition order
 checked on whole (2N)^3 stacks, and the basis residuals, the compact
 relabel and the encoder laws read off whole tables, as they ran before
-`sdc` read the families' factors.  Three sign
-matrices beyond Sylvester's (ALT4, Paley order 12 and a negated Sylvester)
-are kept here for the tests that share them.
+`sdc` read the families' factors, and one run's sent state decoded in
+full on the amplitude route, as `run` decoded it before it certified the
+state by one operator row.  Four sign matrices beyond Sylvester's (ALT4,
+Paley order 12, a negated Sylvester and [[1, -1], [-1, -1]]) are kept here
+for the tests that share them.
 """
 
 import itertools
@@ -32,9 +34,9 @@ from sdc.bell import (
     compact_bell_state,
     first_particle_interleave,
 )
-from sdc.decoder import grand_messages
+from sdc.decoder import build_decode_table, grand_messages
 from sdc.encoder import encode_direct
-from sdc.errors import PropertyViolated
+from sdc.errors import NonDeterministicOutcome, PropertyViolated
 from sdc.gates import channel_sign_gate, channel_swap_gate
 from sdc.hilbert import (
     SignedPermutationOp,
@@ -42,6 +44,7 @@ from sdc.hilbert import (
     apply,
     compose_perms,
     identity_perm,
+    TOL_CHAINED,
     label_to_index,
     partial_trace,
     phi_plus_overlap,
@@ -75,9 +78,14 @@ def flipped_sylvester(order):
 
 def sign_matrix(name, N):
     """The order-2N `HadamardMatrix` built from a named sign matrix: "alt4"
-    (N = 2), "paley" (N = 6), "flipped" (negated Sylvester), or Sylvester's
-    for any other name."""
-    custom = {"alt4": lambda: ALT4, "paley": paley_order_12, "flipped": lambda: flipped_sylvester(2 * N)}
+    (N = 2), "paley" (N = 6), "flipped" (negated Sylvester), "minus"
+    ([[1, -1], [-1, -1]], N = 1), or Sylvester's for any other name."""
+    custom = {
+        "alt4": lambda: ALT4,
+        "paley": paley_order_12,
+        "flipped": lambda: flipped_sylvester(2 * N),
+        "minus": lambda: np.array([[1, -1], [-1, -1]]),
+    }
     return hadamard.build(2 * N, custom={2 * N: custom[name]()} if name in custom else None)
 
 
@@ -271,6 +279,26 @@ def decode_table_loop(N, H, decoder):
         top, _ = decoder.decode(bell_state(N, lab, H))
         entries[(top.first, top.second)] = (lab, top.probability)
     return entries
+
+
+def decode_message(N, H, decoder, sent):
+    """Measure a sent state on the amplitude route: (top outcome, message id it
+    decodes to).
+
+    The grand route maps its outcome through the held rows (`grand_messages`)
+    and checks only this state's own top probability, raising
+    NonDeterministicOutcome below 1 - TOL_CHAINED.  The pipeline route looks
+    the outcome up in its decode table.
+    """
+    top, _ = decoder.decode(sent)
+    if decoder.path != "grand":
+        return top, int(build_decode_table(N, H, decoder)[top.first * 2 * N + top.second])
+    if top.probability < 1.0 - TOL_CHAINED:
+        raise NonDeterministicOutcome(
+            f"grand decoder spread the sent state over multiple outcomes "
+            f"(top probability {top.probability:.6f})"
+        )
+    return top, int(grand_messages(decoder, top.first * 2 * N + top.second))
 
 
 def compact_state_loop(N, label, H):

@@ -561,6 +561,16 @@ class TestEncodeDecode:
             "2155ccf00ffb9fad6be05968e783ae42bb90ea6728cd70219af86596f887a8e9",
         ]
 
+    def test_grand_runs_match_recorded_digest(self, capsys):
+        # sha256 of the concatenated stdout of `run --n 4 --message m` for
+        # m = 0..63; the top probabilities pin the grand route's rounding too
+        h = hashlib.sha256()
+        for m in range(64):
+            code, out, err = run_cli(capsys, "run", "--n", "4", "--message", str(m))
+            assert code == 0 and err == ""
+            h.update(out.encode())
+        assert h.hexdigest() == "ee33b0459b7ff3b714f7d13ce39964fafe67f37752573baa3c9ac76b2dc4553a"
+
 
 def write_dump(tmp_path, text):
     path = tmp_path / "state.json"

@@ -4,13 +4,26 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from dense_oracle import compact_partner, decode_table_loop, grand_operator_loop, sign_matrix
+from dense_oracle import (
+    compact_partner,
+    decode_message,
+    decode_table_loop,
+    grand_operator_loop,
+    sign_matrix,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdc.decoder as decoder_mod
 from sdc import hadamard
-from sdc.analysis import _certify_sent, round_trip_sweep, run_protocol, send, start_state
+from sdc.analysis import (
+    _certify_sent,
+    round_trip_message,
+    round_trip_sweep,
+    run_protocol,
+    send,
+    start_state,
+)
 from sdc.bell import (
     BellLabel,
     all_labels,
@@ -37,6 +50,7 @@ from sdc.errors import (
     DimensionMismatch,
     NonDeterministicOutcome,
     OrderMismatch,
+    SdcError,
 )
 from sdc.gates import (
     hadamard_layer,
@@ -175,6 +189,24 @@ class TestDecodeTable:
             top, _ = grand.decode(send(N, H, start_state(N, H), m))
             assert table[top.first * 2 * N + top.second] == m
 
+    def test_checks_injectivity_in_one_sort(self):
+        # a valid table is checked by one sort of its outcomes against
+        # arange(4N^2); at N = 128 a repeated build peaks at about 3.6 MiB
+        # traced, where naming every outcome's first message took 5.1 MiB
+        import tracemalloc
+
+        N, H = 128, hadamard.build(256)
+        grand = make_decoder(N, H)
+        first = build_decode_table(N, H, grand)  # first use of each numpy routine is not traced
+        tracemalloc.start()
+        try:
+            again = build_decode_table(N, H, grand)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again, first)
+        assert peak < 4.5 * 2**20
+
 
 @lru_cache(maxsize=None)
 def grand_route(N):
@@ -222,6 +254,47 @@ class TestCertification:
         assert grand_messages(grand, flat).tolist() == want == list(range(4 * N * N))
 
     @pytest.mark.parametrize(
+        "name, N, path",
+        [
+            ("sylvester", 4, "grand"),
+            ("sylvester", 1, "pipeline"),
+            ("sylvester", 2, "pipeline"),
+            ("alt4", 2, "grand"),
+            ("alt4", 2, "pipeline"),
+            ("minus", 1, "grand"),
+            ("minus", 1, "pipeline"),
+            ("flipped", 2, "grand"),
+            ("flipped", 2, "pipeline"),
+            ("flipped", 4, "grand"),
+            ("flipped", 4, "pipeline"),
+            ("paley", 6, "grand"),
+        ],
+    )
+    def test_run_equals_the_dense_oracle(self, name, N, path):
+        # each message's outcome, probability and decoded id are those of its
+        # sent state decoded in full, bit for bit, or both refuse the message
+        # with the same typed error and text
+        H = sign_matrix(name, N)
+        HN = hadamard.build(N) if path == "pipeline" else None
+        dense, start = make_decoder(N, H, path, HN), start_state(N, H)
+
+        def certified_run(m):
+            return round_trip_message(N, H, m, path, HN)
+
+        def dense_run(m):
+            top, decoded = decode_message(N, H, dense, send(N, H, start, m))
+            return top.first * 2 * N + top.second, top.probability, decoded
+
+        def measured(run, m):
+            try:
+                return run(m)
+            except SdcError as exc:
+                return type(exc), str(exc)
+
+        for m in range(4 * N * N):
+            assert measured(certified_run, m) == measured(dense_run, m)
+
+    @pytest.mark.parametrize(
         "name, N",
         [("sylvester", 1), ("sylvester", 2), ("sylvester", 4), ("sylvester", 8)]
         + [("alt4", 2), ("paley", 6)],
@@ -267,6 +340,7 @@ class TestCertification:
         assert sorted(build_decode_table(N, H, make_decoder(N, H)).tolist()) == list(range(64))
         result = round_trip_sweep(N, H)
         assert result["round_trip_ok"] == 64 and result["failures"] == []
+        assert [main(["run", "--n", "4", "--message", str(m)]) for m in range(64)] == [0] * 64
         assert main(["verify", "--n", "4"]) == 0
         assert main(["verify", "--n", "2", "--path", "pipeline"]) == 0
 
@@ -319,6 +393,17 @@ class TestPipeline:
             "pipeline decoder spread label BellLabel(k=2, r=1, j=9) over multiple outcomes "
             "(top probability 0.250000)"
         )
+
+    def test_sweep_refuses_the_route_before_decoding_a_sent_state(self, monkeypatch):
+        # the decode table decodes the 256 Bell states and refuses the route,
+        # so none of the 256 sent states is decoded
+        N, H, HN = 8, hadamard.build(16), hadamard.build(8)
+        calls = []
+        decode = Decoder.decode
+        monkeypatch.setattr(Decoder, "decode", lambda self, s: calls.append(1) or decode(self, s))
+        with pytest.raises(NonDeterministicOutcome):
+            round_trip_sweep(N, H, path="pipeline", HN=HN)
+        assert len(calls) == 4 * N * N
 
 
 def test_outcome_distribution_completeness():

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import BellLabel, bell_state, encoder_table, message_to_label
+from .bell import BellLabel, bell_state, message_to_label
 from .decoder import (
     Decoder,
     build_decode_table,
     certify_grand,
-    flip_start,
     grand_messages,
     make_decoder,
 )
@@ -104,20 +103,6 @@ def check_message(N: int, message: int) -> None:
         raise MessageOutOfRange(f"message {message} outside 0..{4 * N * N - 1}")
 
 
-def _certify_sent(N: int, H: HadamardMatrix, decoder, messages) -> tuple[np.ndarray, np.ndarray]:
-    """`certify_grand` of each message's sent state: its outcome and probability.
-
-    Message (k, r, j) is sent as encode_direct(k, r, j) composed on the start
-    encoder, which is the standard Bell state (k, -r, j).
-    """
-    start = encode_direct(N, H, START)
-
-    def sent(chunk):
-        return compose_perms(encoder_table(N, H, chunk), start), flip_start(chunk, 2 * N)
-
-    return certify_grand(decoder, np.asarray(messages, dtype=np.intp), sent)
-
-
 def round_trip(N: int, H: HadamardMatrix, decoder: Decoder, messages) -> tuple[np.ndarray, ...]:
     """Outcome (first·2N + second), top probability and decoded message id of
     each message's sent state; a spread state (top probability below
@@ -131,7 +116,7 @@ def round_trip(N: int, H: HadamardMatrix, decoder: Decoder, messages) -> tuple[n
     """
     messages = np.asarray(messages, dtype=np.intp)
     if decoder.path == "grand":
-        outcomes, probs = _certify_sent(N, H, decoder, messages)
+        outcomes, probs = certify_grand(decoder, H, messages, encode_direct(N, H, START))
         got, table = grand_messages(decoder, outcomes), None
         redo = np.flatnonzero((probs < 1.0 - TOL_CHAINED) | (got != messages))
     else:  # every state is decoded, so the table, which may refuse the route, comes first

@@ -34,6 +34,7 @@ __all__ = [
     "message_to_label",
     "compose_family",
     "encode_direct",
+    "family_pairing",
     "encoder_table",
     "bell_state",
     "compact_partner_table",
@@ -109,24 +110,35 @@ def encode_direct(N: int, H: HadamardMatrix, label: BellLabel) -> SignedPermutat
     return SignedPermutationOp(2 * N, table.target[0], table.phase[0])
 
 
-def encoder_table(N: int, H: HadamardMatrix, messages) -> SignedPermutationOp:
-    """`encode_direct` of each message id, as one stack of len(messages) rows.
+def family_pairing(N: int, families) -> tuple[np.ndarray, np.ndarray]:
+    """The standard encoders' index formula, one row of 2N per family id.
 
     Column i is partner channel +-c (c = i mod N + 1, minus for i >= N).  In
     family (k, r) it pairs with first-particle channel n = c - (k-1),
     zero-free mod N, on i's half-axis when r = +1 and on the other one when
-    r = -1; the sign is h[j, 2n-1] on +n and h[j, 2n] on -n.  Each row is a
-    signed permutation by construction, so the stack is not checked.
+    r = -1; the sign is h[j, 2n-1] on +n and h[j, 2n] on -n.  So every
+    member's encoder is Werner's Psi_j T_f: family f's `target` row T_f and
+    the columns of H its members' signs come from (`column`) depend on the
+    family alone, and member j carries h[j, column[i]] on target[i].
     """
-    if H.order != 2 * N:
-        raise OrderMismatch(f"need order {2 * N}, got {H.order}")
-    family, member = np.divmod(np.asarray(messages, dtype=np.intp)[:, None], 2 * N)
-    k_off, r_minus = np.divmod(family, 2)
+    k_off, r_minus = np.divmod(np.asarray(families, dtype=np.intp)[..., None], 2)
     i = np.arange(2 * N)
     n = (i % N - k_off) % N  # 0-based channel; -n sits at index N + n
     minus = (i >= N) != (r_minus == 1)
-    phase = H.ints[member, 2 * n + minus].astype(np.complex128)
-    return SignedPermutationOp._trusted(2 * N, n + N * minus, phase)
+    return n + N * minus, 2 * n + minus
+
+
+def encoder_table(N: int, H: HadamardMatrix, messages) -> SignedPermutationOp:
+    """`encode_direct` of each message id, as one stack of len(messages) rows,
+    read off `family_pairing`.  Each row is a signed permutation by
+    construction, so the stack is not checked.
+    """
+    if H.order != 2 * N:
+        raise OrderMismatch(f"need order {2 * N}, got {H.order}")
+    family, member = np.divmod(np.asarray(messages, dtype=np.intp), 2 * N)
+    target, column = family_pairing(N, family)
+    phase = H.ints[member[:, None], column].astype(np.complex128)
+    return SignedPermutationOp._trusted(2 * N, target, phase)
 
 
 def _dense_state(op: SignedPermutationOp) -> StateVector:

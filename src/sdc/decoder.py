@@ -14,11 +14,12 @@ route are measured and reported, never assumed.
 operators once and returns a `Decoder` that applies them in order.  Tables,
 reports, protocol runs and the command line all take or build one `Decoder`.
 `bell_outcomes` is a route's one Bell-state measurement.  On the grand route
-it checks a stacked `SignedPermutationOp` of states against one operator row
-each (`certify_grand`), bit-identical to the amplitude route
-(`Decoder.decode`), which decodes arbitrary states, the pipeline's, and a
-sent state that fails certification.  Tables index Bell states by message
-id; `build_decode_table` builds a `BellLabel` only to name one in an error.
+it checks each state against one operator row, one Bell family at a time on
+its factors (`certify_grand`).  It and the amplitude route (`Decoder.decode`,
+which decodes arbitrary states, the pipeline's, and a sent state that fails
+certification) add a state's terms left to right in ascending column order,
+so they agree bit for bit.  Tables index Bell states by message id;
+`build_decode_table` builds a `BellLabel` only to name one in an error.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .bell import (
     all_labels,
     bell_state,
     compact_partner_table,
-    encoder_table,
+    family_pairing,
     first_particle_interleave,
     message_to_label,
 )
@@ -39,13 +40,15 @@ from .errors import (
     CollisionDetected,
     ConfigError,
     DimensionMismatch,
+    MessageOutOfRange,
     NonDeterministicOutcome,
     NonInvolutory,
     OrderMismatch,
 )
 from .gates import hadamard_layer, nonlocal_mixer, position_controlled_swap
 from .hadamard import HadamardMatrix
-from .hilbert import TOL_CHAINED, TOL_EXACT, PermutedBlockOp, StateVector, apply, apply_full, compose_perms
+from .hilbert import TOL_CHAINED, TOL_EXACT, PermutedBlockOp, SignedPermutationOp, StateVector
+from .hilbert import apply, apply_full, identity_perm
 
 __all__ = [
     "MeasurementOutcome",
@@ -60,13 +63,6 @@ __all__ = [
     "build_decode_table",
     "pipeline_report",
 ]
-
-# States certified per vectorized pass.  One chunk of (chunk x 2N) work arrays,
-# rewritten by every chunk, and one chunk's states are all that the pass holds
-# beside the 4N^2 inverse of the held rows and its two outputs.  64 reaches
-# the peak-memory floor at N = 32 and ran as fast as 256 or faster at N = 256.
-CERTIFY_CHUNK = 64
-
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
@@ -182,67 +178,66 @@ def make_decoder(
     raise ConfigError(f"path must be grand or pipeline, got {path}")
 
 
-def certify_grand(decoder: Decoder, messages: np.ndarray, stack) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome and probability of stacked signed-permutation states on the grand route.
+def certify_grand(
+    decoder: Decoder, H: HadamardMatrix, messages, start: SignedPermutationOp | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome (flat index first·2N + second) and probability of each
+    message's state on the grand route, certified one Bell family at a time.
 
-    `stack(chunk)` returns (states, bell) for a slice of `messages`, at most
-    CERTIFY_CHUNK long: row s of the stacked signed permutations `states` is
-    the U of (U x I)|Phi+>, claimed to be the standard Bell state with
-    message id bell[s].  The decoder's interleave is composed after each U.
-    Bell state (k, r, j) lands on output row rows[(k, r), j-1], and that one
-    row of the held operator, read at the state's 2N nonzeros, gives its
-    amplitude there.  Returns the predicted outcomes (flat index first·2N +
-    second) and their probabilities.  The state is normalized and
-    the operator unitary, so a probability of at least 1 - TOL_CHAINED
-    certifies a point mass.  The terms are added left to right as they come:
-    a certified state's 2N terms are equal, so every order rounds alike, and
-    for every certified state the probability is `Decoder.decode`'s, bit for bit.
+    Message (f, j)'s state is (D_{f,j} S x I)|Phi+>: its standard encoder
+    D_{f,j} = Psi_j T_f (`bell.family_pairing`) after `start`, the protocol's
+    start encoder S, claimed to be the Bell state `flip_start` names; or,
+    when `start` is None, D_{f,j} alone, claimed to be Bell state (f, j).
+    That state lands on one row of the held operator, and that row, read at
+    the state's 2N nonzeros, gives its amplitude there: a probability of at
+    least 1 - TOL_CHAINED certifies a point mass.  A term in column c counts
+    only if c lies in the claimed family's block, with weight block[j,
+    position of c], read through the inverse of the held rows; a term
+    elsewhere reads 0, so a corrupted permutation or block fails.
 
-    Entries are read through the inverse of the held rows: a term in column
-    c counts only if c lies in the state's own family block, with weight
-    block[j-1, position of c].  A term elsewhere reads as 0, so a corrupted
-    permutation or block fails certification rather than passing it.
-
-    One chunk is held at a time.  Its work arrays are allocated once and
-    rewritten in place by every chunk, and its states die before the next
-    chunk is stacked, so beyond the two outputs and the one 4N^2 inverse the
-    pass holds O(CERTIFY_CHUNK · N) numbers, and the heap neither grows nor
-    shrinks from chunk to chunk.  Each row is computed on its own, so the
-    chunking changes no output bit.
+    A family's members share the target row T_f[T_S], so the columns, the
+    mask and the positions are read once per family; only the requested
+    members' signs h[j, column]·phase_S / sqrt(2N) and block rows are
+    gathered, into two work arrays that every family reuses.  The terms are
+    real, so float64 gives the complex128 products bit for bit, and they are
+    added left to right in ascending column order, as `Decoder.decode` adds
+    them: a certified probability is the full decode's, bit for bit (a
+    pairwise sum rounds differently).  Ids outside 0..4N^2-1 raise
+    MessageOutOfRange.
     """
     (interleave, _), (gop, _) = decoder.stages
-    inverse = np.argsort(gop.rows, axis=None)
-    outcomes = np.empty(len(messages), dtype=np.intp)
-    probs = np.empty(len(messages))
-    shape = (min(CERTIFY_CHUNK, len(messages)), interleave.dim)
-    work = np.empty((2, *shape), dtype=np.intp), np.empty(shape, dtype=complex), np.empty(shape)
-    for lo in range(0, len(messages), CERTIFY_CHUNK):
-        chunk = slice(lo, lo + CERTIFY_CHUNK)
-        outcomes[chunk], probs[chunk] = _certify_chunk(
-            decoder, inverse, work, *stack(messages[chunk])
-        )
-    return outcomes, probs
-
-
-def _certify_chunk(
-    decoder: Decoder, inverse: np.ndarray, work: tuple, states, bell
-) -> tuple[np.ndarray, np.ndarray]:
-    """`certify_grand` of one chunk, computed in the leading rows of `work`."""
-    (interleave, _), (gop, _) = decoder.stages
     dim = interleave.dim
-    (col_family, col_pos), amps, weights = (a[..., : len(bell), :] for a in work)
-    moved = compose_perms(interleave, states)
-    np.multiply(moved.target, dim, out=col_family)
-    col_family += np.arange(dim)  # each nonzero's flat column, until divmod overwrites it
-    # the inverse names each column's family block and position in it
-    np.divmod(inverse[col_family], dim, out=(col_family, col_pos))
-    family, member = np.divmod(bell, dim)
-    weights[...] = gop.block[member[:, None], col_pos]
-    weights[col_family != family[:, None]] = 0
-    np.divide(moved.phase, np.sqrt(dim), out=amps)
-    amps *= weights
-    np.cumsum(amps, axis=1, out=amps)
-    return gop.rows[family, member], np.abs(amps[:, -1]) ** 2
+    messages = np.asarray(messages, dtype=np.intp)
+    outcomes, probs = np.empty_like(messages), np.empty(len(messages))
+    sent = start is not None
+    start = start if sent else identity_perm(dim)
+    inverse = np.argsort(gop.rows, axis=None)
+    # the messages of family f are order[bounds[f]:bounds[f + 1]], ascending
+    order = np.argsort(messages)
+    bounds = np.searchsorted(messages, np.arange(dim + 1) * dim, sorter=order)
+    if bounds[0] or bounds[-1] != len(messages):
+        raise MessageOutOfRange(f"message ids must lie in 0..{dim * dim - 1}")
+    amps, weights = np.empty((2, np.diff(bounds).max(initial=0), dim))
+    everyone = np.arange(dim)
+    for f in np.flatnonzero(np.diff(bounds)).tolist():
+        idx = order[bounds[f] : bounds[f + 1]]
+        members = messages[idx] - f * dim
+        claim = flip_start(f * dim, dim) // dim if sent else f  # the claimed Bell family
+        outcomes[idx] = gop.rows[claim, members]
+        target, column = (row[start.target] for row in family_pairing(dim // 2, f))
+        # the inverse names each nonzero's family block and position in it
+        col_family, pos = np.divmod(inverse[interleave.target[target] * dim + everyone], dim)
+        pick = slice(None) if np.array_equal(members, everyone) else members  # a view, not a copy
+        a, w = amps[: len(idx)], weights[: len(idx)]
+        # mode="clip": the indices are in range, and "raise" would buffer `out`
+        np.take(H.normalized[pick], column, axis=1, out=a, mode="clip")
+        a *= start.phase.real
+        np.take(gop.block[pick], pos, axis=1, out=w, mode="clip")
+        a *= w
+        a[:, col_family != claim] = 0
+        np.cumsum(a, axis=1, out=a)
+        probs[idx] = a[:, -1] ** 2
+    return outcomes, probs
 
 
 def bell_outcomes(N: int, H: HadamardMatrix, decoder: Decoder) -> tuple[np.ndarray, np.ndarray]:
@@ -254,9 +249,7 @@ def bell_outcomes(N: int, H: HadamardMatrix, decoder: Decoder) -> tuple[np.ndarr
     decoded in full.
     """
     if decoder.path == "grand":
-        return certify_grand(
-            decoder, np.arange(4 * N * N), lambda chunk: (encoder_table(N, H, chunk), chunk)
-        )
+        return certify_grand(decoder, H, np.arange(4 * N * N))
     tops = [decoder.decode(bell_state(N, lab, H))[0] for lab in all_labels(N)]
     outcomes = np.array([top.first * 2 * N + top.second for top in tops], dtype=np.intp)
     return outcomes, np.array([top.probability for top in tops])

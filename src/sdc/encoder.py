@@ -96,9 +96,14 @@ def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
     """
     dim = 2 * N
     table = encoder_table(N, H, np.arange(dim))  # family (1, +1): row j' - 1 is member j'
-    # product[j-1, j'-1]: the row of H (0-based) equal to row j * row j', -1 if none
-    row_of = {row.tobytes(): i for i, row in enumerate(H.ints)}
-    product = np.array([[row_of.get((a * b).tobytes(), -1) for b in H.ints] for a in H.ints])
+    # product[j-1, j'-1]: the row of H (0-based) equal to row j * row j', -1 if
+    # none, filled one row at a time; a +-1 row is keyed by its packed minus
+    # signs, and a product of rows by the xor of theirs
+    signs = np.packbits(H.ints < 0, axis=1)
+    row_of = {key.tobytes(): i for i, key in enumerate(signs)}
+    product = np.empty((dim, dim), dtype=np.intp)
+    for i, key in enumerate(signs):
+        product[i] = [row_of.get(k.tobytes(), -1) for k in key ^ signs]
     failures = {}
     for reading in MEMBER_MIXER_READINGS:
         for j in range(1, dim + 1):

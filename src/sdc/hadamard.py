@@ -43,8 +43,9 @@ class HadamardMatrix:
 
     `ints` holds the unnormalized +-1 entries; `normalized` divides by
     sqrt(order); both are read-only.  Construction validates symmetry, entry
-    values, and the self-inverse property H @ H = I (exact in integer
-    arithmetic: ints @ ints == order * I).  Equality and hashing are exact.
+    values, and the self-inverse property H @ H = I exactly, as ints @ ints
+    == order * I in float64, which holds every sum of +-1 terms exactly.
+    Equality and hashing are exact.
     """
 
     order: int
@@ -62,7 +63,8 @@ class HadamardMatrix:
             raise ConstructionUnavailable("entries must all be +1 or -1")
         if not np.array_equal(m, m.T):
             raise ConstructionUnavailable("matrix is not symmetric")
-        if not np.array_equal(m @ m, self.order * np.eye(self.order, dtype=np.int64)):
+        f = m.astype(np.float64)  # +-1 entries: every sum is an exact integer, and BLAS runs it
+        if not np.array_equal(f @ f, self.order * np.eye(self.order)):
             raise ConstructionUnavailable("matrix is not self-inverse after normalization")
         object.__setattr__(self, "ints", m)
         object.__setattr__(self, "_norm", m / np.sqrt(self.order))

@@ -13,9 +13,10 @@ encoder laws checked label by label on the unfactored table, the
 member-mixer reading checked on every family, the composition order
 checked on whole (2N)^3 stacks, and the basis residuals, the compact
 relabel and the encoder laws read off whole tables, as they ran before
-`sdc` read the families' factors, and one run's sent state decoded in
-full on the amplitude route, as `run` decoded it before it certified the
-state by one operator row.  Four sign matrices beyond Sylvester's (ALT4,
+`sdc` read the families' factors, one run's sent state decoded in full on
+the amplitude route, as `run` decoded it before it certified the state by
+one operator row, and that certification state by state, as it ran before
+it read each Bell family once.  Four sign matrices beyond Sylvester's (ALT4,
 Paley order 12, a negated Sylvester and [[1, -1], [-1, -1]]) are kept here
 for the tests that share them.
 """
@@ -299,6 +300,25 @@ def decode_message(N, H, decoder, sent):
             f"(top probability {top.probability:.6f})"
         )
     return top, int(grand_messages(decoder, top.first * 2 * N + top.second))
+
+
+def certify_per_state(decoder, states, bell):
+    """The grand route's certification one state at a time, as `sdc` ran it
+    before it read each Bell family once: row s of the stacked signed
+    permutations `states` (the U of (U x I)|Phi+>), claimed to be Bell
+    state bell[s], is read at its own 2N nonzeros, through the inverse of
+    the held rows, against the one operator row its claim names, and the
+    complex terms are added left to right.  Returns (outcomes, probabilities)."""
+    (interleave, _), (gop, _) = decoder.stages
+    dim = interleave.dim
+    moved = compose_perms(interleave, states)
+    inverse = np.argsort(gop.rows, axis=None)
+    col_family, col_pos = np.divmod(inverse[moved.target * dim + np.arange(dim)], dim)
+    family, member = np.divmod(np.asarray(bell), dim)
+    weights = gop.block[member[:, None], col_pos]
+    weights[col_family != family[:, None]] = 0
+    amps = np.cumsum(moved.phase / np.sqrt(dim) * weights, axis=1)
+    return gop.rows[family, member], np.abs(amps[:, -1]) ** 2
 
 
 def compact_state_loop(N, label, H):

@@ -55,9 +55,9 @@ class TestRoundTrips:
             run_protocol(1, hadamard.build(2), 4)
 
     def test_sweep_holds_no_message_sized_list(self):
-        # one 64-state chunk at a time, and only the failures become Python
-        # objects: about 1.6 MiB at N = 64, where a 256-state chunk and a list
-        # of all 16,384 decoded ids took about 5 MiB
+        # one family at a time, and only the failures become Python objects:
+        # about 1.6 MiB at N = 64, where 256 states at a time and a list of
+        # all 16,384 decoded ids took about 5 MiB
         H = hadamard.build(128)
         first = round_trip_sweep(64, H)  # first use of each numpy routine is not traced
         tracemalloc.start()
@@ -82,16 +82,19 @@ class TestCertifiedSweep:
 
     @staticmethod
     def corrupt(monkeypatch, sent, instead):
-        """Make the encoder send message `instead`'s state whenever `sent` is encoded."""
-        table = bell_mod.encoder_table
+        """Make the sender send message `instead`'s state whenever `sent` is encoded."""
+        table, certify = bell_mod.encoder_table, analysis_mod.certify_grand
 
-        def corrupted(N, H, messages):
+        def swapped(messages):
             messages = np.asarray(messages)
-            return table(N, H, np.where(messages == sent, instead, messages))
+            return np.where(messages == sent, instead, messages)
 
-        # every route that encodes reads one of these two bindings
-        for mod in (bell_mod, analysis_mod):
-            monkeypatch.setattr(mod, "encoder_table", corrupted)
+        # the amplitude route encodes through `encoder_table`; the certified
+        # pass reads each family's encoders in closed form from the ids it gets
+        monkeypatch.setattr(bell_mod, "encoder_table", lambda N, H, m: table(N, H, swapped(m)))
+        monkeypatch.setattr(
+            analysis_mod, "certify_grand", lambda d, H, m, start: certify(d, H, swapped(m), start)
+        )
 
     def test_failure_carries_the_amplitude_route_decoding(self, monkeypatch):
         N, H = 2, hadamard.build(4)
@@ -104,9 +107,9 @@ class TestCertifiedSweep:
         assert result["failures"] == [{"sent": 5, "decoded": decoded}]
         assert result["round_trip_ok"] == 15 and result["checked"] == 16
 
-    def test_failures_straddling_chunk_boundaries(self, monkeypatch):
-        # 63 ends the first 64-state chunk, 64 starts the second, 255 ends the
-        # fourth; the corruptions chain, and none sends another corrupted id
+    def test_failures_at_family_boundaries(self, monkeypatch):
+        # 63 ends family 1, 64 starts family 2 and 255 ends family 7; the
+        # corruptions chain, and none sends another corrupted id
         N, H = 16, hadamard.build(32)
         instead = {63: 0, 64: 1000, 255: 256}
         for sent, other in instead.items():

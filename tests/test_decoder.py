@@ -5,6 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from dense_oracle import (
+    certify_per_state,
     compact_partner,
     decode_message,
     decode_table_loop,
@@ -14,10 +15,9 @@ from dense_oracle import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sdc.decoder as decoder_mod
 from sdc import hadamard
 from sdc.analysis import (
-    _certify_sent,
+    START,
     round_trip_message,
     round_trip_sweep,
     run_protocol,
@@ -29,14 +29,18 @@ from sdc.bell import (
     all_labels,
     bell_state,
     compact_bell_state,
+    encode_direct,
+    encoder_table,
     first_particle_interleave,
     label_to_message,
+    message_to_label,
 )
 from sdc.cli import main
 from sdc.decoder import (
     Decoder,
     bell_outcomes,
     build_decode_table,
+    certify_grand,
     flip_start,
     grand_blocks,
     grand_messages,
@@ -48,6 +52,7 @@ from sdc.errors import (
     CollisionDetected,
     ConfigError,
     DimensionMismatch,
+    MessageOutOfRange,
     NonDeterministicOutcome,
     OrderMismatch,
     SdcError,
@@ -58,7 +63,7 @@ from sdc.gates import (
     position_controlled_swap,
     resolve_mixer_normalization,
 )
-from sdc.hilbert import PermutedBlockOp, StateVector, apply_full
+from sdc.hilbert import PermutedBlockOp, StateVector, apply_full, compose_perms
 
 # both routes name a collision by the first two labels, in message order, to reach the outcome
 COLLISION_TEXT = "outcome (0, 0) hit by both BellLabel(k=1, r=1, j=1) and BellLabel(k=1, r=1, j=2)"
@@ -214,6 +219,11 @@ def grand_route(N):
     return H, make_decoder(N, H)
 
 
+def certify_sent(N, H, grand, messages):
+    """`certify_grand` of each message's sent state, as `round_trip` calls it."""
+    return certify_grand(grand, H, messages, encode_direct(N, H, START))
+
+
 class TestCertification:
     """The grand route's one-row certification against the amplitude route."""
 
@@ -239,7 +249,7 @@ class TestCertification:
         N = data.draw(st.sampled_from([1, 2, 4, 8, 16]), label="N")
         m = data.draw(st.integers(0, 4 * N * N - 1), label="message")
         H, grand = grand_route(N)
-        (out,), (prob,) = _certify_sent(N, H, grand, [m])
+        (out,), (prob,) = certify_sent(N, H, grand, [m])
         top, _ = grand.decode(send(N, H, start_state(N, H), m))
         assert divmod(int(out), 2 * N) == (top.first, top.second)
         assert prob == top.probability
@@ -249,7 +259,7 @@ class TestCertification:
         H, grand = grand_route(N)
         table = build_decode_table(N, H, grand)
         assert table.tolist() == grand_messages(grand, np.arange(4 * N * N)).tolist()
-        flat, _ = _certify_sent(N, H, grand, np.arange(4 * N * N))
+        flat, _ = certify_sent(N, H, grand, np.arange(4 * N * N))
         want = table[flat].tolist()
         assert grand_messages(grand, flat).tolist() == want == list(range(4 * N * N))
 
@@ -296,22 +306,64 @@ class TestCertification:
 
     @pytest.mark.parametrize(
         "name, N",
-        [("sylvester", 1), ("sylvester", 2), ("sylvester", 4), ("sylvester", 8)]
-        + [("alt4", 2), ("paley", 6)],
+        [("sylvester", N) for N in (1, 2, 4, 8, 16)] + [("alt4", 2), ("paley", 6)],
     )
-    def test_chunking_changes_no_output_bit(self, monkeypatch, name, N):
-        # each state is certified on its own, so one state per chunk, a chunk
-        # that splits the families unevenly and one chunk of every message
-        # all give the same outcomes and probabilities, bit for bit
+    def test_chunking_changes_no_output_bit(self, name, N):
+        # the messages certified one per call, one family per call and all in
+        # one call give the same outcomes and probabilities, bit for bit, and
+        # every certified probability is the full decode's (a pairwise sum of
+        # the terms differs from it at N = 4 and 16)
         H = sign_matrix(name, N)
-        grand = make_decoder(N, H)
+        grand, dim = make_decoder(N, H), 2 * N
+        start, start_encoder = start_state(N, H), encode_direct(N, H, START)
+        groupings = (
+            [[m] for m in range(dim * dim)],
+            [range(f * dim, (f + 1) * dim) for f in range(dim)],
+            [range(dim * dim)],
+        )
+        for encoder, state in ((None, lambda m: bell_state(N, message_to_label(m, N), H)),
+                               (start_encoder, lambda m: send(N, H, start, m))):
+            runs = []
+            for groups in groupings:
+                certified = [certify_grand(grand, H, np.array(g), encoder) for g in groups]
+                runs.append([np.concatenate(parts).tolist() for parts in zip(*certified)])
+            assert all(run == runs[0] for run in runs[1:])
+            outcomes, probs = runs[0]
+            for m in np.flatnonzero(np.array(probs) >= 1 - 1e-10).tolist():
+                top, _ = grand.decode(state(m))
+                assert (top.first * dim + top.second, top.probability) == (outcomes[m], probs[m])
+
+    @pytest.mark.parametrize("corruption", ["none", "block sign", "rows swapped", "rows collide"])
+    @pytest.mark.parametrize(
+        "name, N", [("sylvester", 1), ("sylvester", 4), ("sylvester", 8), ("alt4", 2), ("paley", 6)]
+    )
+    def test_certification_equals_the_per_state_oracle(self, name, N, corruption):
+        # on a held operator that is right or broken, the family pass gives the
+        # per-state route's outcomes and probabilities, bit for bit
+        H = sign_matrix(name, N)
+        interleave, (gop, _) = make_decoder(N, H).stages
+        rows, block = gop.rows.copy(), gop.block.copy()
+        if corruption == "block sign":
+            block[0, 0] = -block[0, 0]
+        elif corruption == "rows swapped":
+            rows[[0, 1], 0] = rows[[1, 0], 0]
+        elif corruption == "rows collide":
+            rows[:] = 0
+        grand = Decoder("grand", (interleave, (PermutedBlockOp(rows, block), None)))
         messages = np.arange(4 * N * N)
-        runs = []
-        for chunk in (1, 5, 64, 4 * N * N):
-            monkeypatch.setattr(decoder_mod, "CERTIFY_CHUNK", chunk)
-            certified = (*bell_outcomes(N, H, grand), *_certify_sent(N, H, grand, messages))
-            runs.append([a.tolist() for a in certified])
-        assert all(run == runs[0] for run in runs[1:])
+        start = encode_direct(N, H, START)
+        table = encoder_table(N, H, messages)
+        for encoder, states, bell in ((None, table, messages),
+                                      (start, compose_perms(table, start), flip_start(messages, 2 * N))):
+            got = certify_grand(grand, H, messages, encoder)
+            want = certify_per_state(grand, states, bell)
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+    @pytest.mark.parametrize("messages", [[3, 16], [-1]])
+    def test_out_of_range_message_is_refused(self, messages):
+        H, grand = grand_route(2)
+        with pytest.raises(MessageOutOfRange, match=r"^message ids must lie in 0\.\.15$"):
+            certify_grand(grand, H, messages)
 
     def test_sweep_decodes_misread_messages_on_the_amplitude_route(self, monkeypatch):
         import sdc.analysis as analysis_mod

@@ -118,3 +118,11 @@ class TestCustomRegistry:
         path.write_text("1 2\n2 1\n")
         with pytest.raises(ConstructionUnavailable):
             hadamard.load_custom_matrices(path)
+
+
+@pytest.mark.parametrize("order", [4, 64])
+def test_symmetric_sign_matrix_that_does_not_square_to_order_is_refused(order):
+    m = hadamard.build(order).ints.copy()
+    m[1, 2] = m[2, 1] = -m[1, 2]  # still symmetric and +-1, no longer Hadamard
+    with pytest.raises(ConstructionUnavailable, match="^matrix is not self-inverse after normalization$"):
+        hadamard.HadamardMatrix(order, m)

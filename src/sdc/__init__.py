@@ -2,24 +2,16 @@
 spatial channel states."""
 
 from .hadamard import HadamardMatrix, build
-from .hilbert import (
-    SignedPermutationOp,
-    StateVector,
-    apply,
-    apply_full,
-    inner,
-    partial_trace,
-)
+from .hilbert import SignedPermutationOp, StateVector, apply, apply_full
 from .bell import (
     BellLabel,
     all_labels,
     bell_state,
-    compact_bell_state,
     compact_relabel_holds,
     label_to_message,
     message_to_label,
 )
-from .encoder import encode_composed, encode_direct
+from .encoder import encode_direct
 from .decoder import Decoder, build_decode_table, grand_blocks, make_decoder
 from .analysis import (
     TimingModel,

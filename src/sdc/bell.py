@@ -9,11 +9,12 @@ basis ket; its pairing (`compact_partner_table`) fixes the index blocks on
 which `decoder.grand_blocks` repeats one Hadamard block.  Each state is
 (U x I)|Phi+> for a signed permutation U = Psi_j T_f (Werner's factoring: a
 +-1 diagonal per member after a permutation per family), and a family is
-held as those factors, two (2N)^2 arrays (`FamilyFactors`): the standard
-family's read and checked in one pass over its 2N family blocks, the compact
-family's in closed form.  The basis residuals, the relabeling and the
-encoder laws read the factors.  `bell_table`, the family as one stack of
-4N^2 signed permutations, is built by no command; it is the factors' oracle.
+held as those factors, two (2N)^2 arrays (`FamilyFactors`), both families'
+in closed form: the standard family's from `family_pairing`, its one index
+formula, which `encoder_table` and `decoder.certify_grand` read too.  The
+basis residuals, the relabeling, the encoder laws and the reading
+resolutions read the factors; the whole-family table and the per-block
+factoring are oracles in `tests/dense_oracle.py`.
 """
 
 from __future__ import annotations
@@ -38,12 +39,9 @@ __all__ = [
     "encoder_table",
     "bell_state",
     "compact_partner_table",
-    "bell_table",
     "FamilyFactors",
-    "factor_blocks",
     "family_factors",
     "table_residuals",
-    "compact_bell_state",
     "first_particle_interleave",
     "compact_relabel_holds",
 ]
@@ -141,11 +139,6 @@ def encoder_table(N: int, H: HadamardMatrix, messages) -> SignedPermutationOp:
     return SignedPermutationOp._trusted(2 * N, target, phase)
 
 
-def _dense_state(op: SignedPermutationOp) -> StateVector:
-    """(U x I)|Phi+>: the dense matrix of U over sqrt(2N), read as an amplitude grid."""
-    return StateVector((op.dim, op.dim), np.asarray(op).reshape(-1) / np.sqrt(op.dim))
-
-
 def bell_state(N: int, label: BellLabel, H: HadamardMatrix) -> StateVector:
     """Standard-family basis state: the dense view of `encode_direct` / sqrt(2N).
 
@@ -153,7 +146,8 @@ def bell_state(N: int, label: BellLabel, H: HadamardMatrix) -> StateVector:
     paired with partner channel f(n); channel -n carries h[j, 2n] and pairs
     with -f(n).  All 2N nonzero amplitudes equal +-1/sqrt(2N).
     """
-    return _dense_state(encode_direct(N, H, label))
+    op = encode_direct(N, H, label)
+    return StateVector((op.dim, op.dim), np.asarray(op).reshape(-1) / np.sqrt(op.dim))
 
 
 def compact_partner_table(N: int) -> np.ndarray:
@@ -173,66 +167,33 @@ def compact_partner_table(N: int) -> np.ndarray:
     return np.where((r > 0) == (m % 2 == 1), v, N + v)
 
 
-def bell_table(N: int, H: HadamardMatrix, compact: bool = False) -> SignedPermutationOp:
-    """One family as one stack of 4N^2 signed permutations.
-
-    Row `label_to_message(label)` is the U of that state (U x I)|Phi+>:
-    column i (second particle) carries phase[i] on first-particle index
-    target[i].  Standard rows are `encode_direct`; compact label m sits in
-    column partner(m) with sign h[j, m], which the closed-form compact
-    factors hold.
-    """
-    if not compact:
-        return encoder_table(N, H, np.arange(4 * N * N))
-    factors = family_factors(N, H, compact=True)
-    targets = np.repeat(factors.target, 2 * N, axis=0)
-    members = np.tile(np.arange(2 * N), 2 * N)[:, None]  # j - 1 of every row
-    return SignedPermutationOp._trusted(2 * N, targets, factors.psi[members, targets])
-
-
 @dataclass(frozen=True, eq=False)
 class FamilyFactors:
-    """One Bell family as Werner's factors: row (f, j) of `bell_table` is
-    D_{f,j} = Psi_j T_f, carrying psi[j, target[f, i]] on first-particle
-    index target[f, i] in column i.  psi and target are both (2N, 2N);
-    `factors` is False if the blocks they were read from do not factor so,
-    and then the Gram, the family rule and the relabel read as failed."""
+    """One Bell family as Werner's factors: the encoder of member j of family
+    f is D_{f,j} = Psi_j T_f, carrying psi[j, target[f, i]] on first-particle
+    index target[f, i] in column i.  psi and target are both (2N, 2N)."""
 
     psi: np.ndarray
     target: np.ndarray
-    factors: bool
-
-
-def factor_blocks(blocks) -> FamilyFactors:
-    """A family's factors, read and checked exactly in one pass over its 2N
-    blocks of 2N member rows (in `bell_table` order), holding one block at a
-    time: every row of block f has the target row T_f of its member 1, every
-    phase equals psi[j, T_f] with psi read off block 0, and every T_f is a
-    permutation."""
-    for f, block in enumerate(blocks):
-        if f == 0:
-            dim, factors = block.dim, True
-            target = np.full((dim, dim), -1, dtype=np.intp)  # a missing block reads -1
-            psi = np.zeros((dim, dim), dtype=block.phase.dtype)
-            psi[:, block.target[0]] = block.phase
-        target[f] = block.target[0]
-        factors = factors and bool(np.all(block.target == target[f]))
-        factors = factors and bool(np.all(block.phase == psi[:, target[f]]))
-    factors = factors and bool(np.all(np.sort(target, axis=1) == np.arange(dim)))
-    return FamilyFactors(psi, target, factors)
 
 
 def family_factors(N: int, H: HadamardMatrix, compact: bool = False) -> FamilyFactors:
-    """One family's factors: the standard family's by `factor_blocks` over
-    its blocks, each built once by `encoder_table`; the compact family's in
-    closed form (psi = h, and T_f inverts row f of `compact_partner_table`)."""
+    """One family's factors, in closed form.  Standard: T_f is row f of
+    `family_pairing`'s targets, and psi is read off family 0's sign
+    columns; member j's encoder in every family f carries psi[j, T_f],
+    because each family's sign columns are its targets after
+    `first_particle_interleave`.  Compact: psi = h, and T_f inverts row f
+    of `compact_partner_table`.  The oracle is `factor_blocks` over the
+    encoders, in `tests/dense_oracle.py`."""
     if H.order != 2 * N:
         raise OrderMismatch(f"need order {2 * N}, got {H.order}")
-    dim = 2 * N
     if compact:
         target = np.argsort(compact_partner_table(N), axis=1)
-        return FamilyFactors(H.ints.astype(np.complex128), target, True)
-    return factor_blocks(encoder_table(N, H, range(f * dim, (f + 1) * dim)) for f in range(dim))
+        return FamilyFactors(H.ints.astype(np.complex128), target)
+    target, column = family_pairing(N, np.arange(2 * N))
+    psi = np.empty((2 * N, 2 * N), dtype=np.complex128)
+    psi[:, target[0]] = H.ints[:, column[0]]
+    return FamilyFactors(psi, target)
 
 
 def table_residuals(factors: FamilyFactors) -> dict:
@@ -242,10 +203,9 @@ def table_residuals(factors: FamilyFactors) -> dict:
     p_a[i] conj(p_b[i]) / 2N.  Block f's rows are psi's columns permuted by
     T_f, so every Gram block is psi psi^H / 2N, and blocks f and g overlap
     on the indices where T_f and T_g agree; one sort per column shows
-    whether any do, and only then are those pairs multiplied.  A family
-    that does not factor reads gram 1.0, as it reads family_rule 1.0 in
-    `encoder.encode_law_residuals`.  partial_trace: max|rho - I/2N| for the
-    reduced states diag(|phase|^2) / 2N.  amplitude: max||amp| - 1/sqrt(2N)|.
+    whether any do, and only then are those pairs multiplied.
+    partial_trace: max|rho - I/2N| for the reduced states diag(|phase|^2) /
+    2N.  amplitude: max||amp| - 1/sqrt(2N)|.
     The oracles are `tests/dense_oracle.py::whole_table_residuals` and
     `tests/dense_oracle.py::table_residuals_grouped`.
     """
@@ -259,19 +219,10 @@ def table_residuals(factors: FamilyFactors) -> dict:
         if p.size:
             gram = max(gram, float(np.max(np.abs(p @ p.conj().T))))
     return {
-        "gram": gram / dim if factors.factors else 1.0,
+        "gram": gram / dim,
         "partial_trace": float(np.max(np.abs(mags**2 - 1.0))) / dim,
         "amplitude": float(np.max(np.abs(mags - 1.0)) / np.sqrt(dim)),
     }
-
-
-def compact_bell_state(N: int, label: BellLabel, H: HadamardMatrix) -> StateVector:
-    """Compact-family basis state sum_m h[j, m] |m, partner(m)> / sqrt(2N): the
-    dense view of its row Psi_j T_f of the compact factors."""
-    family, member = divmod(label_to_message(label, N), 2 * N)
-    factors = family_factors(N, H, compact=True)
-    target = factors.target[family]
-    return _dense_state(SignedPermutationOp._trusted(2 * N, target, factors.psi[member, target]))
 
 
 def first_particle_interleave(N: int) -> SignedPermutationOp:
@@ -286,16 +237,13 @@ def compact_relabel_holds(standard: FamilyFactors, compact: FamilyFactors) -> bo
     compact row of the same label, exactly in every index and sign.
 
     The interleave P sends (U x I)|Phi+> to (P U x I)|Phi+>, and P Psi_j T_f
-    = Psi'_j (P T_f) with Psi'_j[P[t]] = Psi_j[t]; so, both families
-    factoring, it holds exactly when P[T_std] == T_cmp and psi_std ==
+    = Psi'_j (P T_f) with Psi'_j[P[t]] = Psi_j[t]; so it holds exactly when P[T_std] == T_cmp and psi_std ==
     psi_cmp[:, P].  The oracles are `tests/dense_oracle.py::whole_table_relabel_holds`
     and the exhaustive search `tests/dense_oracle.py::dense_relabel`.
     """
     P = first_particle_interleave(len(standard.target) // 2).target
     return (
-        standard.factors
-        and compact.factors
-        and standard.target.shape == compact.target.shape
+        standard.target.shape == compact.target.shape
         and np.array_equal(P[standard.target], compact.target)
         and np.array_equal(standard.psi, compact.psi[:, P])
     )

@@ -236,14 +236,15 @@ def build_verify_report(cfg: RunConfig) -> dict:
     check("encode-composed-action", order["max_overlap_deviation"], cfg.tol_chained)
 
     # decoder: P (I x B / sqrt(2N)) P^T is unitary (an involution) exactly when
-    # P is a bijection and the +-1 block B has B^T B = 2N I (B B = 2N I)
+    # P is a bijection and the +-1 block B has B^T B = 2N I (B B = 2N I); the
+    # squares are exact in float64, every sum being an integer of at most 2N
     grand = decoder.make_decoder(N, H)
     gop = grand.stages[-1][0]
-    signs = np.sign(gop.block).astype(np.int64)
+    signs = np.sign(gop.block)
     exact = np.array_equal(np.sort(gop.rows, axis=None), np.arange(dim * dim))
     exact = exact and np.array_equal(gop.block, signs / np.sqrt(dim))
     for name, square in (("grand-unitarity", signs.T @ signs), ("grand-involution", signs @ signs)):
-        ok = exact and np.array_equal(square, dim * np.eye(dim, dtype=np.int64))
+        ok = exact and np.array_equal(square, dim * np.eye(dim))
         check(name, 0.0 if ok else 1.0, cfg.tol_chained)
 
     # each Bell state certified by its one operator row: a certified point

@@ -10,27 +10,28 @@ powers and half-axis swaps).  Two textual ambiguities in the composed route,
 the exponent columns of the member mixer and the order of the two factors,
 are resolved mechanically against the laws the operators must satisfy, and
 the resolved readings are reported.  Every law is checked on signed
-permutations (a Bell state is its encoder's permutation over sqrt(2N)) held
-as stacked `SignedPermutationOp`s, one row per label, so the checks are
-exact index and sign comparisons.  The readings are composed and overlapped
-by `hilbert`, one family block of 2N labels at a time, so no check holds a
-(2N)^3 stack or a Bell table; the whole-stack routes are the oracles in
-`tests/dense_oracle.py`.  The composed and direct encoders' actions overlap
-by tr(D^H C) / 2N on every start state, so they are overlapped as operators.
-The direct encoder's own laws are read on the standard family's factors
-(`bell.FamilyFactors`), a +-1 diagonal per member after a permutation per
-family, which `bell.factor_blocks` checks exactly in its one pass over the
-family blocks; the per-label loop is the oracle in `tests/dense_oracle.py`.
-Every check reads a label as its message id m = family·2N + member, by
-divmod; a `BellLabel` is built only to name one in an error text and for the
-2N families' (k, r).  Nothing is memoized.
+permutations (a Bell state is its encoder's permutation over sqrt(2N)), so
+the checks are exact index and sign comparisons.  The direct encoders are
+read off the standard family's factors (`bell.family_factors`), Werner's
+D_{f,j} = Psi_j T_f, a +-1 diagonal per member after a permutation per
+family: the direct encoder's own laws and the member-mixer reading are read
+on psi and T, and the composition order overlaps each family's composed
+stack, built from the gates, with its direct encoders (T_f, psi[:, T_f]),
+one family block of 2N labels at a time, so no check holds a (2N)^3 stack.
+The composed and direct encoders' actions overlap by tr(D^H C) / 2N on
+every start state, so they are overlapped as operators.  The per-label
+loops, the whole-stack routes and the composed encoder of one label are the
+oracles in `tests/dense_oracle.py`.  Every check reads a label as its
+message id m = family·2N + member, by divmod; a `BellLabel` is built only
+to name one in an error text and for the 2N families' (k, r).  Nothing is
+memoized.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bell import BellLabel, FamilyFactors, compose_family, encode_direct, encoder_table, message_to_label
+from .bell import FamilyFactors, compose_family, encode_direct, family_factors, message_to_label
 from .errors import ArgOutOfRange, OrderMismatch, PropertyViolated
 from .gates import channel_swap_gate, ladder_shift_gate
 from .hadamard import HadamardMatrix
@@ -46,7 +47,6 @@ __all__ = [
     "encode_direct",
     "member_mixer",
     "family_shift",
-    "encode_composed",
     "resolve_member_mixer_reading",
     "resolve_composition_order",
     "encode_law_residuals",
@@ -56,11 +56,6 @@ __all__ = [
 
 MEMBER_MIXER_READINGS = ("cross-column", "same-column")
 COMPOSITION_ORDERS = ("family-shift-first", "member-mix-first")
-
-
-def _check_setup(N: int, H: HadamardMatrix):
-    if H.order != 2 * N:
-        raise OrderMismatch(f"need order {2 * N}, got {H.order}")
 
 
 def _member_mixer_with_reading(
@@ -80,14 +75,10 @@ def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
     The law: the mixer for member j sends the basis state with member j' to
     the one whose sign row is the entrywise product of rows j and j', with
     the family untouched.  Basis states are their direct encoders' signed
-    permutations, so each candidate reading is checked exactly: mixer j after
-    the stacked encoders of (k, r, j') must give those of (k, r, j'').  Only
-    family (1, +1)'s block is checked, at every N: every encoder
-    `encoder_table` builds is Psi_j' T_f, a +-1 diagonal per member after a
-    permutation per family (`encode_law_residuals`), and both candidate
-    mixers are diagonals, so mixer j sends Psi_j' T_f to Psi_j'' T_f in
-    every family exactly when it does in one, and by the same deviation.
-    The all-families check is
+    permutations Psi_j' T_f (`bell.family_factors`), and both candidate
+    mixers are +-1 diagonals m_j, so mixer j sends Psi_j' T_f to Psi_j'' T_f
+    in every family exactly when m_j psi_j' == psi_j'', and each candidate
+    reading is checked exactly on the factors.  The all-families check is
     `tests/dense_oracle.py::resolve_member_mixer_reading_all_families`.  The
     first reading that holds for every member pair wins.  Otherwise the
     error names each reading's first failure in (j, label) order: a row
@@ -95,7 +86,7 @@ def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
     target.
     """
     dim = 2 * N
-    table = encoder_table(N, H, np.arange(dim))  # family (1, +1): row j' - 1 is member j'
+    psi = family_factors(N, H).psi  # row m: member m + 1's sign on each first-particle index
     # product[j-1, j'-1]: the row of H (0-based) equal to row j * row j', -1 if
     # none, filled one row at a time; a +-1 row is keyed by its packed minus
     # signs, and a product of rows by the xor of theirs
@@ -107,19 +98,17 @@ def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
     failures = {}
     for reading in MEMBER_MIXER_READINGS:
         for j in range(1, dim + 1):
-            op = _member_mixer_with_reading(N, H, j, reading)
             # the mixer acts on the first particle, i.e. on the encoder's rows
-            moved = compose_perms(op, table)
+            moved = _member_mixer_with_reading(N, H, j, reading).phase * psi
             jpp = product[j - 1]
-            want = table[jpp]  # read only where the product row exists
-            same = (moved.target == want.target) & (moved.phase == want.phase)
-            bad = np.flatnonzero((jpp < 0) | ~same.all(axis=1))
+            want = psi[jpp]  # read only where the product row exists
+            bad = np.flatnonzero((jpp < 0) | ~(moved == want).all(axis=1))
             if bad.size:
                 m = int(bad[0])  # the message id of member m + 1 of family (1, +1)
                 if jpp[m] < 0:
                     failures[reading] = f"row {j} * row {m + 1} is not a row of H"
                 else:
-                    dev = np.max(np.abs(np.asarray(moved[m]) - np.asarray(want[m]))) / np.sqrt(dim)
+                    dev = np.max(np.abs(moved[m] - want[m])) / np.sqrt(dim)
                     failures[reading] = f"mixer {j} on {message_to_label(m, N)} deviates by {dev:.3e}"
                 break
         else:
@@ -141,7 +130,8 @@ def member_mixer(N: int, H: HadamardMatrix, j: int, reading: str) -> SignedPermu
     all-plus, so member 1's mixer is the identity.  `reading` is one of
     `MEMBER_MIXER_READINGS`, as `resolve_member_mixer_reading` picks it.
     """
-    _check_setup(N, H)
+    if H.order != 2 * N:
+        raise OrderMismatch(f"need order {2 * N}, got {H.order}")
     if not 1 <= j <= 2 * N:
         raise ArgOutOfRange(f"j={j} must lie in 1..{2 * N}")
     if reading not in MEMBER_MIXER_READINGS:
@@ -175,8 +165,8 @@ def resolve_composition_order(N: int, H: HadamardMatrix, reading: str) -> dict:
     reading, are stacked and its family shift is taken alone; both are
     checked as signed permutations (the gates are built unchecked) and
     composed in both orders, the shift broadcast over the members.  Each
-    label's composed encoder is overlapped with its direct encoder (the
-    family's rows of `bell_table`, built alone by `encoder_table`) once:
+    label's composed encoder is overlapped with its direct encoder, read off
+    the standard factors as (T_f, psi[:, T_f]) (`bell.family_factors`), once:
     the overlap is the same on every start state, so one value stands for
     all of them, and it is exact.  Only the (family, member) overlaps and
     whether the operators agree as matrices (a stronger fact than required)
@@ -187,11 +177,12 @@ def resolve_composition_order(N: int, H: HadamardMatrix, reading: str) -> dict:
     `tests/dense_oracle.py::resolve_composition_order_stacked`.
     """
     dim = 2 * N
+    factors = family_factors(N, H)
     overlaps = np.empty((len(COMPOSITION_ORDERS), dim, dim), dtype=np.complex128)
     equal = [True] * len(COMPOSITION_ORDERS)
-    for f in range(dim):
-        rows = range(f * dim, (f + 1) * dim)  # message = family * 2N + member
-        direct = encoder_table(N, H, rows)
+    for f, target in enumerate(factors.target):
+        # member j's direct encoder: targets T_f, phases psi[j, T_f]
+        direct = SignedPermutationOp._trusted(dim, np.broadcast_to(target, (dim, dim)), factors.psi[:, target])
         # the gates are built unchecked, so each family's are checked here, once
         mixers = [member_mixer(N, H, j, reading) for j in range(1, dim + 1)]
         mixer = SignedPermutationOp(dim, [op.target for op in mixers], [op.phase for op in mixers])
@@ -229,8 +220,7 @@ def encode_law_residuals(factors: FamilyFactors) -> dict:
     The laws are read on the standard family's factors (`bell.family_factors`),
     D_{f,j} = Psi_j T_f: a +-1 diagonal for member j after a permutation for
     family f (Werner's shift-and-multiply unitary error basis).  A family
-    that does not factor so, or whose signs are not +-1, fails family_rule
-    with residual 1.  Every phase is some psi[j, t], so structure is read
+    whose signs are not +-1 fails family_rule with residual 1.  Every phase is some psi[j, t], so structure is read
     off psi.  Where the landing and moved targets agree the member signs
     cancel (psi^2 = 1), so the overlap of family f on start S = D_{f',1} is
     sum_i [T_g(i) = T_f(S(i))] phase_S(i) / 2N for the landing family g,
@@ -241,7 +231,7 @@ def encode_law_residuals(factors: FamilyFactors) -> dict:
     """
     psi, family_target = factors.psi, factors.target
     dim = len(family_target)
-    unit = factors.factors and bool(np.all((psi == 1) | (psi == -1)))
+    unit = bool(np.all((psi == 1) | (psi == -1)))
     heads = (message_to_label(f * dim, dim // 2) for f in range(dim))  # member 1 of each family
     families = [(lab.k, lab.r) for lab in heads]
     index = {fam: f for f, fam in enumerate(families)}
@@ -260,20 +250,3 @@ def encode_law_residuals(factors: FamilyFactors) -> dict:
         overlap = np.sum(agree * start_phase, axis=-1) / dim  # the same for every member
         rule = max(rule, float(np.max(np.abs(np.abs(overlap) - 1.0))))
     return {"structure": structure, "family_rule": rule if unit else 1.0, "no_signaling": signaling}
-
-
-def encode_composed(
-    N: int, H: HadamardMatrix, label: BellLabel, reading: str, order: str
-) -> SignedPermutationOp:
-    """Encoding unitary assembled from basic gates: the member mixer built
-    under `reading` (`resolve_member_mixer_reading`) and the family shift,
-    composed in `order` (`resolve_composition_order`)."""
-    _check_setup(N, H)
-    label.validate(N)
-    if reading not in MEMBER_MIXER_READINGS or order not in COMPOSITION_ORDERS:
-        raise ArgOutOfRange(f"unknown member-mixer reading {reading!r} or composition order {order!r}")
-    mixer = member_mixer(N, H, label.j, reading)
-    shift = family_shift(N, label.k, label.r)
-    if order == "family-shift-first":
-        return compose_perms(mixer, shift)
-    return compose_perms(shift, mixer)

@@ -12,7 +12,7 @@ or a stack of them; they compose (`compose_perms`) and overlap as states
 (U x I)|Phi+> (`phi_plus_overlap`) here only, row by row.  Each is checked
 where it enters, by the public constructor; results that are signed
 permutations by construction (the identity, compositions, rows, the
-closed-form gates, the Bell tables) are wrapped by the unchecked
+closed-form gates, the encoder tables) are wrapped by the unchecked
 `SignedPermutationOp._trusted`.
 """
 
@@ -29,7 +29,6 @@ __all__ = [
     "TOL_EXACT",
     "TOL_CHAINED",
     "label_to_index",
-    "index_to_label",
     "StateVector",
     "SignedPermutationOp",
     "PermutedBlockOp",
@@ -38,9 +37,6 @@ __all__ = [
     "phi_plus_overlap",
     "apply",
     "apply_full",
-    "inner",
-    "partial_trace",
-    "basis_state",
     "state_to_dict",
     "state_from_dict",
 ]
@@ -56,13 +52,6 @@ def label_to_index(n: int, N: int) -> int:
     if n == 0 or abs(n) > N:
         raise LabelOutOfRange(f"label {n} outside +-1..+-{N}")
     return n - 1 if n > 0 else N + (-n) - 1
-
-
-def index_to_label(i: int, N: int) -> int:
-    """Inverse of label_to_index on 0..2N-1."""
-    if not 0 <= i < 2 * N:
-        raise LabelOutOfRange(f"index {i} outside 0..{2 * N - 1}")
-    return i + 1 if i < N else -(i - N + 1)
 
 
 def _freeze(obj, **arrays):
@@ -105,13 +94,6 @@ class StateVector:
     def grid(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per subsystem."""
         return self.amp.reshape(self.dims)
-
-
-def basis_state(dims: tuple[int, ...], indices: tuple[int, ...]) -> StateVector:
-    amp = np.zeros(math.prod(dims), dtype=np.complex128)
-    grid = amp.reshape(dims)
-    grid[tuple(indices)] = 1.0
-    return StateVector(dims, amp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,25 +268,6 @@ def apply_full(op, s: StateVector) -> StateVector:
             y += columns[t] * x[blocks, t, None]
         out[op.rows] = y
     return StateVector(s.dims, out)
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """Hermitian inner product <a|b>."""
-    if a.dims != b.dims:
-        raise DimensionMismatch(f"dims {a.dims} vs {b.dims}")
-    return complex(np.vdot(a.amp, b.amp))
-
-
-def partial_trace(s: StateVector, keep: int) -> np.ndarray:
-    """Reduced density matrix of one factor of a two-factor pure state."""
-    if len(s.dims) != 2:
-        raise DimensionMismatch(f"partial trace needs two subsystems, got dims {s.dims}")
-    if keep not in (0, 1):
-        raise DimensionMismatch(f"keep must be 0 or 1, got {keep}")
-    m = s.grid()
-    if keep == 0:
-        return m @ m.conj().T
-    return m.T @ m.conj()
 
 
 def state_to_dict(s: StateVector) -> dict:

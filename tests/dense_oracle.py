@@ -16,12 +16,17 @@ relabel and the encoder laws read off whole tables, as they ran before
 `sdc` read the families' factors, one run's sent state decoded in full on
 the amplitude route, as `run` decoded it before it certified the state by
 one operator row, and that certification state by state, as it ran before
-it read each Bell family once.  Four sign matrices beyond Sylvester's (ALT4,
+it read each Bell family once.  The helpers that only tests use live here
+too: the inverse channel index map, product basis kets, inner products and
+partial traces, whole Bell tables and compact states, the factoring of a
+table's family blocks (the oracle of the closed-form factors) and the gate
+form of one label's encoder.  Four sign matrices beyond Sylvester's (ALT4,
 Paley order 12, a negated Sylvester and [[1, -1], [-1, -1]]) are kept here
 for the tests that share them.
 """
 
 import itertools
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,14 +35,24 @@ import sdc.encoder as enc
 from sdc import hadamard
 from sdc.analysis import spin_base_state, spin_extended_state
 from sdc.bell import (
+    FamilyFactors,
     all_labels,
     bell_state,
-    compact_bell_state,
+    encoder_table,
+    family_factors,
     first_particle_interleave,
+    label_to_message,
 )
 from sdc.decoder import build_decode_table, grand_messages
 from sdc.encoder import encode_direct
-from sdc.errors import NonDeterministicOutcome, PropertyViolated
+from sdc.errors import (
+    ArgOutOfRange,
+    DimensionMismatch,
+    LabelOutOfRange,
+    NonDeterministicOutcome,
+    OrderMismatch,
+    PropertyViolated,
+)
 from sdc.gates import channel_sign_gate, channel_swap_gate
 from sdc.hilbert import (
     SignedPermutationOp,
@@ -47,9 +62,98 @@ from sdc.hilbert import (
     identity_perm,
     TOL_CHAINED,
     label_to_index,
-    partial_trace,
     phi_plus_overlap,
 )
+
+
+def index_to_label(i, N):
+    """Inverse of `sdc.hilbert.label_to_index` on 0..2N-1."""
+    if not 0 <= i < 2 * N:
+        raise LabelOutOfRange(f"index {i} outside 0..{2 * N - 1}")
+    return i + 1 if i < N else -(i - N + 1)
+
+
+def basis_state(dims, indices):
+    """The product basis ket with a 1 at `indices` of a tensor product of `dims`."""
+    amp = np.zeros(math.prod(dims), dtype=np.complex128)
+    grid = amp.reshape(dims)
+    grid[tuple(indices)] = 1.0
+    return StateVector(dims, amp)
+
+
+def inner(a, b):
+    """Hermitian inner product <a|b>."""
+    if a.dims != b.dims:
+        raise DimensionMismatch(f"dims {a.dims} vs {b.dims}")
+    return complex(np.vdot(a.amp, b.amp))
+
+
+def partial_trace(s, keep):
+    """Reduced density matrix of one factor of a two-factor pure state."""
+    if len(s.dims) != 2:
+        raise DimensionMismatch(f"partial trace needs two subsystems, got dims {s.dims}")
+    if keep not in (0, 1):
+        raise DimensionMismatch(f"keep must be 0 or 1, got {keep}")
+    m = s.grid()
+    if keep == 0:
+        return m @ m.conj().T
+    return m.T @ m.conj()
+
+
+def bell_table(N, H, compact=False):
+    """One family as one stack of 4N^2 signed permutations: row
+    `label_to_message(label)` is the U of that state (U x I)|Phi+>.
+    Standard rows are `encoder_table`'s; compact label m sits in column
+    partner(m) with sign h[j, m], the rows of the closed-form compact factors."""
+    if not compact:
+        return encoder_table(N, H, np.arange(4 * N * N))
+    return factor_table(family_factors(N, H, compact=True))
+
+
+def compact_bell_state(N, label, H):
+    """Compact-family basis state sum_m h[j, m] |m, partner(m)> / sqrt(2N): the
+    dense view of its row Psi_j T_f of the compact factors."""
+    family, member = divmod(label_to_message(label, N), 2 * N)
+    factors = family_factors(N, H, compact=True)
+    target = factors.target[family]
+    op = SignedPermutationOp._trusted(2 * N, target, factors.psi[member, target])
+    return StateVector((op.dim, op.dim), np.asarray(op).reshape(-1) / np.sqrt(op.dim))
+
+
+def factor_blocks(blocks):
+    """A family's factors read and checked in one pass over its 2N blocks of
+    2N member rows (in `bell_table` order), holding one block at a time:
+    (FamilyFactors, whether they factor), where the family factors when
+    every row of block f has the target row T_f of its member 1, every
+    phase equals psi[j, T_f] with psi read off block 0, and every T_f is a
+    permutation."""
+    for f, block in enumerate(blocks):
+        if f == 0:
+            dim, factors = block.dim, True
+            target = np.full((dim, dim), -1, dtype=np.intp)  # a missing block reads -1
+            psi = np.zeros((dim, dim), dtype=block.phase.dtype)
+            psi[:, block.target[0]] = block.phase
+        target[f] = block.target[0]
+        factors = factors and bool(np.all(block.target == target[f]))
+        factors = factors and bool(np.all(block.phase == psi[:, target[f]]))
+    factors = factors and bool(np.all(np.sort(target, axis=1) == np.arange(dim)))
+    return FamilyFactors(psi, target), factors
+
+
+def encode_composed(N, H, label, reading, order):
+    """Encoding unitary of one label assembled from basic gates: the member
+    mixer built under `reading` and the family shift, composed in `order`.
+    The gates are read through `sdc.encoder`."""
+    if H.order != 2 * N:
+        raise OrderMismatch(f"need order {2 * N}, got {H.order}")
+    label.validate(N)
+    if reading not in enc.MEMBER_MIXER_READINGS or order not in enc.COMPOSITION_ORDERS:
+        raise ArgOutOfRange(f"unknown member-mixer reading {reading!r} or composition order {order!r}")
+    mixer = enc.member_mixer(N, H, label.j, reading)
+    shift = enc.family_shift(N, label.k, label.r)
+    if order == "family-shift-first":
+        return compose_perms(mixer, shift)
+    return compose_perms(shift, mixer)
 
 
 # a symmetric sign matrix of order 4 whose rows do not close under products
@@ -134,11 +238,12 @@ def member_mixer_gates(N, H, j, reading):
 
 def resolve_member_mixer_reading_all_families(N, H):
     """`resolve_member_mixer_reading` checked on every family's block, not
-    family (1, +1)'s alone: each candidate mixer after all 4N^2 direct
-    encoders, with the same result or the same error text.  The mixers and
-    readings are read through `sdc.encoder`, so a patch there reaches both."""
+    on the factors: each candidate mixer after all 4N^2 direct encoders,
+    built by `encoder_table`, with the same result or the same error text.
+    The mixers and readings are read through `sdc.encoder`, so a patch
+    there reaches both."""
     dim = 2 * N
-    table = enc.encoder_table(N, H, np.arange(dim * dim))
+    table = encoder_table(N, H, np.arange(dim * dim))
     family, member = np.divmod(np.arange(dim * dim), dim)
     row_of = {row.tobytes(): i for i, row in enumerate(H.ints)}
     product = np.array([[row_of.get((a * b).tobytes(), -1) for b in H.ints] for a in H.ints])
@@ -167,15 +272,16 @@ def resolve_composition_order_stacked(N, H, reading):
     """`resolve_composition_order` on whole stacks: all 4N^2 member mixers
     as one checked (family, member) grid, the 2N family shifts as a checked
     (family, 1) grid, and the (2N)^3 direct table, composed and overlapped
-    at once, each order in turn.  The gates and the direct encoders are read
-    through `sdc.encoder`, so a patch there reaches both routes."""
+    at once, each order in turn, the direct table built by `encoder_table`,
+    not read off the factors.  The gates are read through `sdc.encoder`, so
+    a patch there reaches both routes."""
     dim, labels = 2 * N, all_labels(N)
 
     def checked(ops, rows):
         target, phase = (np.reshape(a, (*rows, dim)) for a in zip(*((o.target, o.phase) for o in ops)))
         return SignedPermutationOp(dim, target, phase)
 
-    table = enc.encoder_table(N, H, np.arange(dim * dim))
+    table = encoder_table(N, H, np.arange(dim * dim))
     grid = (dim, dim, dim)  # (family, member, column)
     direct = SignedPermutationOp._trusted(dim, table.target.reshape(grid), table.phase.reshape(grid))
     mixer = checked((enc.member_mixer(N, H, lab.j, reading) for lab in labels), (dim, dim))
@@ -197,7 +303,7 @@ def resolve_composition_order_stacked(N, H, reading):
 
 def table_blocks(table):
     """The family blocks of a whole `bell_table`: its 2N row slices of 2N
-    rows, as views, for `sdc.bell.factor_blocks`."""
+    rows, as views, for `factor_blocks`."""
     dim = table.dim
     return [table[rows:rows + dim] for rows in range(0, len(table.target), dim)]
 

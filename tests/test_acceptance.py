@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from dense_oracle import bell_basis_matrix, compact_partner
+from dense_oracle import bell_basis_matrix, compact_bell_state, compact_partner, encode_composed, partial_trace
 
 from sdc import hadamard
 from sdc.analysis import (
@@ -26,15 +26,10 @@ from sdc.analysis import (
     spin_capacity,
     spin_state_report,
 )
-from sdc.bell import BellLabel, all_labels, bell_state, compact_bell_state, compose_family
+from sdc.bell import BellLabel, all_labels, bell_state, compose_family
 from sdc.cli import main
 from sdc.decoder import grand_blocks, make_decoder, pipeline_report
-from sdc.encoder import (
-    encode_composed,
-    encode_direct,
-    resolve_composition_order,
-    resolve_member_mixer_reading,
-)
+from sdc.encoder import encode_direct, resolve_composition_order, resolve_member_mixer_reading
 from sdc.gates import (
     channel_hadamard_gate,
     channel_sign_gate,
@@ -44,7 +39,7 @@ from sdc.gates import (
     position_controlled_swap,
     resolve_mixer_normalization,
 )
-from sdc.hilbert import apply, apply_full, partial_trace
+from sdc.hilbert import apply, apply_full
 
 
 def verdict(criterion: str, ok: bool, detail: str):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_oracle import spin_bell_basis, spin_round_trips_dense
+from dense_oracle import partial_trace, spin_bell_basis, spin_round_trips_dense
 
 import sdc.analysis as analysis_mod
 import sdc.bell as bell_mod
@@ -33,7 +33,7 @@ from sdc.analysis import (
 from sdc.cli import main
 from sdc.decoder import build_decode_table, make_decoder
 from sdc.errors import ArgOutOfRange, MessageOutOfRange
-from sdc.hilbert import compose_perms, partial_trace, phi_plus_overlap
+from sdc.hilbert import compose_perms, phi_plus_overlap
 
 
 class TestRoundTrips:

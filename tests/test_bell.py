@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 from dense_oracle import (
     bell_basis_matrix,
+    bell_table,
+    compact_bell_state,
     compact_partner,
     compact_state_loop,
     dense_relabel,
     dense_residuals,
     encode_direct_loop,
     encode_law_residuals_loop,
+    factor_blocks,
     factor_table,
+    index_to_label,
     interleave_loop,
+    partial_trace,
     sign_matrix,
     stack_blocks,
     table_basis,
@@ -30,21 +35,18 @@ from sdc.bell import (
     FamilyFactors,
     all_labels,
     bell_state,
-    bell_table,
-    compact_bell_state,
     compact_partner_table,
     compact_relabel_holds,
     compose_family,
     encode_direct,
     encoder_table,
-    factor_blocks,
     family_factors,
+    family_pairing,
     first_particle_interleave,
     label_to_message,
     message_to_label,
     table_residuals,
 )
-from sdc.encoder import encode_law_residuals
 from sdc.errors import ArgOutOfRange, OrderMismatch
 from sdc.hilbert import (
     TOL_CHAINED,
@@ -52,9 +54,7 @@ from sdc.hilbert import (
     SignedPermutationOp,
     apply,
     identity_perm,
-    index_to_label,
     label_to_index,
-    partial_trace,
 )
 
 
@@ -219,14 +219,14 @@ class TestCompactRelabel:
             assert np.array_equal(moved.amp, compact_bell_state(N, lab, H).amp)
 
     def test_relabel_composes_one_family_block_at_a_time(self):
-        # given both tables' factors, the relabel holds only (2N)^2-entry
+        # given both families' factors, the relabel holds only (2N)^2-entry
         # temporaries: under 0.05 tables at N = 32 (a table is its targets
         # plus phases, 6 MiB there)
         N = 32
         H = hadamard.build(2 * N)
-        standard, compact = bell_table(N, H), bell_table(N, H, compact=True)
+        standard = bell_table(N, H)
         size = standard.target.nbytes + standard.phase.nbytes
-        factors = factor_blocks(table_blocks(standard)), factor_blocks(table_blocks(compact))
+        factors = family_factors(N, H), family_factors(N, H, compact=True)
         tracemalloc.start()
         try:
             assert compact_relabel_holds(*factors)
@@ -312,16 +312,13 @@ class TestFamilyTables:
     def test_flipped_phase_breaks_both_grams(self, N):
         # the encoder of message 0, label (1, +1, 1), gets one sign flipped:
         # its block still shares one target row, but member 1's signs now
-        # differ between families, so the family does not factor and the
-        # factor route reads 1.0; the whole-table routes read the deviation
+        # differ between families, so the table does not factor; the
+        # whole-table routes read the deviation
         table = bell_table(N, hadamard.build(2 * N))
         phase = table.phase.copy()
         phase[0, 0] *= -1
         flipped = SignedPermutationOp(table.dim, table.target, phase)
-        factors = factor_blocks(table_blocks(flipped))
-        assert factors.factors is False
-        assert table_residuals(factors)["gram"] == 1.0
-        assert encode_law_residuals(factors)["family_rule"] == 1.0
+        assert factor_blocks(table_blocks(flipped))[1] is False
         dense = dense_residuals(table_basis(flipped))["gram"]
         whole = whole_table_residuals(flipped)["gram"]
         assert whole >= 1.0 / N and abs(whole - dense) <= 1e-12
@@ -367,11 +364,11 @@ class TestResidualRoutes:
     def test_families_sharing_every_target_fail_on_all_routes(self, compact):
         # block 1 takes block 0's targets: the two families' states overlap,
         # and block 1's phases are no longer psi on its targets, so the
-        # factor route reads 1.0 while the oracles read the overlap
+        # table does not factor, and the oracles read the overlap
         blocks = table_blocks(bell_table(4, hadamard.build(8), compact))
         blocks[1] = SignedPermutationOp._trusted(blocks[1].dim, blocks[0].target, blocks[1].phase)
         table = stack_blocks(blocks)
-        assert table_residuals(factor_blocks(blocks))["gram"] == 1.0
+        assert factor_blocks(blocks)[1] is False
         assert whole_table_residuals(table)["gram"] > TOL_EXACT
         assert table_residuals_grouped(table)["gram"] > TOL_EXACT
 
@@ -382,19 +379,18 @@ class TestResidualRoutes:
         target = table.target.copy()
         target[1, [0, 1]] = target[1, [1, 0]]
         unblocked = SignedPermutationOp(table.dim, target, table.phase)
-        assert table_residuals(factor_blocks(table_blocks(unblocked)))["gram"] == 1.0
+        assert factor_blocks(table_blocks(unblocked))[1] is False
         assert whole_table_residuals(unblocked)["gram"] == 1.0
         assert table_residuals_grouped(unblocked)["gram"] > TOL_EXACT
 
     def test_no_temporary_is_table_sized(self):
-        # factoring the blocks and reading the residuals off the factors hold
+        # building the factors and reading the residuals off them hold
         # (2N)^2-entry arrays; the table's phases alone hold 4 MiB
         N = 32
-        table = bell_table(N, hadamard.build(2 * N))
-        blocks = table_blocks(table)
+        H = hadamard.build(2 * N)
         tracemalloc.start()
         try:
-            table_residuals(factor_blocks(blocks))
+            table_residuals(family_factors(N, H))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -406,23 +402,25 @@ STREAMED_MATRICES = [
     ("alt4", 2),
     ("paley", 6),
     *(("flipped", n) for n in (2, 4, 8, 16)),
+    ("minus", 1),
 ]
 
 
 class TestFamilyBlocks:
-    """The family blocks read as factors, against the whole tables."""
+    """The closed-form factors against the whole tables and their blocks."""
 
     @pytest.mark.parametrize("compact", [False, True], ids=["standard", "compact"])
     @pytest.mark.parametrize("matrix,N", STREAMED_MATRICES)
     def test_blocks_are_the_table_rows(self, matrix, N, compact):
-        # the factors stand for the table, and factoring its blocks gives
-        # them back
+        # the factors stand for the table, and factoring its blocks (the
+        # standard table's are `encoder_table`'s rows) gives them back
         H = sign_matrix(matrix, N)
         factors, table = family_factors(N, H, compact), bell_table(N, H, compact)
-        assert factors.factors is True and factors.target.shape == (2 * N, 2 * N)
+        assert factors.target.shape == factors.psi.shape == (2 * N, 2 * N)
         assert factor_table(factors) == table
-        read = factor_blocks(table_blocks(table))
-        assert read.factors is True
+        read, factored = factor_blocks(table_blocks(table))
+        assert factored is True
+        assert read.psi.dtype == factors.psi.dtype
         assert np.array_equal(read.target, factors.target) and np.array_equal(read.psi, factors.psi)
 
     @pytest.mark.parametrize("matrix,N", STREAMED_MATRICES)
@@ -431,26 +429,25 @@ class TestFamilyBlocks:
         standard, compact = family_factors(N, H), family_factors(N, H, compact=True)
         streamed = compact_relabel_holds(standard, compact)
         assert streamed is whole_table_relabel_holds(bell_table(N, H), bell_table(N, H, compact=True))
-        twisted = FamilyFactors(compact.psi * np.exp(0.1j), compact.target, True)
+        twisted = FamilyFactors(compact.psi * np.exp(0.1j), compact.target)
         assert not compact_relabel_holds(standard, twisted)
         assert not whole_table_relabel_holds(bell_table(N, H), factor_table(twisted))
 
     def test_out_of_range_block_and_wrong_order_are_refused(self):
         blocks = table_blocks(bell_table(2, hadamard.build(4)))
-        assert factor_blocks(blocks).factors is True
+        assert factor_blocks(blocks)[1] is True
         with pytest.raises(IndexError):
             factor_blocks(blocks + blocks[:1])  # a fifth block has no family
-        assert factor_blocks(blocks[:-1]).factors is False  # a missing block reads target -1
+        assert factor_blocks(blocks[:-1])[1] is False  # a missing block reads target -1
         for compact in (False, True):
             with pytest.raises(OrderMismatch):
                 family_factors(2, hadamard.build(8), compact)
 
     @pytest.mark.parametrize("compact", [False, True], ids=["standard", "compact"])
     def test_a_streamed_pass_holds_one_block(self, compact):
-        # the standard factors are read one built-on-demand block at a time,
-        # the compact ones in closed form: the factors, one block and their
-        # (2N)^2-entry temporaries, under 0.1 tables (a table, targets plus
-        # phases, is 6 MiB at N = 32)
+        # both families' factors are built in closed form: the factors and
+        # their (2N)^2-entry temporaries, under 0.1 tables (a table, targets
+        # plus phases, is 6 MiB at N = 32)
         N = 32
         H = hadamard.build(2 * N)
         table = bell_table(N, H, compact)
@@ -463,6 +460,15 @@ class TestFamilyBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * size
+
+
+@pytest.mark.parametrize("N", [*range(1, 65), 128, 256, 512])
+def test_sign_columns_are_the_interleaved_targets(N):
+    # `family_factors` reads psi off family 0's sign columns; every family's
+    # encoders are psi[j, T_f] because each sign column is the interleave of
+    # its target
+    target, column = family_pairing(N, np.arange(2 * N))
+    assert np.array_equal(column, first_particle_interleave(N).target[target])
 
 
 @pytest.mark.parametrize("N", range(1, 33))

@@ -158,7 +158,7 @@ class TestVerify:
 
         def twisted(N, H, compact=False):
             f = build(N, H, compact)
-            return bell_mod.FamilyFactors(f.psi * np.exp(0.1j), f.target, f.factors) if compact else f
+            return bell_mod.FamilyFactors(f.psi * np.exp(0.1j), f.target) if compact else f
 
         monkeypatch.setattr(bell_mod, "family_factors", twisted)
         code, out, _ = run_cli(capsys, "verify", "--n", "2")
@@ -169,43 +169,50 @@ class TestVerify:
         ]
         assert report["resolutions"]["compact_relabel_method"] == "none"
 
-    def test_report_factors_each_family_once(self, monkeypatch):
-        # one pass factors the standard family's blocks; the family checks
-        # read the factors and build no block, and no Bell table is built
+    def test_report_builds_no_encoder_table(self, monkeypatch):
+        # every family check and both reading resolutions read the
+        # closed-form factors: no encoder row and no Bell table is built,
+        # through any binding of either name
         import sdc.bell as bell_mod
         import sdc.encoder as enc
         from sdc.cli import RunConfig, build_verify_report
 
-        calls, checking = [], []
+        calls = []
 
-        def spy(module, name, is_check=False):
+        def spy(module, name):
             real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
 
-            def wrapped(*args, **kwargs):
-                calls.append((name, bool(checking)))  # (name, inside a family check)
-                if is_check:
-                    checking.append(name)
-                try:
-                    return real(*args, **kwargs)
-                finally:
-                    if is_check:
-                        checking.pop()
-
-            monkeypatch.setattr(module, name, wrapped)
-
-        for module, name in ((bell_mod, "factor_blocks"), (bell_mod, "bell_table"),
-                             (bell_mod, "encoder_table"), (enc, "encoder_table")):
-            spy(module, name)
+        for module_name, module in list(sys.modules.items()):
+            for name in ("encoder_table", "bell_table"):
+                if module_name.partition(".")[0] == "sdc" and callable(getattr(module, name, None)):
+                    spy(module, name)
         for module, name in ((bell_mod, "table_residuals"), (bell_mod, "compact_relabel_holds"),
                              (enc, "encode_law_residuals")):
-            spy(module, name, is_check=True)
+            spy(module, name)
         assert build_verify_report(RunConfig(n=4))["pass"] is True
-        names = [name for name, _ in calls]
-        assert names.count("factor_blocks") == 1
-        assert "bell_table" not in names
-        assert ("encoder_table", True) not in calls
-        assert (names.count("table_residuals"), names.count("compact_relabel_holds")) == (2, 1)
-        assert names.count("encode_law_residuals") == 1
+        assert "encoder_table" not in calls and "bell_table" not in calls
+        assert (calls.count("table_residuals"), calls.count("compact_relabel_holds")) == (2, 1)
+        assert calls.count("encode_law_residuals") == 1
+
+    def test_a_flipped_grand_sign_fails_both_grand_checks(self, capsys, monkeypatch):
+        # the block stays +-1/sqrt(2N) entry by entry, but no longer squares
+        # to 2N I either way
+        import sdc.decoder as dec
+
+        build = dec.grand_blocks
+
+        def flipped(N, H):
+            op = build(N, H)
+            block = op.block.copy()
+            block[0, 1] *= -1
+            return dec.PermutedBlockOp(op.rows, block)
+
+        monkeypatch.setattr(dec, "grand_blocks", flipped)
+        code, out, _ = run_cli(capsys, "verify", "--n", "2")
+        residuals = {c["name"]: c["residual"] for c in json.loads(out)["checks"]}
+        assert code == 1
+        assert residuals["grand-unitarity"] == residuals["grand-involution"] == 1.0
 
     def test_report_holds_no_bell_table(self):
         # every table check reads family factors: a repeated report at N = 32

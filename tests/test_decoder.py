@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from dense_oracle import (
     certify_per_state,
+    compact_bell_state,
     compact_partner,
     decode_message,
     decode_table_loop,
@@ -28,7 +29,6 @@ from sdc.bell import (
     BellLabel,
     all_labels,
     bell_state,
-    compact_bell_state,
     encode_direct,
     encoder_table,
     first_particle_interleave,
@@ -584,6 +584,6 @@ class TestGuards:
 
         H = hadamard.build(2)
         standard, compact = bell_mod.family_factors(1, H), bell_mod.family_factors(1, H, compact=True)
-        twisted = bell_mod.FamilyFactors(compact.psi * np.exp(0.1j), compact.target, True)
+        twisted = bell_mod.FamilyFactors(compact.psi * np.exp(0.1j), compact.target)
         assert bell_mod.compact_relabel_holds(standard, compact)
         assert not bell_mod.compact_relabel_holds(standard, twisted)

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from dense_oracle import (
     ALT4,
+    bell_table,
+    encode_composed,
     encode_law_residuals_loop,
+    factor_blocks,
     member_mixer_gates,
     paley_order_12,
+    partial_trace,
     resolve_composition_order_stacked,
     resolve_member_mixer_reading_all_families,
     sign_matrix,
@@ -22,15 +26,12 @@ from sdc.bell import (
     BellLabel,
     all_labels,
     bell_state,
-    bell_table,
     compose_family,
-    factor_blocks,
     family_factors,
 )
 from sdc.encoder import (
     MEMBER_MIXER_READINGS,
     _member_mixer_with_reading,
-    encode_composed,
     encode_direct,
     encode_law_residuals,
     family_shift,
@@ -40,7 +41,7 @@ from sdc.encoder import (
 )
 from sdc.errors import ArgOutOfRange, DimensionMismatch, PropertyViolated, SdcError
 from sdc.gates import channel_sign_gate
-from sdc.hilbert import SignedPermutationOp, apply, compose_perms, partial_trace, phi_plus_overlap
+from sdc.hilbert import SignedPermutationOp, apply, compose_perms, phi_plus_overlap
 
 def resolved_order(N, H):
     """`resolve_composition_order` under a fresh member-mixer resolution."""
@@ -478,19 +479,19 @@ class TestExactLawChecks:
 
     def test_unfactored_table_fails_on_both_routes(self):
         # member 2 takes another sign in family 1 than in family 0, so no
-        # member-j diagonal serves every family
+        # member-j diagonal serves every family: the table does not factor,
+        # and both oracles fail the family rule
         table = bell_table(2, hadamard.build(4))
         phase = table.phase.copy()
         phase[4 + 1, 0] *= -1  # family 1, member 2, column 0
         mixed = SignedPermutationOp._trusted(table.dim, table.target, phase)
-        factors = factor_blocks(table_blocks(mixed))
-        exact = encode_law_residuals(factors)
+        whole = whole_table_encode_law_residuals(mixed)
         loop = encode_law_residuals_loop(mixed)
-        assert factors.factors is False
-        assert exact["family_rule"] == 1.0
+        assert factor_blocks(table_blocks(mixed))[1] is False
+        assert whole["family_rule"] == 1.0
         assert loop["family_rule"] > 1e-10
-        assert exact["structure"] == loop["structure"] == 0.0
-        assert exact["no_signaling"] == loop["no_signaling"] == 0.0
+        assert whole["structure"] == loop["structure"] == 0.0
+        assert whole["no_signaling"] == loop["no_signaling"] == 0.0
 
     def test_lawless_matrix_fails_on_both_routes(self):
         H = hadamard.build(4, custom={4: ALT4})

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dense_oracle import mixer_csc
+from dense_oracle import basis_state, mixer_csc
 from sdc import hadamard
 from sdc.errors import ArgOutOfRange, OrderMismatch
 from sdc.gates import (
@@ -19,7 +19,6 @@ from sdc.gates import (
 from sdc.hilbert import (
     StateVector,
     apply_full,
-    basis_state,
     compose_perms,
     identity_perm,
     label_to_index,

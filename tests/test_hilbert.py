@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from dense_oracle import basis_state, bell_table, index_to_label, inner, partial_trace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdc import hadamard
-from sdc.bell import BellLabel, bell_state, bell_table
+from sdc.bell import BellLabel, bell_state
 from sdc.decoder import make_decoder
 from sdc.encoder import MEMBER_MIXER_READINGS, family_shift, member_mixer
 from sdc.errors import DimensionMismatch, LabelOutOfRange
@@ -17,13 +18,9 @@ from sdc.hilbert import (
     StateVector,
     apply,
     apply_full,
-    basis_state,
     compose_perms,
     identity_perm,
-    index_to_label,
-    inner,
     label_to_index,
-    partial_trace,
     phi_plus_overlap,
     state_from_dict,
     state_to_dict,

@@ -3,12 +3,12 @@
 Single-channel gates (sign flip, half-axis swap, channel Hadamard), the
 cyclic ladder shift, and the two nonlocal two-particle gates used by the
 measurement pipeline: the position-controlled swap and the Hadamard-weighted
-channel mixer.  Every gate is a `SignedPermutationOp` except the channel
-Hadamard and the Hadamard layer, which are read-only complex ndarrays, and the
-mixer, a `PermutedBlockOp`: 4N copies of the scaled order-N Hadamard block on
-the two-particle space.  The sign, swap and ladder gates are the identity
-with one sign flipped, one pair swapped, or a cyclic shift, so they are
-built as trusted signed permutations; their arguments are still checked.
+channel mixer.  Every gate is a `SignedPermutationOp` or a `PermutedBlockOp`:
+the channel Hadamard and the layer are the block [[1, 1], [1, -1]]/sqrt(2)
+on one channel pair or all N, the mixer 4N copies of the scaled order-N
+Hadamard block.  The sign, swap and ladder gates are the identity with one
+sign flipped, one pair swapped, or a cyclic shift, so they are built as
+trusted signed permutations; their arguments are still checked.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ __all__ = [
     "resolve_mixer_normalization",
     "MIXER_READINGS",
 ]
+
+
+_PAIR_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 
 
 def _check_site(N: int, n: int):
@@ -65,34 +68,23 @@ def ladder_shift_gate(N: int, power: int) -> SignedPermutationOp:
     return SignedPermutationOp._trusted(2 * N, target, np.ones(2 * N, dtype=np.complex128))
 
 
-def channel_hadamard_gate(N: int, n: int) -> np.ndarray:
+def channel_hadamard_gate(N: int, n: int) -> PermutedBlockOp:
     """Hadamard rotation of the (+n, -n) channel pair: (swap + sign)/sqrt(2).
 
     Acts as [[1, 1], [1, -1]]/sqrt(2) on the pair and as identity elsewhere;
     involutory because the two generators anticommute on the pair.
     """
     _check_site(N, n)
-    m = np.eye(2 * N, dtype=np.complex128)
-    a, b = label_to_index(n, N), label_to_index(-n, N)
-    s = 1.0 / np.sqrt(2.0)
-    m[a, a] = s
-    m[a, b] = s
-    m[b, a] = s
-    m[b, b] = -s
-    m.setflags(write=False)
-    return m
+    return PermutedBlockOp([[label_to_index(n, N), label_to_index(-n, N)]], _PAIR_HADAMARD, 2 * N)
 
 
-def hadamard_layer(N: int) -> np.ndarray:
+def hadamard_layer(N: int) -> PermutedBlockOp:
     """Product of the channel Hadamards over all N sites.
 
-    The sites are disjoint, so the product is order-independent and takes the
-    half-axis block form [[I, I], [I, -I]]/sqrt(2) under the index embedding.
+    The sites are disjoint, so the product is order-independent: the pair
+    block on every pair (n - 1, N + n - 1) of the index embedding.
     """
-    eye = np.eye(N)
-    m = (np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0)).astype(np.complex128)
-    m.setflags(write=False)
-    return m
+    return PermutedBlockOp(np.arange(N)[:, None] + [0, N], _PAIR_HADAMARD)
 
 
 def position_controlled_swap(N: int) -> SignedPermutationOp:

@@ -5,15 +5,14 @@ the signed labels: +n -> n-1 and -n -> N+n-1, so each half-axis occupies a
 contiguous block and the ladder shift becomes block-cyclic.  Two-particle
 states are flat complex vectors with a dims header.  An operator is a
 `SignedPermutationOp` (one unit-modulus entry per column, moved by index
-relocation), a `PermutedBlockOp` (one block on each block of an index
-partition) or, on one factor only, a plain ndarray.  `np.asarray(op)`
-densifies any of them.  A `SignedPermutationOp` is one signed permutation
-or a stack of them; they compose (`compose_perms`) and overlap as states
-(U x I)|Phi+> (`phi_plus_overlap`) here only, row by row.  Each is checked
-where it enters, by the public constructor; results that are signed
-permutations by construction (the identity, compositions, rows, the
-closed-form gates, the encoder tables) are wrapped by the unchecked
-`SignedPermutationOp._trusted`.
+relocation) or a `PermutedBlockOp` (one block on each of some disjoint index
+blocks, the identity elsewhere); `np.asarray(op)` densifies either.  A
+`SignedPermutationOp` is one signed permutation or a stack of them; they
+compose (`compose_perms`) and overlap as states (U x I)|Phi+>
+(`phi_plus_overlap`) here only, row by row.  Each is checked where it
+enters, by the public constructor; results that are signed permutations by
+construction (the identity, compositions, rows, the closed-form gates, the
+encoder tables) are wrapped by the unchecked `SignedPermutationOp._trusted`.
 """
 
 from __future__ import annotations
@@ -160,34 +159,38 @@ class SignedPermutationOp:
 
 @dataclass(frozen=True, eq=False)
 class PermutedBlockOp:
-    """Direct sum of copies of one b x b block, conjugated by a permutation.
+    """Copies of one b x b block on disjoint index blocks of 0..dim-1, the
+    identity on every index no block covers.
 
-    `rows` is a (blocks x b) index array partitioning 0..dim-1: the amplitudes
-    at rows[k] are multiplied by `block` and land back on rows[k], so entry
-    (rows[k, j], rows[k, t]) is block[j, t] and every other entry is zero.
-    Both arrays are read-only, and equality is exact.
+    `rows` is a (blocks x b) index array: the amplitudes at rows[k] are
+    multiplied by `block` and land back on rows[k], so entry (rows[k, j],
+    rows[k, t]) is block[j, t]; off the blocks the operator is the identity.
+    `dim` defaults to rows.size, blocks that cover every index.  Both arrays
+    are read-only, and equality is exact.
     """
 
     rows: np.ndarray
     block: np.ndarray
+    dim: int | None = None
 
     def __post_init__(self):
         _freeze(self, rows=np.asarray(self.rows, dtype=np.intp), block=np.asarray(self.block))
+        vars(self)["dim"] = self.rows.size if self.dim is None else self.dim
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows.size, self.rows.size)
+        return (self.dim, self.dim)
 
     __eq__ = _equal
 
     def __hash__(self) -> int:
         # the block's dtype may differ between equal operators; its values are left out
-        return hash((self.rows.shape, self.rows.tobytes(), self.block.shape))
+        return hash((self.dim, self.rows.shape, self.rows.tobytes(), self.block.shape))
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("a permuted block has no dense buffer to share")
-        m = np.zeros(self.shape, dtype=self.block.dtype)
+        m = np.eye(self.dim, dtype=self.block.dtype)
         m[self.rows[:, :, None], self.rows[:, None, :]] = self.block
         return m
 
@@ -230,9 +233,9 @@ def apply(op, subsystem: int, s: StateVector) -> StateVector:
     """Apply a single-factor operator to one tensor factor of a state.
 
     The operator acts on `dims[subsystem]` and as the identity elsewhere.
-    Signed permutations are applied by index relocation, arrays by a tensor
-    contraction; neither path ever materializes an operator on the full
-    product space.
+    Signed permutations are applied by index relocation, permuted blocks by
+    a tensor contraction with their dense matrix on that one factor; neither
+    path ever materializes an operator on the full product space.
     """
     if not 0 <= subsystem < len(s.dims):
         raise DimensionMismatch(f"no subsystem {subsystem} in dims {s.dims}")
@@ -250,11 +253,12 @@ def apply(op, subsystem: int, s: StateVector) -> StateVector:
 
 def apply_full(op, s: StateVector) -> StateVector:
     """Apply a signed permutation or a permuted block defined on the whole
-    product space: the block by gather, accumulate and scatter."""
+    product space: the block by gather, accumulate and scatter, copying the
+    amplitudes no block covers."""
     dim = s.amp.size
     if op.shape != (dim, dim):
         raise DimensionMismatch(f"operator shape {op.shape} != state dim {dim}")
-    out = np.zeros_like(s.amp)
+    out = s.amp.copy()  # a signed permutation overwrites every amplitude
     if isinstance(op, SignedPermutationOp):
         out[op.target] = op.phase * s.amp
     else:

@@ -298,11 +298,11 @@ class TestVerify:
         assert code == 0
         assert len(calls) == 1
 
-    def test_broken_gates_fail_with_the_dense_residuals(self, capsys, monkeypatch):
+    def test_broken_gates_fail_with_their_residuals(self, capsys, monkeypatch):
         import numpy as np
 
         import sdc.gates as gates_mod
-        from sdc.hilbert import SignedPermutationOp
+        from sdc.hilbert import PermutedBlockOp, SignedPermutationOp
 
         def three_cycle(N, n):
             target = np.arange(2 * N)
@@ -314,22 +314,35 @@ class TestVerify:
             phase[N + n - 1] = 1j
             return SignedPermutationOp(2 * N, np.arange(2 * N), phase)
 
+        def broken_hadamard(N, n):
+            # site 1: a block that is not unitary; site 2: both rows on channel -2
+            if n == 1:
+                return PermutedBlockOp([[0, N]], np.array([[1, 1], [1, 1]]) / np.sqrt(2), 2 * N)
+            return PermutedBlockOp([[N + 1, N + 1]], np.array([[1, 1], [1, -1]]) / np.sqrt(2), 2 * N)
+
         monkeypatch.setattr(gates_mod, "channel_swap_gate", three_cycle)
         monkeypatch.setattr(gates_mod, "channel_sign_gate", sign_i)
+        monkeypatch.setattr(gates_mod, "channel_hadamard_gate", broken_hadamard)
         code, out, _ = run_cli(capsys, "verify", "--n", "2")
         assert code == 1
         report = json.loads(out)
-        for name, gate, involution in (("swap", three_cycle, 1.0), ("sign", sign_i, 2.0)):
+        for name, gate, involution in (
+            ("swap", three_cycle, 1.0), ("sign", sign_i, 2.0), ("hadamard", broken_hadamard, None)
+        ):
             dense = np.asarray(gate(2, 1))
             residuals = {
                 "unitarity": float(np.max(np.abs(dense.conj().T @ dense - np.eye(4)))),
                 "involution": float(np.max(np.abs(dense @ dense - np.eye(4)))),
             }
-            assert residuals == {"unitarity": 0.0, "involution": involution}
+            if involution is not None:
+                assert residuals == {"unitarity": 0.0, "involution": involution}
             assert report["gates"][f"channel-{name}-1"] == residuals
+        # a block whose rows coincide is no operator on distinct channels
+        assert report["gates"]["channel-hadamard-2"] == {"unitarity": 1.0, "involution": 1.0}
         failing = {c["name"] for c in report["checks"] if not c["pass"]}
-        broken = ("swap", "sign")
-        assert failing == {f"gate-channel-{name}-{n}-involution" for name in broken for n in (1, 2)}
+        expected = {f"gate-channel-{name}-{n}-involution" for name in ("swap", "sign") for n in (1, 2)}
+        expected |= {f"gate-channel-hadamard-{n}-{law}" for n in (1, 2) for law in ("unitarity", "involution")}
+        assert failing == expected
 
     def test_wrong_family_shift_fails_the_composed_action(self, capsys, monkeypatch):
         import sdc.encoder as enc
@@ -383,6 +396,18 @@ class TestRun:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert "ConfigError" in err and "--s" in err and "--path pipeline" in err
+
+    def test_spin_with_a_state_dump_is_refused(self, capsys, monkeypatch, tmp_path):
+        # the spin route has no position state to write; refused before any build
+        import sdc.hadamard as hadamard_mod
+
+        monkeypatch.setattr(hadamard_mod, "build", lambda *a, **k: pytest.fail("built"))
+        dump = tmp_path / "state.json"
+        argv = ["run", "--n", "2", "--message", "7", "--s", "0.5", "--dump-state", str(dump)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and typed_error(err) is errors.ConfigError
+        assert "--dump-state" in err and "--s" in err
+        assert not dump.exists()
 
     def test_builds_the_grand_operator_once(self, capsys, monkeypatch):
         import sdc.decoder as dec

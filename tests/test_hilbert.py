@@ -2,16 +2,31 @@
 
 import numpy as np
 import pytest
-from dense_oracle import basis_state, bell_table, index_to_label, inner, partial_trace
+from dense_oracle import (
+    basis_state,
+    bell_table,
+    grand_operator_loop,
+    index_to_label,
+    inner,
+    mixer_csc,
+    partial_trace,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdc import hadamard
 from sdc.bell import BellLabel, bell_state
-from sdc.decoder import make_decoder
+from sdc.decoder import grand_blocks, make_decoder
 from sdc.encoder import MEMBER_MIXER_READINGS, family_shift, member_mixer
 from sdc.errors import DimensionMismatch, LabelOutOfRange
-from sdc.gates import channel_sign_gate, channel_swap_gate, ladder_shift_gate, nonlocal_mixer
+from sdc.gates import (
+    channel_hadamard_gate,
+    channel_sign_gate,
+    channel_swap_gate,
+    hadamard_layer,
+    ladder_shift_gate,
+    nonlocal_mixer,
+)
 from sdc.hilbert import (
     PermutedBlockOp,
     SignedPermutationOp,
@@ -375,6 +390,59 @@ class TestStackedOperators:
             apply(stack, 0, s)
         with pytest.raises(DimensionMismatch):
             phi_plus_overlap(stack, identity_perm(6))
+
+
+class TestPartialCover:
+    """A permuted block on some indices only is the identity on the rest."""
+
+    BLOCK = np.array([[1, 2j], [3, -4]]) / 5
+
+    def test_dense_matrix_is_the_identity_off_its_blocks(self):
+        op = PermutedBlockOp([[4, 1]], self.BLOCK, 6)
+        expected = np.eye(6, dtype=complex)
+        expected[np.ix_([4, 1], [4, 1])] = self.BLOCK
+        assert op.shape == (6, 6) and np.array_equal(np.asarray(op), expected)
+        gate = np.asarray(channel_hadamard_gate(3, 2))
+        off = np.ones((6, 6), bool)
+        off[np.ix_([1, 4], [1, 4])] = False
+        assert np.array_equal(gate[off], np.eye(6)[off])
+
+    @pytest.mark.parametrize("subsystem", [0, 1])
+    def test_apply_leaves_uncovered_amplitudes_bit_unchanged(self, subsystem):
+        rng = np.random.default_rng(subsystem)
+        s = StateVector((5, 5), rng.standard_normal(25) + 1j * rng.standard_normal(25))
+        op = PermutedBlockOp([[3, 0]], self.BLOCK, 5)
+        out = apply(op, subsystem, s)
+        uncovered = [1, 2, 4]
+        assert np.take(out.grid(), uncovered, subsystem).tobytes() == (
+            np.take(s.grid(), uncovered, subsystem).tobytes()
+        )
+        expected = np.tensordot(np.asarray(op), np.moveaxis(s.grid(), subsystem, 0), axes=(1, 0))
+        assert np.allclose(out.grid(), np.moveaxis(expected, 0, subsystem), rtol=0, atol=1e-15)
+
+    def test_apply_full_leaves_uncovered_amplitudes_bit_unchanged(self):
+        rng = np.random.default_rng(2)
+        s = StateVector((5, 5), rng.standard_normal(25) + 1j * rng.standard_normal(25))
+        op = PermutedBlockOp([[7, 2], [11, 20]], self.BLOCK, 25)
+        out = apply_full(op, s)
+        uncovered = np.setdiff1d(np.arange(25), op.rows)
+        assert out.amp[uncovered].tobytes() == s.amp[uncovered].tobytes()
+        assert np.allclose(out.amp, np.asarray(op) @ s.amp, rtol=0, atol=1e-15)
+
+    def test_operators_that_differ_only_in_dim_are_unequal(self):
+        a, b = PermutedBlockOp([[0, 1]], self.BLOCK, 4), PermutedBlockOp([[0, 1]], self.BLOCK, 6)
+        assert a != b and a == PermutedBlockOp([[0, 1]], self.BLOCK, 4)
+        assert PermutedBlockOp([[0, 1]], self.BLOCK) == PermutedBlockOp([[0, 1]], self.BLOCK, 2)
+
+    @pytest.mark.parametrize("N", [1, 2, 4])
+    def test_full_covers_densify_to_their_independent_builds(self, N):
+        H, HN = hadamard.build(2 * N), hadamard.build(N)
+        assert np.array_equal(np.asarray(grand_blocks(N, H)), grand_operator_loop(N, H).toarray())
+        assert np.array_equal(np.asarray(nonlocal_mixer(N, HN)), mixer_csc(N, HN).toarray())
+        eye = np.eye(N)
+        layer = (np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0)).astype(np.complex128)
+        dense = np.asarray(hadamard_layer(N))
+        assert dense.dtype == layer.dtype and np.array_equal(dense, layer)
 
 
 class TestValueSemantics:

@@ -2,7 +2,7 @@
 spatial channel states."""
 
 from .hadamard import HadamardMatrix, build
-from .hilbert import SignedPermutationOp, StateVector, apply, apply_full
+from .hilbert import SignedPermutationOp, StateVector, apply
 from .bell import (
     BellLabel,
     all_labels,

@@ -48,7 +48,7 @@ from .errors import (
 from .gates import hadamard_layer, nonlocal_mixer, position_controlled_swap
 from .hadamard import HadamardMatrix
 from .hilbert import TOL_CHAINED, TOL_EXACT, PermutedBlockOp, SignedPermutationOp, StateVector
-from .hilbert import apply, apply_full, identity_perm
+from .hilbert import apply, identity_perm
 
 __all__ = [
     "MeasurementOutcome",
@@ -129,8 +129,8 @@ def outcome_distribution(s: StateVector) -> list[MeasurementOutcome]:
 class Decoder:
     """One measurement route, built once: its operators in the order applied.
 
-    Each stage is (operator, subsystem); subsystem None means the operator
-    acts on the whole two-particle space.
+    Each stage is (operator, subsystem), applied by `hilbert.apply`: a
+    subsystem of None applies the operator to the whole two-particle space.
     """
 
     path: str
@@ -139,7 +139,7 @@ class Decoder:
     def rotate(self, s: StateVector) -> StateVector:
         """The state just before the position readout."""
         for op, subsystem in self.stages:
-            s = apply_full(op, s) if subsystem is None else apply(op, subsystem, s)
+            s = apply(op, subsystem, s)
         return s
 
     def decode(self, s: StateVector) -> tuple[MeasurementOutcome, list[MeasurementOutcome]]:

@@ -247,6 +247,6 @@ def encode_law_residuals(factors: FamilyFactors) -> dict:
         start_target, start_phase = family_target[s], psi[0, family_target[s]]
         # row f: family f's targets after the start against its landing family's
         agree = family_target[:, start_target] == family_target[landing[:, s]]
-        overlap = np.sum(agree * start_phase, axis=-1) / dim  # the same for every member
+        overlap = agree @ start_phase.real / dim  # every member's; exact for +-1 phases
         rule = max(rule, float(np.max(np.abs(np.abs(overlap) - 1.0))))
     return {"structure": structure, "family_rule": rule if unit else 1.0, "no_signaling": signaling}

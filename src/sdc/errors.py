@@ -25,6 +25,10 @@ class DimensionMismatch(SdcError):
     """Operator and state (or two states) disagree on dimensions."""
 
 
+class UnsupportedOperator(SdcError):
+    """Operand is neither a SignedPermutationOp nor a PermutedBlockOp."""
+
+
 class OrderMismatch(SdcError):
     """Hadamard order does not match the channel count it must index."""
 

@@ -6,7 +6,8 @@ contiguous block and the ladder shift becomes block-cyclic.  Two-particle
 states are flat complex vectors with a dims header.  An operator is a
 `SignedPermutationOp` (one unit-modulus entry per column, moved by index
 relocation) or a `PermutedBlockOp` (one block on each of some disjoint index
-blocks, the identity elsewhere); `np.asarray(op)` densifies either.  A
+blocks, the identity elsewhere); `np.asarray(op)` densifies either, and
+`apply`, the one way to apply either, densifies neither.  A
 `SignedPermutationOp` is one signed permutation or a stack of them; they
 compose (`compose_perms`) and overlap as states (U x I)|Phi+>
 (`phi_plus_overlap`) here only, row by row.  Each is checked where it
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, LabelOutOfRange
+from .errors import ConfigError, DimensionMismatch, LabelOutOfRange, UnsupportedOperator
 
 __all__ = [
     "TOL_EXACT",
@@ -35,7 +36,6 @@ __all__ = [
     "compose_perms",
     "phi_plus_overlap",
     "apply",
-    "apply_full",
     "state_to_dict",
     "state_from_dict",
 ]
@@ -229,49 +229,39 @@ def phi_plus_overlap(a: SignedPermutationOp, b: SignedPermutationOp) -> np.ndarr
     return np.sum(np.conj(a.phase) * b.phase * (a.target == b.target), axis=-1) / a.dim
 
 
-def apply(op, subsystem: int, s: StateVector) -> StateVector:
-    """Apply a single-factor operator to one tensor factor of a state.
+def apply(op, subsystem: int | None, s: StateVector) -> StateVector:
+    """Apply an operator to one tensor factor of a state, or to the whole
+    product space when `subsystem` is None, with its axis moved to the front.
 
-    The operator acts on `dims[subsystem]` and as the identity elsewhere.
-    Signed permutations are applied by index relocation, permuted blocks by
-    a tensor contraction with their dense matrix on that one factor; neither
-    path ever materializes an operator on the full product space.
+    A signed permutation relocates each slice along that axis; a permuted
+    block gathers its rows, adds each block's terms left to right by
+    ascending column (a csc matvec's order) and scatters them back, leaving
+    uncovered rows bit-unchanged.  No operator is densified; any operand of
+    another kind, a dense matrix included, raises UnsupportedOperator.
     """
-    if not 0 <= subsystem < len(s.dims):
+    if not isinstance(op, (SignedPermutationOp, PermutedBlockOp)):
+        raise UnsupportedOperator(f"cannot apply a {type(op).__name__}, not an sdc.hilbert operator")
+    if subsystem is None:
+        moved, space = s.amp, "state"
+    elif 0 <= subsystem < len(s.dims):
+        moved, space = np.moveaxis(s.grid(), subsystem, 0), "subsystem"
+    else:
         raise DimensionMismatch(f"no subsystem {subsystem} in dims {s.dims}")
-    d = s.dims[subsystem]
-    if op.shape != (d, d):
-        raise DimensionMismatch(f"operator shape {op.shape} != subsystem dim {d}")
-    moved = np.moveaxis(s.grid(), subsystem, 0)
+    if op.shape != (len(moved),) * 2:
+        raise DimensionMismatch(f"operator shape {op.shape} != {space} dim {len(moved)}")
+    x = moved.reshape(len(moved), -1)  # the acted-on axis, every other axis one column each
+    out = x.copy()  # a signed permutation overwrites every row; a block keeps the uncovered ones
     if isinstance(op, SignedPermutationOp):
-        out = np.zeros_like(moved)
-        out[op.target] = op.phase.reshape((-1,) + (1,) * (moved.ndim - 1)) * moved
+        out[op.target] = op.phase[:, None] * x
     else:
-        out = np.tensordot(np.asarray(op), moved, axes=(1, 0))
-    return StateVector(s.dims, np.moveaxis(out, 0, subsystem).reshape(-1))
-
-
-def apply_full(op, s: StateVector) -> StateVector:
-    """Apply a signed permutation or a permuted block defined on the whole
-    product space: the block by gather, accumulate and scatter, copying the
-    amplitudes no block covers."""
-    dim = s.amp.size
-    if op.shape != (dim, dim):
-        raise DimensionMismatch(f"operator shape {op.shape} != state dim {dim}")
-    out = s.amp.copy()  # a signed permutation overwrites every amplitude
-    if isinstance(op, SignedPermutationOp):
-        out[op.target] = op.phase * s.amp
-    else:
-        x = s.amp[op.rows]
+        x = x[op.rows]
         y = np.zeros_like(x)
-        # add each block's terms left to right by ascending flat column, the
-        # order of a csc matvec, so both round to the same bits
         columns = np.ascontiguousarray(op.block.T)
         blocks = np.arange(len(x))
         for t in np.argsort(op.rows, axis=1).T:
-            y += columns[t] * x[blocks, t, None]
+            y += columns[t][:, :, None] * x[blocks, t, None]
         out[op.rows] = y
-    return StateVector(s.dims, out)
+    return StateVector(s.dims, np.moveaxis(out.reshape(moved.shape), 0, subsystem or 0))
 
 
 def state_to_dict(s: StateVector) -> dict:

@@ -15,8 +15,9 @@ checked on whole (2N)^3 stacks, and the basis residuals, the compact
 relabel and the encoder laws read off whole tables, as they ran before
 `sdc` read the families' factors, one run's sent state decoded in full on
 the amplitude route, as `run` decoded it before it certified the state by
-one operator row, and that certification state by state, as it ran before
-it read each Bell family once.  The helpers that only tests use live here
+one operator row, that certification state by state, as it ran before it
+read each Bell family once, and an operator applied through its dense
+matrix or one block column at a time.  The helpers that only tests use live here
 too: the inverse channel index map, product basis kets, inner products and
 partial traces, whole Bell tables and compact states, the factoring of a
 table's family blocks (the oracle of the closed-form factors) and the gate
@@ -626,6 +627,33 @@ def dense_relabel(N, H):
     return None if mapping is None else ("constructive", perm_a, perm_b, mapping)
 
 
+def apply_dense(op, subsystem, s):
+    """`sdc.hilbert.apply` by a contraction with the dense matrix of `op`,
+    any square array: on the flat amplitudes when `subsystem` is None,
+    otherwise by np.tensordot on that factor, as `apply` ran permuted blocks
+    before it accumulated on their rows."""
+    matrix = np.asarray(op)
+    if subsystem is None:
+        return StateVector(s.dims, matrix @ s.amp)
+    out = np.tensordot(matrix, np.moveaxis(s.grid(), subsystem, 0), axes=(1, 0))
+    return StateVector(s.dims, np.moveaxis(out, 0, subsystem))
+
+
+def apply_block_loop(op, subsystem, s):
+    """`sdc.hilbert.apply` of a `PermutedBlockOp`, one block and one column
+    at a time: each block's output rows start at zero and add the column
+    terms left to right by ascending row index."""
+    moved = np.moveaxis(s.grid(), subsystem, 0) if subsystem is not None else s.amp
+    out = moved.copy()
+    for rows in op.rows:
+        acc = np.zeros_like(moved[rows])
+        for pos in np.argsort(rows):
+            column = op.block[:, pos].reshape((-1,) + (1,) * (moved.ndim - 1))
+            acc = acc + column * moved[rows[pos]]
+        out[rows] = acc
+    return StateVector(s.dims, out if subsystem is None else np.moveaxis(out, 0, subsystem))
+
+
 def weyl_ops(d):
     """The d^2 dense operators shift^a clock^b, stacked in (a, b) order."""
     shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)  # |i> -> |i + 1 mod d>
@@ -641,7 +669,7 @@ def spin_bell_basis(S, sign):
     """Rows: the d^2 spin Bell states, shift^a clock^b applied to the first
     particle of the spin pair state, in (a, b) order."""
     base = spin_base_state(S, sign)
-    return np.array([apply(op, 0, base).amp for op in weyl_ops(base.dims[0])])
+    return np.array([apply_dense(op, 0, base).amp for op in weyl_ops(base.dims[0])])
 
 
 def spin_round_trips_dense(N, S, H, decoder, sign=1):

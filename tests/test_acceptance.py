@@ -39,7 +39,7 @@ from sdc.gates import (
     position_controlled_swap,
     resolve_mixer_normalization,
 )
-from sdc.hilbert import apply, apply_full
+from sdc.hilbert import apply
 
 
 def verdict(criterion: str, ok: bool, detail: str):
@@ -141,7 +141,7 @@ def test_c05_grand_operator():
             float(np.max(np.abs(dense @ dense - eye))),
         )
         for lab in all_labels(N):
-            out = apply_full(op, compact_bell_state(N, lab, H)).amp
+            out = apply(op, None, compact_bell_state(N, lab, H)).amp
             flat = (lab.j - 1) * 2 * N + (compact_partner(N, lab.k, lab.r, lab.j) - 1)
             if abs(abs(out[flat]) - 1.0) > 1e-10:
                 mapping_ok = False

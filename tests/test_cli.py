@@ -342,7 +342,32 @@ class TestVerify:
         failing = {c["name"] for c in report["checks"] if not c["pass"]}
         expected = {f"gate-channel-{name}-{n}-involution" for name in ("swap", "sign") for n in (1, 2)}
         expected |= {f"gate-channel-hadamard-{n}-{law}" for n in (1, 2) for law in ("unitarity", "involution")}
+        # site 2's coinciding rows fail the placement test, so the commutation reads 1.0
+        expected |= {"gate-disjoint-commutation"}
         assert failing == expected
+
+    def test_a_misplaced_channel_hadamard_fails_the_commutation_check(self, capsys, monkeypatch):
+        import numpy as np
+
+        import sdc.gates as gates_mod
+        from sdc.hilbert import PermutedBlockOp
+
+        hadamard = gates_mod.channel_hadamard_gate
+
+        def misplaced(N, n):
+            # site 2's second row, 2N, lies outside 0..2N-1
+            if n == 2:
+                return PermutedBlockOp([[N + 1, 2 * N]], np.array([[1, 1], [1, -1]]) / np.sqrt(2), 2 * N)
+            return hadamard(N, n)
+
+        monkeypatch.setattr(gates_mod, "channel_hadamard_gate", misplaced)
+        code, out, err = run_cli(capsys, "verify", "--n", "2")
+        assert code == 1 and err == ""
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["gate-disjoint-commutation"]["residual"] == 1.0
+        failing = {name for name, c in checks.items() if not c["pass"]}
+        assert failing == {"gate-disjoint-commutation", "gate-channel-hadamard-2-unitarity",
+                           "gate-channel-hadamard-2-involution"}
 
     def test_wrong_family_shift_fails_the_composed_action(self, capsys, monkeypatch):
         import sdc.encoder as enc

@@ -63,7 +63,7 @@ from sdc.gates import (
     position_controlled_swap,
     resolve_mixer_normalization,
 )
-from sdc.hilbert import PermutedBlockOp, StateVector, apply_full, compose_perms
+from sdc.hilbert import PermutedBlockOp, StateVector, apply, compose_perms
 
 # both routes name a collision by the first two labels, in message order, to reach the outcome
 COLLISION_TEXT = "outcome (0, 0) hit by both BellLabel(k=1, r=1, j=1) and BellLabel(k=1, r=1, j=2)"
@@ -85,7 +85,7 @@ class TestGrandOperator:
         N, H = 1, hadamard.build(2)
         op = grand_blocks(N, H)
         for lab in all_labels(N):
-            out = apply_full(op, compact_bell_state(N, lab, H)).amp
+            out = apply(op, None, compact_bell_state(N, lab, H)).amp
             expected = np.zeros(4, dtype=complex)
             expected[(lab.j - 1) * 2 + (compact_partner(N, lab.k, lab.r, lab.j) - 1)] = 1.0
             assert np.max(np.abs(out - expected)) < 1e-12
@@ -128,7 +128,7 @@ class TestGrandOperator:
                 amp *= keep
             s = StateVector((2 * N, 2 * N), amp / np.linalg.norm(amp))
             nz = np.flatnonzero(s.amp)
-            assert apply_full(op, s).amp.tobytes() == (csc[:, nz] @ s.amp[nz]).tobytes()
+            assert apply(op, None, s).amp.tobytes() == (csc[:, nz] @ s.amp[nz]).tobytes()
 
     def test_decoder_holds_quadratic_memory(self):
         # the grand route holds the interleave (2N targets and phases), the

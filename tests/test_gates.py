@@ -18,7 +18,7 @@ from sdc.gates import (
 )
 from sdc.hilbert import (
     StateVector,
-    apply_full,
+    apply,
     compose_perms,
     identity_perm,
     label_to_index,
@@ -206,7 +206,7 @@ class TestNonlocalMixer:
                 amp *= keep
             s = StateVector((2 * N, 2 * N), amp / np.linalg.norm(amp))
             nz = np.flatnonzero(s.amp)
-            assert apply_full(op, s).amp.tobytes() == (csc[:, nz] @ s.amp[nz]).tobytes()
+            assert apply(op, None, s).amp.tobytes() == (csc[:, nz] @ s.amp[nz]).tobytes()
 
     def test_order_must_match(self):
         with pytest.raises(OrderMismatch):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from dense_oracle import (
+    apply_block_loop,
+    apply_dense,
     basis_state,
     bell_table,
     grand_operator_loop,
@@ -18,7 +20,7 @@ from sdc import hadamard
 from sdc.bell import BellLabel, bell_state
 from sdc.decoder import grand_blocks, make_decoder
 from sdc.encoder import MEMBER_MIXER_READINGS, family_shift, member_mixer
-from sdc.errors import DimensionMismatch, LabelOutOfRange
+from sdc.errors import DimensionMismatch, LabelOutOfRange, UnsupportedOperator
 from sdc.gates import (
     channel_hadamard_gate,
     channel_sign_gate,
@@ -32,7 +34,6 @@ from sdc.hilbert import (
     SignedPermutationOp,
     StateVector,
     apply,
-    apply_full,
     compose_perms,
     identity_perm,
     label_to_index,
@@ -112,7 +113,7 @@ class TestApply:
         amp /= np.linalg.norm(amp)
         s = StateVector((dim, dim), amp)
         chained = apply(a, 0, apply(b, 0, s)).amp
-        product = apply(np.asarray(a) @ np.asarray(b), 0, s).amp
+        product = apply_dense(np.asarray(a) @ np.asarray(b), 0, s).amp
         assert np.max(np.abs(chained - product)) < 1e-12
 
     def test_norm_preserved_by_unitaries(self):
@@ -153,13 +154,62 @@ class TestApply:
             amp = data.draw(st.lists(st.complex_numbers(max_magnitude=4, allow_subnormal=False),
                                      min_size=dim * other, max_size=dim * other))
             s = StateVector(dims, amp)
-            assert np.array_equal(apply(a, sub, s).amp, apply(np.asarray(a), sub, s).amp)
+            assert np.array_equal(apply(a, sub, s).amp, apply_dense(a, sub, s).amp)
 
     def test_apply_full_permutation(self):
         N = 1
         s = bell_state(N, BellLabel(1, -1, 1), hadamard.build(2))
-        out = apply_full(identity_perm(4), s)
+        out = apply(identity_perm(4), None, s)
         assert np.array_equal(out.amp, s.amp)
+
+
+class TestOneApply:
+    """One `apply` for both operator kinds, on either factor or the whole space."""
+
+    SITES = [(0, 5), (1, 3), (None, 15)]  # (subsystem, the dim it acts on) for dims (5, 3)
+
+    @staticmethod
+    def random_state(rng):
+        return StateVector((5, 3), rng.standard_normal(15) + 1j * rng.standard_normal(15))
+
+    @pytest.mark.parametrize("subsystem,dim", SITES)
+    def test_block_op_matches_the_column_loop_and_the_dense_matrix(self, subsystem, dim):
+        rng = np.random.default_rng(dim)
+        # blocks of order 2 on shuffled rows, one row uncovered, complex and real blocks
+        rows = rng.permutation(dim)[: (dim - 1) // 2 * 2].reshape(-1, 2)
+        for block in (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
+                      rng.standard_normal((2, 2))):
+            op = PermutedBlockOp(rows, block, dim)
+            for _ in range(5):
+                s = self.random_state(rng)
+                out = apply(op, subsystem, s)
+                assert out.amp.tobytes() == apply_block_loop(op, subsystem, s).amp.tobytes()
+                dense = apply_dense(op, subsystem, s).amp
+                assert np.allclose(out.amp, dense, rtol=0, atol=1e-15 * np.abs(dense).max())
+
+    @pytest.mark.parametrize("subsystem,dim", SITES)
+    def test_signed_permutation_equals_the_dense_matrix_exactly(self, subsystem, dim):
+        rng = np.random.default_rng(10 + dim)
+        phase = rng.choice([1, -1, 1j, -1j], size=dim)
+        op = SignedPermutationOp(dim, rng.permutation(dim), phase)
+        for _ in range(5):
+            s = self.random_state(rng)
+            assert np.array_equal(apply(op, subsystem, s).amp, apply_dense(op, subsystem, s).amp)
+
+    @pytest.mark.parametrize("subsystem,dim", SITES)
+    def test_a_dense_matrix_is_refused(self, subsystem, dim):
+        s = self.random_state(np.random.default_rng(0))
+        with pytest.raises(UnsupportedOperator, match="cannot apply a ndarray, not an sdc.hilbert operator"):
+            apply(np.eye(dim), subsystem, s)
+
+    def test_shape_mismatch_texts(self):
+        s = basis_state((4, 4), (0, 0))
+        for subsystem, text in ((0, "operator shape (6, 6) != subsystem dim 4"),
+                                (None, "operator shape (6, 6) != state dim 16"),
+                                (2, "no subsystem 2 in dims (4, 4)")):
+            with pytest.raises(DimensionMismatch) as err:
+                apply(identity_perm(6), subsystem, s)
+            assert str(err.value) == text
 
 
 class TestPartialTrace:
@@ -424,7 +474,7 @@ class TestPartialCover:
         rng = np.random.default_rng(2)
         s = StateVector((5, 5), rng.standard_normal(25) + 1j * rng.standard_normal(25))
         op = PermutedBlockOp([[7, 2], [11, 20]], self.BLOCK, 25)
-        out = apply_full(op, s)
+        out = apply(op, None, s)
         uncovered = np.setdiff1d(np.arange(25), op.rows)
         assert out.amp[uncovered].tobytes() == s.amp[uncovered].tobytes()
         assert np.allclose(out.amp, np.asarray(op) @ s.amp, rtol=0, atol=1e-15)

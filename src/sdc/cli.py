@@ -193,16 +193,14 @@ def build_verify_report(cfg: RunConfig) -> dict:
     # basic gates: a signed permutation P has P^H P = diag(|phase|^2) and P^2 - I
     # read off P o P; a block B on distinct rows of 0..2N-1 has B^H B - I and B B - I
     gate_report = {}
-    def placed(op) -> bool:  # a block op of dim 2N on distinct rows inside 0..2N-1
-        return op.dim == dim and bool((np.diff(np.sort(op.rows, axis=None), prepend=-1, append=dim) > 0).all())
     def op_residuals(name, op):
         if isinstance(op, hilbert.SignedPermutationOp):
             unit = float(np.max(np.abs(np.abs(op.phase) ** 2 - 1.0)))
             invol = _off_identity(hilbert.compose_perms(op, op))
         else:
-            B, eye = op.block, np.eye(len(op.block))
+            B, eye, placed = op.block, np.eye(len(op.block)), op.dim == dim and op.placed
             squares = (B.conj().T @ B, B @ B)
-            unit, invol = (float(np.max(np.abs(m - eye))) for m in squares) if placed(op) else (1.0, 1.0)
+            unit, invol = (float(np.max(np.abs(m - eye))) for m in squares) if placed else (1.0, 1.0)
         gate_report[name] = {"unitarity": unit, "involution": invol}
         check(f"gate-{name}-unitarity", unit, cfg.tol_chained)
         check(f"gate-{name}-involution", invol, cfg.tol_chained)
@@ -221,7 +219,7 @@ def build_verify_report(cfg: RunConfig) -> dict:
     if N >= 2:
         h1, h2 = (gates.channel_hadamard_gate(N, n) for n in (1, 2))
         commutator = 1.0  # a misplaced gate has no dense matrix to multiply
-        if placed(h1) and placed(h2):
+        if all(h.dim == dim and h.placed for h in (h1, h2)):
             h1, h2 = np.asarray(h1), np.asarray(h2)
             commutator = np.max(np.abs(h1 @ h2 - h2 @ h1))
         check("gate-disjoint-commutation", commutator, cfg.tol_exact)

@@ -3,28 +3,22 @@
 The direct construction, `encode_direct`, is defined in `bell`, where it also
 builds the standard Bell family; it places one Hadamard sign per channel
 according to the label's family pairing and is a signed permutation by
-inspection.  The composed construction multiplies a member mixer (sign gates
-on disjoint channels, built as the +-1 diagonal they multiply to; the gate
-product is the oracle in `tests/dense_oracle.py`) with a family shift (ladder
-powers and half-axis swaps).  Two textual ambiguities in the composed route,
-the exponent columns of the member mixer and the order of the two factors,
-are resolved mechanically against the laws the operators must satisfy, and
-the resolved readings are reported.  Every law is checked on signed
-permutations (a Bell state is its encoder's permutation over sqrt(2N)), so
-the checks are exact index and sign comparisons.  The direct encoders are
-read off the standard family's factors (`bell.family_factors`), Werner's
+inspection.  The composed construction multiplies a member mixer with a
+family shift, each built as the signed permutation its gates multiply to:
+the mixer's sign gates on disjoint channels give a +-1 diagonal, the shift's
+half-axis swaps and ladder power a permutation (the gate products are the
+oracles in `tests/dense_oracle.py`).  Two textual ambiguities in the
+composed route, the exponent columns of the member mixer and the order of
+the two factors, are resolved mechanically against the laws the operators
+must satisfy, and the resolved readings are reported.  Every law is read on
+the standard family's factors (`bell.family_factors`), Werner's
 D_{f,j} = Psi_j T_f, a +-1 diagonal per member after a permutation per
-family: the direct encoder's own laws and the member-mixer reading are read
-on psi and T, and the composition order overlaps each family's composed
-stack, built from the gates, with its direct encoders (T_f, psi[:, T_f]),
-one family block of 2N labels at a time, so no check holds a (2N)^3 stack.
-The composed and direct encoders' actions overlap by tr(D^H C) / 2N on
-every start state, so they are overlapped as operators.  The per-label
-loops, the whole-stack routes and the composed encoder of one label are the
-oracles in `tests/dense_oracle.py`.  Every check reads a label as its
-message id m = family·2N + member, by divmod; a `BellLabel` is built only
-to name one in an error text and for the 2N families' (k, r).  Nothing is
-memoized.
+family, as exact index and sign comparisons on psi and T, one family at a
+time, so no check builds a stack of operators.  The per-label loops and the
+whole-stack routes are the oracles in `tests/dense_oracle.py`.  Every check
+reads a label as its message id m = family·2N + member, by divmod; a
+`BellLabel` is built only to name one in an error text and for the 2N
+families' (k, r).  Nothing is memoized.
 """
 
 from __future__ import annotations
@@ -32,16 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from .bell import FamilyFactors, compose_family, encode_direct, family_factors, message_to_label
-from .errors import ArgOutOfRange, OrderMismatch, PropertyViolated
-from .gates import channel_swap_gate, ladder_shift_gate
+from .errors import ArgOutOfRange, DimensionMismatch, OrderMismatch, PropertyViolated
+from .gates import ladder_shift_gate
 from .hadamard import HadamardMatrix
-from .hilbert import (
-    TOL_CHAINED,
-    SignedPermutationOp,
-    compose_perms,
-    identity_perm,
-    phi_plus_overlap,
-)
+from .hilbert import TOL_CHAINED, TOL_EXACT, SignedPermutationOp
 
 __all__ = [
     "encode_direct",
@@ -143,37 +131,37 @@ def family_shift(N: int, k: int, r: int) -> SignedPermutationOp:
     """Gate product moving family (1, +1) to family (k, r).
 
     For r = -1 every half-axis pair is swapped; the ladder is then raised to
-    1-k, i.e. shifted backwards k-1 steps.
+    1-k, i.e. shifted backwards k-1 steps.  The N disjoint swaps multiply to
+    i -> i + N mod 2N, so the ladder's targets are rolled by N, built as such;
+    `tests/dense_oracle.py::family_shift_gates` multiplies the gates.
     """
     if not 1 <= k <= N:
         raise ArgOutOfRange(f"k={k} outside 1..{N}")
     if r not in (+1, -1):
         raise ArgOutOfRange(f"r={r} must be +1 or -1")
-    op = identity_perm(2 * N)
-    if r == -1:
-        for i in range(1, N + 1):
-            op = compose_perms(channel_swap_gate(N, i), op)
-    return compose_perms(ladder_shift_gate(N, 1 - k), op)
+    ladder = ladder_shift_gate(N, 1 - k)
+    return ladder if r == +1 else SignedPermutationOp._trusted(2 * N, np.roll(ladder.target, N), ladder.phase)
 
 
 def resolve_composition_order(N: int, H: HadamardMatrix, reading: str) -> dict:
     """Decide which factor of the composed encoder acts first.
 
     `reading` is the caller's resolved member-mixer reading
-    (`resolve_member_mixer_reading`).  The check runs one family block at a
-    time: the family's 2N member mixers, one per label, built under that
-    reading, are stacked and its family shift is taken alone; both are
-    checked as signed permutations (the gates are built unchecked) and
-    composed in both orders, the shift broadcast over the members.  Each
-    label's composed encoder is overlapped with its direct encoder, read off
-    the standard factors as (T_f, psi[:, T_f]) (`bell.family_factors`), once:
-    the overlap is the same on every start state, so one value stands for
-    all of them, and it is exact.  Only the (family, member) overlaps and
-    whether the operators agree as matrices (a stronger fact than required)
-    are kept per order, so nothing of (2N)^3 entries is held.  An order
-    passes if every label matches with unit overlap up to a global phase;
-    the observed worst phase deviation is recorded alongside.  The stacked
-    route over all labels at once is
+    (`resolve_member_mixer_reading`).  The check reads Werner's factors
+    (`bell.family_factors`) one family at a time: family f's direct encoders
+    have targets T_f and phases psi[j, T_f].  Its 2N member mixers, one per
+    label, must be +-1 diagonals m_j (targets the identity, phases of unit
+    modulus; the gates are built unchecked, so this is checked here), and its
+    family shift, checked by the public constructor, has targets s and
+    phases sigma.  Both orders have targets s, with phases m_j[s] sigma
+    (family-shift-first) or sigma m_j (member-mix-first).  A composed encoder
+    C overlaps its direct one D by tr(D^H C) / 2N on every start state, so a
+    family's 2N overlaps sum conj(psi[:, T_f]) * phases where T_f == s, over
+    2N, exact as every sum is an integer of at most 2N; they agree as matrices
+    (a stronger fact than required) when s == T_f and the phases equal
+    psi[:, T_f].  An order passes if every label matches with unit overlap
+    up to a global phase; the observed worst phase deviation is recorded
+    alongside.  The stacked route, all labels' gates composed at once, is
     `tests/dense_oracle.py::resolve_composition_order_stacked`.
     """
     dim = 2 * N
@@ -181,20 +169,24 @@ def resolve_composition_order(N: int, H: HadamardMatrix, reading: str) -> dict:
     overlaps = np.empty((len(COMPOSITION_ORDERS), dim, dim), dtype=np.complex128)
     equal = [True] * len(COMPOSITION_ORDERS)
     for f, target in enumerate(factors.target):
-        # member j's direct encoder: targets T_f, phases psi[j, T_f]
-        direct = SignedPermutationOp._trusted(dim, np.broadcast_to(target, (dim, dim)), factors.psi[:, target])
-        # the gates are built unchecked, so each family's are checked here, once
+        direct = factors.psi[:, target]  # row j: member j + 1's direct phases, on targets T_f
         mixers = [member_mixer(N, H, j, reading) for j in range(1, dim + 1)]
-        mixer = SignedPermutationOp(dim, [op.target for op in mixers], [op.phase for op in mixers])
+        mixer = np.array([op.phase for op in mixers])  # row j: mixer j + 1's diagonal, once checked
+        stray = (np.array([op.target for op in mixers]) != np.arange(dim)).any(axis=1)
+        off_unit = ~(np.max(np.abs(np.abs(mixer) - 1.0), axis=1) <= TOL_EXACT)  # NaN too
+        for bad, text in ((stray, "target is not a permutation fixing every index"),
+                          (off_unit, "phases must have unit modulus")):
+            if bad.any():
+                raise DimensionMismatch(f"member mixer {np.argmax(bad) + 1}: {text}")
         family = message_to_label(f * dim, N)
         shift = family_shift(N, family.k, family.r)
         shift = SignedPermutationOp(dim, shift.target, shift.phase)
+        agree = target == shift.target
         for o, order in enumerate(COMPOSITION_ORDERS):
-            outer, inner = (mixer, shift) if order == "family-shift-first" else (shift, mixer)
-            composed = compose_perms(outer, inner)
+            phases = (mixer[:, shift.target] if order == "family-shift-first" else mixer) * shift.phase
             # <(D S x I)Phi+|(C S x I)Phi+> = tr(S^H D^H C S) / 2N = tr(D^H C) / 2N for every start S
-            overlaps[o, f] = phi_plus_overlap(direct, composed)
-            equal[o] = equal[o] and composed == direct
+            overlaps[o, f] = np.sum(np.conj(direct) * phases, axis=1, where=agree) / dim
+            equal[o] = equal[o] and bool(agree.all()) and np.array_equal(phases, direct)
     for order, overlap, matrix_equal in zip(COMPOSITION_ORDERS, overlaps, equal):
         worst_overlap = float(np.max(np.abs(np.abs(overlap) - 1.0)))
         if worst_overlap <= TOL_CHAINED:

@@ -181,6 +181,12 @@ class PermutedBlockOp:
     def shape(self) -> tuple[int, int]:
         return (self.dim, self.dim)
 
+    @property
+    def placed(self) -> bool:
+        """Whether the rows are distinct indices inside 0..dim-1, so the blocks are disjoint."""
+        rows = self.rows.reshape(-1)
+        return rows.size == 0 or bool(rows.min() >= 0 and rows.max() < self.dim and np.bincount(rows).max() <= 1)
+
     __eq__ = _equal
 
     def __hash__(self) -> int:
@@ -236,8 +242,9 @@ def apply(op, subsystem: int | None, s: StateVector) -> StateVector:
     A signed permutation relocates each slice along that axis; a permuted
     block gathers its rows, adds each block's terms left to right by
     ascending column (a csc matvec's order) and scatters them back, leaving
-    uncovered rows bit-unchanged.  No operator is densified; any operand of
-    another kind, a dense matrix included, raises UnsupportedOperator.
+    uncovered rows bit-unchanged; a block whose rows repeat or leave
+    0..dim-1 raises DimensionMismatch.  No operator is densified; any operand
+    of another kind, a dense matrix included, raises UnsupportedOperator.
     """
     if not isinstance(op, (SignedPermutationOp, PermutedBlockOp)):
         raise UnsupportedOperator(f"cannot apply a {type(op).__name__}, not an sdc.hilbert operator")
@@ -254,6 +261,8 @@ def apply(op, subsystem: int | None, s: StateVector) -> StateVector:
     if isinstance(op, SignedPermutationOp):
         out[op.target] = op.phase[:, None] * x
     else:
+        if not op.placed:
+            raise DimensionMismatch(f"block rows must be distinct indices inside 0..{op.dim - 1}")
         x = x[op.rows]
         y = np.zeros_like(x)
         columns = np.ascontiguousarray(op.block.T)

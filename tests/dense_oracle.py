@@ -8,8 +8,8 @@ basis residuals computed from those stacks and from the table's rows grouped
 by search, the grand operator assembled one label at a time, the pipeline's
 mixer assembled ket by ket as a csc matrix, the compact relabeling searched
 on dense states, the spin-extended round trip run on the dense
-(2N(2S+1))^2 state, the member mixer multiplied gate by gate, the
-encoder laws checked label by label on the unfactored table, the
+(2N(2S+1))^2 state, the member mixer and the family shift multiplied gate
+by gate, the encoder laws checked label by label on the unfactored table, the
 member-mixer reading checked on every family, the composition order
 checked on whole (2N)^3 stacks, and the basis residuals, the compact
 relabel and the encoder laws read off whole tables, as they ran before
@@ -54,7 +54,7 @@ from sdc.errors import (
     OrderMismatch,
     PropertyViolated,
 )
-from sdc.gates import channel_sign_gate, channel_swap_gate
+from sdc.gates import channel_sign_gate, channel_swap_gate, ladder_shift_gate
 from sdc.hilbert import (
     SignedPermutationOp,
     StateVector,
@@ -235,6 +235,16 @@ def member_mixer_gates(N, H, j, reading):
         if e2 % 2 != 0:
             op = compose_perms(channel_sign_gate(N, i), op)
     return op
+
+
+def family_shift_gates(N, k, r):
+    """Family shift (k, r) as the gate product: for r = -1 the N half-axis
+    swaps, one channel at a time, then the ladder raised to 1 - k."""
+    op = identity_perm(2 * N)
+    if r == -1:
+        for i in range(1, N + 1):
+            op = compose_perms(channel_swap_gate(N, i), op)
+    return compose_perms(ladder_shift_gate(N, 1 - k), op)
 
 
 def resolve_member_mixer_reading_all_families(N, H):

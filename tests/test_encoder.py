@@ -10,6 +10,7 @@ from dense_oracle import (
     encode_composed,
     encode_law_residuals_loop,
     factor_blocks,
+    family_shift_gates,
     member_mixer_gates,
     paley_order_12,
     partial_trace,
@@ -232,6 +233,12 @@ class TestFamilyShift:
             overlap = np.vdot(target.amp, moved.amp)
             assert abs(abs(overlap) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
+    def test_equals_the_gate_product(self, N):
+        for k in range(1, N + 1):
+            for r in (+1, -1):
+                assert family_shift(N, k, r) == family_shift_gates(N, k, r)
+
     def test_argument_range(self):
         with pytest.raises(ArgOutOfRange):
             family_shift(2, 3, +1)
@@ -308,6 +315,19 @@ class TestComposedForm:
             resolved_order(2, hadamard.build(4))
         with pytest.raises(DimensionMismatch, match=message):
             resolve_composition_order_stacked(2, hadamard.build(4), "same-column")
+
+    def test_non_diagonal_mixer_is_refused(self, monkeypatch):
+        # mixer 2 swapped with a valid permutation: the stacked constructor
+        # took it, the order check needs every mixer's targets to be the identity
+        build = enc.member_mixer
+
+        def swapped(N, H, j, reading):
+            op = build(N, H, j, reading)
+            return SignedPermutationOp(op.dim, op.target[::-1], op.phase) if j == 2 else op
+
+        monkeypatch.setattr(enc, "member_mixer", swapped)
+        with pytest.raises(DimensionMismatch, match="member mixer 2: target is not a permutation fixing every index"):
+            resolved_order(2, hadamard.build(4))
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_resolved_order_gives_matrix_equality(self, N):

@@ -479,6 +479,27 @@ class TestPartialCover:
         assert out.amp[uncovered].tobytes() == s.amp[uncovered].tobytes()
         assert np.allclose(out.amp, np.asarray(op) @ s.amp, rtol=0, atol=1e-15)
 
+    # (subsystem, dims): each acts on an axis or space of dim 4
+    @pytest.mark.parametrize("subsystem,dims", [(0, (4, 3)), (1, (3, 4)), (None, (2, 2))])
+    @pytest.mark.parametrize(
+        "rows",
+        [[[-1, 0]], [[1, 1]], [[3, 4]]],
+        ids=["negative-row-would-wrap", "repeated-row", "row-past-dim"],
+    )
+    def test_apply_refuses_blocks_off_distinct_rows_in_range(self, rows, subsystem, dims):
+        # before the check these wrapped to index 3, kept one of two
+        # entries, or died on IndexError; the constructor still takes them
+        s = StateVector(dims, np.arange(np.prod(dims), dtype=complex))
+        op = PermutedBlockOp(rows, self.BLOCK, 4)
+        assert not op.placed
+        with pytest.raises(DimensionMismatch, match=r"block rows must be distinct indices inside 0\.\.3"):
+            apply(op, subsystem, s)
+
+    def test_placed_reads_distinct_rows_inside_the_dim(self):
+        assert PermutedBlockOp([[3, 0], [1, 2]], self.BLOCK, 4).placed
+        assert PermutedBlockOp(np.empty((0, 2), int), self.BLOCK, 4).placed
+        assert not PermutedBlockOp([[0, 1], [2, 0]], self.BLOCK, 4).placed
+
     def test_operators_that_differ_only_in_dim_are_unequal(self):
         a, b = PermutedBlockOp([[0, 1]], self.BLOCK, 4), PermutedBlockOp([[0, 1]], self.BLOCK, 6)
         assert a != b and a == PermutedBlockOp([[0, 1]], self.BLOCK, 4)

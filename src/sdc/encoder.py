@@ -51,9 +51,7 @@ def _member_mixer_with_reading(
 ) -> SignedPermutationOp:
     row_1, row_j = H.row(1), H.row(j)
     col = row_j[1::2] if reading == "cross-column" else row_j[0::2]
-    e1 = (row_1[0::2] - col) // 2 % 2  # swap_i sign_i swap_i: flips channel +i
-    e2 = (row_1[1::2] - row_j[1::2]) // 2 % 2  # sign_i: flips channel -i
-    phase = np.concatenate([1 - 2 * e1, 1 - 2 * e2]).astype(np.complex128)
+    phase = np.concatenate([row_1[0::2] * col, row_1[1::2] * row_j[1::2]])  # channels +i, then -i
     return SignedPermutationOp._trusted(2 * N, np.arange(2 * N), phase)
 
 
@@ -111,12 +109,13 @@ def member_mixer(N: int, H: HadamardMatrix, j: int, reading: str) -> SignedPermu
     Channel i takes swap_i sign_i swap_i (a -1 on +i) to the power e1 and
     sign_i (a -1 on -i) to the power e2, where e1 = (h[1, 2i-1] - h[j, c]) / 2
     with c = 2i under the cross-column reading and 2i-1 under same-column, and
-    e2 = (h[1, 2i] - h[j, 2i]) / 2.  The gates act on disjoint channels, so
-    the product is the diagonal (-1)^e1 on +i and (-1)^e2 on -i, built as
-    such; `tests/dense_oracle.py::member_mixer_gates` multiplies the gates.
-    Exponents are taken against row 1, which the built-in construction makes
-    all-plus, so member 1's mixer is the identity.  `reading` is one of
-    `MEMBER_MIXER_READINGS`, as `resolve_member_mixer_reading` picks it.
+    e2 = (h[1, 2i] - h[j, 2i]) / 2.  The gates act on disjoint channels and
+    (-1)^((a - b) / 2) = ab for a, b = +-1, so the product is Werner's Psi_j,
+    the diagonal h[1, 2i-1] h[j, c] on +i and h[1, 2i] h[j, 2i] on -i, built
+    as such; `tests/dense_oracle.py::member_mixer_gates` multiplies the gates.
+    Row 1 is all-plus in the built-in construction, so member 1's mixer is the
+    identity there.  `reading` is one of `MEMBER_MIXER_READINGS`, as
+    `resolve_member_mixer_reading` picks it.
     """
     if H.order != 2 * N:
         raise OrderMismatch(f"need order {2 * N}, got {H.order}")

@@ -94,8 +94,9 @@ def load_custom_matrices(path: str | Path) -> dict[int, np.ndarray]:
     Rows are whitespace-separated entries written as 1/-1 or +1/-1.  Each
     matrix is validated through the HadamardMatrix constructor; invalid blocks
     raise rather than being skipped.  A non-integer entry or a block that is
-    not a rectangle of int64 entries raises ConfigError naming its line; a
-    file that cannot be read or is not UTF-8 raises ConfigError naming the file.
+    not a rectangle of int64 entries raises ConfigError naming its line, two
+    blocks of one order raise it naming both blocks' lines, and a file that
+    cannot be read or is not UTF-8 raises it naming the file.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -104,6 +105,7 @@ def load_custom_matrices(path: str | Path) -> dict[int, np.ndarray]:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: registry file is not UTF-8 text ({exc.reason})") from None
     registry: dict[int, np.ndarray] = {}
+    starts: dict[int, int] = {}  # order -> line number of its block's first row
     block: list[list[int]] = []
     start = 0  # line number of the block's first row
 
@@ -116,8 +118,11 @@ def load_custom_matrices(path: str | Path) -> dict[int, np.ndarray]:
             raise ConfigError(
                 f"{path}: the block at line {start} is not a rectangle of int64 entries"
             ) from None
-        checked = HadamardMatrix(order=m.shape[0], ints=m, construction="custom")
-        registry[checked.order] = checked.ints
+        order = m.shape[0]
+        checked = HadamardMatrix(order=order, ints=m, construction="custom")
+        if order in starts:
+            raise ConfigError(f"{path}: the blocks at lines {starts[order]} and {start} both have order {order}")
+        registry[order], starts[order] = checked.ints, start
         block.clear()
 
     for number, line in enumerate(text.splitlines(), 1):

@@ -38,14 +38,32 @@ def commands():
     registries = [("alt4", 2), ("paley", 6), ("minus", 1), *(("flipped", n) for n in (2, 4, 8, 16))]
     for name, n in registries:
         yield ["verify", "--n", str(n), "--custom-matrices", f"@{name}"]
+    for path in ([], ["--path", "pipeline"]):  # the pipeline refuses from N = 8
+        for n in range(1, 9):
+            yield ["sweep", "--n", str(n), *path]
+            yield ["table", "--n", str(n), *path]
+            for message in (0, 4 * n * n - 1):
+                yield ["run", "--n", str(n), "--message", str(message), *path]
+    yield ["run", "--n", "2", "--message", "16"]  # one past the last message
+    for n in range(1, 5):
+        yield ["bases", "--n", str(n)]
+        for message in range(4 * n * n if n != 3 else 1):  # N = 3 has no order-6 matrix
+            yield ["encode", "--n", str(n), "--message", str(message), "--dump-op"]
+    yield ["encode", "--n", "2", "--message", "16", "--dump-op"]
+    yield ["rates"]
+    for n in (1, 2):
+        for s, d in (("0.5", 2), ("1", 3)):  # d = 2S + 1 spin levels
+            yield ["spin", "--n", str(n), "--s", s]
+            for message in (0, 4 * n * n * d * d - 1):
+                yield ["run", "--n", str(n), "--s", s, "--message", str(message)]
 
 
 def run(argv, tmp: Path) -> dict:
     """Exit code and output digests of one command, its "@NAME" items written out."""
-    n = int(argv[argv.index("--n") + 1])
     paths = []
     for arg in argv:
         if arg.startswith("@"):
+            n = int(argv[argv.index("--n") + 1])
             path = tmp / f"{arg[1:]}-{n}.txt"
             rows = sign_matrix(arg[1:], n).ints
             path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))

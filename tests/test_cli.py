@@ -20,6 +20,8 @@ from sdc.cli import CONFIG_KEYS, main
 
 # a symmetric sign matrix of order 4 whose rows do not close under products
 ALT4 = "1 1 1 -1\n1 1 -1 1\n1 -1 1 1\n-1 1 1 1\n"
+# stdout of `verify --n 2 --gates`, as `tests/golden.json` pins it
+GATES_N2_SHA256 = "52b6caa7fae490579c982aa0c92029dddd1bb311cffd9a30a037170400cc3710"
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +103,47 @@ class TestVerify:
         report = json.loads(out)
         assert set(report) == {"n", "gates"}
         assert all("unitarity" in v for v in report["gates"].values())
+
+    def test_gates_only_runs_the_gate_section_alone(self, capsys, monkeypatch):
+        import sdc.decoder as dec
+        import sdc.encoder as enc
+
+        def refuse(*args):
+            raise AssertionError("a check outside the gate section ran")
+
+        monkeypatch.setattr(enc, "resolve_composition_order", refuse)
+        monkeypatch.setattr(dec, "bell_outcomes", refuse)
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--gates")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == GATES_N2_SHA256
+        with pytest.raises(AssertionError, match="outside the gate section"):
+            main(["verify", "--n", "2"])
+
+    def test_gates_only_exits_on_the_gate_checks_alone(self, capsys, monkeypatch, tmp_path):
+        import numpy as np
+
+        import sdc.gates as gates_mod
+        from sdc.hilbert import SignedPermutationOp
+
+        registry = tmp_path / "alt4.txt"
+        registry.write_text(ALT4)
+        # ALT4's rows do not close under products: the full suite refuses at the
+        # member-mixer reading, while the gates, which do not read H, all pass
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--custom-matrices", str(registry))
+        assert code == 2 and out == "" and "PropertyViolated" in err
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--gates", "--custom-matrices", str(registry))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == GATES_N2_SHA256
+
+        def three_cycle(N, n):
+            target = np.arange(2 * N)
+            target[:3] = [1, 2, 0]
+            return SignedPermutationOp(2 * N, target, np.ones(2 * N))
+
+        monkeypatch.setattr(gates_mod, "channel_swap_gate", three_cycle)
+        code, out, _ = run_cli(capsys, "verify", "--n", "2", "--gates")
+        assert code == 1
+        assert json.loads(out)["gates"]["channel-swap-1"] == {"unitarity": 0.0, "involution": 1.0}
 
     def test_byte_identical_reports(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--n", "2")

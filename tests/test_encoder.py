@@ -212,6 +212,14 @@ class TestMemberMixerOracle:
         assert (H @ H.T == 12 * np.eye(12)).all() and (H == H.T).all() and (H[0] == 1).all()
         self.assert_matches_gates(6, hadamard.build(12, custom={12: H}))
 
+    @pytest.mark.parametrize("name,N", [("flipped", 2), ("flipped", 4), ("flipped", 8), ("minus", 1)])
+    def test_first_row_not_all_plus(self, name, N):
+        # row 1 holds a minus sign, so member 1's mixer is not the identity
+        H = sign_matrix(name, N)
+        assert (H.row(1) == -1).any()
+        assert any((member_mixer(N, H, 1, reading).phase != 1).any() for reading in MEMBER_MIXER_READINGS)
+        self.assert_matches_gates(N, H)
+
 
 class TestFamilyShift:
     def test_neutral_shift_is_identity(self):

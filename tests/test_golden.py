@@ -21,3 +21,10 @@ def test_command_matches_the_golden_manifest(entry, tmp_path):
 def test_manifest_covers_the_refusals():
     refused = {" ".join(e["argv"]): e["exit"] for e in ENTRIES if e["exit"] == 2}
     assert {"verify --n 3", "verify --n 5", "verify --n 6", "verify --n 6 --custom-matrices @paley"} <= set(refused)
+
+
+def test_manifest_covers_every_subcommand_but_decode():
+    assert {e["argv"][0] for e in ENTRIES} == {"verify", "sweep", "table", "run", "bases", "encode", "rates", "spin"}
+    refused = {" ".join(e["argv"]) for e in ENTRIES if e["exit"] == 2}
+    # the pipeline spreads a Bell state from N = 8, and a message past 4N^2 - 1 is refused
+    assert {"sweep --n 8 --path pipeline", "table --n 8 --path pipeline", "run --n 2 --message 16"} <= refused

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdc import hadamard
-from sdc.errors import ConstructionUnavailable, IndexOutOfRange, UnsupportedOrder
+from sdc.errors import ConfigError, ConstructionUnavailable, IndexOutOfRange, UnsupportedOrder
 
 
 def test_order_two_is_the_base_pattern():
@@ -118,6 +118,14 @@ class TestCustomRegistry:
         path.write_text("1 2\n2 1\n")
         with pytest.raises(ConstructionUnavailable):
             hadamard.load_custom_matrices(path)
+
+    def test_two_blocks_of_one_order_name_both_start_lines(self, tmp_path):
+        path = tmp_path / "twice.txt"
+        path.write_text(ALT4 + "\n1 1\n1 -1\n\n# the order-4 Sylvester matrix\n"
+                        + "1 1 1 1\n1 -1 1 -1\n1 1 -1 -1\n1 -1 -1 1\n")
+        with pytest.raises(ConfigError) as err:
+            hadamard.load_custom_matrices(path)
+        assert str(err.value) == f"{path}: the blocks at lines 1 and 10 both have order 4"
 
 
 @pytest.mark.parametrize("order", [4, 64])

@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -96,14 +96,16 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
-    if getattr(args, "custom_matrices", None):
+    if getattr(args, "custom_matrices", None) is not None:
         cfg.custom_matrices = args.custom_matrices
 
     if cfg.n < 1:
         raise ConfigError(f"n must be positive, got {cfg.n}")
     if cfg.path not in ("grand", "pipeline"):
         raise ConfigError(f"path must be grand or pipeline, got {cfg.path}")
-    if cfg.custom_matrices:
+    if cfg.custom_matrices == "":
+        raise ConfigError("the registry path (--custom-matrices or hadamard.custom_matrices) is empty")
+    if cfg.custom_matrices is not None:
         cfg.registry = hadamard.load_custom_matrices(cfg.custom_matrices)
     return cfg
 
@@ -129,6 +131,17 @@ def _static_conventions(H) -> dict:
     }
 
 
+def _report(cfg: RunConfig, H, **fields) -> dict:
+    """A report headed by its N and the fixed conventions."""
+    return {"n": cfg.n, "conventions": _static_conventions(H), **fields}
+
+
+def _check(name: str, residual: float, tolerance: float) -> dict:
+    """One verify check row; it passes when the residual is at most the tolerance."""
+    passed = bool(residual <= tolerance)
+    return {"name": name, "residual": float(residual), "tolerance": tolerance, "pass": passed}
+
+
 def _off_identity(op: hilbert.SignedPermutationOp) -> float:
     """max|P - I| of a signed permutation P with unit phases: |phase - 1| where
     P sends an index home, and 1 (a unit entry off the diagonal) elsewhere."""
@@ -143,19 +156,11 @@ def _off_identity(op: hilbert.SignedPermutationOp) -> float:
 def cmd_bases(cfg: RunConfig) -> int:
     H, _ = cfg.hadamard_pair()
     gram_dev = bell.table_residuals(bell.family_factors(cfg.n, H))["gram"]
-    states = []
-    for lab in bell.all_labels(cfg.n):
-        entry = {"label": {"k": lab.k, "r": lab.r, "j": lab.j}}
-        entry.update(hilbert.state_to_dict(bell.bell_state(cfg.n, lab, H)))
-        states.append(entry)
-    _emit_json(
-        {
-            "n": cfg.n,
-            "conventions": _static_conventions(H),
-            "gram_max_deviation": gram_dev,
-            "states": states,
-        }
-    )
+    states = [
+        {"label": asdict(lab), **hilbert.state_to_dict(bell.bell_state(cfg.n, lab, H))}
+        for lab in bell.all_labels(cfg.n)
+    ]
+    _emit_json(_report(cfg, H, gram_max_deviation=gram_dev, states=states))
     return 0
 
 
@@ -164,18 +169,14 @@ def build_verify_report(cfg: RunConfig) -> dict:
     N = cfg.n
     H, HN = cfg.hadamard_pair()
     dim = 2 * N
-    checks: list[dict] = []
-
-    def check(name: str, residual: float, tolerance: float) -> None:
-        entry = {"name": name, "residual": float(residual), "tolerance": tolerance}
-        checks.append({**entry, "pass": bool(residual <= tolerance)})
 
     # Hadamard backbone
     norm = H.normalized
-    check("hadamard-symmetry", np.max(np.abs(norm - norm.T)), 0.0)
-    check("hadamard-involution", np.max(np.abs(norm @ norm - np.eye(dim))), cfg.tol_exact)
-    magnitude = np.max(np.abs(np.abs(norm) - 1.0 / np.sqrt(dim)))
-    check("hadamard-entry-magnitude", magnitude, cfg.tol_exact)
+    checks = [
+        _check("hadamard-symmetry", np.max(np.abs(norm - norm.T)), 0.0),
+        _check("hadamard-involution", np.max(np.abs(norm @ norm - np.eye(dim))), cfg.tol_exact),
+        _check("hadamard-entry-magnitude", np.max(np.abs(np.abs(norm) - 1.0 / np.sqrt(dim))), cfg.tol_exact),
+    ]
 
     # Bell bases read off their factors, which the encoder laws reuse
     standard_factors, compact_factors = bell.family_factors(N, H), bell.family_factors(N, H, compact=True)
@@ -184,22 +185,22 @@ def build_verify_report(cfg: RunConfig) -> dict:
     relabel_holds = bell.compact_relabel_holds(standard_factors, compact_factors)
     laws = encoder.encode_law_residuals(standard_factors)
     del standard_factors, compact_factors  # not held through the order check, which sets the peak
-    check("bell-gram", standard["gram"], cfg.tol_exact)
-    check("bell-compact-gram", compact["gram"], cfg.tol_exact)
-    check("bell-partial-trace", standard["partial_trace"], cfg.tol_exact)
-    check("bell-amplitude-structure", standard["amplitude"], cfg.tol_exact)
-    check("bell-compact-relabel-found", 0.0 if relabel_holds else 1.0, 0.0)
-
-    gate_report, mixer_info = verify_gates(cfg, HN, check)
-
-    # encoder laws
-    check("encode-signed-permutation-structure", laws["structure"], cfg.tol_exact)
-    check("encode-family-rule", laws["family_rule"], cfg.tol_chained)
-    check("encode-no-signaling", laws["no_signaling"], cfg.tol_exact)
-
+    gate_checks, gate_report, mixer_info = verify_gates(cfg, HN)
     reading = encoder.resolve_member_mixer_reading(N, H)
     order = encoder.resolve_composition_order(N, H, reading["reading"])
-    check("encode-composed-action", order["max_overlap_deviation"], cfg.tol_chained)
+    checks += [
+        _check("bell-gram", standard["gram"], cfg.tol_exact),
+        _check("bell-compact-gram", compact["gram"], cfg.tol_exact),
+        _check("bell-partial-trace", standard["partial_trace"], cfg.tol_exact),
+        _check("bell-amplitude-structure", standard["amplitude"], cfg.tol_exact),
+        _check("bell-compact-relabel-found", 0.0 if relabel_holds else 1.0, 0.0),
+        *gate_checks,
+        # encoder laws
+        _check("encode-signed-permutation-structure", laws["structure"], cfg.tol_exact),
+        _check("encode-family-rule", laws["family_rule"], cfg.tol_chained),
+        _check("encode-no-signaling", laws["no_signaling"], cfg.tol_exact),
+        _check("encode-composed-action", order["max_overlap_deviation"], cfg.tol_chained),
+    ]
 
     # decoder: P (I x B / sqrt(2N)) P^T is unitary (an involution) exactly when
     # P is a bijection and the +-1 block B has B^T B = 2N I (B B = 2N I); the
@@ -211,7 +212,7 @@ def build_verify_report(cfg: RunConfig) -> dict:
     exact = exact and np.array_equal(gop.block, signs / np.sqrt(dim))
     for name, square in (("grand-unitarity", signs.T @ signs), ("grand-involution", signs @ signs)):
         ok = exact and np.array_equal(square, dim * np.eye(dim))
-        check(name, 0.0 if ok else 1.0, cfg.tol_chained)
+        checks.append(_check(name, 0.0 if ok else 1.0, cfg.tol_chained))
 
     # each Bell state certified by its one operator row: a certified point
     # mass is the whole distribution; injective by build_decode_table's rule
@@ -220,9 +221,11 @@ def build_verify_report(cfg: RunConfig) -> dict:
     # outcomes lie in 0..4N^2-1, so they are distinct exactly when they sort to that range
     distinct = np.array_equal(np.sort(outcomes), np.arange(4 * N * N))
     injective = min_top >= 1.0 - hilbert.TOL_CHAINED and distinct
-    check("decode-determinism", 1.0 - min_top, cfg.tol_chained)
-    check("decode-injectivity", 0.0 if injective else 1.0, 0.0)
-    check("measurement-completeness", np.max(np.abs(probs - 1.0)), cfg.tol_exact)
+    checks += [
+        _check("decode-determinism", 1.0 - min_top, cfg.tol_chained),
+        _check("decode-injectivity", 0.0 if injective else 1.0, 0.0),
+        _check("measurement-completeness", np.max(np.abs(probs - 1.0)), cfg.tol_exact),
+    ]
 
     conventions = {
         **_static_conventions(H),
@@ -253,10 +256,10 @@ def build_verify_report(cfg: RunConfig) -> dict:
     return report
 
 
-def verify_gates(cfg: RunConfig, HN, check) -> tuple[dict, dict | None]:
-    """verify's gate section: calls check(name, residual, tolerance) per gate check and returns
-    the per-gate residuals and, given the pipeline's order-N HN (else None), the mixer's resolution."""
-    N, dim, gate_report = cfg.n, 2 * cfg.n, {}
+def verify_gates(cfg: RunConfig, HN) -> tuple[list[dict], dict, dict | None]:
+    """verify's gate section: its check rows, the per-gate residuals and, given the
+    pipeline's order-N HN (else None), the mixer's resolution."""
+    N, dim, checks, gate_report = cfg.n, 2 * cfg.n, [], {}
 
     # basic gates: a signed permutation P has P^H P = diag(|phase|^2) and P^2 - I
     # read off P o P; a block B on distinct rows of 0..2N-1 has B^H B - I and B B - I
@@ -269,8 +272,8 @@ def verify_gates(cfg: RunConfig, HN, check) -> tuple[dict, dict | None]:
             squares = (B.conj().T @ B, B @ B)
             unit, invol = (float(np.max(np.abs(m - eye))) for m in squares) if placed else (1.0, 1.0)
         gate_report[name] = {"unitarity": unit, "involution": invol}
-        check(f"gate-{name}-unitarity", unit, cfg.tol_chained)
-        check(f"gate-{name}-involution", invol, cfg.tol_chained)
+        checks.append(_check(f"gate-{name}-unitarity", unit, cfg.tol_chained))
+        checks.append(_check(f"gate-{name}-involution", invol, cfg.tol_chained))
 
     for n in range(1, N + 1):
         op_residuals(f"channel-sign-{n}", gates.channel_sign_gate(N, n))
@@ -281,7 +284,7 @@ def verify_gates(cfg: RunConfig, HN, check) -> tuple[dict, dict | None]:
     cycle = hilbert.identity_perm(dim)
     for _ in range(N):
         cycle = hilbert.compose_perms(ladder, cycle)
-    check("gate-ladder-cycle", _off_identity(cycle), cfg.tol_exact)
+    checks.append(_check("gate-ladder-cycle", _off_identity(cycle), cfg.tol_exact))
     op_residuals("controlled-swap", gates.position_controlled_swap(N))
     if N >= 2:
         h1, h2 = (gates.channel_hadamard_gate(N, n) for n in (1, 2))
@@ -289,23 +292,22 @@ def verify_gates(cfg: RunConfig, HN, check) -> tuple[dict, dict | None]:
         if all(h.dim == dim and h.placed for h in (h1, h2)):
             h1, h2 = np.asarray(h1), np.asarray(h2)
             commutator = np.max(np.abs(h1 @ h2 - h2 @ h1))
-        check("gate-disjoint-commutation", commutator, cfg.tol_exact)
+        checks.append(_check("gate-disjoint-commutation", commutator, cfg.tol_exact))
 
     mixer_info = None
     if HN is not None:
         mixer_info = gates.resolve_mixer_normalization(N, HN)
-        check("gate-mixer-unitarity", mixer_info["unitarity_residual"], cfg.tol_chained)
-        check("gate-mixer-involution", mixer_info["involution_residual"], cfg.tol_chained)
-    return gate_report, mixer_info
+        checks.append(_check("gate-mixer-unitarity", mixer_info["unitarity_residual"], cfg.tol_chained))
+        checks.append(_check("gate-mixer-involution", mixer_info["involution_residual"], cfg.tol_chained))
+    return checks, gate_report, mixer_info
 
 
 def cmd_verify(cfg: RunConfig, gates_only: bool = False) -> int:
     if gates_only:  # the gate section alone, passing when its own checks do
         _, HN = cfg.hadamard_pair()  # refuses an N without a matrix, as the whole suite does
-        verdicts = []
-        gate_report, _ = verify_gates(cfg, HN, lambda _, residual, tol: verdicts.append(residual <= tol))
+        checks, gate_report, _ = verify_gates(cfg, HN)
         _emit_json({"n": cfg.n, "gates": gate_report})
-        return 0 if all(verdicts) else 1
+        return 0 if all(c["pass"] for c in checks) else 1
     report = build_verify_report(cfg)
     _emit_json(report)
     return 0 if report["pass"] else 1
@@ -315,12 +317,7 @@ def cmd_encode(cfg: RunConfig, message: int, dump_op: bool) -> int:
     H, _ = cfg.hadamard_pair()
     analysis.check_message(cfg.n, message)
     lab = bell.message_to_label(message, cfg.n)
-    payload = {
-        "n": cfg.n,
-        "conventions": _static_conventions(H),
-        "message": message,
-        "label": {"k": lab.k, "r": lab.r, "j": lab.j},
-    }
+    payload = _report(cfg, H, message=message, label=asdict(lab))
     if dump_op:
         op = encoder.encode_direct(cfg.n, H, lab)
         payload["op"] = {
@@ -346,18 +343,7 @@ def cmd_decode(cfg: RunConfig, state_path: str) -> int:
         raise ConfigError(f"state file {state_path} is not JSON ({exc})") from None
     state = hilbert.state_from_dict(dump)
     top, dist = decoder.make_decoder(cfg.n, H, cfg.path, HN).decode(state)
-    _emit_json(
-        {
-            "n": cfg.n,
-            "path": cfg.path,
-            "conventions": _static_conventions(H),
-            "top": {"first": top.first, "second": top.second, "probability": top.probability},
-            "outcomes": [
-                {"first": o.first, "second": o.second, "probability": o.probability}
-                for o in dist
-            ],
-        }
-    )
+    _emit_json(_report(cfg, H, path=cfg.path, top=asdict(top), outcomes=[asdict(o) for o in dist]))
     return 0
 
 
@@ -381,19 +367,11 @@ def cmd_run(cfg: RunConfig, message: int, dump_state: str | None, sign: int = 1)
         d = int(round(2 * cfg.s)) + 1
         m_pos, m_spin = divmod(message, d * d)
         lab = bell.message_to_label(m_pos, cfg.n)
-        payload = {
-            "n": cfg.n,
-            "s": cfg.s,
-            "sign_variant": sign,
-            "conventions": _static_conventions(H),
-            "message": message,
-            "label": {
-                "position": {"k": lab.k, "r": lab.r, "j": lab.j},
-                "spin": {"shift": m_spin // d, "clock": m_spin % d},
-            },
-            "decoded": decoded,
-        }
-        _emit_json({**payload, "ok": decoded == message})
+        label = {"position": asdict(lab), "spin": {"shift": m_spin // d, "clock": m_spin % d}}
+        _emit_json(
+            _report(cfg, H, s=cfg.s, sign_variant=sign, message=message, label=label,
+                    decoded=decoded, ok=decoded == message)
+        )
         return 0 if decoded == message else 1
 
     if dump_state:
@@ -406,16 +384,9 @@ def cmd_run(cfg: RunConfig, message: int, dump_state: str | None, sign: int = 1)
     first, second = divmod(outcome, 2 * cfg.n)
     lab = bell.message_to_label(message, cfg.n)
     _emit_json(
-        {
-            "n": cfg.n,
-            "path": cfg.path,
-            "conventions": _static_conventions(H),
-            "message": message,
-            "label": {"k": lab.k, "r": lab.r, "j": lab.j},
-            "outcome": {"first": first, "second": second, "probability": probability},
-            "decoded": decoded,
-            "ok": decoded == message,
-        }
+        _report(cfg, H, path=cfg.path, message=message, label=asdict(lab),
+                outcome={"first": first, "second": second, "probability": probability},
+                decoded=decoded, ok=decoded == message)
     )
     return 0 if decoded == message else 1
 
@@ -423,10 +394,8 @@ def cmd_run(cfg: RunConfig, message: int, dump_state: str | None, sign: int = 1)
 def cmd_sweep(cfg: RunConfig) -> int:
     H, HN = cfg.hadamard_pair()
     result = analysis.round_trip_sweep(cfg.n, H, path=cfg.path, HN=HN)
-    result["conventions"] = _static_conventions(H)
-    # every message is checked; the field keeps the report's bytes unchanged
-    result["sampled"] = False
-    _emit_json(result)
+    # every message is checked; the "sampled" field keeps the report's bytes unchanged
+    _emit_json(_report(cfg, H, **result, sampled=False))
     return 0 if result["round_trip_ok"] == result["checked"] else 1
 
 
@@ -466,8 +435,7 @@ def cmd_rates(n_list: str, t: float) -> int:
 def cmd_spin(cfg: RunConfig, sign: int) -> int:
     H, _ = cfg.hadamard_pair()
     report = analysis.spin_state_report(cfg.n, cfg.s, H, sign=sign)
-    report["conventions"] = _static_conventions(H)
-    _emit_json(report)
+    _emit_json(_report(cfg, H, **report))
     ok = (
         report["factorizes"]
         and report["norm_deviation"] <= cfg.tol_exact
@@ -482,6 +450,7 @@ def cmd_spin(cfg: RunConfig, sign: int) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser; each subcommand's `handler` default runs it on the parsed arguments."""
     parser = argparse.ArgumentParser(
         prog="sdc",
         description="Simulate and verify dense coding over entangled spatial channels.",
@@ -489,49 +458,51 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_path=True):
+    def command(name, summary, handler, with_path=True):
+        """A subcommand whose handler(cfg, args) runs on the RunConfig make_config resolves."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--n", type=int, default=None, help="number of channel pairs per side")
         p.add_argument("--custom-matrices", type=str, default=None,
                        help="registry file of extra sign matrices")
         if with_path:
             p.add_argument("--path", choices=["grand", "pipeline"], default=None)
+        p.set_defaults(handler=lambda args: handler(make_config(args), args))
+        return p
 
-    p = sub.add_parser("bases", help="emit all basis states and the Gram deviation")
-    common(p, with_path=False)
+    command("bases", "emit all basis states and the Gram deviation",
+            lambda cfg, a: cmd_bases(cfg), with_path=False)
 
-    p = sub.add_parser("verify", help="run the invariant suite")
-    common(p)
+    p = command("verify", "run the invariant suite", lambda cfg, a: cmd_verify(cfg, gates_only=a.gates))
     p.add_argument("--gates", action="store_true", help="emit only the per-gate residuals")
 
-    p = sub.add_parser("encode", help="show the encoding operator for a message")
-    common(p, with_path=False)
+    p = command("encode", "show the encoding operator for a message",
+                lambda cfg, a: cmd_encode(cfg, a.message, a.dump_op), with_path=False)
     p.add_argument("--message", type=int, required=True)
     p.add_argument("--dump-op", action="store_true")
 
-    p = sub.add_parser("decode", help="decode a dumped state file")
-    common(p)
+    p = command("decode", "decode a dumped state file", lambda cfg, a: cmd_decode(cfg, a.state))
     p.add_argument("--state", type=str, required=True)
 
-    p = sub.add_parser("table", help="emit the outcome-to-message table as CSV")
-    common(p)
+    command("table", "emit the outcome-to-message table as CSV", lambda cfg, a: cmd_table(cfg))
 
-    p = sub.add_parser("run", help="round-trip one message")
-    common(p)
+    p = command("run", "round-trip one message",
+                lambda cfg, a: cmd_run(cfg, a.message, a.dump_state, sign=a.sign))
     p.add_argument("--message", type=int, required=True)
     p.add_argument("--s", type=float, default=None, help="spin of each particle")
     p.add_argument("--sign", type=int, choices=[1, -1], default=1,
                    help="sign variant of the spin pair state")
     p.add_argument("--dump-state", type=str, default=None)
 
-    p = sub.add_parser("sweep", help="round-trip every message")
-    common(p)
+    command("sweep", "round-trip every message", lambda cfg, a: cmd_sweep(cfg))
 
+    # rates reads no RunConfig, so a malformed SDC_CONFIG cannot break it
     p = sub.add_parser("rates", help="emit the rate comparison as CSV")
     p.add_argument("--n-list", type=str, default="1,2,4,8,16,32,64")
     p.add_argument("--t", type=float, default=1.0)
+    p.set_defaults(handler=lambda a: cmd_rates(a.n_list, a.t))
 
-    p = sub.add_parser("spin", help="verify the spin-extended resource state")
-    common(p, with_path=False)
+    p = command("spin", "verify the spin-extended resource state",
+                lambda cfg, a: cmd_spin(cfg, a.sign), with_path=False)
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--sign", type=int, choices=[1, -1], default=1)
 
@@ -539,33 +510,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "rates":
-            return cmd_rates(args.n_list, args.t)
-        cfg = make_config(args)
-        if args.command == "bases":
-            return cmd_bases(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, gates_only=args.gates)
-        if args.command == "encode":
-            return cmd_encode(cfg, args.message, args.dump_op)
-        if args.command == "decode":
-            return cmd_decode(cfg, args.state)
-        if args.command == "table":
-            return cmd_table(cfg)
-        if args.command == "run":
-            return cmd_run(cfg, args.message, args.dump_state, sign=args.sign)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "spin":
-            return cmd_spin(cfg, args.sign)
-        parser.error(f"unknown command {args.command}")
+        return args.handler(args)
     except (SdcError, OSError, ValueError, MemoryError) as exc:  # all but SdcError: a safety net
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -1,11 +1,17 @@
 """Regenerate `tests/golden.json`, the corpus of byte-pinned `sdc` commands.
 
 Each entry holds a command's argv, its exit code and the sha256 of its
-stdout and of its stderr, all from one in-process run of `sdc.cli.main`.
-An argv item "@NAME" stands for a registry file holding
-`dense_oracle.sign_matrix(NAME, N)` for the command's --n; it is written to
-a temporary directory when the command runs, and no output may name it.
-`tests/test_golden.py` runs every entry and compares.
+stdout, of its stderr and of any state file it dumps, all from one
+in-process run of `sdc.cli.main`.  An argv item starting with "@" stands
+for a file in a temporary directory, which no output may name:
+
+- "@dump": the state file the command writes;
+- "@sent-M": the state file `sdc run --n N --message M --dump-state` writes;
+- "@state-NAME": the hand-written state `STATES[NAME]`;
+- "@NAME": a registry file holding `dense_oracle.sign_matrix(NAME, N)`;
+
+N being the command's --n.  `tests/test_golden.py` runs every entry and
+compares.
 
 Run from the repository root:
 
@@ -19,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -27,6 +34,19 @@ from dense_oracle import sign_matrix
 from sdc.cli import main
 
 MANIFEST = Path(__file__).with_name("golden.json")
+
+
+def _state(dims, amplitudes):
+    """A state dump with the given {flat index: [re, im]} amplitudes, zero elsewhere."""
+    return {"dims": dims, "amplitudes": [amplitudes.get(i, [0.0, 0.0]) for i in range(math.prod(dims))]}
+
+
+# hand-written decode inputs at N = 2, where a two-particle state has dims [4, 4]
+STATES = {
+    "spread": _state([4, 4], {1: [0.6, 0.0], 11: [0.0, 0.8]}),  # 0.6|0,1> + 0.8i|2,3>
+    "unnormalized": _state([4, 4], {1: [1.5, 0.0]}),
+    "one-factor": _state([16], {0: [1.0, 0.0]}),
+}
 
 
 def commands():
@@ -50,6 +70,14 @@ def commands():
         for message in range(4 * n * n if n != 3 else 1):  # N = 3 has no order-6 matrix
             yield ["encode", "--n", str(n), "--message", str(message), "--dump-op"]
     yield ["encode", "--n", "2", "--message", "16", "--dump-op"]
+    for n in (1, 2, 4):
+        for message in (0, 4 * n * n - 1):
+            yield ["run", "--n", str(n), "--message", str(message), "--dump-state", "@dump"]
+            for path in ([], ["--path", "pipeline"]):
+                yield ["decode", "--n", str(n), "--state", f"@sent-{message}", *path]
+    for name in STATES:
+        for path in ([], ["--path", "pipeline"]):
+            yield ["decode", "--n", "2", "--state", f"@state-{name}", *path]
     yield ["rates"]
     for n in (1, 2):
         for s, d in (("0.5", 2), ("1", 3)):  # d = 2S + 1 spin levels
@@ -58,29 +86,45 @@ def commands():
                 yield ["run", "--n", str(n), "--s", s, "--message", str(message)]
 
 
+def _placeholder_file(arg: str, n: int, tmp: Path) -> Path:
+    """The file an "@" argv item stands for, written out unless the command writes it."""
+    name = arg[1:]
+    path = tmp / f"{name}-{n}.txt"
+    if name.startswith("sent-"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--n", str(n), "--message", name[5:], "--dump-state", str(path)])
+        if code != 0:
+            raise AssertionError(f"{arg}: `run --n {n} --dump-state` exited {code}")
+    elif name.startswith("state-"):
+        path.write_text(json.dumps(STATES[name[6:]]))
+    elif name == "dump":
+        path.unlink(missing_ok=True)  # a command that refuses leaves no file
+    else:
+        rows = sign_matrix(name, n).ints
+        path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+    return path
+
+
 def run(argv, tmp: Path) -> dict:
-    """Exit code and output digests of one command, its "@NAME" items written out."""
-    paths = []
-    for arg in argv:
-        if arg.startswith("@"):
-            n = int(argv[argv.index("--n") + 1])
-            path = tmp / f"{arg[1:]}-{n}.txt"
-            rows = sign_matrix(arg[1:], n).ints
-            path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
-            paths.append(str(path))
-    resolved = [paths.pop(0) if arg.startswith("@") else arg for arg in argv]
+    """Exit code and output digests of one command, its "@" items written out."""
+    n = int(argv[argv.index("--n") + 1]) if "--n" in argv else None
+    files = {arg: _placeholder_file(arg, n, tmp) for arg in argv if arg.startswith("@")}
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(resolved)
+        code = main([str(files.get(arg, arg)) for arg in argv])
     stdout, stderr = out.getvalue(), err.getvalue()
     if str(tmp) in stdout + stderr:
-        raise AssertionError(f"{argv}: the output names the temporary registry file")
-    return {
+        raise AssertionError(f"{argv}: the output names a temporary file")
+    got = {
         "exit": code,
         "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
         "stderr_sha256": hashlib.sha256(stderr.encode()).hexdigest(),
         "stderr": stderr if code == 2 else "",
     }
+    if "@dump" in files:
+        dumped = files["@dump"]
+        got["dump_sha256"] = hashlib.sha256(dumped.read_bytes()).hexdigest() if dumped.exists() else None
+    return got
 
 
 def load() -> list[dict]:

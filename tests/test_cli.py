@@ -1096,6 +1096,19 @@ class TestConfigFile:
         assert "ConfigError" in err and line.split("=")[0] in err
 
     @pytest.mark.parametrize(
+        "extra,line",
+        [(["--custom-matrices", ""], None), ([], "hadamard.custom_matrices="), ([], "hadamard.custom_matrices =  ")],
+        ids=["flag", "config", "config-blank"],
+    )
+    def test_empty_registry_path_is_a_config_error(self, capsys, tmp_path, monkeypatch, extra, line):
+        # an empty path names no file: refused, not read as "no registry"
+        if line is not None:
+            use_config(tmp_path, monkeypatch, line + "\n")
+        code, out, err = run_cli(capsys, "verify", "--n", "2", *extra)
+        assert (code, out) == (2, "") and typed_error(err) is errors.ConfigError
+        assert "registry path" in err and "empty" in err
+
+    @pytest.mark.parametrize(
         "text,where",
         [("1 1\n1 x\n", "line 2"), ("# order 2\n1 1\n1\n", "line 2")],
         ids=["non-integer-entry", "ragged-block"],
@@ -1168,3 +1181,42 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "bases", "--n", "1")
         assert code in (0, 2)
         assert "NaN" not in out and "Infinity" not in out
+
+
+def parser_exit(capsys, *argv):
+    """Exit code, stdout and stderr of a command that argparse ends with SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestArgumentSurface:
+    @pytest.mark.parametrize(
+        "argv,problem",
+        [
+            ([], "the following arguments are required: command"),
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+            (["run", "--n", "2"], "the following arguments are required: --message"),
+        ],
+        ids=["no-subcommand", "unknown-subcommand", "run-without-message"],
+    )
+    def test_usage_error_exits_2_naming_the_problem(self, capsys, argv, problem):
+        code, out, err = parser_exit(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert problem in err
+
+    def test_version_prints_the_package_version(self, capsys):
+        assert parser_exit(capsys, "--version") == (0, "0.1.0\n", "")
+        assert sdc.__version__ == "0.1.0"
+
+    @pytest.mark.parametrize("text", ["tolerance\n", None], ids=["bad-line", "missing-file"])
+    def test_malformed_config_is_read_by_every_command_but_rates(self, capsys, tmp_path, monkeypatch, text):
+        if text is None:
+            monkeypatch.setenv("SDC_CONFIG", str(tmp_path / "missing"))
+        else:
+            use_config(tmp_path, monkeypatch, text)
+        code, out, err = run_cli(capsys, "rates", "--n-list", "1")
+        assert (code, err) == (0, "") and out.startswith("N,capacity_bits,")
+        code, out, err = run_cli(capsys, "sweep", "--n", "1")
+        assert (code, out) == (2, "") and typed_error(err) is errors.ConfigError

@@ -23,8 +23,17 @@ def test_manifest_covers_the_refusals():
     assert {"verify --n 3", "verify --n 5", "verify --n 6", "verify --n 6 --custom-matrices @paley"} <= set(refused)
 
 
-def test_manifest_covers_every_subcommand_but_decode():
-    assert {e["argv"][0] for e in ENTRIES} == {"verify", "sweep", "table", "run", "bases", "encode", "rates", "spin"}
+def test_manifest_covers_every_subcommand():
+    commands = {"verify", "sweep", "table", "run", "bases", "encode", "decode", "rates", "spin"}
+    assert {e["argv"][0] for e in ENTRIES} == commands
     refused = {" ".join(e["argv"]) for e in ENTRIES if e["exit"] == 2}
-    # the pipeline spreads a Bell state from N = 8, and a message past 4N^2 - 1 is refused
+    # the pipeline spreads a Bell state from N = 8, a message past 4N^2 - 1 is refused,
+    # and decode takes only a normalized two-particle state
     assert {"sweep --n 8 --path pipeline", "table --n 8 --path pipeline", "run --n 2 --message 16"} <= refused
+    assert {"decode --n 2 --state @state-unnormalized", "decode --n 2 --state @state-one-factor"} <= refused
+
+
+def test_manifest_pins_each_dumped_state():
+    dumps = [e for e in ENTRIES if "@dump" in e["argv"]]
+    assert {e["argv"][2] for e in dumps} == {"1", "2", "4"}
+    assert all(e["exit"] == 0 and e["dump_sha256"] for e in dumps)

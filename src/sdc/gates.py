@@ -5,19 +5,20 @@ cyclic ladder shift, and the two nonlocal two-particle gates used by the
 measurement pipeline: the position-controlled swap and the Hadamard-weighted
 channel mixer.  Every gate is a `SignedPermutationOp` or a `PermutedBlockOp`:
 the channel Hadamard and the layer are the block [[1, 1], [1, -1]]/sqrt(2)
-on one channel pair or all N, the mixer 4N copies of the scaled order-N
-Hadamard block.  The sign, swap and ladder gates are the identity with one
-sign flipped, one pair swapped, or a cyclic shift, so they are built as
-trusted signed permutations; their arguments are still checked.
+on one channel pair or all N, the mixer 4N copies of the order-N Hadamard
+block over sqrt(N), a scale that HN·HN = N·I fixes (`MIXER_NORMALIZATION`).
+The sign, swap and ladder gates are the identity with one sign flipped, one
+pair swapped, or a cyclic shift, so they are built as trusted signed
+permutations; their arguments are still checked.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArgOutOfRange, NonUnitaryResolution, OrderMismatch
+from .errors import ArgOutOfRange, OrderMismatch
 from .hadamard import HadamardMatrix
-from .hilbert import PermutedBlockOp, SignedPermutationOp, TOL_CHAINED, label_to_index
+from .hilbert import PermutedBlockOp, SignedPermutationOp, label_to_index
 
 __all__ = [
     "channel_sign_gate",
@@ -27,8 +28,7 @@ __all__ = [
     "hadamard_layer",
     "position_controlled_swap",
     "nonlocal_mixer",
-    "resolve_mixer_normalization",
-    "MIXER_READINGS",
+    "MIXER_NORMALIZATION",
 ]
 
 
@@ -96,42 +96,10 @@ def position_controlled_swap(N: int) -> SignedPermutationOp:
     return SignedPermutationOp(dim * dim, target, np.ones(dim * dim, dtype=np.complex128))
 
 
-# Candidate normalizations for the mixer rows: exact integer signs scaled by
-# 1/sqrt(N) (equivalently, normalized Hadamard entries with no extra factor),
-# and the doubly normalized variant.  Only a scaling that yields a unitary
-# involution is accepted.
-MIXER_READINGS = (
-    ("pm1-entries-over-sqrt-dim", lambda N: 1.0 / np.sqrt(N)),
-    ("double-normalized", lambda N: 1.0 / N),
-)
-
-
-def _resolved_scale(N: int, HN: HadamardMatrix) -> tuple[float, dict]:
-    """(scale, report) of the first reading whose scaled HN is a unitary involution.
-
-    `HadamardMatrix` proves HN symmetric with HN·HN = N·I in integers, so
-    HN·s is a unitary involution exactly when N·s² = 1; the reading that
-    means 1/sqrt(N) passes with residuals 0.0, any other fails by |N·s² - 1|.
-    """
-    if HN.order != N:
-        raise OrderMismatch(f"mixer needs order {N}, got {HN.order}")
-    tried = []
-    for name, scale in MIXER_READINGS:
-        s = scale(N)
-        tried.append((name, abs(N * s * s - 1.0)))
-        if tried[-1][1] <= TOL_CHAINED:
-            return s, {"reading": name, "unitarity_residual": 0.0, "involution_residual": 0.0}
-    raise NonUnitaryResolution(f"no mixer normalization candidate passed: {tried}")
-
-
-def resolve_mixer_normalization(N: int, HN: HadamardMatrix) -> dict:
-    """Pick the mixer row normalization that makes it a unitary involution.
-
-    Returns the chosen reading name with its residuals so reports can carry
-    the decision.  Raises NonUnitaryResolution if no candidate passes, which
-    would mean the sign-pattern convention itself is wrong.
-    """
-    return _resolved_scale(N, HN)[1]
+# The mixer's row normalization: HN's +-1 entries over sqrt(N).  `HadamardMatrix`
+# proves HN symmetric with HN·HN = N·I in integers, so (HN/sqrt(N))² = I: the
+# scaled block is a unitary involution, and no other scale is.
+MIXER_NORMALIZATION = "pm1-entries-over-sqrt-dim"
 
 
 def nonlocal_mixer(N: int, HN: HadamardMatrix) -> PermutedBlockOp:
@@ -143,11 +111,12 @@ def nonlocal_mixer(N: int, HN: HadamardMatrix) -> PermutedBlockOp:
     at the shifted column.  The shift keeps the sign sector (a, b) and the
     class d = l - m mod N, and sends magnitude q = m - 1 to q' with weight
     HN[q, q'] = HN[q', q], so each of the 4N (a, b, d) classes is one copy of
-    the block HN·s on the kets ((q + d) mod N + N·a, q + N·b), q = 0..N-1.
-    The normalization reading s is resolved, not assumed.
+    the block HN/sqrt(N) on the kets ((q + d) mod N + N·a, q + N·b), q = 0..N-1
+    (`MIXER_NORMALIZATION`).
     """
-    scale = _resolved_scale(N, HN)[0]
+    if HN.order != N:
+        raise OrderMismatch(f"mixer needs order {N}, got {HN.order}")
     q = np.arange(N)
     first = (q + np.arange(N)[:, None]) % N  # row d: (q + d) mod N
     rows = [(first + N * a) * 2 * N + q + N * b for a in (0, 1) for b in (0, 1)]
-    return PermutedBlockOp(np.concatenate(rows), HN.ints * scale)
+    return PermutedBlockOp(np.concatenate(rows), HN.ints * (1.0 / np.sqrt(N)))

@@ -9,6 +9,8 @@ for a file in a temporary directory, which no output may name:
 - "@sent-M": the state file `sdc run --n N --message M --dump-state` writes;
 - "@state-NAME": the hand-written state `STATES[NAME]`;
 - "@NAME": a registry file holding `dense_oracle.sign_matrix(NAME, N)`;
+- "@hn-NAME": a registry file holding `dense_oracle.sign_matrix(NAME, N // 2)`,
+  the order-N matrix the pipeline's mixer draws its rows from;
 
 N being the command's --n.  `tests/test_golden.py` runs every entry and
 compares.
@@ -58,6 +60,9 @@ def commands():
     registries = [("alt4", 2), ("paley", 6), ("minus", 1), *(("flipped", n) for n in (2, 4, 8, 16))]
     for name, n in registries:
         yield ["verify", "--n", str(n), "--custom-matrices", f"@{name}"]
+    # ALT4 as HN alone: the mixer built from a non-Sylvester matrix
+    for command in (["verify"], ["verify", "--gates"], ["table"], ["sweep"], ["run", "--message", "5"]):
+        yield [*command, "--n", "4", "--path", "pipeline", "--custom-matrices", "@hn-alt4"]
     for path in ([], ["--path", "pipeline"]):  # the pipeline refuses from N = 8
         for n in range(1, 9):
             yield ["sweep", "--n", str(n), *path]
@@ -100,7 +105,7 @@ def _placeholder_file(arg: str, n: int, tmp: Path) -> Path:
     elif name == "dump":
         path.unlink(missing_ok=True)  # a command that refuses leaves no file
     else:
-        rows = sign_matrix(name, n).ints
+        rows = sign_matrix(name[3:], n // 2).ints if name.startswith("hn-") else sign_matrix(name, n).ints
         path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
     return path
 

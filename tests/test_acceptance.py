@@ -37,7 +37,6 @@ from sdc.gates import (
     ladder_shift_gate,
     nonlocal_mixer,
     position_controlled_swap,
-    resolve_mixer_normalization,
 )
 from sdc.hilbert import apply
 
@@ -280,9 +279,7 @@ def test_c10_spin_extension():
 def test_c11_pipeline_reports():
     reports = {}
     for N in (1, 2):
-        H, HN = hadamard.build(2 * N), hadamard.build(N)
-        reading = resolve_mixer_normalization(N, HN)["reading"]
-        reports[N] = pipeline_report(N, H, HN, reading)
+        reports[N] = pipeline_report(N, hadamard.build(2 * N), hadamard.build(N))
     for N, rep in reports.items():
         print(
             f"  pipeline N={N}: deterministic={rep['deterministic']} "

@@ -288,25 +288,21 @@ class TestVerify:
         assert code == 0
         assert calls == []
 
-    def test_pipeline_verify_builds_the_grand_route_and_resolves_the_mixer_once(
-        self, capsys, monkeypatch
-    ):
+    def test_pipeline_verify_builds_the_grand_route_once(self, capsys, monkeypatch):
         import sdc.decoder as dec
-        import sdc.gates as gates_mod
 
-        builds, resolutions = [], []
+        builds = []
         build = dec.grand_blocks
         monkeypatch.setattr(dec, "grand_blocks", lambda N, H: builds.append(N) or build(N, H))
-        resolve = gates_mod.resolve_mixer_normalization
-        monkeypatch.setattr(
-            gates_mod,
-            "resolve_mixer_normalization",
-            lambda N, HN: resolutions.append(N) or resolve(N, HN),
-        )
         code, out, _ = run_cli(capsys, "verify", "--n", "4", "--path", "pipeline")
         assert code == 0
-        assert json.loads(out)["pipeline"]["mixer_reading"] == "pm1-entries-over-sqrt-dim"
-        assert builds == [4] and resolutions == [4]
+        report = json.loads(out)
+        assert builds == [4]
+        # the mixer's scale is fixed, so its two gate rows read 0.0
+        assert report["pipeline"]["mixer_reading"] == "pm1-entries-over-sqrt-dim"
+        assert report["conventions"]["mixer_normalization"] == "pm1-entries-over-sqrt-dim"
+        rows = {c["name"]: c["residual"] for c in report["checks"] if c["name"].startswith("gate-mixer")}
+        assert rows == {"gate-mixer-unitarity": 0.0, "gate-mixer-involution": 0.0}
 
     def test_pipeline_verify_certifies_the_bell_states_once(self, capsys, monkeypatch):
         calls = count_certifications(monkeypatch)
@@ -751,6 +747,28 @@ class TestStateDumpBoundary:
         code, out, err = run_cli(capsys, "decode", "--n", "1", "--path", path, "--state", dump)
         assert code == 2 and out == ""
         assert typed_error(err) is errors.DimensionMismatch
+
+    @pytest.mark.parametrize("path", ["grand", "pipeline"])
+    @pytest.mark.parametrize("dims", [[16], [2, 8], [4, 4, 1]])
+    def test_state_of_other_dims_is_refused_before_the_route_is_built(
+        self, capsys, tmp_path, monkeypatch, dims, path
+    ):
+        import sdc.decoder as dec
+
+        monkeypatch.setattr(dec, "make_decoder", lambda *a: pytest.fail("route built"))
+        amplitudes = [[1.0, 0.0]] + [[0.0, 0.0]] * 15
+        dump = write_dump(tmp_path, json.dumps({"dims": dims, "amplitudes": amplitudes}))
+        code, out, err = run_cli(capsys, "decode", "--n", "2", "--path", path, "--state", dump)
+        assert (code, out) == (2, "")
+        assert err == f"error: DimensionMismatch: state has dims {dims}, but N = 2 decodes dims [4, 4]\n"
+
+    @pytest.mark.parametrize("path", ["grand", "pipeline"])
+    def test_dump_of_another_n_is_refused(self, capsys, tmp_path, path):
+        dump = tmp_path / "state.json"
+        assert run_cli(capsys, "run", "--n", "4", "--message", "5", "--dump-state", str(dump))[0] == 0
+        code, out, err = run_cli(capsys, "decode", "--n", "2", "--path", path, "--state", str(dump))
+        assert (code, out) == (2, "")
+        assert err == "error: DimensionMismatch: state has dims [8, 8], but N = 2 decodes dims [4, 4]\n"
 
     @pytest.mark.parametrize("path", ["grand", "pipeline"])
     def test_overflowing_dump_is_rejected_without_warnings(self, tmp_path, path):

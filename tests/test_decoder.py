@@ -61,7 +61,6 @@ from sdc.gates import (
     hadamard_layer,
     nonlocal_mixer,
     position_controlled_swap,
-    resolve_mixer_normalization,
 )
 from sdc.hilbert import PermutedBlockOp, StateVector, apply, compose_perms
 
@@ -397,11 +396,6 @@ class TestCertification:
         assert main(["verify", "--n", "2", "--path", "pipeline"]) == 0
 
 
-def resolved_pipeline_report(N, H, HN):
-    """`pipeline_report` with a fresh mixer resolution."""
-    return pipeline_report(N, H, HN, resolve_mixer_normalization(N, HN)["reading"])
-
-
 class TestPipeline:
     def test_single_pair_reduces_to_standard_dense_coding(self):
         # controlled swap + one channel Hadamard (the mixer is trivial)
@@ -416,27 +410,27 @@ class TestPipeline:
 
     def test_two_pair_sweep_is_deterministic(self):
         N, H, HN = 2, hadamard.build(4), hadamard.build(2)
-        report = resolved_pipeline_report(N, H, HN)
+        report = pipeline_report(N, H, HN)
         assert report["deterministic"] is True
         assert report["distinct_outcomes"] == 16
         assert report["partitions_equivalent"] is True
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_partition_equivalence_with_grand(self, N):
-        report = resolved_pipeline_report(N, hadamard.build(2 * N), hadamard.build(N))
+        report = pipeline_report(N, hadamard.build(2 * N), hadamard.build(N))
         assert report["partitions_equivalent"] is True
         assert report["mixer_reading"] == "pm1-entries-over-sqrt-dim"
 
     def test_four_pair_sweep_remains_deterministic(self):
         # measured fact, stronger than anything required of the pipeline
-        report = resolved_pipeline_report(4, hadamard.build(8), hadamard.build(4))
+        report = pipeline_report(4, hadamard.build(8), hadamard.build(4))
         assert report["deterministic"] is True
         assert report["partitions_equivalent"] is True
 
     def test_eight_pair_sweep_loses_determinism(self):
         # measured fact: beyond four channel pairs the pipeline spreads some
         # inputs over several outcomes, so no decode table exists for it
-        report = resolved_pipeline_report(8, hadamard.build(16), hadamard.build(8))
+        report = pipeline_report(8, hadamard.build(16), hadamard.build(8))
         assert report["deterministic"] is False
         H = hadamard.build(16)
         with pytest.raises(NonDeterministicOutcome) as exc:

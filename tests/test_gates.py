@@ -14,7 +14,6 @@ from sdc.gates import (
     ladder_shift_gate,
     nonlocal_mixer,
     position_controlled_swap,
-    resolve_mixer_normalization,
 )
 from sdc.hilbert import (
     StateVector,
@@ -161,12 +160,6 @@ class TestNonlocalMixer:
         assert np.max(np.abs(m.conj().T @ m - eye)) < 1e-10
         assert np.max(np.abs(m @ m - eye)) < 1e-10
 
-    def test_resolution_picks_integer_scaling(self):
-        info = resolve_mixer_normalization(2, hadamard.build(2))
-        assert info["reading"] == "pm1-entries-over-sqrt-dim"
-        assert info["unitarity_residual"] < 1e-10
-        assert info["involution_residual"] < 1e-10
-
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_matches_per_ket_oracle(self, N):
         # independent route: evaluate the defining action ket by ket
@@ -209,19 +202,8 @@ class TestNonlocalMixer:
             assert apply(op, None, s).amp.tobytes() == (csc[:, nz] @ s.amp[nz]).tobytes()
 
     def test_order_must_match(self):
-        with pytest.raises(OrderMismatch):
+        with pytest.raises(OrderMismatch, match="mixer needs order 2, got 4"):
             nonlocal_mixer(2, hadamard.build(4))
-
-    def test_failed_resolution_escalates(self, monkeypatch):
-        import sdc.gates as gates_mod
-        from sdc.errors import NonUnitaryResolution
-
-        # leave only the scaling that cannot be unitary
-        monkeypatch.setattr(
-            gates_mod, "MIXER_READINGS", (("double-normalized", lambda N: 1.0 / N),)
-        )
-        with pytest.raises(NonUnitaryResolution):
-            gates_mod.resolve_mixer_normalization(2, hadamard.build(2))
 
 
 @pytest.mark.parametrize("N", [1, 2, 4])

@@ -37,3 +37,10 @@ def test_manifest_pins_each_dumped_state():
     dumps = [e for e in ENTRIES if "@dump" in e["argv"]]
     assert {e["argv"][2] for e in dumps} == {"1", "2", "4"}
     assert all(e["exit"] == 0 and e["dump_sha256"] for e in dumps)
+
+
+def test_manifest_builds_the_mixer_from_a_registry():
+    # ALT4 as the order-4 HN: verify reports the spread, the pipeline's users refuse it
+    mixer = [e for e in ENTRIES if "@hn-alt4" in e["argv"]]
+    assert len(mixer) == 5
+    assert {e["argv"][0]: e["exit"] for e in mixer} == {"verify": 0, "table": 2, "sweep": 2, "run": 2}

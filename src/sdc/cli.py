@@ -187,7 +187,7 @@ def build_verify_report(cfg: RunConfig) -> dict:
     del standard_factors, compact_factors  # not held through the order check, which sets the peak
     gate_checks, gate_report = verify_gates(cfg)
     reading = encoder.resolve_member_mixer_reading(N, H)
-    order = encoder.resolve_composition_order(N, H, reading["reading"])
+    order = encoder.resolve_composition_order(N, H)
     checks += [
         _check("bell-gram", standard["gram"], cfg.tol_exact),
         _check("bell-compact-gram", compact["gram"], cfg.tol_exact),
@@ -360,13 +360,16 @@ def cmd_table(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_run(cfg: RunConfig, message: int, dump_state: str | None, sign: int = 1) -> int:
+def cmd_run(cfg: RunConfig, message: int, dump_state: str | None, sign: int | None = None) -> int:
     if cfg.s != 0 and cfg.path == "pipeline":
         raise ConfigError("--s decodes on the grand route only; drop --path pipeline")
     if cfg.s != 0 and dump_state:
         raise ConfigError("--dump-state writes a position state only; drop --s")
+    if cfg.s == 0 and sign is not None:
+        raise ConfigError("--sign picks the spin pair's variant; it needs --s")
     H, HN = cfg.hadamard_pair()
     if cfg.s != 0:
+        sign = 1 if sign is None else sign
         decoded = analysis.run_protocol_spin(cfg.n, cfg.s, message, H, sign=sign)
         d = analysis.spin_dim(cfg.s)
         m_pos, m_spin = divmod(message, d * d)
@@ -493,8 +496,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 lambda cfg, a: cmd_run(cfg, a.message, a.dump_state, sign=a.sign))
     p.add_argument("--message", type=int, required=True)
     p.add_argument("--s", type=float, default=None, help="spin of each particle")
-    p.add_argument("--sign", type=int, choices=[1, -1], default=1,
-                   help="sign variant of the spin pair state")
+    p.add_argument("--sign", type=int, choices=[1, -1], default=None,
+                   help="sign variant of the spin pair state (with --s; default 1)")
     p.add_argument("--dump-state", type=str, default=None)
 
     command("sweep", "round-trip every message", lambda cfg, a: cmd_sweep(cfg))

@@ -7,18 +7,18 @@ inspection.  The composed construction multiplies a member mixer with a
 family shift, each built as the signed permutation its gates multiply to:
 the mixer's sign gates on disjoint channels give a +-1 diagonal, the shift's
 half-axis swaps and ladder power a permutation (the gate products are the
-oracles in `tests/dense_oracle.py`).  Two textual ambiguities in the
-composed route, the exponent columns of the member mixer and the order of
-the two factors, are resolved mechanically against the laws the operators
-must satisfy, and the resolved readings are reported.  Every law is read on
-the standard family's factors (`bell.family_factors`), Werner's
-D_{f,j} = Psi_j T_f, a +-1 diagonal per member after a permutation per
-family, as exact index and sign comparisons on psi and T, one family at a
-time, so no check builds a stack of operators.  The per-label loops and the
-whole-stack routes are the oracles in `tests/dense_oracle.py`.  Every check
-reads a label as its message id m = family·2N + member, by divmod; a
-`BellLabel` is built only to name one in an error text and for the 2N
-families' (k, r).  Nothing is memoized.
+oracles in `tests/dense_oracle.py`).  The text leaves two choices open, the
+exponent columns of the member mixer and the order of the two factors; each
+admits one value, proven beside `MEMBER_MIXER_READING` and
+`COMPOSITION_ORDER`, and the laws that value must satisfy are checked and
+reported.  Every law is read on the standard family's factors
+(`bell.family_factors`), Werner's D_{f,j} = Psi_j T_f, a +-1 diagonal per
+member after a permutation per family, as exact index and sign comparisons
+on psi and T, one family at a time, so no check builds a stack of
+operators.  The per-label loops and the whole-stack routes are the oracles
+in `tests/dense_oracle.py`.  Every check reads a label as its message id
+m = family·2N + member, by divmod; a `BellLabel` is built only to name one
+in an error text and for the 2N families' (k, r).  Nothing is memoized.
 """
 
 from __future__ import annotations
@@ -38,38 +38,45 @@ __all__ = [
     "resolve_member_mixer_reading",
     "resolve_composition_order",
     "encode_law_residuals",
-    "MEMBER_MIXER_READINGS",
-    "COMPOSITION_ORDERS",
+    "MEMBER_MIXER_READING",
+    "COMPOSITION_ORDER",
 ]
 
-MEMBER_MIXER_READINGS = ("cross-column", "same-column")
-COMPOSITION_ORDERS = ("family-shift-first", "member-mix-first")
+# The member mixer's exponent columns.  Mixer j, the diagonal h[1, 2i-1] h[j, c]
+# on +i and h[1, 2i] h[j, 2i] on -i, must send member j' to the member j''
+# whose row is row j * row j'.  Read on +i, c = 2i ("cross-column") needs
+# h[j, 2i] = h[1, 2i-1] h[j, 2i-1] for every j: column 2i = +-column 2i-1,
+# but distinct columns of a Hadamard matrix are orthogonal.  c = 2i-1 makes
+# the diagonal row 1 * row j, and the law row 1 * row j * row j' = row j''
+# holds exactly when row 1 is all-plus and the rows close under products.
+MEMBER_MIXER_READING = "same-column"
+
+# The order of the composed encoder's factors.  Where the mixer law holds, row
+# 1 is all-plus, so mixer j is Werner's Psi_j and member 1's direct encoder is
+# the bare permutation T_f, which the family shift builds; the shift first
+# gives Psi_j T_f = D_{f,j} entry for entry.  The mixer first gives
+# T_f Psi_j, whose signs are another member's from N = 4.
+COMPOSITION_ORDER = "family-shift-first"
 
 
-def _member_mixer_with_reading(
-    N: int, H: HadamardMatrix, j: int, reading: str
-) -> SignedPermutationOp:
-    row_1, row_j = H.row(1), H.row(j)
-    col = row_j[1::2] if reading == "cross-column" else row_j[0::2]
-    phase = np.concatenate([row_1[0::2] * col, row_1[1::2] * row_j[1::2]])  # channels +i, then -i
-    return SignedPermutationOp._trusted(2 * N, np.arange(2 * N), phase)
+def _member_mixer(N: int, H: HadamardMatrix, j: int) -> SignedPermutationOp:
+    phase = H.row(1) * H.row(j)  # ordered by column; the diagonal takes channels +i, then -i
+    return SignedPermutationOp._trusted(2 * N, np.arange(2 * N), np.concatenate([phase[0::2], phase[1::2]]))
 
 
 def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
-    """Pick the exponent reading under which the member mixer obeys its law.
+    """Check the member mixer's row-product law under `MEMBER_MIXER_READING`.
 
     The law: the mixer for member j sends the basis state with member j' to
     the one whose sign row is the entrywise product of rows j and j', with
     the family untouched.  Basis states are their direct encoders' signed
-    permutations Psi_j' T_f (`bell.family_factors`), and both candidate
-    mixers are +-1 diagonals m_j, so mixer j sends Psi_j' T_f to Psi_j'' T_f
-    in every family exactly when m_j psi_j' == psi_j'', and each candidate
-    reading is checked exactly on the factors.  The all-families check is
-    `tests/dense_oracle.py::resolve_member_mixer_reading_all_families`.  The
-    first reading that holds for every member pair wins.  Otherwise the
-    error names each reading's first failure in (j, label) order: a row
-    product missing from H, or a member whose mixed state deviates from the
-    target.
+    permutations Psi_j' T_f (`bell.family_factors`), and the mixers are +-1
+    diagonals m_j, so mixer j sends Psi_j' T_f to Psi_j'' T_f in every
+    family exactly when m_j psi_j' == psi_j'', checked exactly on the
+    factors.  The all-families check is
+    `tests/dense_oracle.py::resolve_member_mixer_reading_all_families`.  A
+    failure names the first in (j, label) order: a row product missing from
+    H, or a member whose mixed state deviates from the target.
     """
     dim = 2 * N
     psi = family_factors(N, H).psi  # row m: member m + 1's sign on each first-particle index
@@ -81,49 +88,41 @@ def resolve_member_mixer_reading(N: int, H: HadamardMatrix) -> dict:
     product = np.empty((dim, dim), dtype=np.intp)
     for i, key in enumerate(signs):
         product[i] = [row_of.get(k.tobytes(), -1) for k in key ^ signs]
-    failures = {}
-    for reading in MEMBER_MIXER_READINGS:
-        for j in range(1, dim + 1):
-            # the mixer acts on the first particle, i.e. on the encoder's rows
-            moved = _member_mixer_with_reading(N, H, j, reading).phase * psi
-            jpp = product[j - 1]
-            want = psi[jpp]  # read only where the product row exists
-            bad = np.flatnonzero((jpp < 0) | ~(moved == want).all(axis=1))
-            if bad.size:
-                m = int(bad[0])  # the message id of member m + 1 of family (1, +1)
-                if jpp[m] < 0:
-                    failures[reading] = f"row {j} * row {m + 1} is not a row of H"
-                else:
-                    dev = np.max(np.abs(moved[m] - want[m])) / np.sqrt(dim)
-                    failures[reading] = f"mixer {j} on {message_to_label(m, N)} deviates by {dev:.3e}"
-                break
-        else:
-            # permutations compare exactly, so a passing reading deviates by 0
-            return {"reading": reading, "max_deviation": 0.0, "anchor_row": 1}
-    raise PropertyViolated(f"no member-mixer exponent reading satisfies the row-product law: {failures}")
+    for j in range(1, dim + 1):
+        # the mixer acts on the first particle, i.e. on the encoder's rows
+        moved = _member_mixer(N, H, j).phase * psi
+        jpp = product[j - 1]
+        want = psi[jpp]  # read only where the product row exists
+        bad = np.flatnonzero((jpp < 0) | ~(moved == want).all(axis=1))
+        if bad.size:
+            m = int(bad[0])  # the message id of member m + 1 of family (1, +1)
+            if jpp[m] < 0:
+                failure = f"row {j} * row {m + 1} is not a row of H"
+            else:
+                dev = np.max(np.abs(moved[m] - want[m])) / np.sqrt(dim)
+                failure = f"mixer {j} on {message_to_label(m, N)} deviates by {dev:.3e}"
+            raise PropertyViolated(f"the {MEMBER_MIXER_READING} member mixer breaks the row-product law: {failure}")
+    # permutations compare exactly, so a passing check deviates by 0
+    return {"reading": MEMBER_MIXER_READING, "max_deviation": 0.0, "anchor_row": 1}
 
 
-def member_mixer(N: int, H: HadamardMatrix, j: int, reading: str) -> SignedPermutationOp:
+def member_mixer(N: int, H: HadamardMatrix, j: int) -> SignedPermutationOp:
     """Diagonal gate product that multiplies the member index into a state.
 
     Channel i takes swap_i sign_i swap_i (a -1 on +i) to the power e1 and
-    sign_i (a -1 on -i) to the power e2, where e1 = (h[1, 2i-1] - h[j, c]) / 2
-    with c = 2i under the cross-column reading and 2i-1 under same-column, and
-    e2 = (h[1, 2i] - h[j, 2i]) / 2.  The gates act on disjoint channels and
+    sign_i (a -1 on -i) to the power e2, where e1 = (h[1, 2i-1] - h[j, 2i-1]) / 2
+    and e2 = (h[1, 2i] - h[j, 2i]) / 2, each read off its own column
+    (`MEMBER_MIXER_READING`).  The gates act on disjoint channels and
     (-1)^((a - b) / 2) = ab for a, b = +-1, so the product is Werner's Psi_j,
-    the diagonal h[1, 2i-1] h[j, c] on +i and h[1, 2i] h[j, 2i] on -i, built
-    as such; `tests/dense_oracle.py::member_mixer_gates` multiplies the gates.
-    Row 1 is all-plus in the built-in construction, so member 1's mixer is the
-    identity there.  `reading` is one of `MEMBER_MIXER_READINGS`, as
-    `resolve_member_mixer_reading` picks it.
+    the diagonal h[1, 2i-1] h[j, 2i-1] on +i and h[1, 2i] h[j, 2i] on -i,
+    built as such; `tests/dense_oracle.py::member_mixer_gates` multiplies the
+    gates.  Mixer 1 is the identity, row 1 times itself, for every H.
     """
     if H.order != 2 * N:
         raise OrderMismatch(f"need order {2 * N}, got {H.order}")
     if not 1 <= j <= 2 * N:
         raise ArgOutOfRange(f"j={j} must lie in 1..{2 * N}")
-    if reading not in MEMBER_MIXER_READINGS:
-        raise ArgOutOfRange(f"unknown member-mixer reading {reading!r}")
-    return _member_mixer_with_reading(N, H, j, reading)
+    return _member_mixer(N, H, j)
 
 
 def family_shift(N: int, k: int, r: int) -> SignedPermutationOp:
@@ -142,34 +141,32 @@ def family_shift(N: int, k: int, r: int) -> SignedPermutationOp:
     return ladder if r == +1 else SignedPermutationOp._trusted(2 * N, np.roll(ladder.target, N), ladder.phase)
 
 
-def resolve_composition_order(N: int, H: HadamardMatrix, reading: str) -> dict:
-    """Decide which factor of the composed encoder acts first.
+def resolve_composition_order(N: int, H: HadamardMatrix) -> dict:
+    """Check that the composed encoder, factors in `COMPOSITION_ORDER`, acts as the direct one.
 
-    `reading` is the caller's resolved member-mixer reading
-    (`resolve_member_mixer_reading`).  The check reads Werner's factors
-    (`bell.family_factors`) one family at a time: family f's direct encoders
-    have targets T_f and phases psi[j, T_f].  Its 2N member mixers, one per
-    label, must be +-1 diagonals m_j (targets the identity, phases of unit
-    modulus; the gates are built unchecked, so this is checked here), and its
-    family shift, checked by the public constructor, has targets s and
-    phases sigma.  Both orders have targets s, with phases m_j[s] sigma
-    (family-shift-first) or sigma m_j (member-mix-first).  A composed encoder
-    C overlaps its direct one D by tr(D^H C) / 2N on every start state, so a
-    family's 2N overlaps sum conj(psi[:, T_f]) * phases where T_f == s, over
-    2N, exact as every sum is an integer of at most 2N; they agree as matrices
-    (a stronger fact than required) when s == T_f and the phases equal
-    psi[:, T_f].  An order passes if every label matches with unit overlap
+    The check reads Werner's factors (`bell.family_factors`) one family at a
+    time: family f's direct encoders have targets T_f and phases
+    psi[j, T_f].  Its 2N member mixers, one per label, must be +-1 diagonals
+    m_j (targets the identity, phases of unit modulus; the gates are built
+    unchecked, so this is checked here), and its family shift, checked by
+    the public constructor, has targets s and phases sigma.  The composition
+    has targets s and phases m_j[s] sigma.  A composed encoder C overlaps its
+    direct one D by tr(D^H C) / 2N on every start state, so a family's 2N
+    overlaps sum conj(psi[:, T_f]) * phases where T_f == s, over 2N, exact
+    as every sum is an integer of at most 2N; they agree as matrices (a
+    stronger fact than required) when s == T_f and the phases equal
+    psi[:, T_f].  The order passes if every label matches with unit overlap
     up to a global phase; the observed worst phase deviation is recorded
     alongside.  The stacked route, all labels' gates composed at once, is
     `tests/dense_oracle.py::resolve_composition_order_stacked`.
     """
     dim = 2 * N
     factors = family_factors(N, H)
-    overlaps = np.empty((len(COMPOSITION_ORDERS), dim, dim), dtype=np.complex128)
-    equal = [True] * len(COMPOSITION_ORDERS)
+    overlaps = np.empty((dim, dim), dtype=np.complex128)
+    matrix_equal = True
     for f, target in enumerate(factors.target):
         direct = factors.psi[:, target]  # row j: member j + 1's direct phases, on targets T_f
-        mixers = [member_mixer(N, H, j, reading) for j in range(1, dim + 1)]
+        mixers = [member_mixer(N, H, j) for j in range(1, dim + 1)]
         mixer = np.array([op.phase for op in mixers])  # row j: mixer j + 1's diagonal, once checked
         stray = (np.array([op.target for op in mixers]) != np.arange(dim)).any(axis=1)
         off_unit = ~(np.max(np.abs(np.abs(mixer) - 1.0), axis=1) <= TOL_EXACT)  # NaN too
@@ -181,21 +178,19 @@ def resolve_composition_order(N: int, H: HadamardMatrix, reading: str) -> dict:
         shift = family_shift(N, family.k, family.r)
         shift = SignedPermutationOp(dim, shift.target, shift.phase)
         agree = target == shift.target
-        for o, order in enumerate(COMPOSITION_ORDERS):
-            phases = (mixer[:, shift.target] if order == "family-shift-first" else mixer) * shift.phase
-            # <(D S x I)Phi+|(C S x I)Phi+> = tr(S^H D^H C S) / 2N = tr(D^H C) / 2N for every start S
-            overlaps[o, f] = np.sum(np.conj(direct) * phases, axis=1, where=agree) / dim
-            equal[o] = equal[o] and bool(agree.all()) and np.array_equal(phases, direct)
-    for order, overlap, matrix_equal in zip(COMPOSITION_ORDERS, overlaps, equal):
-        worst_overlap = float(np.max(np.abs(np.abs(overlap) - 1.0)))
-        if worst_overlap <= TOL_CHAINED:
-            return {
-                "order": order,
-                "max_overlap_deviation": worst_overlap,
-                "max_phase_deviation": float(np.max(np.abs(overlap / np.abs(overlap) - 1.0))),
-                "matrix_equal_to_direct": matrix_equal,
-            }
-    raise PropertyViolated("neither composition order reproduces the direct encoder's action")
+        phases = mixer[:, shift.target] * shift.phase
+        # <(D S x I)Phi+|(C S x I)Phi+> = tr(S^H D^H C S) / 2N = tr(D^H C) / 2N for every start S
+        overlaps[f] = np.sum(np.conj(direct) * phases, axis=1, where=agree) / dim
+        matrix_equal = matrix_equal and bool(agree.all()) and np.array_equal(phases, direct)
+    worst_overlap = float(np.max(np.abs(np.abs(overlaps) - 1.0)))
+    if worst_overlap > TOL_CHAINED:
+        raise PropertyViolated(f"the {COMPOSITION_ORDER} composition does not reproduce the direct encoder's action")
+    return {
+        "order": COMPOSITION_ORDER,
+        "max_overlap_deviation": worst_overlap,
+        "max_phase_deviation": float(np.max(np.abs(overlaps / np.abs(overlaps) - 1.0))),
+        "matrix_equal_to_direct": matrix_equal,
+    }
 
 
 def encode_law_residuals(factors: FamilyFactors) -> dict:

@@ -42,7 +42,7 @@ class NonInvolutory(SdcError):
 
 
 class PropertyViolated(SdcError):
-    """No exponent reading of the member mixer satisfies its defining row-product law."""
+    """The member mixer breaks its row-product law, or the composed encoder misses the direct one."""
 
 
 class NonDeterministicOutcome(SdcError):

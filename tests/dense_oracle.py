@@ -9,9 +9,10 @@ by search, the grand operator assembled one label at a time, the pipeline's
 mixer assembled ket by ket as a csc matrix, the compact relabeling searched
 on dense states, the spin-extended round trip run on the dense
 (2N(2S+1))^2 state, the member mixer and the family shift multiplied gate
-by gate, the encoder laws checked label by label on the unfactored table, the
-member-mixer reading checked on every family, the composition order
-checked on whole (2N)^3 stacks, and the basis residuals, the compact
+by gate, the literal cross-column member mixer that the encoder's reading
+rules out, the encoder laws checked label by label on the unfactored table,
+the member-mixer law checked on every family, the composition order
+checked on whole (2N)^3 stacks in either order, and the basis residuals, the compact
 relabel and the encoder laws read off whole tables, as they ran before
 `sdc` read the families' factors, one run's sent state decoded in full on
 the amplitude route, as `run` decoded it before it certified the state by
@@ -47,7 +48,6 @@ from sdc.bell import (
 from sdc.decoder import build_decode_table, grand_messages
 from sdc.encoder import encode_direct
 from sdc.errors import (
-    ArgOutOfRange,
     DimensionMismatch,
     LabelOutOfRange,
     NonDeterministicOutcome,
@@ -141,20 +141,14 @@ def factor_blocks(blocks):
     return FamilyFactors(psi, target), factors
 
 
-def encode_composed(N, H, label, reading, order):
-    """Encoding unitary of one label assembled from basic gates: the member
-    mixer built under `reading` and the family shift, composed in `order`.
-    The gates are read through `sdc.encoder`."""
+def encode_composed(N, H, label):
+    """Encoding unitary of one label assembled from basic gates: the family
+    shift, then the member mixer (`encoder.COMPOSITION_ORDER`).  The gates
+    are read through `sdc.encoder`."""
     if H.order != 2 * N:
         raise OrderMismatch(f"need order {2 * N}, got {H.order}")
     label.validate(N)
-    if reading not in enc.MEMBER_MIXER_READINGS or order not in enc.COMPOSITION_ORDERS:
-        raise ArgOutOfRange(f"unknown member-mixer reading {reading!r} or composition order {order!r}")
-    mixer = enc.member_mixer(N, H, label.j, reading)
-    shift = enc.family_shift(N, label.k, label.r)
-    if order == "family-shift-first":
-        return compose_perms(mixer, shift)
-    return compose_perms(shift, mixer)
+    return compose_perms(enc.member_mixer(N, H, label.j), enc.family_shift(N, label.k, label.r))
 
 
 # a symmetric sign matrix of order 4 whose rows do not close under products
@@ -217,9 +211,10 @@ def encode_direct_loop(N, H, label):
     return target, phase
 
 
-def member_mixer_gates(N, H, j, reading):
+def member_mixer_gates(N, H, j, reading="same-column"):
     """Member mixer j as the gate product: per channel i,
-    (swap_i sign_i swap_i)^e1 then sign_i^e2, exponents against row 1."""
+    (swap_i sign_i swap_i)^e1 then sign_i^e2, exponents against row 1; e1
+    reads row j's column 2i under the literal "cross-column" reading."""
     row_1, row_j = H.row(1), H.row(j)
     op = identity_perm(2 * N)
     for i in range(1, N + 1):
@@ -237,6 +232,16 @@ def member_mixer_gates(N, H, j, reading):
     return op
 
 
+def cross_column_mixer(N, H, j):
+    """Member mixer j under the literal cross-column reading, as its +-1
+    diagonal: h[1, 2i-1] h[j, 2i] on +i and h[1, 2i] h[j, 2i] on -i.  It
+    breaks the row-product law on every Hadamard matrix, as the comment on
+    `encoder.MEMBER_MIXER_READING` proves."""
+    row_1, row_j = H.row(1), H.row(j)
+    phase = np.concatenate([row_1[0::2] * row_j[1::2], row_1[1::2] * row_j[1::2]])
+    return SignedPermutationOp._trusted(2 * N, np.arange(2 * N), phase)
+
+
 def family_shift_gates(N, k, r):
     """Family shift (k, r) as the gate product: for r = -1 the N half-axis
     swaps, one channel at a time, then the ladder raised to 1 - k."""
@@ -249,43 +254,39 @@ def family_shift_gates(N, k, r):
 
 def resolve_member_mixer_reading_all_families(N, H):
     """`resolve_member_mixer_reading` checked on every family's block, not
-    on the factors: each candidate mixer after all 4N^2 direct encoders,
-    built by `encoder_table`, with the same result or the same error text.
-    The mixers and readings are read through `sdc.encoder`, so a patch
-    there reaches both."""
+    on the factors: each mixer after all 4N^2 direct encoders, built by
+    `encoder_table`, with the same result or the same error text.  The
+    mixers are read through `sdc.encoder`, so a patch there reaches both."""
     dim = 2 * N
     table = encoder_table(N, H, np.arange(dim * dim))
     family, member = np.divmod(np.arange(dim * dim), dim)
     row_of = {row.tobytes(): i for i, row in enumerate(H.ints)}
     product = np.array([[row_of.get((a * b).tobytes(), -1) for b in H.ints] for a in H.ints])
-    failures = {}
-    for reading in enc.MEMBER_MIXER_READINGS:
-        for j in range(1, dim + 1):
-            moved = compose_perms(enc._member_mixer_with_reading(N, H, j, reading), table)
-            jpp = product[j - 1, member]
-            want = table[family * dim + jpp]
-            same = (moved.target == want.target) & (moved.phase == want.phase)
-            bad = np.flatnonzero((jpp < 0) | ~same.all(axis=1))
-            if bad.size:
-                m, lab = bad[0], all_labels(N)[bad[0]]
-                if jpp[m] < 0:
-                    failures[reading] = f"row {j} * row {lab.j} is not a row of H"
-                else:
-                    dev = np.max(np.abs(np.asarray(moved[m]) - np.asarray(want[m]))) / np.sqrt(dim)
-                    failures[reading] = f"mixer {j} on {lab} deviates by {dev:.3e}"
-                break
-        else:
-            return {"reading": reading, "max_deviation": 0.0, "anchor_row": 1}
-    raise PropertyViolated(f"no member-mixer exponent reading satisfies the row-product law: {failures}")
+    for j in range(1, dim + 1):
+        moved = compose_perms(enc._member_mixer(N, H, j), table)
+        jpp = product[j - 1, member]
+        want = table[family * dim + jpp]
+        same = (moved.target == want.target) & (moved.phase == want.phase)
+        bad = np.flatnonzero((jpp < 0) | ~same.all(axis=1))
+        if bad.size:
+            m, lab = bad[0], all_labels(N)[bad[0]]
+            if jpp[m] < 0:
+                failure = f"row {j} * row {lab.j} is not a row of H"
+            else:
+                dev = np.max(np.abs(np.asarray(moved[m]) - np.asarray(want[m]))) / np.sqrt(dim)
+                failure = f"mixer {j} on {lab} deviates by {dev:.3e}"
+            raise PropertyViolated(f"the same-column member mixer breaks the row-product law: {failure}")
+    return {"reading": "same-column", "max_deviation": 0.0, "anchor_row": 1}
 
 
-def resolve_composition_order_stacked(N, H, reading):
-    """`resolve_composition_order` on whole stacks: all 4N^2 member mixers
-    as one checked (family, member) grid, the 2N family shifts as a checked
-    (family, 1) grid, and the (2N)^3 direct table, composed and overlapped
-    at once, each order in turn, the direct table built by `encoder_table`,
-    not read off the factors.  The gates are read through `sdc.encoder`, so
-    a patch there reaches both routes."""
+def composition_overlaps_stacked(N, H, order):
+    """Every label's overlap tr(D^H C) / 2N of its composed encoder C with
+    its direct one D, as a (family, member) grid, and whether C == D for
+    every label, with the factors composed in `order`: all 4N^2 member
+    mixers as one checked (family, member) grid, the 2N family shifts as a
+    checked (family, 1) grid, and the (2N)^3 direct table built by
+    `encoder_table`, not read off the factors.  The gates are read through
+    `sdc.encoder`, so a patch there reaches both routes."""
     dim, labels = 2 * N, all_labels(N)
 
     def checked(ops, rows):
@@ -295,21 +296,25 @@ def resolve_composition_order_stacked(N, H, reading):
     table = encoder_table(N, H, np.arange(dim * dim))
     grid = (dim, dim, dim)  # (family, member, column)
     direct = SignedPermutationOp._trusted(dim, table.target.reshape(grid), table.phase.reshape(grid))
-    mixer = checked((enc.member_mixer(N, H, lab.j, reading) for lab in labels), (dim, dim))
+    mixer = checked((enc.member_mixer(N, H, lab.j) for lab in labels), (dim, dim))
     shift = checked((enc.family_shift(N, lab.k, lab.r) for lab in labels[::dim]), (dim, 1))
-    for order in enc.COMPOSITION_ORDERS:
-        outer, inner = (mixer, shift) if order == "family-shift-first" else (shift, mixer)
-        composed = compose_perms(outer, inner)
-        overlap = phi_plus_overlap(direct, composed)
-        worst_overlap = float(np.max(np.abs(np.abs(overlap) - 1.0)))
-        if worst_overlap <= enc.TOL_CHAINED:
-            return {
-                "order": order,
-                "max_overlap_deviation": worst_overlap,
-                "max_phase_deviation": float(np.max(np.abs(overlap / np.abs(overlap) - 1.0))),
-                "matrix_equal_to_direct": composed == direct,
-            }
-    raise PropertyViolated("neither composition order reproduces the direct encoder's action")
+    outer, inner = (mixer, shift) if order == "family-shift-first" else (shift, mixer)
+    composed = compose_perms(outer, inner)
+    return phi_plus_overlap(direct, composed), composed == direct
+
+
+def resolve_composition_order_stacked(N, H):
+    """`resolve_composition_order` on whole stacks (`composition_overlaps_stacked`)."""
+    overlap, matrix_equal = composition_overlaps_stacked(N, H, "family-shift-first")
+    worst_overlap = float(np.max(np.abs(np.abs(overlap) - 1.0)))
+    if worst_overlap > enc.TOL_CHAINED:
+        raise PropertyViolated("the family-shift-first composition does not reproduce the direct encoder's action")
+    return {
+        "order": "family-shift-first",
+        "max_overlap_deviation": worst_overlap,
+        "max_phase_deviation": float(np.max(np.abs(overlap / np.abs(overlap) - 1.0))),
+        "matrix_equal_to_direct": matrix_equal,
+    }
 
 
 def table_blocks(table):

@@ -19,8 +19,9 @@ Run from the repository root:
 
     PYTHONPATH=src:tests python tests/make_golden.py
 
-A regenerated manifest is an intended output change, so the commands whose
-digests moved belong in CHANGES.md.
+It prints every command added, dropped, or whose exit code or digests moved
+against the manifest it replaces.  A regenerated manifest is an intended
+output change, so that list belongs in CHANGES.md.
 """
 
 import contextlib
@@ -89,6 +90,7 @@ def commands():
             yield ["spin", "--n", str(n), "--s", s]
             for message in (0, 4 * n * n * d * d - 1):
                 yield ["run", "--n", str(n), "--s", s, "--message", str(message)]
+    yield ["run", "--n", "2", "--message", "3", "--sign", "-1"]  # a spin variant with no spin
 
 
 def _placeholder_file(arg: str, n: int, tmp: Path) -> Path:
@@ -136,8 +138,22 @@ def load() -> list[dict]:
     return json.loads(MANIFEST.read_text(encoding="utf-8"))
 
 
+def moved(old: list[dict], new: list[dict]) -> list[str]:
+    """One line per command added, dropped, or whose exit code or digests differ."""
+    before, after = ({" ".join(e["argv"]): e for e in entries} for entries in (old, new))
+    keys = ("exit", "stdout_sha256", "stderr_sha256", "dump_sha256")
+    lines = [f"added   {argv}" for argv in after if argv not in before]
+    lines += [f"dropped {argv}" for argv in before if argv not in after]
+    return lines + [
+        f"moved   {argv}" for argv, e in after.items()
+        if argv in before and any(e.get(k) != before[argv].get(k) for k in keys)
+    ]
+
+
 if __name__ == "__main__":
+    committed = load() if MANIFEST.exists() else []
     with tempfile.TemporaryDirectory() as tmp:
         entries = [{"argv": argv, **run(argv, Path(tmp))} for argv in commands()]
     MANIFEST.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"{len(entries)} commands written to {MANIFEST.name}")
+    print("\n".join(moved(committed, entries)) or "no command moved")

@@ -110,10 +110,10 @@ def test_c04_gate_decomposition_equivalence():
     for N in (1, 2, 4):
         H = hadamard.build(2 * N)
         reading = resolve_member_mixer_reading(N, H)["reading"]
-        order = resolve_composition_order(N, H, reading)["order"]
+        order = resolve_composition_order(N, H)["order"]
         for lab in all_labels(N):
             direct = encode_direct(N, H, lab)
-            composed = encode_composed(N, H, lab, reading, order)
+            composed = encode_composed(N, H, lab)
             for kp in range(1, N + 1):
                 for rp in (+1, -1):
                     start = bell_state(N, BellLabel(kp, rp, 1), H)

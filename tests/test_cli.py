@@ -412,11 +412,11 @@ class TestVerify:
         import sdc.encoder as enc
 
         shift = enc.family_shift
-        # family (2, -1) gets the shift of family (2, +1): no order reproduces it
+        # family (2, -1) gets the shift of family (2, +1): the composition misses it
         monkeypatch.setattr(enc, "family_shift", lambda N, k, r: shift(N, k, 1 if k == 2 else r))
         code, out, err = run_cli(capsys, "verify", "--n", "2")
         assert code == 2 and out == ""
-        assert "PropertyViolated" in err and "neither composition order" in err
+        assert "PropertyViolated" in err and "the family-shift-first composition does not reproduce" in err
 
 
 class TestRun:
@@ -472,6 +472,22 @@ class TestRun:
         assert (code, out) == (2, "") and typed_error(err) is errors.ConfigError
         assert "--dump-state" in err and "--s" in err
         assert not dump.exists()
+
+    @pytest.mark.parametrize("spin", [[], ["--s", "0"]], ids=["no-s", "s-zero"])
+    @pytest.mark.parametrize("sign", ["1", "-1"])
+    def test_sign_without_a_spin_is_refused(self, capsys, spin, sign):
+        # --sign picks the spin pair's variant; a position run used to ignore it
+        code, out, err = run_cli(capsys, "run", "--n", "2", "--message", "3", *spin, "--sign", sign)
+        assert (code, out) == (2, "") and typed_error(err) is errors.ConfigError
+        assert "--sign" in err and "--s" in err and err.count("\n") == 1
+
+    def test_spin_sign_defaults_to_plus(self, capsys):
+        argv = ["run", "--n", "2", "--message", "7", "--s", "0.5"]
+        reports = [run_cli(capsys, *argv, *sign) for sign in ([], ["--sign", "1"], ["--sign", "-1"])]
+        assert [code for code, _, _ in reports] == [0, 0, 0]
+        default, plus, minus = (out for _, out, _ in reports)
+        assert default == plus and json.loads(plus)["sign_variant"] == 1
+        assert json.loads(minus)["sign_variant"] == -1
 
     def test_builds_the_grand_operator_once(self, capsys, monkeypatch):
         import sdc.decoder as dec
@@ -1069,7 +1085,7 @@ class TestConfigFile:
 
     def test_verify_escalates_on_lawless_custom_matrix(self, capsys, tmp_path, monkeypatch):
         # the alternative matrix breaks the member-mixer law, which must be
-        # escalated (neither reading fits), not silently worked around
+        # escalated, not silently worked around
         mats = tmp_path / "mats.txt"
         mats.write_text("1 1 1 -1\n1 1 -1 1\n1 -1 1 1\n-1 1 1 1\n")
         conf = tmp_path / "conf"

@@ -7,6 +7,8 @@ import pytest
 from dense_oracle import (
     ALT4,
     bell_table,
+    composition_overlaps_stacked,
+    cross_column_mixer,
     encode_composed,
     encode_law_residuals_loop,
     factor_blocks,
@@ -31,8 +33,6 @@ from sdc.bell import (
     family_factors,
 )
 from sdc.encoder import (
-    MEMBER_MIXER_READINGS,
-    _member_mixer_with_reading,
     encode_direct,
     encode_law_residuals,
     family_shift,
@@ -44,9 +44,9 @@ from sdc.errors import ArgOutOfRange, DimensionMismatch, PropertyViolated, SdcEr
 from sdc.gates import channel_sign_gate
 from sdc.hilbert import SignedPermutationOp, apply, compose_perms, phi_plus_overlap
 
-def resolved_order(N, H):
-    """`resolve_composition_order` under a fresh member-mixer resolution."""
-    return resolve_composition_order(N, H, resolve_member_mixer_reading(N, H)["reading"])
+# the member mixer under each exponent reading: the encoder's, and the
+# literal cross-column one that its law rules out
+READINGS = {"cross-column": cross_column_mixer, "same-column": member_mixer}
 
 
 class TestDirectForm:
@@ -121,22 +121,17 @@ class TestActionCheck:
 class TestMemberMixer:
     def test_anchor_member_is_identity(self):
         H = hadamard.build(4)
-        reading = resolve_member_mixer_reading(2, H)["reading"]
-        assert np.array_equal(np.asarray(member_mixer(2, H, 1, reading)), np.eye(4))
+        assert np.array_equal(np.asarray(member_mixer(2, H, 1)), np.eye(4))
 
     def test_one_pair_second_member_is_the_sign_gate(self):
         H = hadamard.build(2)
-        reading = resolve_member_mixer_reading(1, H)["reading"]
-        assert np.array_equal(
-            np.asarray(member_mixer(1, H, 2, reading)), np.asarray(channel_sign_gate(1, 1))
-        )
+        assert np.array_equal(np.asarray(member_mixer(1, H, 2)), np.asarray(channel_sign_gate(1, 1)))
 
     def test_row_product_law_at_one_pair(self):
         N, H = 1, hadamard.build(2)
         rows = {tuple(H.ints[i]): i + 1 for i in range(2)}
-        reading = resolve_member_mixer_reading(N, H)["reading"]
         for j in (1, 2):
-            op = member_mixer(N, H, j, reading)
+            op = member_mixer(N, H, j)
             for lab in all_labels(N):
                 jpp = rows[tuple(H.ints[j - 1] * H.ints[lab.j - 1])]
                 moved = apply(op, 0, bell_state(N, lab, H))
@@ -148,13 +143,12 @@ class TestMemberMixer:
         N, H = 2, hadamard.build(4)
         rows = {tuple(H.ints[i]): i + 1 for i in range(4)}
         start = bell_state(N, BellLabel(1, +1, 1), H)
-        reading = resolve_member_mixer_reading(N, H)["reading"]
         for j in range(1, 5):
             for jp in range(1, 5):
                 jpp = rows[tuple(H.ints[j - 1] * H.ints[jp - 1])]
-                mixed = apply(member_mixer(N, H, j, reading), 0, start)
-                chained = apply(member_mixer(N, H, jp, reading), 0, mixed)
-                direct = apply(member_mixer(N, H, jpp, reading), 0, start)
+                mixed = apply(member_mixer(N, H, j), 0, start)
+                chained = apply(member_mixer(N, H, jp), 0, mixed)
+                direct = apply(member_mixer(N, H, jpp), 0, start)
                 assert np.max(np.abs(chained.amp - direct.amp)) < 1e-12
 
     def test_reading_resolution(self):
@@ -164,31 +158,30 @@ class TestMemberMixer:
             assert info["reading"] == "same-column"
             assert info["max_deviation"] < 1e-12
 
-    def test_failing_reading_names_its_first_deviating_member(self, monkeypatch):
-        import sdc.encoder as enc
-
-        monkeypatch.setattr(enc, "MEMBER_MIXER_READINGS", ("cross-column",))
+    def test_failing_reading_names_its_first_deviating_member(self):
+        # Sylvester with indices 1 and 2 swapped (P H P^T): symmetric, rows
+        # closed under products, but the all-plus row is row 2, so mixer 1,
+        # the identity, leaves member 1 where row 1 * row 1 names member 2
+        swap = [1, 0, *range(2, 8)]
+        H = hadamard.build(8, custom={8: hadamard.build(8).ints[swap][:, swap]})
         with pytest.raises(PropertyViolated) as info:
-            resolve_member_mixer_reading(4, hadamard.build(8))
-        assert "mixer 2 on BellLabel(k=1, r=1, j=1) deviates by 7.071e-01" in str(info.value)
+            resolve_member_mixer_reading(4, H)
+        assert str(info.value) == (
+            "the same-column member mixer breaks the row-product law: "
+            "mixer 1 on BellLabel(k=1, r=1, j=1) deviates by 7.071e-01"
+        )
         with pytest.raises(PropertyViolated) as oracle:
-            resolve_member_mixer_reading_all_families(4, hadamard.build(8))
+            resolve_member_mixer_reading_all_families(4, H)
         assert str(oracle.value) == str(info.value)
 
     def test_cross_column_reading_violates_the_law(self):
         # the rejected reading builds a different operator for member 2
         N, H = 1, hadamard.build(2)
-        literal = _member_mixer_with_reading(N, H, 2, "cross-column")
-        resolved = member_mixer(N, H, 2, resolve_member_mixer_reading(N, H)["reading"])
-        assert not np.array_equal(np.asarray(literal), np.asarray(resolved))
+        assert not np.array_equal(np.asarray(cross_column_mixer(N, H, 2)), np.asarray(member_mixer(N, H, 2)))
 
     def test_argument_range(self):
         with pytest.raises(ArgOutOfRange):
-            member_mixer(2, hadamard.build(4), 5, "same-column")
-
-    def test_unknown_reading_is_refused(self):
-        with pytest.raises(ArgOutOfRange, match="unknown member-mixer reading 'bogus'"):
-            member_mixer(2, hadamard.build(4), 2, "bogus")
+            member_mixer(2, hadamard.build(4), 5)
 
 
 class TestMemberMixerOracle:
@@ -196,9 +189,9 @@ class TestMemberMixerOracle:
 
     @staticmethod
     def assert_matches_gates(N, H):
-        for reading in MEMBER_MIXER_READINGS:
+        for reading, build in READINGS.items():
             for j in range(1, 2 * N + 1):
-                assert member_mixer(N, H, j, reading) == member_mixer_gates(N, H, j, reading)
+                assert build(N, H, j) == member_mixer_gates(N, H, j, reading)
 
     @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
     def test_sylvester(self, N):
@@ -214,10 +207,12 @@ class TestMemberMixerOracle:
 
     @pytest.mark.parametrize("name,N", [("flipped", 2), ("flipped", 4), ("flipped", 8), ("minus", 1)])
     def test_first_row_not_all_plus(self, name, N):
-        # row 1 holds a minus sign, so member 1's mixer is not the identity
+        # row 1 holds a minus sign: mixer 1 is row 1 times itself, the
+        # identity, and the cross-column mixer 1 is not
         H = sign_matrix(name, N)
         assert (H.row(1) == -1).any()
-        assert any((member_mixer(N, H, 1, reading).phase != 1).any() for reading in MEMBER_MIXER_READINGS)
+        assert (member_mixer(N, H, 1).phase == 1).all()
+        assert (cross_column_mixer(N, H, 1).phase != 1).any()
         self.assert_matches_gates(N, H)
 
 
@@ -254,25 +249,18 @@ class TestFamilyShift:
             family_shift(2, 1, 0)
 
 
-def resolved_readings(N, H):
-    """The member-mixer reading and, under it, the composition order, each resolved once."""
-    reading = resolve_member_mixer_reading(N, H)["reading"]
-    return reading, resolve_composition_order(N, H, reading)["order"]
-
-
 class TestComposedForm:
     def test_identity_label(self):
         H = hadamard.build(2)
-        op = encode_composed(1, H, BellLabel(1, +1, 1), *resolved_readings(1, H))
+        op = encode_composed(1, H, BellLabel(1, +1, 1))
         assert np.array_equal(np.asarray(op), np.eye(2))
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_action_matches_direct_on_all_member_one_states(self, N):
         H = hadamard.build(2 * N)
-        readings = resolved_readings(N, H)
         for lab in all_labels(N):
             direct = encode_direct(N, H, lab)
-            composed = encode_composed(N, H, lab, *readings)
+            composed = encode_composed(N, H, lab)
             for kp in range(1, N + 1):
                 for rp in (+1, -1):
                     start = bell_state(N, BellLabel(kp, rp, 1), H)
@@ -281,21 +269,15 @@ class TestComposedForm:
                     overlap = np.vdot(a, b)
                     assert abs(abs(overlap) - 1.0) < 1e-10
 
-    def test_unknown_reading_or_order_is_refused(self):
-        H, lab = hadamard.build(4), BellLabel(1, +1, 1)
-        with pytest.raises(ArgOutOfRange, match="reading 'diagonal'"):
-            encode_composed(2, H, lab, "diagonal", "family-shift-first")
-        with pytest.raises(ArgOutOfRange, match="order 'both'"):
-            encode_composed(2, H, lab, "same-column", "both")
-
     def test_wrong_family_shift_matches_no_order(self, monkeypatch):
         shift = enc.family_shift
         # family (2, -1) gets the shift of family (2, +1)
         monkeypatch.setattr(enc, "family_shift", lambda N, k, r: shift(N, k, 1 if k == 2 else r))
-        with pytest.raises(PropertyViolated, match="neither composition order"):
-            resolved_order(2, hadamard.build(4))
-        with pytest.raises(PropertyViolated, match="neither composition order"):
-            resolve_composition_order_stacked(2, hadamard.build(4), "same-column")
+        match = "the family-shift-first composition does not reproduce"
+        with pytest.raises(PropertyViolated, match=match):
+            resolve_composition_order(2, hadamard.build(4))
+        with pytest.raises(PropertyViolated, match=match):
+            resolve_composition_order_stacked(2, hadamard.build(4))
 
     @pytest.mark.parametrize(
         "name,arg,bad,message",
@@ -320,26 +302,26 @@ class TestComposedForm:
 
         monkeypatch.setattr(enc, name, broken)
         with pytest.raises(DimensionMismatch, match=message):
-            resolved_order(2, hadamard.build(4))
+            resolve_composition_order(2, hadamard.build(4))
         with pytest.raises(DimensionMismatch, match=message):
-            resolve_composition_order_stacked(2, hadamard.build(4), "same-column")
+            resolve_composition_order_stacked(2, hadamard.build(4))
 
     def test_non_diagonal_mixer_is_refused(self, monkeypatch):
         # mixer 2 swapped with a valid permutation: the stacked constructor
         # took it, the order check needs every mixer's targets to be the identity
         build = enc.member_mixer
 
-        def swapped(N, H, j, reading):
-            op = build(N, H, j, reading)
+        def swapped(N, H, j):
+            op = build(N, H, j)
             return SignedPermutationOp(op.dim, op.target[::-1], op.phase) if j == 2 else op
 
         monkeypatch.setattr(enc, "member_mixer", swapped)
         with pytest.raises(DimensionMismatch, match="member mixer 2: target is not a permutation fixing every index"):
-            resolved_order(2, hadamard.build(4))
+            resolve_composition_order(2, hadamard.build(4))
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_resolved_order_gives_matrix_equality(self, N):
-        info = resolved_order(N, hadamard.build(2 * N))
+        info = resolve_composition_order(N, hadamard.build(2 * N))
         assert info["order"] == "family-shift-first"
         assert info["matrix_equal_to_direct"] is True
         assert info["max_phase_deviation"] < 1e-12
@@ -399,18 +381,17 @@ def dense_encode_law_residuals(N, H):
     return {"structure": structure, "family_rule": rule, "no_signaling": signaling}
 
 
-def order_overlaps(N, H, reading):
+def order_overlaps(N, H, mixer):
     """<direct S|composed S> for every label and member-1 start S: (exact, dense).
 
-    The composed encoder takes its member mixer in the given exponent reading.
+    The composed encoder takes its member mixer from `mixer(N, H, j)`.
     """
     ops = [encode_direct(N, H, BellLabel(kp, rp, 1)) for kp in range(1, N + 1) for rp in (+1, -1)]
     stack = SignedPermutationOp(2 * N, [op.target for op in ops], [op.phase for op in ops])
     exact, dense = [], []
     for lab in all_labels(N):
-        mixer = _member_mixer_with_reading(N, H, lab.j, reading)
         direct = encode_direct(N, H, lab)
-        composed = compose_perms(mixer, family_shift(N, lab.k, lab.r))
+        composed = compose_perms(mixer(N, H, lab.j), family_shift(N, lab.k, lab.r))
         exact.extend(
             phi_plus_overlap(compose_perms(direct, stack), compose_perms(composed, stack))
         )
@@ -430,28 +411,28 @@ class TestExactLawChecks:
         assert exact == {"structure": 0.0, "family_rule": 0.0, "no_signaling": 0.0}
         for name, value in dense.items():
             assert abs(value - exact[name]) <= 1e-12
-        exact_overlaps, dense_overlaps = order_overlaps(N, H, "same-column")
+        exact_overlaps, dense_overlaps = order_overlaps(N, H, member_mixer)
         assert np.max(np.abs(exact_overlaps - dense_overlaps)) <= 1e-12
         assert np.max(np.abs(np.abs(dense_overlaps) - 1.0)) <= 1e-12
-        assert resolved_order(N, H)["max_overlap_deviation"] == 0.0
+        assert resolve_composition_order(N, H)["max_overlap_deviation"] == 0.0
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_rejected_reading_overlaps_match_the_dense_route(self, N):
         # the cross-column mixer moves states off their labels: a real failure
-        exact, dense = order_overlaps(N, hadamard.build(2 * N), "cross-column")
+        exact, dense = order_overlaps(N, hadamard.build(2 * N), cross_column_mixer)
         assert np.max(np.abs(exact - dense)) <= 1e-12
         assert np.max(np.abs(np.abs(exact) - 1.0)) > 1e-10
 
-    @pytest.mark.parametrize("reading", MEMBER_MIXER_READINGS)
+    @pytest.mark.parametrize("reading", READINGS)
     @pytest.mark.parametrize("N", [1, 2, 4, 8])
     def test_every_start_overlap_is_the_encoders_own_overlap(self, N, reading):
         # <(D S x I)Phi+|(C S x I)Phi+> = tr(D^H C) / 2N for every start S, which
         # lets resolve_composition_order overlap the encoders themselves
         H = hadamard.build(2 * N)
-        per_start, _ = order_overlaps(N, H, reading)
+        per_start, _ = order_overlaps(N, H, READINGS[reading])
         own = []
         for lab in all_labels(N):
-            mixer = _member_mixer_with_reading(N, H, lab.j, reading)
+            mixer = READINGS[reading](N, H, lab.j)
             composed = compose_perms(mixer, family_shift(N, lab.k, lab.r))
             own.append(phi_plus_overlap(encode_direct(N, H, lab), composed))
         own = np.array(own)
@@ -562,13 +543,15 @@ class TestFamilyBlockRoutes:
     """The resolutions, one family block at a time, against their whole-table
     oracles in `dense_oracle`: the same result or the same error text."""
 
-    @pytest.mark.parametrize("reading", MEMBER_MIXER_READINGS)
+    @pytest.mark.parametrize("reading", READINGS)
     @pytest.mark.parametrize("matrix,N", [("sylvester", 16), *LAWFUL_AND_LAWLESS])
-    def test_order_equals_the_stacked_route(self, matrix, N, reading):
-        # the cross-column reading fails on Sylvester, so both outcomes are compared
+    def test_order_equals_the_stacked_route(self, monkeypatch, matrix, N, reading):
+        # the cross-column mixer, patched in on both routes, fails on
+        # Sylvester, so both outcomes are compared
+        monkeypatch.setattr(enc, "member_mixer", READINGS[reading])
         H = sign_matrix(matrix, N)
-        got = resolution(resolve_composition_order, N, H, reading)
-        assert got == resolution(resolve_composition_order_stacked, N, H, reading)
+        got = resolution(resolve_composition_order, N, H)
+        assert got == resolution(resolve_composition_order_stacked, N, H)
         if matrix == "sylvester":
             passes = reading == "same-column"
             assert isinstance(got, dict) if passes else got[0] is PropertyViolated
@@ -591,8 +574,8 @@ class TestFamilyBlockRoutes:
 
         monkeypatch.setattr(enc, "family_shift", negated)
         H = hadamard.build(8)
-        got = resolve_composition_order(4, H, "same-column")
-        assert got == resolve_composition_order_stacked(4, H, "same-column")
+        got = resolve_composition_order(4, H)
+        assert got == resolve_composition_order_stacked(4, H)
         assert got["order"] == "family-shift-first"
         assert got["matrix_equal_to_direct"] is False
         assert (got["max_overlap_deviation"], got["max_phase_deviation"]) == (0.0, 2.0)
@@ -609,8 +592,76 @@ class TestFamilyBlockRoutes:
         del table
         tracemalloc.start()
         try:
-            resolve_composition_order(N, H, "same-column")
+            resolve_composition_order(N, H)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * size
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    def test_mixer_first_relabels_members_from_four_pairs(self, N):
+        # T_f Psi_j carries another member's signs once a family moves more
+        # than one channel pair: the order COMPOSITION_ORDER rules out
+        overlap, matrix_equal = composition_overlaps_stacked(N, hadamard.build(2 * N), "member-mix-first")
+        assert (np.max(np.abs(np.abs(overlap) - 1.0)) > 1e-10) == (N >= 4)
+        assert matrix_equal is False
+
+
+def row_product_law_holds(N, H, mixer):
+    """Whether every mixer(N, H, j) sends member j' to the member whose row
+    is row j * row j', read label by label on the factors."""
+    psi = family_factors(N, H).psi
+    rows = {row.tobytes(): i for i, row in enumerate(H.ints)}
+    for j in range(1, 2 * N + 1):
+        phase = mixer(N, H, j).phase
+        for jp, row in enumerate(H.ints):
+            jpp = rows.get((H.ints[j - 1] * row).tobytes())
+            if jpp is None or not np.array_equal(phase * psi[jp], psi[jpp]):
+                return False
+    return True
+
+
+def conjugated_draws(seed, count):
+    """(N, H) for seeded P D H D P^T draws, H Sylvester of order 2..32 or
+    Paley's of order 12, P a permutation and D a +-1 diagonal.  Every
+    fourth draw keeps D = I and P(1) = 1, so some draws keep the member law."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        order = int(rng.choice([2, 4, 8, 12, 16, 32]))
+        base = paley_order_12() if order == 12 else hadamard.build(order).ints
+        perm, d = rng.permutation(order), rng.choice([-1, 1], order)
+        if i % 2:
+            d[:] = 1
+        if i % 4 in (2, 3):
+            perm = np.concatenate([[0], perm[perm != 0]])
+        ints = (d[:, None] * base * d)[perm][:, perm]
+        yield order // 2, hadamard.build(order, custom={order: ints})
+
+
+def test_each_law_admits_one_reading_and_one_order():
+    # the proofs beside MEMBER_MIXER_READING and COMPOSITION_ORDER: the
+    # cross-column mixer never keeps the row-product law; the same-column one
+    # keeps it only with an all-plus row 1, where the shift-first composition
+    # equals the direct encoder entry for entry
+    registries = [
+        *(("sylvester", n) for n in (1, 2, 4, 8, 16)),
+        ("alt4", 2), ("paley", 6), ("minus", 1),
+        *(("flipped", n) for n in (2, 4, 8, 16)),
+    ]
+    matrices = [(N, sign_matrix(name, N)) for name, N in registries]
+    matrices += conjugated_draws(seed=40, count=100)
+    lawful = 0
+    for N, H in matrices:
+        assert not row_product_law_holds(N, H, cross_column_mixer)
+        holds = row_product_law_holds(N, H, member_mixer)
+        assert isinstance(resolution(resolve_member_mixer_reading, N, H), dict) == holds
+        if holds:
+            lawful += 1
+            assert (H.row(1) == 1).all()
+            assert resolve_composition_order(N, H) == {
+                "order": "family-shift-first",
+                "max_overlap_deviation": 0.0,
+                "max_phase_deviation": 0.0,
+                "matrix_equal_to_direct": True,
+            }
+    assert 5 < lawful < len(matrices)  # beyond the five Sylvester registries, some draws keep the law

@@ -44,3 +44,12 @@ def test_manifest_builds_the_mixer_from_a_registry():
     mixer = [e for e in ENTRIES if "@hn-alt4" in e["argv"]]
     assert len(mixer) == 5
     assert {e["argv"][0]: e["exit"] for e in mixer} == {"verify": 0, "table": 2, "sweep": 2, "run": 2}
+
+
+def test_regeneration_names_each_moved_command():
+    from make_golden import moved
+
+    old = [{"argv": ["rates"], "exit": 0, "stdout_sha256": "a"}, {"argv": ["bases"], "exit": 0}]
+    new = [{"argv": ["rates"], "exit": 0, "stdout_sha256": "b"}, {"argv": ["spin"], "exit": 2}]
+    assert moved(old, new) == ["added   spin", "dropped bases", "moved   rates"]
+    assert moved(new, [dict(e, stderr="ignored") for e in new]) == []

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from sdc import hadamard
 from sdc.bell import BellLabel, bell_state
 from sdc.decoder import grand_blocks, make_decoder
-from sdc.encoder import MEMBER_MIXER_READINGS, family_shift, member_mixer
+from sdc.encoder import family_shift, member_mixer
 from sdc.errors import DimensionMismatch, LabelOutOfRange, UnsupportedOperator
 from sdc.gates import (
     channel_hadamard_gate,
@@ -315,9 +315,8 @@ class TestTrustedConstruction:
     @pytest.mark.parametrize("N", [1, 2, 4, 8])
     def test_mixers_and_shifts_equal_their_checked_rewrap(self, N):
         H = hadamard.build(2 * N)
-        for reading in MEMBER_MIXER_READINGS:
-            for j in range(1, 2 * N + 1):
-                assert_equals_its_checked_rewrap(member_mixer(N, H, j, reading))
+        for j in range(1, 2 * N + 1):
+            assert_equals_its_checked_rewrap(member_mixer(N, H, j))
         for k in range(1, N + 1):
             for r in (+1, -1):
                 assert_equals_its_checked_rewrap(family_shift(N, k, r))
@@ -366,7 +365,7 @@ class TestTrustedConstruction:
         for op in closed_form_gates(N):
             product = compose_perms(op, product)
         for j in range(1, 2 * N + 1):
-            product = compose_perms(member_mixer(N, H, j, "same-column"), product)
+            product = compose_perms(member_mixer(N, H, j), product)
         for k in range(1, N + 1):
             product = compose_perms(family_shift(N, k, -1), product)
         stack = bell_table(N, H)
